@@ -22,7 +22,6 @@ from dimm import (
     assemble_kronecker,
     fit_blocks,
     integrate_fits,
-    partition_dataset,
 )
 
 rng = np.random.Generator(np.random.Philox(20260819))
@@ -56,7 +55,6 @@ print(f"panel: {n} subjects x {m} responses, {p} covariates")
 
 # --- 2. partition ---------------------------------------------------------
 part = BlockPartition.from_sizes(sizes, structure=["ar1", "ar1", "cs"])
-blocks = partition_dataset(data, part)
 
 # --- 3. fit each block by pairwise composite likelihood -------------------
 fits = fit_blocks(data, part, workers=1)
@@ -69,7 +67,7 @@ for fit in fits:
     )
 
 # --- 4. combine -----------------------------------------------------------
-combined = integrate_fits(fits, blocks)
+combined = integrate_fits(fits)
 print(f"\ncombined estimate over {len(combined.block_names)} blocks:")
 for q, test in enumerate(combined.wald):
     print(

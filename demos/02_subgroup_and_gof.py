@@ -17,7 +17,6 @@ from dimm import (
     chi2_cdf,
     fit_blocks,
     integrate_fits,
-    partition_dataset,
     q_statistic,
     stack_scores,
     weight_matrix,
@@ -48,12 +47,11 @@ y = np.einsum("nmp,p->nm", x, beta_true) + rng.standard_normal(
 data = PanelDataset(responses=y, covariates=x)
 
 part = BlockPartition.from_sizes(sizes, structure="cs", names=names)
-blocks = partition_dataset(data, part)
 fits = fit_blocks(data, part, workers=1)
 
 # --- full combination vs a named sub-group ---------------------------------
-full = integrate_fits(fits, blocks)
-pair = integrate_fits(fits, blocks, subset=["frontal", "central"])
+full = integrate_fits(fits)
+pair = integrate_fits(fits, subset=["frontal", "central"])
 print("all four blocks :", np.array2string(full.beta_dimm, precision=4))
 print("frontal+central :", np.array2string(pair.beta_dimm, precision=4))
 print(
@@ -72,7 +70,7 @@ print(
 # J*p moment coordinates count).
 weights = weight_matrix(stack_scores(fits))
 for label, beta0 in (("truth", beta_true), ("off by 0.2", beta_true + 0.2)):
-    q = q_statistic(beta0, blocks, fits, weights)
+    q = q_statistic(beta0, fits, weights)
     df = len(fits) * p
     p_val = 1.0 - chi2_cdf(q, df)
     print(f"hypothesis {label:12s}: Q = {q:9.3f} on {df} df, p = {p_val:.4f}")

@@ -23,7 +23,6 @@ from dimm import (
     gee_fit,
     gls_oracle,
     integrate_fits,
-    partition_dataset,
 )
 
 rng = np.random.Generator(np.random.Philox(7))
@@ -51,7 +50,7 @@ data = PanelDataset(responses=y, covariates=x)
 # --- estimates ---------------------------------------------------------------
 part = BlockPartition.from_sizes(sizes, structure="ar1")
 fits = fit_blocks(data, part, workers=1)
-combined = integrate_fits(fits, partition_dataset(data, part))
+combined = integrate_fits(fits)
 
 ind = gee_fit(data, "independence")
 exch = gee_fit(data, "exchangeable")

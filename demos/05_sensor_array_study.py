@@ -25,7 +25,6 @@ from dimm import (
     fit_blocks,
     generate_replicate,
     integrate_fits,
-    partition_dataset,
     run_scenario,
 )
 
@@ -57,12 +56,11 @@ part = BlockPartition.from_sizes(
     structure=[b.structure_fit for b in scn.blocks],
     names=[b.name for b in scn.blocks],
 )
-blocks = partition_dataset(data, part)
 fits = fit_blocks(data, part, workers=1)
 
 subgroup = ["left_po_P2", "left_po_P750"]
-sub = integrate_fits(fits, blocks, subset=subgroup)
-full = integrate_fits(fits, blocks)
+sub = integrate_fits(fits, subset=subgroup)
+full = integrate_fits(fits)
 print(f"\none replicate, combination over {subgroup}:")
 print(f"  sub-group estimate: {np.array2string(sub.beta_dimm, precision=4)}")
 print(f"  all-block estimate: {np.array2string(full.beta_dimm, precision=4)}")

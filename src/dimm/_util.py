@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterable, Sequence
+    from collections.abc import Callable, Iterable
 
 WORKERS_ENV = "DIMM_WORKERS"
 
@@ -44,9 +44,3 @@ def parallel_map(fn: Callable, items: Iterable, workers: int | None = None) -> l
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 
-
-def stable_chunks(n_items: int, n_chunks: int) -> list[range]:
-    """Split range(n_items) into at most n_chunks contiguous ranges."""
-    n_chunks = max(1, min(n_chunks, n_items))
-    bounds = [round(i * n_items / n_chunks) for i in range(n_chunks + 1)]
-    return [range(bounds[i], bounds[i + 1]) for i in range(n_chunks) if bounds[i] < bounds[i + 1]]

@@ -5,7 +5,7 @@ Exit codes are distinct per failure class so callers can branch on them:
 * 0 — success
 * 2 — configuration problem (bad flags, bad config file, bad partition spec)
 * 3 — data ingestion problem (panel files missing, malformed, incomplete)
-* 4 — block fit failure (optimizer could not meet its acceptance gates)
+* 4 — block fit failure (a degenerate block, or scores above the acceptance tolerance)
 * 5 — integration failure (degenerate weight or bread matrix)
 * 6 — scenario failure (too many replicate failures, bad scenario file)
 
@@ -35,8 +35,9 @@ from dimm.errors import (
     PartitionError,
     ScenarioError,
 )
-from dimm.integrate import integrate_fits, q_from_mean_scores, weight_matrix, stack_scores
+from dimm.integrate import integrate_fits, q_statistic, stack_scores, weight_matrix
 from dimm.io import (
+    SCHEMA_VERSION,
     FitConfig,
     GofReport,
     build_fit_report,
@@ -44,10 +45,10 @@ from dimm.io import (
     load_panel,
     write_estimates_csv,
 )
-from dimm.model import PanelDataset, partition_dataset
-from dimm.pairwise import FitOptions, block_score_beta, fit_blocks
+from dimm.model import BlockPartition, PanelDataset
+from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
+from dimm.pairwise import FitOptions, fit_blocks
 from dimm.simulate import (
-    SCHEMA_VERSION,
     bundled_scenario,
     bundled_scenario_names,
     run_scenario,
@@ -102,20 +103,18 @@ def _resolve_workers(flag: int | None, config_value: int | None) -> int:
     return default_worker_count()
 
 
-def _load_and_partition(config: FitConfig) -> tuple[PanelDataset, list[PanelDataset], object]:
+def _load_panel(config: FitConfig) -> tuple[PanelDataset, BlockPartition]:
     data = load_panel(config.response_path, config.covariate_path)
     if config.intercept:
         data = _with_intercept(data)
-    partition = config.partition()
-    block_data = partition_dataset(data, partition)
-    return data, block_data, partition
+    return data, config.partition()
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     config = load_fit_config(args.config)
     workers = _resolve_workers(args.workers, config.workers)
     options = _fit_options(config)
-    data, block_data, partition = _load_and_partition(config)
+    data, partition = _load_panel(config)
 
     wall0, cpu0 = time.perf_counter(), time.process_time()
     fits = fit_blocks(data, partition, options=options, workers=workers)
@@ -123,7 +122,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     cpu_blocks = time.process_time() - cpu0
 
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    integrated = integrate_fits(fits, block_data, subset=config.blocks_to_integrate)
+    integrated = integrate_fits(fits, subset=config.blocks_to_integrate)
     wall_int = time.perf_counter() - wall0
     cpu_int = time.process_time() - cpu0
 
@@ -245,7 +244,7 @@ def cmd_gof(args: argparse.Namespace) -> int:
     beta = _parse_beta(args.beta)
     workers = _resolve_workers(args.workers, config.workers)
     options = _fit_options(config)
-    data, block_data, partition = _load_and_partition(config)
+    data, partition = _load_panel(config)
     if beta.shape[0] != data.n_covariates:
         msg = (
             f"--beta has {beta.shape[0]} entries but the design has "
@@ -256,21 +255,14 @@ def cmd_gof(args: argparse.Namespace) -> int:
     fits = fit_blocks(data, partition, options=options, workers=workers)
     if config.blocks_to_integrate is not None:
         keep = set(config.blocks_to_integrate)
-        selected = [i for i, f in enumerate(fits) if f.name in keep]
-        fits = [fits[i] for i in selected]
-        block_data = [block_data[i] for i in selected]
+        fits = [f for f in fits if f.name in keep]
     if len(fits) < 2:
         msg = (
             "goodness-of-fit evaluation needs at least 2 blocks "
             "(single block has df = 0)"
         )
         raise IntegrationError(msg)
-    weights = weight_matrix(stack_scores(fits))
-    parts = [
-        block_score_beta(beta, fit.gamma_hat, blk).mean(axis=0)
-        for fit, blk in zip(fits, block_data)
-    ]
-    q_val = q_from_mean_scores(np.concatenate(parts), weights, data.n_subjects)
+    q_val = q_statistic(beta, fits, weight_matrix(stack_scores(fits)))
     df = (len(fits) - 1) * beta.shape[0]
     p_value = 1.0 - chi2_cdf(q_val, df)
     report = GofReport(

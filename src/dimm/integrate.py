@@ -18,14 +18,21 @@ the weight matrix is left out and intervals built on it undercover. The
 reported covariance is therefore the delete-one-subject jackknife of
 the whole combination: each subject is dropped in turn, ``V_hat`` is
 downdated by rank one, the block estimates and sensitivities are moved
-exactly (the scores are affine in beta under the Gaussian identity
-link, so this needs no refit at the fitted working parameters), and the
-estimates are recombined. The analytic matrix is kept alongside it.
+exactly, and the estimates are recombined. The analytic matrix is kept
+alongside it.
 
-The quadratic form ``Q_N(beta) = N Psi_N(beta)' V_hat^(-1) Psi_N(beta)``
-doubles as an over-identification statistic: with J blocks it is
-asymptotically chi-square with (J - 1) p degrees of freedom at the
-combined estimate.
+Everything here rests on the Gaussian identity link, under which each
+block's score is affine in beta:
+
+    psi_ij(beta) = psi_ij(beta_hat_j) - H_ij (beta - beta_hat_j),
+
+with ``H_ij`` the per-subject sensitivities stored on the fit. So the
+jackknife needs no refit at the fitted working parameters, and the
+quadratic form ``Q_N(beta) = N g(beta)' V_hat^(-1) g(beta)`` needs no
+second pass over the data: block j's mean score is ``g_j(beta) = mean_i
+psi_ij(beta_hat_j) - S_j (beta - beta_hat_j)`` exactly. ``Q_N`` doubles
+as an over-identification statistic: with J blocks it is asymptotically
+chi-square with (J - 1) p degrees of freedom at the combined estimate.
 """
 
 from __future__ import annotations
@@ -39,13 +46,11 @@ import numpy as np
 from scipy import linalg as sla
 
 from dimm.errors import IntegrationError
-from dimm.pairwise import BlockFit, block_score_beta
+from dimm.pairwise import BlockFit
 from dimm.special import chi2_cdf, normal_cdf
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
-
-    from dimm.model import PanelDataset
 
 __all__ = [
     "CoefficientTest",
@@ -348,38 +353,30 @@ def q_from_mean_scores(
 
 def q_statistic(
     beta: np.ndarray,
-    blocks: Sequence[PanelDataset],
     fits: Sequence[BlockFit],
     weights: WeightMatrix,
 ) -> float:
-    """Q_N(beta): re-evaluate every block's mean score at a common beta.
+    """Q_N(beta): every block's mean score moved to a common beta.
 
-    This is the second data pass: each block's beta-score is recomputed
-    at ``beta`` with the working parameters held at that block's fitted
-    ``gamma_hat``, the J mean scores are stacked, and the quadratic form
-    against ``V_hat^(-1)`` is scaled by N.
+    Each block's mean score at ``beta``, with the working parameters held
+    at that block's fitted ``gamma_hat``, is ``mean_i psi_ij(beta_hat_j)
+    - S_j (beta - beta_hat_j)`` (exact under the identity link); the J
+    mean scores are stacked, and the quadratic form against
+    ``V_hat^(-1)`` is scaled by N.
     """
     n, p = _check_fits(fits)
-    if len(blocks) != len(fits):
-        msg = f"got {len(blocks)} block datasets for {len(fits)} fits"
-        raise IntegrationError(msg)
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)
     if beta.shape != (p,):
         msg = f"beta has length {beta.shape[0]}, expected p={p}"
         raise IntegrationError(msg)
-    parts = []
-    for block_data, fit in zip(blocks, fits):
-        scores = block_score_beta(beta, fit.gamma_hat, block_data)
-        if scores.shape[0] != n:
-            msg = f"block {fit.name!r} dataset has {scores.shape[0]} subjects, expected {n}"
-            raise IntegrationError(msg)
-        parts.append(scores.mean(axis=0))
+    parts = [
+        f.subject_scores.mean(axis=0) - f.sensitivity @ (beta - f.beta_hat) for f in fits
+    ]
     return q_from_mean_scores(np.concatenate(parts), weights, n)
 
 
 def cef_log_density(
     beta: np.ndarray,
-    blocks: Sequence[PanelDataset],
     fits: Sequence[BlockFit],
     weights: WeightMatrix,
 ) -> float:
@@ -387,7 +384,7 @@ def cef_log_density(
 
     Equals ``-Q_N(beta) / 2``; the combined estimate is its mode.
     """
-    return -0.5 * q_statistic(beta, blocks, fits, weights)
+    return -0.5 * q_statistic(beta, fits, weights)
 
 
 def gof_test(q_stat: float, n_blocks: int, n_params: int) -> tuple[int, float]:
@@ -536,7 +533,6 @@ def wald_tests(fit: IntegratedFit) -> tuple[CoefficientTest, ...]:
 
 def integrate_fits(
     fits: Sequence[BlockFit],
-    blocks: Sequence[PanelDataset],
     *,
     subset: Sequence[str] | None = None,
 ) -> IntegratedFit:
@@ -546,9 +542,6 @@ def integrate_fits(
     ----------
     fits : sequence of BlockFit
         Per-block fits, in block order.
-    blocks : sequence of PanelDataset
-        The matching per-block datasets (needed for the second data pass
-        behind Q_N).
     subset : sequence of str, optional
         Integrate only the named blocks (sub-group analysis). Selection
         preserves fit order; integrating a subset is bit-identical to
@@ -562,10 +555,6 @@ def integrate_fits(
         ``covariance_asymptotic`` the analytic (:func:`dimm_covariance`).
     """
     fits = list(fits)
-    blocks = list(blocks)
-    if len(blocks) != len(fits):
-        msg = f"got {len(blocks)} block datasets for {len(fits)} fits"
-        raise IntegrationError(msg)
     if subset is not None:
         wanted = list(subset)
         names = [f.name for f in fits]
@@ -578,7 +567,6 @@ def integrate_fits(
             raise IntegrationError(msg)
         keep = [i for i, name in enumerate(names) if name in set(wanted)]
         fits = [fits[i] for i in keep]
-        blocks = [blocks[i] for i in keep]
 
     n, p = _check_fits(fits)
     scores = stack_scores(fits)
@@ -586,7 +574,7 @@ def integrate_fits(
     beta = one_step_estimator(fits, weights)
     cov_asymptotic = dimm_covariance(fits, weights)
     cov = jackknife_covariance(fits, weights)
-    q_val = q_statistic(beta, blocks, fits, weights)
+    q_val = q_statistic(beta, fits, weights)
     if len(fits) > 1:
         gof_df, gof_p = gof_test(q_val, len(fits), p)
     else:

@@ -7,21 +7,36 @@ subjects. Each pair (r, t) contributes the bivariate density with mean
 where ``c`` is the working-family correlation at lag ``|r - t|``. The
 maximizer of this pairwise objective over ``(beta, sigma, rho)`` is the
 block's composite-likelihood estimate; the fit also returns per-subject
-score vectors and the sensitivity matrix, which are exactly the
-ingredients the integration step consumes.
+score vectors and sensitivities, which are exactly the ingredients the
+integration step consumes.
 
-Optimization runs in an unconstrained parameterization ``theta = (log
-sigma, scaled-atanh rho)`` so every probe point is admissible: a capped
-Nelder-Mead warm start from ``beta = (1, ..., 1)``, ``sigma = 1``,
-``rho = 0``, followed by BFGS with analytic beta-gradients and central
-finite-difference gamma-gradients until the gradient sup-norm of the
-mean log composite likelihood falls below tolerance.
+The Gaussian identity link makes all of this closed form but for one
+scalar:
+
+* the log-CL depends on the data only through per-lag moments, and all
+  of them are sums of blocks of one Gram matrix ``Z'Z``, with ``Z = [X |
+  y]`` reshaped to (N, m (p + 1));
+* at fixed rho, ``beta_hat(rho)`` is one linear solve, and sigma cancels
+  out of it;
+* ``sigma_hat^2(rho) = sum_d R_d / (2 N n_pairs)`` with ``R_d = (q0_d -
+  2 c_d q1_d) / (1 - c_d^2)``, from the per-lag residual square and
+  cross sums ``q0_d``, ``q1_d``;
+* the scores are affine in beta: subject i's beta-score is ``X_i' K
+  e_i`` with the m x m kernel K of :meth:`_BlockArrays.kernel`.
+
+The fit is therefore a 1-D search over the profile log-CL in rho. The
+profile is evaluated on a fixed grid over the admissible interval, and
+its analytic score is solved by Brent's method inside the grid bracket
+of the best point. The grid's best value is kept as a certificate that
+the refined point is the global maximum over the grid. Every step is
+equivariant under a rescaling of the responses, and the post-fit checks
+are relative to scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -29,7 +44,7 @@ import numpy as np
 from scipy import optimize
 
 from dimm._util import parallel_map
-from dimm.errors import FitError
+from dimm.errors import ConfigError, FitError
 from dimm.model import (
     AR1,
     Dependence,
@@ -55,10 +70,17 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# Interior guards: keep rho strictly inside its admissible interval and
-# log-sigma inside a range where sigma**2 cannot overflow.
-_RHO_MARGIN = 1e-12
-_THETA1_CAP = 50.0
+# Distance of the outermost probe from each end of the rho interval, as
+# a fraction of its length; a profile still rising there puts rho at its
+# bound.
+_EDGE = 1e-9
+# Absolute rho tolerance of the Brent refinement.
+_RHO_XTOL = 1e-13
+# A residual variance below this fraction of the response mean square is
+# an exact fit: the Gram-matrix moments cannot resolve it.
+_EXACT_FIT = 1e-12
+# Roundoff allowance when the refined profile is compared with the grid.
+_CERT_RTOL = 1e-12
 
 
 def bivariate_normal_logpdf(
@@ -94,13 +116,38 @@ def bivariate_normal_logpdf(
     return -_LOG_2PI - math.log(s2) - 0.5 * math.log(one_mc2) - 0.5 * quad
 
 
-class _BlockArrays:
-    """Precomputed pair layout and design moments for one block.
+@dataclass(frozen=True)
+class _Profile:
+    """The profile log-CL and its rho-score at each of k rho values."""
 
-    Pairs are enumerated r < t and sorted by lag so per-lag reductions
-    are contiguous. The design cross-moments (which do not depend on
-    the parameters) are cached once so objective, gradient, sensitivity,
-    and the exact beta-solve all reuse them.
+    beta: np.ndarray  # (k, p)
+    sigma2: np.ndarray  # (k,)
+    logcl: np.ndarray  # (k,)
+    score: np.ndarray  # (k,)
+
+
+class _BlockArrays:
+    """Per-lag design and response moments of one block.
+
+    With ``z_r = (x_r', y_r)'`` for coordinate r, the Gram matrix of ``Z =
+    [X | y]`` holds every ``sum_i z_ir z_it'``. For lag d, summed over the
+    subjects and the pairs (r, t = r + d):
+
+    * ``a_mats[d] = sum (x_r x_r' + x_t x_t')``, ``u_vecs[d] = sum (y_r x_r
+      + y_t x_t)``, ``s0[d] = sum (y_r^2 + y_t^2)`` come from its diagonal
+      blocks;
+    * ``b_mats[d] = sum (x_r x_t' + x_t x_r')``, ``v_vecs[d] = sum (y_t x_r
+      + y_r x_t)``, ``s1[d] = sum y_r y_t`` from its lag-d off-diagonal
+      blocks.
+
+    The per-lag residual sums are then exact quadratic forms in beta,
+
+        q0_d(beta) = s0_d - 2 u_d'beta + beta'A_d beta
+        q1_d(beta) = s1_d -   v_d'beta + beta'B_d beta / 2,
+
+    so every evaluation costs O(lags * p^2). (The subtraction loses
+    accuracy only when the signal dwarfs the noise; :func:`fit_block`
+    refuses such exact fits.)
     """
 
     def __init__(self, block: PanelDataset, structure: str) -> None:
@@ -108,113 +155,66 @@ class _BlockArrays:
         x = block.covariates
         n, m = y.shape
         p = x.shape[2]
-        pairs = [(r, t) for r in range(m) for t in range(r + 1, m)]
-        pairs.sort(key=lambda rt: rt[1] - rt[0])
-        r_idx = np.array([r for r, _ in pairs], dtype=np.intp)
-        t_idx = np.array([t for _, t in pairs], dtype=np.intp)
-        lags = (t_idx - r_idx).astype(np.int64)
+        z = np.concatenate([x, y[:, :, None]], axis=2).reshape(n, m * (p + 1))
+        # gram[r, t] = sum_i z_ir z_it', shape (m, m, p + 1, p + 1).
+        gram = (z.T @ z).reshape(m, p + 1, m, p + 1).transpose(0, 2, 1, 3)
+        lags = np.arange(1, m)
+        counts = m - lags
+        r_idx = np.concatenate([np.arange(c) for c in counts])
+        t_idx = r_idx + np.repeat(lags, counts)
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        cross = np.add.reduceat(gram[r_idx, t_idx], starts, axis=0)
+        # Diagonal blocks summed over r < m - d and over t >= d.
+        diag = np.cumsum(gram[np.arange(m), np.arange(m)], axis=0)
+        diag = np.concatenate([np.zeros((1, p + 1, p + 1)), diag])
+        square = diag[counts] + (diag[m] - diag[lags])
 
         self.structure = structure
         self.n_subjects = n
         self.block_size = m
         self.n_params = p
-        self.n_pairs = len(pairs)
-        self.x = x
-        self.yr = y[:, r_idx]
-        self.yt = y[:, t_idx]
-        self.xr = x[:, r_idx, :]
-        self.xt = x[:, t_idx, :]
-        self.pair_lags = lags
-
-        # Unique lags with contiguous pair ranges [start, stop).
-        uniq, starts = np.unique(lags, return_index=True)
-        stops = np.append(starts[1:], len(pairs))
-        self.lags = uniq
-        self.lag_slices = [slice(int(a), int(b)) for a, b in zip(starts, stops)]
-        self.lag_counts = (stops - starts).astype(np.int64)
-
-        # Per-lag design and response moments: a_mats[d] = sum (xr xr' +
-        # xt xt'), b_mats[d] = sum (xr xt' + xt xr'), u/v the design-
-        # response analogues, s0/s1 the pure response square/cross sums.
-        # All parameter-free, so the per-lag residual sums become exact
-        # quadratic forms in beta:
-        #   q0_d(beta) = s0_d - 2 u_d'beta + beta'A_d beta
-        #   q1_d(beta) = s1_d -   v_d'beta + beta'B_d beta / 2
-        # and every optimizer evaluation costs O(lags * p^2) instead of
-        # O(N * pairs * p). (The subtraction loses accuracy only when
-        # the signal dwarfs the noise; fine at statistical scales.)
-        n_lags = len(uniq)
-        self.a_mats = np.empty((n_lags, p, p))
-        self.b_mats = np.empty((n_lags, p, p))
-        self.u_vecs = np.empty((n_lags, p))
-        self.v_vecs = np.empty((n_lags, p))
-        self.s0 = np.empty(n_lags)
-        self.s1 = np.empty(n_lags)
-        for d, sl in enumerate(self.lag_slices):
-            xr = self.xr[:, sl, :]
-            xt = self.xt[:, sl, :]
-            yr = self.yr[:, sl]
-            yt = self.yt[:, sl]
-            self.a_mats[d] = np.einsum("nkp,nkq->pq", xr, xr) + np.einsum(
-                "nkp,nkq->pq", xt, xt
-            )
-            cross = np.einsum("nkp,nkq->pq", xr, xt)
-            self.b_mats[d] = cross + cross.T
-            self.u_vecs[d] = np.einsum("nk,nkp->p", yr, xr) + np.einsum(
-                "nk,nkp->p", yt, xt
-            )
-            self.v_vecs[d] = np.einsum("nk,nkp->p", yt, xr) + np.einsum(
-                "nk,nkp->p", yr, xt
-            )
-            self.s0[d] = float(np.sum(yr * yr) + np.sum(yt * yt))
-            self.s1[d] = float(np.sum(yr * yt))
-
-        if structure == AR1:
-            self.rho_lower = -1.0
-        else:
-            self.rho_lower = -1.0 / (m - 1)
+        self.n_pairs = m * (m - 1) // 2
+        self.response_ms = float(np.mean(y * y))
+        self.lags = lags
+        self.lag_counts = counts
+        self.a_mats = square[:, :p, :p]
+        self.u_vecs = square[:, :p, p]
+        self.s0 = square[:, p, p]
+        self.b_mats = cross[:, :p, :p] + np.swapaxes(cross[:, :p, :p], 1, 2)
+        self.v_vecs = cross[:, :p, p] + cross[:, p, :p]
+        self.s1 = cross[:, p, p]
+        self.rho_lower = -1.0 if structure == AR1 else -1.0 / (m - 1)
         self.rho_upper = 1.0
 
-    # -- parameterization -------------------------------------------------
-
-    def gamma_from_theta(self, theta: np.ndarray) -> tuple[float, float]:
-        t1 = min(max(float(theta[0]), -_THETA1_CAP), _THETA1_CAP)
-        sigma = math.exp(t1)
-        lo, hi = self.rho_lower, self.rho_upper
-        rho = lo + (hi - lo) * (math.tanh(float(theta[1])) + 1.0) / 2.0
-        margin = _RHO_MARGIN * (hi - lo)
-        rho = min(max(rho, lo + margin), hi - margin)
-        return sigma, rho
-
-    def theta_from_gamma(self, sigma: float, rho: float) -> np.ndarray:
-        lo, hi = self.rho_lower, self.rho_upper
-        if not lo < rho < hi:
-            msg = f"rho={rho} outside the admissible interval ({lo}, {hi}) for this block"
-            raise FitError(msg)
-        if sigma <= 0.0:
-            msg = f"sigma must be positive, got {sigma}"
-            raise FitError(msg)
-        frac = 2.0 * (rho - lo) / (hi - lo) - 1.0
-        return np.array([math.log(sigma), math.atanh(frac)])
-
-    def lag_correlations(self, rho: float) -> np.ndarray:
+    def lag_correlations(self, rho: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-lag correlations and their rho-derivatives, shape (..., lags)."""
+        rho = np.asarray(rho, dtype=np.float64)[..., None]
+        lags = self.lags.astype(np.float64)
         if self.structure == AR1:
-            return np.power(rho, self.lags.astype(np.float64))
-        return np.full(len(self.lags), rho)
+            return np.power(rho, lags), lags * np.power(rho, lags - 1.0)
+        c = np.broadcast_to(rho, rho.shape[:-1] + lags.shape)
+        return c, np.ones_like(c)
 
     # -- parameter-dependent quantities -----------------------------------
 
     def residual_moments(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-lag residual square/cross sums (q0, q1) as quadratic forms."""
-        a_beta = self.a_mats @ beta  # (lags, p)
-        b_beta = self.b_mats @ beta
-        q0 = self.s0 - 2.0 * (self.u_vecs @ beta) + a_beta @ beta
-        q1 = self.s1 - (self.v_vecs @ beta) + 0.5 * (b_beta @ beta)
+        """Per-lag residual square/cross sums (q0, q1), shape (..., lags)."""
+        q0 = (
+            self.s0
+            - 2.0 * (beta @ self.u_vecs.T)
+            + np.einsum("...p,dpq,...q->...d", beta, self.a_mats, beta)
+        )
+        q1 = (
+            self.s1
+            - beta @ self.v_vecs.T
+            + 0.5 * np.einsum("...p,dpq,...q->...d", beta, self.b_mats, beta)
+        )
         return q0, q1
 
-    def logcl_from_moments(self, sigma: float, rho: float, q0: np.ndarray, q1: np.ndarray) -> float:
-        """Total log composite likelihood given residual moments."""
-        c = self.lag_correlations(rho)
+    def logcl(self, beta: np.ndarray, sigma: float, rho: float) -> float:
+        """Total log composite likelihood."""
+        q0, q1 = self.residual_moments(beta)
+        c, _ = self.lag_correlations(rho)
         one_mc2 = 1.0 - c * c
         s2 = sigma * sigma
         n_terms = self.lag_counts * self.n_subjects
@@ -222,44 +222,57 @@ class _BlockArrays:
         quad = (q0 - 2.0 * c * q1) / (2.0 * s2 * one_mc2)
         return float(np.sum(const - quad))
 
-    def logcl(self, beta: np.ndarray, sigma: float, rho: float) -> float:
+    def _rho_score(self, q0, q1, c, dc, s2):
+        """Total rho-derivative of the log-CL from the per-lag sums."""
+        w = 1.0 / (1.0 - c * c)
+        d_c = self.lag_counts * self.n_subjects * c * w + (
+            q1 * (1.0 + c * c) - c * q0
+        ) * w * w / s2[..., None]
+        return np.sum(dc * d_c, axis=-1)
+
+    def mean_score_gamma(self, beta: np.ndarray, sigma: float, rho: float) -> np.ndarray:
+        """Gradient of the mean log-CL in (sigma, rho)."""
         q0, q1 = self.residual_moments(beta)
-        return self.logcl_from_moments(sigma, rho, q0, q1)
+        c, dc = self.lag_correlations(rho)
+        n_terms = self.lag_counts * self.n_subjects
+        r = (q0 - 2.0 * c * q1) / (1.0 - c * c)
+        d_sigma = float(np.sum(-2.0 * n_terms / sigma + r / sigma**3))
+        d_rho = float(self._rho_score(q0, q1, c, dc, np.asarray(sigma * sigma)))
+        return np.array([d_sigma, d_rho]) / self.n_subjects
 
-    def _pair_weights(self, sigma: float, rho: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pair correlation and precision scale, broadcast from lags."""
-        c_lag = self.lag_correlations(rho)
-        g_lag = 1.0 / (sigma * sigma * (1.0 - c_lag * c_lag))
-        c = np.empty(self.n_pairs)
-        g = np.empty(self.n_pairs)
-        for d, sl in enumerate(self.lag_slices):
-            c[sl] = c_lag[d]
-            g[sl] = g_lag[d]
-        return c, g
-
-    def subject_scores(self, beta: np.ndarray, sigma: float, rho: float) -> np.ndarray:
-        """Per-subject beta-score vectors, shape (N, p)."""
-        er = self.yr - self.xr @ beta
-        et = self.yt - self.xt @ beta
-        c, g = self._pair_weights(sigma, rho)
-        wr = g * (er - c * et)
-        wt = g * (et - c * er)
-        return np.einsum("nk,nkp->np", wr, self.xr) + np.einsum(
-            "nk,nkp->np", wt, self.xt
+    def _normal_equations(self, rho) -> tuple[np.ndarray, np.ndarray]:
+        """Sensitivity and score target times sigma^2, shape (..., p, p), (..., p)."""
+        c, _ = self.lag_correlations(rho)
+        w = 1.0 / (1.0 - c * c)
+        lhs = np.einsum("...d,dpq->...pq", w, self.a_mats) - np.einsum(
+            "...d,dpq->...pq", w * c, self.b_mats
         )
+        rhs = w @ self.u_vecs - (w * c) @ self.v_vecs
+        return lhs, rhs
+
+    def profile(self, rhos: np.ndarray) -> _Profile:
+        """beta_hat(rho), sigma_hat^2(rho), the profile log-CL and its score."""
+        rhos = np.asarray(rhos, dtype=np.float64)
+        lhs, rhs = self._normal_equations(rhos)
+        beta = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        q0, q1 = self.residual_moments(beta)
+        c, dc = self.lag_correlations(rhos)
+        n_terms = self.lag_counts * self.n_subjects
+        sigma2 = np.sum((q0 - 2.0 * c * q1) / (1.0 - c * c), axis=-1) / (2.0 * n_terms.sum())
+        # At sigma_hat^2 the quadratic terms of the log-CL sum to the
+        # number of pair terms, hence the + 1. A non-positive sigma2 (an
+        # exact fit) gives nan here and is refused by the caller.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            logcl = (
+                -n_terms.sum() * (_LOG_2PI + np.log(sigma2) + 1.0)
+                - 0.5 * np.log(1.0 - c * c) @ n_terms
+            )
+        return _Profile(beta, sigma2, logcl, self._rho_score(q0, q1, c, dc, sigma2))
 
     def mean_score_beta(self, beta: np.ndarray, sigma: float, rho: float) -> np.ndarray:
-        """Mean beta-score (gradient of the mean log-CL in beta).
-
-        Evaluated from the cached per-lag moments:
-        (1/N) sum_d g_d [(u_d - A_d beta) - c_d (v_d - B_d beta)].
-        """
-        c = self.lag_correlations(rho)
-        g = 1.0 / (sigma * sigma * (1.0 - c * c))
-        total = g @ (self.u_vecs - self.a_mats @ beta) - (g * c) @ (
-            self.v_vecs - self.b_mats @ beta
-        )
-        return total / self.n_subjects
+        """Mean beta-score (gradient of the mean log-CL in beta)."""
+        lhs, rhs = self._normal_equations(rho)
+        return (rhs - lhs @ beta) / (sigma * sigma * self.n_subjects)
 
     def sensitivity(self, sigma: float, rho: float) -> np.ndarray:
         """Sensitivity (1/N) sum_i sum_pairs Xpair' Omega^-1 Xpair.
@@ -267,12 +280,8 @@ class _BlockArrays:
         Exact for the Gaussian identity link: the expression is free of
         beta, so only the working covariance enters.
         """
-        c = self.lag_correlations(rho)
-        g = 1.0 / (sigma * sigma * (1.0 - c * c))
-        total = np.einsum("d,dpq->pq", g, self.a_mats) - np.einsum(
-            "d,dpq->pq", g * c, self.b_mats
-        )
-        return total / self.n_subjects
+        lhs, _ = self._normal_equations(rho)
+        return lhs / (sigma * sigma * self.n_subjects)
 
     def kernel(self, sigma: float, rho: float) -> np.ndarray:
         """The m x m matrix K with per-subject beta-score ``X_i' K e_i``.
@@ -281,7 +290,7 @@ class _BlockArrays:
         ``K[r, r]`` is the sum of ``g`` over ``t != r``, where
         ``g = 1 / (sigma^2 (1 - c^2))``.
         """
-        c_lag = self.lag_correlations(rho)
+        c_lag, _ = self.lag_correlations(rho)
         g_lag = 1.0 / (sigma * sigma * (1.0 - c_lag * c_lag))
         m = self.block_size
         g = np.zeros(m)
@@ -293,39 +302,17 @@ class _BlockArrays:
         k[np.diag_indices(m)] = g[lag].sum(axis=1)
         return k
 
-    def subject_sensitivities(self, sigma: float, rho: float) -> np.ndarray:
-        """Per-subject sensitivities ``H_i = X_i' K X_i``, shape (N, p, p).
-
-        Their mean over subjects is :meth:`sensitivity`.
-        """
-        h = np.swapaxes(self.x, 1, 2) @ (self.kernel(sigma, rho) @ self.x)
-        return (h + np.swapaxes(h, 1, 2)) / 2.0
-
-    def solve_beta(self, sigma: float, rho: float) -> np.ndarray:
-        """Exact maximizer of the log-CL over beta at fixed (sigma, rho)."""
-        c = self.lag_correlations(rho)
-        g = 1.0 / (sigma * sigma * (1.0 - c * c))
-        lhs = np.einsum("d,dpq->pq", g, self.a_mats) - np.einsum(
-            "d,dpq->pq", g * c, self.b_mats
-        )
-        rhs = g @ self.u_vecs - (g * c) @ self.v_vecs
-        return np.linalg.solve(lhs, rhs)
-
-    def mean_score_theta(self, theta: np.ndarray, q0: np.ndarray, q1: np.ndarray, step: float) -> np.ndarray:
-        """Central finite differences of the mean log-CL in theta space."""
-        out = np.empty(2)
-        for k in range(2):
-            h = step * max(1.0, abs(float(theta[k])))
-            up = theta.copy()
-            dn = theta.copy()
-            up[k] += h
-            dn[k] -= h
-            s_up, r_up = self.gamma_from_theta(up)
-            s_dn, r_dn = self.gamma_from_theta(dn)
-            f_up = self.logcl_from_moments(s_up, r_up, q0, q1)
-            f_dn = self.logcl_from_moments(s_dn, r_dn, q0, q1)
-            out[k] = (f_up - f_dn) / (2.0 * h * self.n_subjects)
-        return out
+    def subject_terms(
+        self, block: PanelDataset, beta: np.ndarray, sigma: float, rho: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-subject scores ``X_i' K e_i`` (N, p) and sensitivities
+        ``H_i = X_i' K X_i`` (N, p, p); the mean of ``H_i`` is
+        :meth:`sensitivity`."""
+        x = block.covariates
+        kx = self.kernel(sigma, rho) @ x  # (N, m, p)
+        scores = np.einsum("nmp,nm->np", kx, block.responses - x @ beta)
+        h = np.swapaxes(x, 1, 2) @ kx
+        return scores, (h + np.swapaxes(h, 1, 2)) / 2.0
 
 
 def _arrays_for(block: PanelDataset, gamma: Dependence) -> _BlockArrays:
@@ -349,32 +336,14 @@ def block_score_beta(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -
     gradient of its own pairwise log likelihood in beta."""
     arrays = _arrays_for(block, gamma)
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    return arrays.subject_scores(beta, gamma.sigma, gamma.rho)
+    return arrays.subject_terms(block, beta, gamma.sigma, gamma.rho)[0]
 
 
-def block_score_gamma(
-    beta: np.ndarray,
-    gamma: Dependence,
-    block: PanelDataset,
-    *,
-    step: float = 1e-6,
-) -> np.ndarray:
-    """Gradient of the mean log-CL in (sigma, rho).
-
-    Computed by central finite differences in the unconstrained theta
-    space (where no parameter boundary exists) and mapped back through
-    the chain rule.
-    """
+def block_score_gamma(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> np.ndarray:
+    """Gradient of the mean log-CL in (sigma, rho), in closed form."""
     arrays = _arrays_for(block, gamma)
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    q0, q1 = arrays.residual_moments(beta)
-    theta = arrays.theta_from_gamma(gamma.sigma, gamma.rho)
-    g_theta = arrays.mean_score_theta(theta, q0, q1, step)
-    d_sigma = g_theta[0] / gamma.sigma
-    lo, hi = arrays.rho_lower, arrays.rho_upper
-    drho_dtheta = (hi - lo) / 2.0 * (1.0 - math.tanh(float(theta[1])) ** 2)
-    d_rho = g_theta[1] / drho_dtheta
-    return np.array([d_sigma, d_rho])
+    return arrays.mean_score_gamma(beta, gamma.sigma, gamma.rho)
 
 
 def block_sensitivity(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> np.ndarray:
@@ -387,41 +356,56 @@ def block_sensitivity(beta: np.ndarray, gamma: Dependence, block: PanelDataset) 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Optimizer schedule knobs for :func:`fit_block`.
+    """Knobs for :func:`fit_block`.
 
-    Defaults implement the standard schedule: a capped Nelder-Mead warm
-    start from beta = 1-vector, sigma = 1, rho = 0, then BFGS until the
-    mean-log-CL gradient sup-norm is below ``grad_tol`` (or the
-    iteration cap). ``accept_tol`` is the hard bound on the mean
-    beta-score at the returned optimum.
+    ``grid_points`` is the size of the rho grid that brackets the profile
+    maximum (it changes which bracket is refined, not the answer, as long
+    as the profile has one maximum between neighbouring grid points).
+    ``accept_tol`` bounds the scale-relative score sup-norms at the
+    returned fit (see :class:`OptimizerTrace`).
     """
 
-    beta0: tuple[float, ...] | None = None
-    sigma0: float = 1.0
-    rho0: float = 0.0
-    simplex_max_iter: int = 500
-    simplex_tol: float = 1e-10
-    newton_max_iter: int = 1000
-    grad_tol: float = 1e-8
+    grid_points: int = 41
     accept_tol: float = 1e-6
-    gamma_accept_tol: float = 1e-3
-    gamma_fd_step: float = 1e-6
-    max_restarts: int = 1
+
+    def __post_init__(self) -> None:
+        k = self.grid_points
+        if isinstance(k, bool) or not isinstance(k, int) or k < 3:
+            msg = f"grid_points must be an integer >= 3, got {self.grid_points!r}"
+            raise ConfigError(msg)
+        if not self.accept_tol > 0.0:
+            msg = f"accept_tol must be positive, got {self.accept_tol!r}"
+            raise ConfigError(msg)
 
 
 @dataclass(frozen=True)
 class OptimizerTrace:
-    """Diagnostics from one block fit."""
+    """Diagnostics from one block fit.
+
+    ``simplex_iterations`` counts the profile evaluations that bracket
+    the maximum (the grid, plus one probe next to a bound when the best
+    grid point is the outermost one), ``newton_iterations`` the Brent
+    iterations that refine it, and ``restarts`` is always 0; the names
+    are those of an earlier optimizer, kept because perfbench's
+    ``pairwise.iterations`` and ``restart_frac`` probes read them.
+
+    ``grid_logcl`` is the best profile log-CL on the grid and ``logcl``
+    the refined one; ``logcl >= grid_logcl`` certifies that the fit is
+    the global maximum over the grid. ``grad_sup_norm`` is the sup-norm
+    of the mean beta-score divided by ``|S| |beta| + sqrt(diag S)``
+    (S the sensitivity), and ``gamma_score_sup_norm`` that of the
+    (sigma, rho)-score scaled to ``(sigma d/dsigma, d/drho) / (2
+    n_pairs, n_pairs)``; both are free of the response scale.
+    """
 
     simplex_iterations: int
     newton_iterations: int
-    objective: float
+    restarts: int
+    grid_logcl: float
+    logcl: float
     grad_sup_norm: float
     gamma_score_sup_norm: float
     converged: bool
-    polished: bool
-    restarts: int
-    message: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,7 +436,7 @@ class BlockFit:
     n_pairs : int
         Number of coordinate pairs in the block.
     trace : OptimizerTrace
-        Optimizer diagnostics.
+        Search diagnostics.
     """
 
     name: str
@@ -487,47 +471,63 @@ class BlockFit:
         return self.beta_hat.shape[0]
 
 
-def _run_schedule(
-    arrays: _BlockArrays, v0: np.ndarray, options: FitOptions
-) -> tuple[np.ndarray, int, int]:
-    """One Nelder-Mead warm start followed by BFGS; returns (point, iters)."""
-    p = arrays.n_params
+def _maximize_profile(
+    arrays: _BlockArrays, name: str, options: FitOptions
+) -> tuple[float, float, int, int]:
+    """Locate the profile maximum in rho.
 
-    def objective(v: np.ndarray) -> float:
-        sigma, rho = arrays.gamma_from_theta(v[p:])
-        value = -arrays.logcl(v[:p], sigma, rho) / arrays.n_subjects
-        if not math.isfinite(value):
-            return 1e300
-        return value
+    Returns (rho_hat, best grid log-CL, profile evaluations, Brent
+    iterations).
+    """
+    lo, hi = arrays.rho_lower, arrays.rho_upper
+    k = options.grid_points
+    grid = lo + (hi - lo) * np.arange(1, k + 1) / (k + 1)
+    prof = arrays.profile(grid)
+    floor = float(np.min(prof.sigma2))
+    if not floor > _EXACT_FIT * arrays.response_ms:
+        msg = (
+            f"block {name!r}: exact fit, the residuals vanish (sigma_hat^2 = "
+            f"{floor:.3g} against a response mean square of {arrays.response_ms:.3g}); "
+            "sigma and rho are not identified"
+        )
+        raise FitError(msg)
+    best = int(np.argmax(prof.logcl))
+    n_evals = k
 
-    def objective_grad(v: np.ndarray) -> tuple[float, np.ndarray]:
-        beta = v[:p]
-        theta = v[p:]
-        sigma, rho = arrays.gamma_from_theta(theta)
-        q0, q1 = arrays.residual_moments(beta)
-        f = -arrays.logcl_from_moments(sigma, rho, q0, q1) / arrays.n_subjects
-        g_beta = -arrays.mean_score_beta(beta, sigma, rho)
-        g_theta = -arrays.mean_score_theta(theta, q0, q1, options.gamma_fd_step)
-        return f, np.concatenate([g_beta, g_theta])
+    # The maximum lies on the side the score points to: up to the next
+    # grid point, or up to the probe next to the bound.
+    rising = prof.score[best] >= 0.0
+    inner = float(grid[best])
+    outer_index = best + 1 if rising else best - 1
+    if 0 <= outer_index < k:
+        outer, outer_score = float(grid[outer_index]), float(prof.score[outer_index])
+    else:
+        outer = hi - _EDGE * (hi - lo) if rising else lo + _EDGE * (hi - lo)
+        outer_score = float(arrays.profile(np.array([outer])).score[0])
+        n_evals += 1
+    if (outer_score >= 0.0) == rising:
+        if not 0 <= outer_index < k:
+            bound = hi if rising else lo
+            msg = (
+                f"block {name!r}: rho is at its bound {bound:.6g}: the profile "
+                f"log-CL still {'rises' if rising else 'falls'} at rho = {outer:.10g} "
+                "(duplicated or mirrored coordinates?)"
+            )
+            raise FitError(msg)
+        msg = (
+            f"block {name!r}: the profile log-CL has more than one turning point "
+            f"between rho = {min(inner, outer):.6g} and {max(inner, outer):.6g}; "
+            "raise FitOptions.grid_points"
+        )
+        raise FitError(msg)
 
-    simplex = optimize.minimize(
-        objective,
-        v0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": options.simplex_max_iter,
-            "fatol": options.simplex_tol,
-            "xatol": options.simplex_tol,
-        },
+    def score(rho: float) -> float:
+        return float(arrays.profile(np.array([rho])).score[0])
+
+    rho_hat, result = optimize.brentq(
+        score, min(inner, outer), max(inner, outer), xtol=_RHO_XTOL, full_output=True
     )
-    newton = optimize.minimize(
-        objective_grad,
-        simplex.x,
-        jac=True,
-        method="BFGS",
-        options={"gtol": options.grad_tol, "maxiter": options.newton_max_iter},
-    )
-    return newton.x, int(simplex.nit), int(newton.nit)
+    return float(rho_hat), float(prof.logcl[best]), n_evals, int(result.iterations)
 
 
 def fit_block(
@@ -545,12 +545,11 @@ def fit_block(
         The block's responses and covariates (M = block size).
     structure : Dependence or str
         Working family to fit ("ar1" or "cs"); parameter values inside a
-        Dependence are ignored, the schedule always starts from the
-        configured starting point.
+        Dependence are ignored.
     name : str
         Label stored on the fit.
     options : FitOptions, optional
-        Schedule overrides.
+        Search overrides.
 
     Returns
     -------
@@ -559,112 +558,75 @@ def fit_block(
     Raises
     ------
     FitError
-        If the optimizer cannot reach a point whose mean beta-score
-        sup-norm is below the acceptance tolerance.
+        With a message naming the cause: a constant response, an exact
+        fit (residual variance at roundoff level), rho at the bound of
+        its admissible interval, a profile with several turning points
+        between grid neighbours, a refined maximum below the grid's, or
+        scores above the acceptance tolerance.
     """
     options = options or FitOptions()
-    if isinstance(structure, str):
-        structure = Dependence(structure)
-    arrays = _arrays_for(block, replace(structure, sigma=1.0, rho=0.0))
-    p = arrays.n_params
-
-    if options.beta0 is None:
-        beta0 = np.ones(p)
-    else:
-        beta0 = np.asarray(options.beta0, dtype=np.float64).reshape(-1)
-        if beta0.shape != (p,):
-            msg = f"beta0 has length {beta0.shape[0]}, expected p={p}"
-            raise FitError(msg)
-    theta0 = arrays.theta_from_gamma(options.sigma0, options.rho0)
-    v = np.concatenate([beta0, theta0])
-
-    total_simplex = 0
-    total_newton = 0
-    restarts = 0
-    message = "ok"
-    for attempt in range(options.max_restarts + 1):
-        v, nit_s, nit_n = _run_schedule(arrays, v, options)
-        total_simplex += nit_s
-        total_newton += nit_n
-
-        sigma, rho = arrays.gamma_from_theta(v[p:])
-        beta_exact = arrays.solve_beta(sigma, rho)
-        polished = bool(np.all(np.isfinite(beta_exact)))
-        if polished:
-            old = arrays.logcl(v[:p], sigma, rho)
-            new = arrays.logcl(beta_exact, sigma, rho)
-            if new >= old - 1e-9 * max(1.0, abs(old)):
-                v = np.concatenate([beta_exact, v[p:]])
-            else:
-                polished = False
-
-        beta_hat = v[:p]
-        q0, q1 = arrays.residual_moments(beta_hat)
-        mean_beta_score = arrays.mean_score_beta(beta_hat, sigma, rho)
-        theta_score = arrays.mean_score_theta(v[p:], q0, q1, options.gamma_fd_step)
-        grad_sup = max(
-            float(np.max(np.abs(mean_beta_score))), float(np.max(np.abs(theta_score)))
-        )
-        lo, hi = arrays.rho_lower, arrays.rho_upper
-        drho = (hi - lo) / 2.0 * (1.0 - math.tanh(float(v[p + 1])) ** 2)
-        gamma_score = np.array([theta_score[0] / sigma, theta_score[1] / max(drho, 1e-30)])
-        gamma_sup = float(np.max(np.abs(gamma_score)))
-
-        beta_ok = float(np.max(np.abs(mean_beta_score))) <= options.accept_tol
-        gamma_ok = gamma_sup <= options.gamma_accept_tol
-        if beta_ok and gamma_ok:
-            break
-        restarts = attempt + 1
-        message = "restarted after stall"
-    else:
-        trace = OptimizerTrace(
-            simplex_iterations=total_simplex,
-            newton_iterations=total_newton,
-            objective=float("nan"),
-            grad_sup_norm=grad_sup,
-            gamma_score_sup_norm=gamma_sup,
-            converged=False,
-            polished=polished,
-            restarts=restarts,
-            message="gradient acceptance tolerance not reached",
-        )
+    family = structure.structure if isinstance(structure, Dependence) else structure
+    arrays = _arrays_for(block, Dependence(family))
+    y = block.responses
+    if float(np.ptp(y)) == 0.0:
         msg = (
-            f"block {name!r} did not converge: mean beta-score sup-norm "
-            f"{float(np.max(np.abs(mean_beta_score))):.3e} (tol {options.accept_tol:.1e}), "
-            f"gamma-score sup-norm {gamma_sup:.3e} (tol {options.gamma_accept_tol:.1e})"
+            f"block {name!r}: the response is constant (every value is "
+            f"{float(y.flat[0]):.6g}); sigma and rho are not identified"
         )
-        raise FitError(msg, trace=trace)
+        raise FitError(msg)
 
-    logcl_value = arrays.logcl(beta_hat, sigma, rho)
-    scores = arrays.subject_scores(beta_hat, sigma, rho)
+    rho, grid_logcl, n_evals, n_brent = _maximize_profile(arrays, name, options)
+    prof = arrays.profile(np.array([rho]))
+    beta_hat = prof.beta[0]
+    sigma = math.sqrt(float(prof.sigma2[0]))
+    refined = float(prof.logcl[0])
+    if refined < grid_logcl - _CERT_RTOL * abs(grid_logcl):
+        msg = (
+            f"block {name!r}: the refined profile log-CL {refined:.12g} is below the "
+            f"grid maximum {grid_logcl:.12g}; raise FitOptions.grid_points"
+        )
+        raise FitError(msg)
+
     sens = arrays.sensitivity(sigma, rho)
     try:
         np.linalg.cholesky(sens)
     except np.linalg.LinAlgError:
         msg = f"block {name!r}: sensitivity matrix is not positive definite"
         raise FitError(msg) from None
-
-    trace = OptimizerTrace(
-        simplex_iterations=total_simplex,
-        newton_iterations=total_newton,
-        objective=-logcl_value / arrays.n_subjects,
-        grad_sup_norm=grad_sup,
-        gamma_score_sup_norm=gamma_sup,
-        converged=grad_sup <= options.grad_tol,
-        polished=polished,
-        restarts=restarts,
-        message=message,
+    beta_scale = np.abs(sens) @ np.abs(beta_hat) + np.sqrt(np.diag(sens))
+    beta_rel = float(np.max(np.abs(arrays.mean_score_beta(beta_hat, sigma, rho)) / beta_scale))
+    gamma_score = arrays.mean_score_gamma(beta_hat, sigma, rho)
+    gamma_rel = float(
+        np.max(np.abs(gamma_score * np.array([sigma / 2.0, 1.0]) / arrays.n_pairs))
     )
-    gamma_hat = Dependence(arrays.structure, sigma=sigma, rho=rho)
+    trace = OptimizerTrace(
+        simplex_iterations=n_evals,
+        newton_iterations=n_brent,
+        restarts=0,
+        grid_logcl=grid_logcl,
+        logcl=refined,
+        grad_sup_norm=beta_rel,
+        gamma_score_sup_norm=gamma_rel,
+        converged=max(beta_rel, gamma_rel) <= options.accept_tol,
+    )
+    if not trace.converged:
+        msg = (
+            f"block {name!r} did not converge: relative beta-score sup-norm "
+            f"{beta_rel:.3e}, relative gamma-score sup-norm {gamma_rel:.3e} "
+            f"(tol {options.accept_tol:.1e})"
+        )
+        raise FitError(msg, trace=trace)
+
+    scores, subject_sens = arrays.subject_terms(block, beta_hat, sigma, rho)
     return BlockFit(
         name=name,
         structure=arrays.structure,
         beta_hat=beta_hat,
-        gamma_hat=gamma_hat,
+        gamma_hat=Dependence(arrays.structure, sigma=sigma, rho=rho),
         subject_scores=scores,
         sensitivity=sens,
-        subject_sensitivities=arrays.subject_sensitivities(sigma, rho),
-        logcl=logcl_value,
+        subject_sensitivities=subject_sens,
+        logcl=arrays.logcl(beta_hat, sigma, rho),
         n_pairs=arrays.n_pairs,
         trace=trace,
     )

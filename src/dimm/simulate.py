@@ -46,7 +46,7 @@ from dimm.model import (
     Dependence,
     PanelDataset,
     assemble_kronecker,
-    partition_dataset,
+    partition_dataset,  # noqa: F401  (unused; perfbench/tracing.py probes this name)
 )
 from dimm.pairwise import fit_blocks
 from dimm.special import chi2_quantile
@@ -584,10 +584,8 @@ def _fit_one_method(
     only for the integrated methods.
     """
     if method.startswith("dimm"):
-        part = scn.partition_for(method)
-        block_data = partition_dataset(data, part)
-        fits = fit_blocks(data, part, workers=1)
-        res = integrate_fits(fits, block_data)
+        fits = fit_blocks(data, scn.partition_for(method), workers=1)
+        res = integrate_fits(fits)
         return res.beta_dimm, res.std_errors, res.asymptotic_std_errors, res.q_stat, res.gof_df
     if method == "gls_oracle":
         fit = gls_oracle(data, scn.covariance_matrix)

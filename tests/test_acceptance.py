@@ -18,7 +18,7 @@ import pytest
 import scipy.optimize
 
 from dimm.baselines import gee_fit, gls_oracle
-from dimm.integrate import integrate_fits, q_statistic, stack_scores, weight_matrix
+from dimm.integrate import integrate_fits, q_from_mean_scores, stack_scores, weight_matrix
 from dimm.model import BlockPartition, Dependence, PanelDataset, partition_dataset
 from dimm.pairwise import block_logcl, block_score_beta, fit_blocks
 from dimm.simulate import bundled_scenario, report_fingerprint, run_scenario
@@ -114,13 +114,22 @@ def _one_gap(rng: np.random.Generator, n: int) -> float:
     part = BlockPartition.from_sizes([m_half, m_half], structure="ar1")
     blocks = partition_dataset(data, part)
     fits = fit_blocks(data, part, workers=1)
-    combined = integrate_fits(fits, blocks)
+    combined = integrate_fits(fits)
     weights = weight_matrix(stack_scores(fits))
+
+    def data_pass_q(b: np.ndarray) -> float:
+        # Q_N(b) from a second pass over the block data, independent of
+        # the stored-fit shortcut that integrate_fits uses.
+        parts = [
+            block_score_beta(b, f.gamma_hat, block).mean(axis=0)
+            for f, block in zip(fits, blocks)
+        ]
+        return q_from_mean_scores(np.concatenate(parts), weights, n)
 
     rows = x.reshape(-1, p)
     ols, *_ = np.linalg.lstsq(rows, y.reshape(-1), rcond=None)
     res = scipy.optimize.minimize(
-        lambda b: q_statistic(b, blocks, fits, weights),
+        data_pass_q,
         ols,
         method="Nelder-Mead",
         options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
@@ -280,7 +289,7 @@ def test_acceptance_08_exact_collapses() -> None:
     # (a) single-block integration returns the block estimate unchanged
     part = BlockPartition.from_sizes([m], structure="ar1")
     fits = fit_blocks(data, part, workers=1)
-    single = integrate_fits(fits, partition_dataset(data, part))
+    single = integrate_fits(fits)
     gap_a = float(np.max(np.abs(single.beta_dimm - fits[0].beta_hat)))
 
     # (b) independence working correlation is ordinary least squares

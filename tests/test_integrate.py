@@ -32,7 +32,7 @@ from dimm.integrate import (
     weight_matrix,
 )
 from dimm.model import BlockPartition, Dependence, PanelDataset, partition_dataset
-from dimm.pairwise import BlockFit, fit_blocks
+from dimm.pairwise import BlockFit, block_score_beta, fit_blocks
 from dimm.special import chi2_cdf
 
 
@@ -212,7 +212,7 @@ def test_jackknife_covariance_matches_leave_one_out_loop(fitted) -> None:
     assert weights.ridge_used == 0.0
     got = jackknife_covariance(fits, weights)
     np.testing.assert_allclose(got, _leave_one_out_loop(fits), rtol=1e-10, atol=0.0)
-    result = integrate_fits(fits, blocks)
+    result = integrate_fits(fits)
     np.testing.assert_array_equal(result.covariance, got)
     np.testing.assert_array_equal(result.covariance_asymptotic, dimm_covariance(fits, weights))
     np.testing.assert_array_equal(result.std_errors, np.sqrt(np.diag(got)))
@@ -258,27 +258,36 @@ def test_q_statistic_second_pass_consistency(fitted) -> None:
     _, _, blocks, fits = fitted
     weights = weight_matrix(stack_scores(fits))
     beta = one_step_estimator(fits, weights)
-    q_here = q_statistic(beta, blocks, fits, weights)
+    q_here = q_statistic(beta, fits, weights)
     assert q_here >= 0.0
     # Far from the optimum the quadratic form must blow up.
-    q_far = q_statistic(beta + 5.0, blocks, fits, weights)
+    q_far = q_statistic(beta + 5.0, fits, weights)
     assert q_far > 10.0 * max(q_here, 1.0)
+    # Q from the stored fits equals a second pass over the block data:
+    # every block's beta-score re-evaluated at a common beta.
+    for b in (beta, beta + 5.0, np.array([-2.0, 3.0])):
+        parts = [
+            block_score_beta(b, f.gamma_hat, block).mean(axis=0)
+            for f, block in zip(fits, blocks)
+        ]
+        data_pass = q_from_mean_scores(np.concatenate(parts), weights, fits[0].n_subjects)
+        assert q_statistic(b, fits, weights) == pytest.approx(data_pass, rel=1e-10, abs=1e-12)
 
 
 def test_cef_log_density_is_half_negative_q(fitted) -> None:
-    _, _, blocks, fits = fitted
+    _, _, _, fits = fitted
     weights = weight_matrix(stack_scores(fits))
     beta_star = one_step_estimator(fits, weights)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(31)))
     for _ in range(5):
         beta = beta_star + rng.standard_normal(beta_star.size)
-        q = q_statistic(beta, blocks, fits, weights)
-        assert cef_log_density(beta, blocks, fits, weights) == pytest.approx(
+        q = q_statistic(beta, fits, weights)
+        assert cef_log_density(beta, fits, weights) == pytest.approx(
             -0.5 * q, rel=1e-12
         )
         # The combined estimate is the mode of the log-density.
-        assert cef_log_density(beta, blocks, fits, weights) <= cef_log_density(
-            beta_star, blocks, fits, weights
+        assert cef_log_density(beta, fits, weights) <= cef_log_density(
+            beta_star, fits, weights
         )
 
 
@@ -301,8 +310,8 @@ def test_gof_test_properties() -> None:
 
 
 def test_integrate_fits_full_pipeline(fitted) -> None:
-    data, _, blocks, fits = fitted
-    result = integrate_fits(fits, blocks)
+    data, _, _, fits = fitted
+    result = integrate_fits(fits)
     assert isinstance(result, IntegratedFit)
     assert result.block_names == ("a", "b", "c")
     assert result.n_blocks == 3
@@ -320,8 +329,8 @@ def test_integrate_fits_full_pipeline(fitted) -> None:
 
 
 def test_wald_tests_consistent_with_reported_covariance(fitted) -> None:
-    _, _, blocks, fits = fitted
-    result = integrate_fits(fits, blocks)
+    _, _, _, fits = fitted
+    result = integrate_fits(fits)
     tests = wald_tests(result)
     assert tests == result.wald
     for q, test in enumerate(tests):
@@ -337,8 +346,8 @@ def test_wald_tests_consistent_with_reported_covariance(fitted) -> None:
 
 
 def test_integrate_single_block_collapses_to_block_fit(fitted) -> None:
-    _, _, blocks, fits = fitted
-    result = integrate_fits([fits[0]], [blocks[0]])
+    _, _, _, fits = fitted
+    result = integrate_fits([fits[0]])
     np.testing.assert_allclose(result.beta_dimm, fits[0].beta_hat, rtol=0.0, atol=1e-10)
     assert result.gof_df == 0
     assert result.gof_pvalue is None
@@ -353,9 +362,9 @@ def test_integrate_single_block_collapses_to_block_fit(fitted) -> None:
 
 
 def test_integrate_subset_equals_direct_subset_run(fitted) -> None:
-    _, _, blocks, fits = fitted
-    via_subset = integrate_fits(fits, blocks, subset=["a", "c"])
-    direct = integrate_fits([fits[0], fits[2]], [blocks[0], blocks[2]])
+    _, _, _, fits = fitted
+    via_subset = integrate_fits(fits, subset=["a", "c"])
+    direct = integrate_fits([fits[0], fits[2]])
     np.testing.assert_array_equal(via_subset.beta_dimm, direct.beta_dimm)
     np.testing.assert_array_equal(via_subset.covariance, direct.covariance)
     assert via_subset.q_stat == direct.q_stat
@@ -364,19 +373,17 @@ def test_integrate_subset_equals_direct_subset_run(fitted) -> None:
 
 
 def test_integrate_subset_validation(fitted) -> None:
-    _, _, blocks, fits = fitted
+    _, _, _, fits = fitted
     with pytest.raises(IntegrationError, match="not found"):
-        integrate_fits(fits, blocks, subset=["a", "nope"])
+        integrate_fits(fits, subset=["a", "nope"])
     with pytest.raises(IntegrationError, match="duplicate"):
-        integrate_fits(fits, blocks, subset=["a", "a"])
+        integrate_fits(fits, subset=["a", "a"])
     with pytest.raises(IntegrationError):
-        integrate_fits(fits, blocks[:-1])
-    with pytest.raises(IntegrationError):
-        integrate_fits([], [])
+        integrate_fits([])
 
 
 def test_q_statistic_validates_beta_length(fitted) -> None:
-    _, _, blocks, fits = fitted
+    _, _, _, fits = fitted
     weights = weight_matrix(stack_scores(fits))
     with pytest.raises(IntegrationError, match="length"):
-        q_statistic(np.array([1.0, 2.0, 3.0]), blocks, fits, weights)
+        q_statistic(np.array([1.0, 2.0, 3.0]), fits, weights)

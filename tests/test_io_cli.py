@@ -284,6 +284,30 @@ def test_cli_gof_command(panel_files) -> None:
     assert "p=2" in short.stderr
 
 
+def test_cli_gof_report_carries_the_io_schema_version(panel_files, tmp_path: Path) -> None:
+    import dimm.io
+
+    _, _, _, _, cfg, _ = panel_files
+    out = tmp_path / "gof.json"
+    result = _run_cli(
+        "gof", "--config", str(cfg), "--beta", "1.0,-0.5", "--workers", "1", "--output", str(out)
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(out.read_text())
+    assert report["schema_version"] == dimm.io.SCHEMA_VERSION
+    assert report["df"] == 2
+
+
+@pytest.mark.parametrize("options", [{"simplex_max_iter": 10}, {"grad_tol": 1e-8}, {"grid_points": 1}])
+def test_cli_rejects_unknown_or_bad_fit_options(panel_files, tmp_path: Path, options) -> None:
+    _, _, _, _, _, raw = panel_files
+    cfg = tmp_path / "opts.json"
+    cfg.write_text(json.dumps(dict(raw, optimizer=options)))
+    proc = _run_cli("fit", "--config", str(cfg), "--workers", "1")
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+
+
 def test_cli_simulate_with_scenario_file(tmp_path: Path) -> None:
     from dimm.simulate import scenario_to_dict
 
