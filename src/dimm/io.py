@@ -472,9 +472,8 @@ def build_fit_report(
                 "rho": float(fit.gamma_hat.rho),
                 "logcl": float(fit.logcl),
                 "n_pairs": int(fit.n_pairs),
-                "grad_sup_norm": float(fit.trace.grad_sup_norm),
-                "gamma_score_sup_norm": float(fit.trace.gamma_score_sup_norm),
-                "converged": bool(fit.trace.converged),
+                "rel_beta_score": float(fit.trace.rel_beta_score),
+                "rel_gamma_score": float(fit.trace.rel_gamma_score),
             }
         )
     wald = [

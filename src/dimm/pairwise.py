@@ -70,6 +70,10 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# Size of the rho grid that brackets the profile maximum; it changes
+# which bracket is refined, not the answer, as long as the profile has
+# one maximum between neighbouring grid points.
+_GRID_POINTS = 41
 # Distance of the outermost probe from each end of the rho interval, as
 # a fraction of its length; a profile still rising there puts rho at its
 # bound.
@@ -358,21 +362,13 @@ def block_sensitivity(beta: np.ndarray, gamma: Dependence, block: PanelDataset) 
 class FitOptions:
     """Knobs for :func:`fit_block`.
 
-    ``grid_points`` is the size of the rho grid that brackets the profile
-    maximum (it changes which bracket is refined, not the answer, as long
-    as the profile has one maximum between neighbouring grid points).
     ``accept_tol`` bounds the scale-relative score sup-norms at the
     returned fit (see :class:`OptimizerTrace`).
     """
 
-    grid_points: int = 41
     accept_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        k = self.grid_points
-        if isinstance(k, bool) or not isinstance(k, int) or k < 3:
-            msg = f"grid_points must be an integer >= 3, got {self.grid_points!r}"
-            raise ConfigError(msg)
         if not self.accept_tol > 0.0:
             msg = f"accept_tol must be positive, got {self.accept_tol!r}"
             raise ConfigError(msg)
@@ -391,9 +387,9 @@ class OptimizerTrace:
 
     ``grid_logcl`` is the best profile log-CL on the grid and ``logcl``
     the refined one; ``logcl >= grid_logcl`` certifies that the fit is
-    the global maximum over the grid. ``grad_sup_norm`` is the sup-norm
+    the global maximum over the grid. ``rel_beta_score`` is the sup-norm
     of the mean beta-score divided by ``|S| |beta| + sqrt(diag S)``
-    (S the sensitivity), and ``gamma_score_sup_norm`` that of the
+    (S the sensitivity), and ``rel_gamma_score`` that of the
     (sigma, rho)-score scaled to ``(sigma d/dsigma, d/drho) / (2
     n_pairs, n_pairs)``; both are free of the response scale.
     """
@@ -403,8 +399,8 @@ class OptimizerTrace:
     restarts: int
     grid_logcl: float
     logcl: float
-    grad_sup_norm: float
-    gamma_score_sup_norm: float
+    rel_beta_score: float
+    rel_gamma_score: float
     converged: bool
 
 
@@ -471,16 +467,14 @@ class BlockFit:
         return self.beta_hat.shape[0]
 
 
-def _maximize_profile(
-    arrays: _BlockArrays, name: str, options: FitOptions
-) -> tuple[float, float, int, int]:
+def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, float, int, int]:
     """Locate the profile maximum in rho.
 
     Returns (rho_hat, best grid log-CL, profile evaluations, Brent
     iterations).
     """
     lo, hi = arrays.rho_lower, arrays.rho_upper
-    k = options.grid_points
+    k = _GRID_POINTS
     grid = lo + (hi - lo) * np.arange(1, k + 1) / (k + 1)
     prof = arrays.profile(grid)
     floor = float(np.min(prof.sigma2))
@@ -516,8 +510,8 @@ def _maximize_profile(
             raise FitError(msg)
         msg = (
             f"block {name!r}: the profile log-CL has more than one turning point "
-            f"between rho = {min(inner, outer):.6g} and {max(inner, outer):.6g}; "
-            "raise FitOptions.grid_points"
+            f"between rho = {min(inner, outer):.6g} and {max(inner, outer):.6g}, "
+            f"neighbours on the {k}-point rho grid"
         )
         raise FitError(msg)
 
@@ -575,7 +569,7 @@ def fit_block(
         )
         raise FitError(msg)
 
-    rho, grid_logcl, n_evals, n_brent = _maximize_profile(arrays, name, options)
+    rho, grid_logcl, n_evals, n_brent = _maximize_profile(arrays, name)
     prof = arrays.profile(np.array([rho]))
     beta_hat = prof.beta[0]
     sigma = math.sqrt(float(prof.sigma2[0]))
@@ -583,7 +577,7 @@ def fit_block(
     if refined < grid_logcl - _CERT_RTOL * abs(grid_logcl):
         msg = (
             f"block {name!r}: the refined profile log-CL {refined:.12g} is below the "
-            f"grid maximum {grid_logcl:.12g}; raise FitOptions.grid_points"
+            f"maximum {grid_logcl:.12g} on the {_GRID_POINTS}-point rho grid"
         )
         raise FitError(msg)
 
@@ -605,8 +599,8 @@ def fit_block(
         restarts=0,
         grid_logcl=grid_logcl,
         logcl=refined,
-        grad_sup_norm=beta_rel,
-        gamma_score_sup_norm=gamma_rel,
+        rel_beta_score=beta_rel,
+        rel_gamma_score=gamma_rel,
         converged=max(beta_rel, gamma_rel) <= options.accept_tol,
     )
     if not trace.converged:
@@ -626,7 +620,7 @@ def fit_block(
         subject_scores=scores,
         sensitivity=sens,
         subject_sensitivities=subject_sens,
-        logcl=arrays.logcl(beta_hat, sigma, rho),
+        logcl=refined,
         n_pairs=arrays.n_pairs,
         trace=trace,
     )

@@ -225,7 +225,7 @@ def test_cli_fit_report_content(fit_report_json: Path) -> None:
     assert len(report.block_results) == 2
     assert {b["name"] for b in report.block_results} == {"front", "back"}
     for entry in report.block_results:
-        assert entry["grad_sup_norm"] <= 1e-6
+        assert entry["rel_beta_score"] <= 1e-6
     # Round trip through dict and disk.
     assert FitReport.from_dict(report.to_dict()).to_dict() == report.to_dict()
 
@@ -298,7 +298,7 @@ def test_cli_gof_report_carries_the_io_schema_version(panel_files, tmp_path: Pat
     assert report["df"] == 2
 
 
-@pytest.mark.parametrize("options", [{"simplex_max_iter": 10}, {"grad_tol": 1e-8}, {"grid_points": 1}])
+@pytest.mark.parametrize("options", [{"simplex_max_iter": 10}, {"grad_tol": 1e-8}, {"accept_tol": 0.0}])
 def test_cli_rejects_unknown_or_bad_fit_options(panel_files, tmp_path: Path, options) -> None:
     _, _, _, _, _, raw = panel_files
     cfg = tmp_path / "opts.json"

@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from dimm import pairwise
 from dimm.errors import ConfigError, DataError, FitError
 from dimm.model import (
     BlockPartition,
@@ -279,7 +280,7 @@ def test_fit_block_recovers_truth_at_large_n() -> None:
     assert abs(fit.gamma_hat.rho - 0.5) < 0.05
     # Acceptance gates always hold on a returned fit.
     assert fit.trace.converged
-    assert fit.trace.grad_sup_norm <= 1e-6
+    assert fit.trace.rel_beta_score <= 1e-6
 
 
 def test_fit_block_gates_and_reported_objective() -> None:
@@ -352,20 +353,22 @@ def test_fit_blocks_rejects_block_with_degenerate_design() -> None:
         fit_blocks(data, part, workers=1)
 
 
-def test_fit_options_override() -> None:
+def test_fit_options_override(monkeypatch: pytest.MonkeyPatch) -> None:
     # The grid size picks the bracket, not the answer.
     block = _random_block(seed=19, n=15, m=3, p=1)
-    coarse = fit_block(block, "ar1", options=FitOptions(grid_points=5))
     default = fit_block(block, "ar1")
+    monkeypatch.setattr(pairwise, "_GRID_POINTS", 5)
+    coarse = fit_block(block, "ar1")
     assert coarse.trace.simplex_iterations in (5, 6)
     assert default.trace.simplex_iterations in (41, 42)
     assert coarse.trace.converged
     np.testing.assert_allclose(coarse.beta_hat, default.beta_hat, rtol=1e-10, atol=1e-13)
     assert coarse.gamma_hat.rho == pytest.approx(default.gamma_hat.rho, rel=1e-10, abs=1e-13)
-    with pytest.raises(ConfigError, match="grid_points"):
-        FitOptions(grid_points=2)
-    with pytest.raises(TypeError):
-        FitOptions(simplex_max_iter=10)
+    with pytest.raises(ConfigError, match="accept_tol"):
+        FitOptions(accept_tol=0.0)
+    for removed in ("simplex_max_iter", "grid_points"):
+        with pytest.raises(TypeError):
+            FitOptions(**{removed: 10})
 
 
 def _eeg_block() -> PanelDataset:
@@ -402,7 +405,6 @@ def test_refined_maximum_is_at_least_the_grid_maximum_on_bundled_scenarios() -> 
                 continue
             for fit in fit_blocks(data, scn.partition_for(method), workers=1):
                 assert fit.trace.logcl >= fit.trace.grid_logcl, (name, method, fit.name)
-                assert fit.logcl == pytest.approx(fit.trace.logcl, rel=1e-12)
                 checked += 1
     assert checked > 0
 
