@@ -11,6 +11,12 @@ Three reference fits for the same mean model ``E[y_it] = x_it' beta``:
   estimating equations under a compound-symmetry working correlation,
   iterating between the beta solve and moment updates of the scale and
   the common correlation, again with a sandwich covariance.
+
+Their symmetric positive definite systems (the covariance that whitens
+the oracle, and every bread matrix) are solved by
+:func:`dimm._util.spd_solve`, through a Cholesky factor; a matrix that
+is not positive definite or holds a non-finite value raises
+:class:`~dimm.errors.FitError`.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import linalg as sla
 
+from dimm._util import spd_solve
 from dimm.errors import FitError
 
 if TYPE_CHECKING:
@@ -78,11 +84,10 @@ class BaselineFit:
 
 def _spd_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     try:
-        chol = sla.cho_factor(mat, lower=True)
-    except sla.LinAlgError:
+        return spd_solve(mat, rhs)
+    except np.linalg.LinAlgError:
         msg = f"{what} is not positive definite"
         raise FitError(msg) from None
-    return sla.cho_solve(chol, rhs)
 
 
 def gls_oracle(data: PanelDataset, covariance: np.ndarray) -> BaselineFit:
@@ -101,16 +106,12 @@ def gls_oracle(data: PanelDataset, covariance: np.ndarray) -> BaselineFit:
     if not np.allclose(sigma, sigma.T, atol=1e-10, rtol=0.0):
         msg = "covariance must be symmetric"
         raise FitError(msg)
-    try:
-        chol = sla.cho_factor((sigma + sigma.T) / 2.0, lower=True)
-    except sla.LinAlgError:
-        msg = "covariance is not positive definite"
-        raise FitError(msg) from None
-
     # X: (N, M, p), y: (N, M). Whiten once: solve Sigma Z = X per subject.
     x = data.covariates
     y = data.responses
-    z = sla.cho_solve(chol, np.transpose(x, (1, 0, 2)).reshape(m, -1))
+    z = _spd_solve(
+        (sigma + sigma.T) / 2.0, np.transpose(x, (1, 0, 2)).reshape(m, -1), "covariance"
+    )
     z = np.transpose(z.reshape(m, x.shape[0], x.shape[2]), (1, 0, 2))  # (N, M, p)
     bread = np.einsum("nmp,nmq->pq", x, z)
     bread = (bread + bread.T) / 2.0

@@ -11,7 +11,8 @@ Exit codes are distinct per failure class so callers can branch on them:
 
 Worker counts resolve in priority order: the ``--workers`` flag, then the
 config file's ``workers`` field, then the ``DIMM_WORKERS`` environment
-variable, then the machine's CPU count.
+variable, then the machine's CPU count. A count that is not an integer
+>= 1 is a configuration problem, wherever it comes from.
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ def _fit_options(config: FitConfig) -> FitOptions:
 
 def _resolve_workers(flag: int | None, config_value: int | None) -> int:
     if flag is not None:
+        if flag < 1:
+            msg = f"--workers must be >= 1, got {flag}"
+            raise ConfigError(msg)
         return flag
     if config_value is not None:
         return config_value

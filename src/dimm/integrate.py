@@ -33,6 +33,11 @@ second pass over the data: block j's mean score is ``g_j(beta) = mean_i
 psi_ij(beta_hat_j) - S_j (beta - beta_hat_j)`` exactly. ``Q_N`` doubles
 as an over-identification statistic: with J blocks it is asymptotically
 chi-square with (J - 1) p degrees of freedom at the combined estimate.
+
+Every symmetric positive definite system here (``V_hat``, the bread
+``sum_jk S_j W_jk S_k``) is solved by :func:`dimm._util.spd_solve`: a
+Cholesky factor, whose failure is the positive-definiteness test, and
+its inverse applied twice.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import linalg as sla
 
+from dimm._util import spd_solve
 from dimm.errors import IntegrationError
 from dimm.pairwise import BlockFit
 from dimm.special import chi2_cdf, normal_cdf
@@ -169,9 +174,9 @@ def weight_matrix(scores: StackedScores) -> WeightMatrix:
 
     The average is uncentered by construction: at the block optima the
     mean scores are already ~0, so centering would only blur the
-    estimand. Inversion is by Cholesky; if the factorization fails, a
-    diagonal ridge is escalated tenfold from 1e-8*trace/dim up to
-    1e-2*trace/dim before giving up.
+    estimand. Inversion is by Cholesky (:func:`dimm._util.spd_solve`);
+    if the factorization fails, a diagonal ridge is escalated tenfold
+    from 1e-8*trace/dim up to 1e-2*trace/dim before giving up.
 
     Raises
     ------
@@ -196,8 +201,8 @@ def weight_matrix(scores: StackedScores) -> WeightMatrix:
     lam = 0.0
     while True:
         try:
-            chol = sla.cho_factor(v_hat + lam * np.eye(dim), lower=True)
-        except sla.LinAlgError:
+            v_inv = spd_solve(v_hat + lam * np.eye(dim), np.eye(dim))
+        except np.linalg.LinAlgError:
             lam = _RIDGE_START * scale if lam == 0.0 else lam * 10.0
             if lam > _RIDGE_STOP * scale * (1.0 + 1e-12):
                 msg = (
@@ -207,7 +212,6 @@ def weight_matrix(scores: StackedScores) -> WeightMatrix:
                 raise IntegrationError(msg) from None
             continue
         break
-    v_inv = sla.cho_solve(chol, np.eye(dim))
     v_inv = (v_inv + v_inv.T) / 2.0
     return WeightMatrix(v_hat=v_hat, v_inv=v_inv, ridge_used=lam)
 
@@ -244,11 +248,10 @@ def one_step_estimator(fits: Sequence[BlockFit], weights: WeightMatrix) -> np.nd
     """
     bread, target = _bread_and_target(fits, weights)
     try:
-        chol = sla.cho_factor(bread, lower=True)
-    except sla.LinAlgError:
+        return spd_solve(bread, target)
+    except np.linalg.LinAlgError:
         msg = "bread matrix sum_jk S_j W_jk S_k is not positive definite"
         raise IntegrationError(msg) from None
-    return sla.cho_solve(chol, target)
 
 
 def dimm_covariance(fits: Sequence[BlockFit], weights: WeightMatrix) -> np.ndarray:
@@ -256,11 +259,10 @@ def dimm_covariance(fits: Sequence[BlockFit], weights: WeightMatrix) -> np.ndarr
     n, _ = _check_fits(fits)
     bread, _ = _bread_and_target(fits, weights)
     try:
-        chol = sla.cho_factor(bread, lower=True)
-    except sla.LinAlgError:
+        cov = spd_solve(bread, np.eye(bread.shape[0])) / n
+    except np.linalg.LinAlgError:
         msg = "bread matrix sum_jk S_j W_jk S_k is not positive definite"
         raise IntegrationError(msg) from None
-    cov = sla.cho_solve(chol, np.eye(bread.shape[0])) / n
     cov = (cov + cov.T) / 2.0
     try:
         np.linalg.cholesky(cov)

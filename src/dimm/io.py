@@ -20,6 +20,7 @@ round-trip losslessly through Python's shortest-repr float encoding.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from dimm.errors import ConfigError, DataError
 from dimm.model import AR1, CS, BlockPartition, PanelDataset
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
+    from collections.abc import Iterator, Sequence
 
     from dimm.integrate import IntegratedFit
     from dimm.pairwise import BlockFit
@@ -51,7 +52,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def _float_cell(raw: str, *, where: str) -> float:
+def _check_float_cell(raw: str, *, where: str) -> None:
     try:
         value = float(raw)
     except ValueError:
@@ -60,13 +61,112 @@ def _float_cell(raw: str, *, where: str) -> float:
     if not math.isfinite(value):
         msg = f"non-finite value {raw!r} at {where}"
         raise DataError(msg)
-    return value
+
+
+def _read_header(path: Path, kind: str) -> tuple[list[str], str]:
+    """The header cells of a panel file and the text after the header line."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        try:
+            header = next(csv.reader(handle))
+        except StopIteration:
+            msg = f"{kind} file {path} is empty"
+            raise DataError(msg) from None
+        return header, handle.read()
+
+
+def _parse_body(body: str, dtype: np.dtype, ndmin: int) -> np.ndarray | None:
+    """Parse the data lines with numpy's reader; None if any cell fails.
+
+    Blank lines are skipped, as the csv module skips them.
+    """
+    try:
+        return np.loadtxt(
+            io.StringIO(body),
+            dtype=dtype,
+            delimiter=",",
+            comments=None,
+            quotechar='"',
+            ndmin=ndmin,
+        )
+    except ValueError:
+        return None
+
+
+def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of every non-blank data line, read by the csv module."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            if row:
+                yield line_no, row
+
+
+def _locate_response_error(path: Path, header: list[str]) -> None:
+    """Raise the DataError for the first bad line of a response file."""
+    m = len(header)
+    for line_no, row in _data_rows(path):
+        if len(row) != m:
+            msg = f"response file {path} line {line_no}: expected {m} columns, found {len(row)}"
+            raise DataError(msg)
+        for j, cell in enumerate(row):
+            _check_float_cell(cell, where=f"{path.name} line {line_no}, column {header[j]!r}")
+
+
+def _locate_covariate_error(path: Path, header: list[str], n: int, m: int) -> None:
+    """Raise the DataError for the first bad line of a covariate file."""
+    names = header[2:]
+    seen: set[tuple[int, int]] = set()
+    for line_no, row in _data_rows(path):
+        if len(row) != len(header):
+            msg = (
+                f"covariate file {path} line {line_no}: expected "
+                f"{len(header)} columns, found {len(row)}"
+            )
+            raise DataError(msg)
+        try:
+            sid = int(row[0])
+            pos = int(row[1])
+        except ValueError:
+            msg = (
+                f"covariate file {path} line {line_no}: subject_id "
+                f"and position must be integers, got {row[0]!r}, {row[1]!r}"
+            )
+            raise DataError(msg) from None
+        if not (1 <= sid <= n):
+            msg = (
+                f"covariate file {path} line {line_no}: subject_id "
+                f"{sid} outside 1..{n} (response file has {n} rows)"
+            )
+            raise DataError(msg)
+        if not (1 <= pos <= m):
+            msg = (
+                f"covariate file {path} line {line_no}: position "
+                f"{pos} outside 1..{m} (response file has {m} columns)"
+            )
+            raise DataError(msg)
+        if (sid, pos) in seen:
+            msg = (
+                f"covariate file {path} line {line_no}: duplicate "
+                f"entry for subject {sid}, position {pos}"
+            )
+            raise DataError(msg)
+        seen.add((sid, pos))
+        for j, cell in enumerate(row[2:]):
+            _check_float_cell(cell, where=f"{path.name} line {line_no}, column {names[j]!r}")
+
+
+def _unparsed(kind: str, path: Path) -> DataError:
+    return DataError(f"{kind} file {path} could not be parsed as numbers")
 
 
 def load_panel(response_path: str | Path, covariate_path: str | Path) -> PanelDataset:
     """Read the response and covariate files into a validated panel.
 
-    See the module docstring for the file contract.
+    See the module docstring for the file contract. Each file is parsed
+    once by numpy's reader and checked with array operations; only when
+    a check fails is the file read again, line by line, to name the
+    first offending line.
 
     Raises
     ------
@@ -82,114 +182,52 @@ def load_panel(response_path: str | Path, covariate_path: str | Path) -> PanelDa
             msg = f"file not found: {path}"
             raise DataError(msg)
 
-    with response_path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            msg = f"response file {response_path} is empty"
-            raise DataError(msg) from None
-        m = len(header)
-        if m < 2:
-            msg = f"response file {response_path} needs >= 2 columns, found {m}"
-            raise DataError(msg)
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != m:
-                msg = (
-                    f"response file {response_path} line {line_no}: expected "
-                    f"{m} columns, found {len(row)}"
-                )
-                raise DataError(msg)
-            rows.append(
-                [
-                    _float_cell(
-                        cell,
-                        where=f"{response_path.name} line {line_no}, column {header[j]!r}",
-                    )
-                    for j, cell in enumerate(row)
-                ]
-            )
-    if not rows:
+    header, body = _read_header(response_path, "response")
+    m = len(header)
+    if m < 2:
+        msg = f"response file {response_path} needs >= 2 columns, found {m}"
+        raise DataError(msg)
+    if not body.strip("\r\n"):
         msg = f"response file {response_path} has a header but no data rows"
         raise DataError(msg)
-    responses = np.asarray(rows, dtype=np.float64)
+    responses = _parse_body(body, np.dtype(np.float64), 2)
+    if responses is None or responses.shape[1] != m or not np.isfinite(responses).all():
+        _locate_response_error(response_path, header)
+        raise _unparsed("response", response_path)
     n = responses.shape[0]
 
-    with covariate_path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            msg = f"covariate file {covariate_path} is empty"
-            raise DataError(msg) from None
-        if len(header) < 3 or header[0] != "subject_id" or header[1] != "position":
-            msg = (
-                f"covariate file {covariate_path} header must start with "
-                f"'subject_id', 'position' and have >= 1 covariate column; got {header}"
-            )
-            raise DataError(msg)
-        names = header[2:]
-        p = len(names)
-        seen: dict[tuple[int, int], list[float]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 + p:
-                msg = (
-                    f"covariate file {covariate_path} line {line_no}: expected "
-                    f"{2 + p} columns, found {len(row)}"
-                )
-                raise DataError(msg)
-            try:
-                sid = int(row[0])
-                pos = int(row[1])
-            except ValueError:
-                msg = (
-                    f"covariate file {covariate_path} line {line_no}: subject_id "
-                    f"and position must be integers, got {row[0]!r}, {row[1]!r}"
-                )
-                raise DataError(msg) from None
-            if not (1 <= sid <= n):
-                msg = (
-                    f"covariate file {covariate_path} line {line_no}: subject_id "
-                    f"{sid} outside 1..{n} (response file has {n} rows)"
-                )
-                raise DataError(msg)
-            if not (1 <= pos <= m):
-                msg = (
-                    f"covariate file {covariate_path} line {line_no}: position "
-                    f"{pos} outside 1..{m} (response file has {m} columns)"
-                )
-                raise DataError(msg)
-            key = (sid, pos)
-            if key in seen:
-                msg = (
-                    f"covariate file {covariate_path} line {line_no}: duplicate "
-                    f"entry for subject {sid}, position {pos}"
-                )
-                raise DataError(msg)
-            seen[key] = [
-                _float_cell(
-                    cell,
-                    where=f"{covariate_path.name} line {line_no}, column {names[j]!r}",
-                )
-                for j, cell in enumerate(row[2:])
-            ]
-    covariates = np.empty((n, m, p))
-    for sid in range(1, n + 1):
-        for pos in range(1, m + 1):
-            entry = seen.get((sid, pos))
-            if entry is None:
-                msg = (
-                    f"covariate file {covariate_path}: missing entry for "
-                    f"subject {sid}, position {pos}"
-                )
-                raise DataError(msg)
-            covariates[sid - 1, pos - 1] = entry
-    return PanelDataset(responses=responses, covariates=covariates)
+    header, body = _read_header(covariate_path, "covariate")
+    if len(header) < 3 or header[0] != "subject_id" or header[1] != "position":
+        msg = (
+            f"covariate file {covariate_path} header must start with "
+            f"'subject_id', 'position' and have >= 1 covariate column; got {header}"
+        )
+        raise DataError(msg)
+    p = len(header) - 2
+    row_type = np.dtype(
+        [("subject_id", np.int64), ("position", np.int64), ("x", np.float64, (p,))]
+    )
+    table = _parse_body(body, row_type, 1) if body.strip("\r\n") else np.empty(0, row_type)
+    counts = None
+    if table is not None:
+        sid, pos, values = table["subject_id"], table["position"], table["x"]
+        in_range = np.all((sid >= 1) & (sid <= n) & (pos >= 1) & (pos <= m))
+        if in_range and np.isfinite(values).all():
+            cell = (sid - 1) * m + (pos - 1)
+            counts = np.bincount(cell, minlength=n * m)
+    if counts is None or counts.max() > 1:
+        _locate_covariate_error(covariate_path, header, n, m)
+        raise _unparsed("covariate", covariate_path)
+    if cell.shape[0] < n * m:
+        sid, pos = divmod(int(np.flatnonzero(counts == 0)[0]), m)
+        msg = (
+            f"covariate file {covariate_path}: missing entry for "
+            f"subject {sid + 1}, position {pos + 1}"
+        )
+        raise DataError(msg)
+    covariates = np.empty((n * m, p))
+    covariates[cell] = values
+    return PanelDataset(responses=responses, covariates=covariates.reshape(n, m, p))
 
 
 def save_panel(

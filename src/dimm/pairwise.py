@@ -26,9 +26,11 @@ scalar:
 
 The fit is therefore a 1-D search over the profile log-CL in rho. The
 profile is evaluated on a fixed grid over the admissible interval, and
-its analytic score is solved by Brent's method inside the grid bracket
-of the best point. The grid's best value is kept as a certificate that
-the refined point is the global maximum over the grid. Every step is
+its analytic score is solved inside the grid bracket of the best point
+by a bracketed root step (:func:`_score_root`: secant and inverse
+quadratic steps, safeguarded by bisection). The grid's best value is
+kept as a certificate that the refined point is the global maximum over
+the grid. Every step is
 equivariant under a rescaling of the responses, and the post-fit checks
 are relative to scale.
 """
@@ -41,7 +43,6 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import optimize
 
 from dimm._util import parallel_map
 from dimm.errors import ConfigError, FitError
@@ -54,6 +55,8 @@ from dimm.model import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from dimm.model import BlockPartition
 
 __all__ = [
@@ -78,8 +81,12 @@ _GRID_POINTS = 41
 # a fraction of its length; a profile still rising there puts rho at its
 # bound.
 _EDGE = 1e-9
-# Absolute rho tolerance of the Brent refinement.
+# The root step on the rho-score stops once the bracket around the root
+# is narrower than _RHO_XTOL + _RHO_RTOL * |rho|, or fails after
+# _ROOT_MAX_EVALS score evaluations.
 _RHO_XTOL = 1e-13
+_RHO_RTOL = 4.0 * np.finfo(np.float64).eps
+_ROOT_MAX_EVALS = 100
 # A residual variance below this fraction of the response mean square is
 # an exact fit: the Gram-matrix moments cannot resolve it.
 _EXACT_FIT = 1e-12
@@ -380,10 +387,12 @@ class OptimizerTrace:
 
     ``simplex_iterations`` counts the profile evaluations that bracket
     the maximum (the grid, plus one probe next to a bound when the best
-    grid point is the outermost one), ``newton_iterations`` the Brent
-    iterations that refine it, and ``restarts`` is always 0; the names
-    are those of an earlier optimizer, kept because perfbench's
-    ``pairwise.iterations`` and ``restart_frac`` probes read them.
+    grid point is the outermost one), ``newton_iterations`` the score
+    evaluations of the root step that refines it (the scores at the
+    bracket ends come from the grid and are not counted again), and
+    ``restarts`` is always 0; the names are those of an earlier
+    optimizer, kept because perfbench's ``pairwise.iterations`` and
+    ``restart_frac`` probes read them.
 
     ``grid_logcl`` is the best profile log-CL on the grid and ``logcl``
     the refined one; ``logcl >= grid_logcl`` certifies that the fit is
@@ -467,11 +476,77 @@ class BlockFit:
         return self.beta_hat.shape[0]
 
 
+def _score_root(
+    score: Callable[[float], float],
+    lo: float,
+    hi: float,
+    f_lo: float,
+    f_hi: float,
+    name: str,
+) -> tuple[float, int]:
+    """Root of the rho-score between ``lo`` and ``hi``, whose scores
+    ``f_lo`` and ``f_hi`` differ in sign (or one is zero).
+
+    Brent's method (Brent 1973, ch. 4): ``x_cur`` is the best estimate
+    and ``[x_cur, x_blk]`` brackets the root. Each step is a secant or
+    inverse quadratic interpolation step when that step is short against
+    the last two, and a bisection otherwise. The known end scores are
+    not recomputed.
+
+    Returns (root, score evaluations).
+    """
+    x_pre, x_cur, f_pre, f_cur = lo, hi, f_lo, f_hi
+    if f_pre == 0.0:
+        return x_pre, 0
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    n_evals = 0
+    while True:
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (_RHO_XTOL + _RHO_RTOL * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur, n_evals
+        if n_evals == _ROOT_MAX_EVALS:
+            msg = (
+                f"block {name!r}: the rho-score root step did not converge in "
+                f"{_ROOT_MAX_EVALS} evaluations (bracket [{min(x_cur, x_blk):.17g}, "
+                f"{max(x_cur, x_blk):.17g}])"
+            )
+            raise FitError(msg)
+        interpolate = abs(s_pre) > delta and abs(f_cur) < abs(f_pre)
+        if interpolate:
+            if x_pre == x_blk:
+                trial = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
+                    d_blk * d_pre * (f_blk - f_pre)
+                )
+            interpolate = 2.0 * abs(trial) < min(abs(s_pre), 3.0 * abs(s_bis) - delta)
+        if interpolate:
+            s_pre, s_cur = s_cur, trial
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0.0 else -delta
+        f_cur = score(x_cur)
+        n_evals += 1
+
+
 def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, float, int, int]:
     """Locate the profile maximum in rho.
 
-    Returns (rho_hat, best grid log-CL, profile evaluations, Brent
-    iterations).
+    Returns (rho_hat, best grid log-CL, profile evaluations, score
+    evaluations of the root step).
     """
     lo, hi = arrays.rho_lower, arrays.rho_upper
     k = _GRID_POINTS
@@ -518,10 +593,13 @@ def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, float, in
     def score(rho: float) -> float:
         return float(arrays.profile(np.array([rho])).score[0])
 
-    rho_hat, result = optimize.brentq(
-        score, min(inner, outer), max(inner, outer), xtol=_RHO_XTOL, full_output=True
-    )
-    return float(rho_hat), float(prof.logcl[best]), n_evals, int(result.iterations)
+    inner_score = float(prof.score[best])
+    if inner < outer:
+        bracket = (inner, outer, inner_score, outer_score)
+    else:
+        bracket = (outer, inner, outer_score, inner_score)
+    rho_hat, n_root = _score_root(score, *bracket, name)
+    return rho_hat, float(prof.logcl[best]), n_evals, n_root
 
 
 def fit_block(
@@ -569,7 +647,7 @@ def fit_block(
         )
         raise FitError(msg)
 
-    rho, grid_logcl, n_evals, n_brent = _maximize_profile(arrays, name)
+    rho, grid_logcl, n_evals, n_root = _maximize_profile(arrays, name)
     prof = arrays.profile(np.array([rho]))
     beta_hat = prof.beta[0]
     sigma = math.sqrt(float(prof.sigma2[0]))
@@ -595,7 +673,7 @@ def fit_block(
     )
     trace = OptimizerTrace(
         simplex_iterations=n_evals,
-        newton_iterations=n_brent,
+        newton_iterations=n_root,
         restarts=0,
         grid_logcl=grid_logcl,
         logcl=refined,

@@ -196,6 +196,24 @@ def test_gls_validates_covariance() -> None:
         gls_oracle(data, bad)
     with pytest.raises(FitError, match="positive definite"):
         gls_oracle(data, -np.eye(m))
+    for bad in (np.inf, -np.inf):
+        # Symmetric, so only the factorization can refuse it.
+        cov = np.eye(m)
+        cov[0, 0] = bad
+        with pytest.raises(FitError, match="covariance is not positive definite"):
+            gls_oracle(data, cov)
+
+
+def test_spd_solve_refusals_are_fit_errors() -> None:
+    from dimm.baselines import _spd_solve
+
+    for mat in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, np.nan], [0.0, 1.0]])):
+        with pytest.raises(FitError, match="pooled design matrix is not positive definite"):
+            _spd_solve(mat, np.ones(2), "pooled design matrix")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(41)))
+    a = rng.standard_normal((4, 9))
+    mat, rhs = a @ a.T, rng.standard_normal(4)
+    np.testing.assert_allclose(mat @ _spd_solve(mat, rhs, "m"), rhs, rtol=0.0, atol=1e-12)
 
 
 def test_baseline_std_errors_property() -> None:

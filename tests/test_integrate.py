@@ -1,6 +1,7 @@
 """Integration-step tests: weighting, one-step combination, inference.
 
-Independent oracles: explicit per-subject outer-product loops for the
+Independent oracles: scipy's Cholesky solve for the SPD routine and the
+ridge ladder, explicit per-subject outer-product loops for the
 weight matrix, ``np.linalg.inv`` compositions for the estimator and its
 covariance, a brute-force leave-one-out loop for the jackknife,
 ``math.erfc`` for the Wald p-values, and closed forms on hand-built
@@ -15,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dimm._util import spd_solve
 from dimm.errors import IntegrationError
 from dimm.integrate import (
     IntegratedFit,
@@ -112,6 +114,64 @@ def test_weight_matrix_ridge_on_degenerate_scores(fitted) -> None:
     weights = weight_matrix(stacked)
     assert weights.ridge_used > 0.0
     np.linalg.cholesky(weights.v_hat + weights.ridge_used * np.eye(weights.dim))
+
+
+def test_spd_solve_matches_scipy_cho_solve() -> None:
+    from scipy import linalg as sla
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(24)))
+    for dim in (1, 4, 30, 72):
+        a = rng.standard_normal((dim, 2 * dim))
+        mat = a @ a.T / dim
+        for rhs in (rng.standard_normal(dim), rng.standard_normal((dim, 7)), np.eye(dim)):
+            want = sla.cho_solve(sla.cho_factor(mat, lower=True), rhs)
+            got = spd_solve(mat, rhs)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), dim
+    with pytest.raises(np.linalg.LinAlgError):
+        spd_solve(-np.eye(3), np.ones(3))
+    for bad in (np.nan, np.inf):
+        # Placed in the upper triangle, which a lower Cholesky never reads.
+        mat = np.eye(3)
+        mat[0, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            spd_solve(mat, np.ones(3))
+
+
+def test_weight_matrix_ridge_matches_a_scipy_cholesky_ladder(fitted) -> None:
+    from scipy import linalg as sla
+
+    from dimm.integrate import StackedScores
+
+    _, _, _, fits = fitted
+    stacked = StackedScores(
+        matrix=np.hstack([fits[1].subject_scores, fits[1].subject_scores]),
+        block_names=("b", "b2"),
+        n_params=fits[1].n_params,
+    )
+    weights = weight_matrix(stacked)
+    scale = float(np.trace(weights.v_hat)) / weights.dim
+    lam = 0.0
+    while True:
+        try:
+            sla.cho_factor(weights.v_hat + lam * np.eye(weights.dim), lower=True)
+        except sla.LinAlgError:
+            lam = 1e-8 * scale if lam == 0.0 else lam * 10.0
+            continue
+        break
+    assert lam > 0.0
+    assert weights.ridge_used == lam
+
+
+def test_non_pd_or_non_finite_bread_is_an_integration_error(fitted) -> None:
+    _, _, _, fits = fitted
+    weights = weight_matrix(stack_scores(fits))
+    for v_inv in (-weights.v_inv, np.full_like(weights.v_inv, np.nan)):
+        bad = WeightMatrix(v_hat=weights.v_hat, v_inv=v_inv, ridge_used=0.0)
+        with pytest.raises(IntegrationError, match="bread matrix"):
+            one_step_estimator(fits, bad)
+        with pytest.raises(IntegrationError, match="bread matrix"):
+            dimm_covariance(fits, bad)
 
 
 def test_weight_matrix_warns_when_sample_too_small(fitted) -> None:

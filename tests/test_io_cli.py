@@ -146,6 +146,102 @@ def test_out_of_range_subject_id(panel_files, tmp_path: Path) -> None:
         load_panel(rp, broken)
 
 
+def _set_cell(line: int, column: int, value: str):
+    """Edit: replace one cell of a 1-based file line."""
+
+    def edit(lines: list[str]) -> list[str]:
+        cells = lines[line - 1].split(",")
+        cells[column] = value
+        lines[line - 1] = ",".join(cells)
+        return lines
+
+    return edit
+
+
+def _drop_cell(line: int):
+    def edit(lines: list[str]) -> list[str]:
+        lines[line - 1] = ",".join(lines[line - 1].split(",")[:-1])
+        return lines
+
+    return edit
+
+
+def _blank_line_then(after: int, then):
+    """Edit: insert a blank line after a 1-based line, then apply ``then``
+    with line numbers of the edited file."""
+
+    def edit(lines: list[str]) -> list[str]:
+        return then(lines[:after] + [""] + lines[after:])
+
+    return edit
+
+
+# (file edited, edit, message pattern). The panel has N=50, M=5 and
+# covariates 'age', 'dose'; covariate line k + 1 holds subject 1 + k // 5,
+# position 1 + k % 5.
+_PANEL_ERRORS = [
+    ("x", _set_cell(5, 3, "oops"), r"non-numeric value 'oops' at x_edit\.csv line 5, column 'dose'"),
+    ("x", _set_cell(5, 0, "1.5"), r"line 5: subject_id and position must be integers, got '1\.5', '4'"),
+    ("x", _set_cell(5, 1, "a"), r"line 5: subject_id and position must be integers, got '1', 'a'"),
+    ("x", _set_cell(5, 1, "9"), r"line 5: position 9 outside 1\.\.5 \(response file has 5 columns\)"),
+    ("x", _set_cell(5, 1, "0"), r"line 5: position 0 outside 1\.\.5"),
+    ("y", _drop_cell(4), r"y_edit\.csv line 4: expected 5 columns, found 4"),
+    ("y", _set_cell(3, 1, "nan"), r"non-finite value 'nan' at y_edit\.csv line 3, column 'y2'"),
+    ("y", _set_cell(3, 4, "-inf"), r"non-finite value '-inf' at y_edit\.csv line 3, column 'y5'"),
+    ("x", _set_cell(7, 2, "inf"), r"non-finite value 'inf' at x_edit\.csv line 7, column 'age'"),
+    ("x", _set_cell(7, 3, "NaN"), r"non-finite value 'NaN' at x_edit\.csv line 7, column 'dose'"),
+    ("y", lambda lines: lines[:1], r"y_edit\.csv has a header but no data rows"),
+    ("x", lambda lines: lines[:1], r"x_edit\.csv: missing entry for subject 1, position 1"),
+    ("y", lambda lines: [], r"y_edit\.csv is empty"),
+    ("y", _blank_line_then(2, _set_cell(6, 2, "oops")), r"y_edit\.csv line 6, column 'y3'"),
+    ("x", _blank_line_then(3, _set_cell(9, 1, "99")), r"x_edit\.csv line 9: position 99"),
+    (
+        "x",
+        _blank_line_then(3, lambda lines: [*lines, lines[1]]),
+        r"line 253: duplicate entry for subject 1, position 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(("which", "edit", "expected"), _PANEL_ERRORS)
+def test_panel_errors_name_their_location(panel_files, tmp_path: Path, which, edit, expected) -> None:
+    _, _, rp, cp, _, _ = panel_files
+    source = rp if which == "y" else cp
+    edited = tmp_path / f"{which}_edit.csv"
+    lines = edit(source.read_text().splitlines())
+    edited.write_text("".join(line + "\n" for line in lines))
+    paths = (edited, cp) if which == "y" else (rp, edited)
+    with pytest.raises(DataError, match=expected):
+        load_panel(*paths)
+
+
+def test_clean_panel_is_parsed_without_the_line_locator(
+    panel_files, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    import dimm.io
+
+    _, data, rp, cp, _, _ = panel_files
+
+    def refuse(path: Path):
+        raise AssertionError(f"{path} was re-read line by line")
+
+    monkeypatch.setattr(dimm.io, "_data_rows", refuse)
+    back = load_panel(rp, cp)
+    np.testing.assert_array_equal(back.covariates, data.covariates)
+
+
+def test_blank_lines_are_skipped(panel_files, tmp_path: Path) -> None:
+    _, data, rp, cp, _, _ = panel_files
+    y_lines = rp.read_text().splitlines()
+    x_lines = cp.read_text().splitlines()
+    y_blank, x_blank = tmp_path / "y_blank.csv", tmp_path / "x_blank.csv"
+    y_blank.write_text("\n".join([*y_lines[:3], "", *y_lines[3:], ""]) + "\n")
+    x_blank.write_text("\n".join([*x_lines[:1], "", *x_lines[1:]]) + "\n")
+    back = load_panel(y_blank, x_blank)
+    np.testing.assert_array_equal(back.responses, data.responses)
+    np.testing.assert_array_equal(back.covariates, data.covariates)
+
+
 # ---------------------------------------------------------------------------
 # Fit config schema
 # ---------------------------------------------------------------------------
@@ -383,6 +479,67 @@ def test_cli_exit_codes(panel_files, tmp_path: Path) -> None:
     not_scn = tmp_path / "notscn.json"
     not_scn.write_text("{\"surprise\": true}")
     assert _run_cli("simulate", "--config", str(not_scn)).returncode == 6
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate", "gof"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_worker_counts_below_one(panel_files, command, workers) -> None:
+    _, _, _, _, cfg, _ = panel_files
+    args = {
+        "fit": ["fit", "--config", str(cfg)],
+        "simulate": ["simulate", "--scenario", "micro", "--replicates", "1"],
+        "gof": ["gof", "--config", str(cfg), "--beta", "1.0,-0.5"],
+    }[command]
+    proc = _run_cli(*args, "--workers", workers)
+    assert proc.returncode == 2, proc.stderr
+    assert f"--workers must be >= 1, got {workers}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    ("value", "expected"),
+    [
+        ("abc", "DIMM_WORKERS must be an integer, got 'abc'"),
+        ("0", "DIMM_WORKERS must be >= 1, got 0"),
+    ],
+)
+def test_cli_rejects_a_bad_workers_environment_variable(panel_files, value, expected) -> None:
+    import os
+
+    _, _, _, _, cfg, _ = panel_files
+    proc = subprocess.run(
+        [sys.executable, "-m", "dimm", "fit", "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=dict(os.environ, DIMM_WORKERS=value),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert expected in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_default_worker_count_reads_the_environment(monkeypatch: pytest.MonkeyPatch) -> None:
+    from dimm._util import default_worker_count
+
+    monkeypatch.setenv("DIMM_WORKERS", "3")
+    assert default_worker_count() == 3
+    for bad in ("abc", "1.5", "0", "-2"):
+        monkeypatch.setenv("DIMM_WORKERS", bad)
+        with pytest.raises(ConfigError, match="DIMM_WORKERS"):
+            default_worker_count()
+
+
+def test_importing_the_package_loads_no_scipy() -> None:
+    code = (
+        "import sys\n"
+        "import dimm, dimm.cli, dimm.simulate\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_partition_size_mismatch_is_config_error(panel_files, tmp_path: Path) -> None:

@@ -6,7 +6,8 @@ Oracles used here, all independent of the code under test:
 * block objective via brute-force enumeration of subjects and pairs;
 * beta-score via central finite differences of the objective;
 * sensitivity via explicit per-pair ``X' Omega^-1 X`` loops;
-* an exactly solvable sign-symmetric dataset with a closed-form optimum.
+* an exactly solvable sign-symmetric dataset with a closed-form optimum;
+* ``scipy.optimize.brentq`` for the root step on the rho-score.
 """
 
 from __future__ import annotations
@@ -430,3 +431,58 @@ def test_duplicated_coordinates_put_rho_at_its_bound() -> None:
     for structure in ("ar1", "cs"):
         with pytest.raises(FitError, match="rho is at its bound 1"):
             fit_block(PanelDataset(y, x), structure)
+
+
+def test_score_root_matches_scipy_brentq_on_bundled_scenarios(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Every block of replicate 0 of every bundled scenario: the root step
+    # finds brentq's rho on the same bracket, at no more evaluations.
+    from scipy import optimize
+
+    calls: list[tuple[float, float, int, int]] = []
+    root_step = pairwise._score_root
+
+    def both(score, lo, hi, f_lo, f_hi, name):
+        rho, n_evals = root_step(score, lo, hi, f_lo, f_hi, name)
+        _, result = optimize.brentq(
+            score, lo, hi, xtol=pairwise._RHO_XTOL, full_output=True
+        )
+        calls.append((rho, result.root, n_evals, result.function_calls))
+        return rho, n_evals
+
+    monkeypatch.setattr(pairwise, "_score_root", both)
+    for name in bundled_scenario_names():
+        scn = bundled_scenario(name)
+        data = generate_replicate(scn, 0)
+        calls.clear()
+        for method in scn.methods:
+            if method.startswith("dimm"):
+                fits = fit_blocks(data, scn.partition_for(method), workers=1)
+                assert [f.trace.newton_iterations for f in fits] == [
+                    c[2] for c in calls[-len(fits):]
+                ]
+        assert calls, name
+        got = np.array(calls)
+        np.testing.assert_allclose(got[:, 0], got[:, 1], rtol=0.0, atol=1e-12, err_msg=name)
+        assert got[:, 2].mean() <= got[:, 3].mean() + 1.0, name
+
+
+def test_score_root_on_known_functions() -> None:
+    def cubic(x: float) -> float:
+        return x**3 - 0.2
+
+    root, n_evals = pairwise._score_root(cubic, 0.0, 1.0, cubic(0.0), cubic(1.0), "b")
+    assert root == pytest.approx(0.2 ** (1.0 / 3.0), abs=1e-13)
+    assert 0 < n_evals < 20
+    # A zero score at either end is the root, with no evaluation.
+    assert pairwise._score_root(cubic, -0.5, 0.5, 0.0, 1.0, "b") == (-0.5, 0)
+    assert pairwise._score_root(cubic, -0.5, 0.5, -1.0, 0.0, "b") == (0.5, 0)
+
+
+def test_score_root_that_does_not_converge_names_the_block(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    monkeypatch.setattr(pairwise, "_ROOT_MAX_EVALS", 1)
+    with pytest.raises(FitError, match=r"block 'slow': the rho-score root step did not converge"):
+        fit_block(_random_block(seed=23, n=30, m=4, p=2), "ar1", name="slow")
