@@ -57,7 +57,7 @@ print(f"panel: {n} subjects x {m} responses, {p} covariates")
 part = BlockPartition.from_sizes(sizes, structure=["ar1", "ar1", "cs"])
 
 # --- 3. fit each block by pairwise composite likelihood -------------------
-fits = fit_blocks(data, part, workers=1)
+fits = fit_blocks(data, part)
 for fit in fits:
     print(
         f"  block {fit.name} ({fit.structure}): beta_hat = "

@@ -47,7 +47,7 @@ y = np.einsum("nmp,p->nm", x, beta_true) + rng.standard_normal(
 data = PanelDataset(responses=y, covariates=x)
 
 part = BlockPartition.from_sizes(sizes, structure="cs", names=names)
-fits = fit_blocks(data, part, workers=1)
+fits = fit_blocks(data, part)
 
 # --- full combination vs a named sub-group ---------------------------------
 full = integrate_fits(fits)

@@ -49,7 +49,7 @@ data = PanelDataset(responses=y, covariates=x)
 
 # --- estimates ---------------------------------------------------------------
 part = BlockPartition.from_sizes(sizes, structure="ar1")
-fits = fit_blocks(data, part, workers=1)
+fits = fit_blocks(data, part)
 combined = integrate_fits(fits)
 
 ind = gee_fit(data, "independence")

@@ -56,7 +56,7 @@ part = BlockPartition.from_sizes(
     structure=[b.structure_fit for b in scn.blocks],
     names=[b.name for b in scn.blocks],
 )
-fits = fit_blocks(data, part, workers=1)
+fits = fit_blocks(data, part)
 
 subgroup = ["left_po_P2", "left_po_P750"]
 sub = integrate_fits(fits, subset=subgroup)

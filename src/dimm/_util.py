@@ -74,7 +74,8 @@ def parallel_map(fn: Callable, items: Iterable, workers: int | None = None) -> l
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     # Imported here: the pool machinery costs about 20 ms to import, and
-    # most processes (``dimm fit --workers 1``) never start a pool.
+    # most processes (``dimm fit``, ``dimm simulate --workers 1``) never
+    # start a pool.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:

@@ -9,10 +9,11 @@ Exit codes are distinct per failure class so callers can branch on them:
 * 5 — integration failure (degenerate weight or bread matrix)
 * 6 — scenario failure (too many replicate failures, bad scenario file)
 
-Worker counts resolve in priority order: the ``--workers`` flag, then the
-config file's ``workers`` field, then the ``DIMM_WORKERS`` environment
-variable, then the machine's CPU count. A count that is not an integer
->= 1 is a configuration problem, wherever it comes from.
+``fit`` and ``gof`` fit the blocks one after another in this process
+(``fit`` still accepts ``--workers`` and ignores it). Only ``simulate`` runs a worker pool, over replicates: its worker count is
+the ``--workers`` flag, else the ``DIMM_WORKERS`` environment variable,
+else the machine's CPU count. A count that is not an integer >= 1 is a
+configuration problem, wherever it comes from.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dimm.io import (
 )
 from dimm.model import BlockPartition, PanelDataset
 from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
-from dimm.pairwise import FitOptions, fit_blocks
+from dimm.pairwise import fit_blocks
 from dimm.simulate import (
     bundled_scenario,
     bundled_scenario_names,
@@ -88,22 +89,12 @@ def _with_intercept(data: PanelDataset) -> PanelDataset:
     )
 
 
-def _fit_options(config: FitConfig) -> FitOptions:
-    try:
-        return FitOptions(**config.optimizer)
-    except TypeError as exc:
-        msg = f"config.optimizer: {exc}"
-        raise ConfigError(msg) from None
-
-
-def _resolve_workers(flag: int | None, config_value: int | None) -> int:
+def _resolve_workers(flag: int | None) -> int:
     if flag is not None:
         if flag < 1:
             msg = f"--workers must be >= 1, got {flag}"
             raise ConfigError(msg)
         return flag
-    if config_value is not None:
-        return config_value
     return default_worker_count()
 
 
@@ -116,12 +107,13 @@ def _load_panel(config: FitConfig) -> tuple[PanelDataset, BlockPartition]:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     config = load_fit_config(args.config)
-    workers = _resolve_workers(args.workers, config.workers)
-    options = _fit_options(config)
+    if args.workers is not None and args.workers < 1:
+        msg = f"--workers must be >= 1, got {args.workers}"
+        raise ConfigError(msg)
     data, partition = _load_panel(config)
 
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    fits = fit_blocks(data, partition, options=options, workers=workers)
+    fits = fit_blocks(data, partition)
     wall_blocks = time.perf_counter() - wall0
     cpu_blocks = time.process_time() - cpu0
 
@@ -145,7 +137,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"panel: N={data.n_subjects} subjects, M={data.n_coordinates} coordinates, "
         f"p={data.n_covariates} design columns"
     )
-    print(f"blocks fitted: {len(fits)} (workers={workers})")
+    print(f"blocks fitted: {len(fits)}")
     for entry in report.block_results:
         print(
             f"  {entry['name']:>12s} [{entry['structure']}] "
@@ -195,7 +187,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         from dataclasses import replace
 
         scenario = replace(scenario, n_replicates=args.replicates)
-    workers = _resolve_workers(args.workers, None)
+    workers = _resolve_workers(args.workers)
 
     report = run_scenario(scenario, workers=workers)
     print(f"scenario {report.scenario_name!r}: N={report.n_subjects}, "
@@ -246,8 +238,6 @@ def _parse_beta(raw: str) -> np.ndarray:
 def cmd_gof(args: argparse.Namespace) -> int:
     config = load_fit_config(args.config)
     beta = _parse_beta(args.beta)
-    workers = _resolve_workers(args.workers, config.workers)
-    options = _fit_options(config)
     data, partition = _load_panel(config)
     if beta.shape[0] != data.n_covariates:
         msg = (
@@ -256,7 +246,7 @@ def cmd_gof(args: argparse.Namespace) -> int:
         )
         raise ConfigError(msg)
 
-    fits = fit_blocks(data, partition, options=options, workers=workers)
+    fits = fit_blocks(data, partition)
     if config.blocks_to_integrate is not None:
         keep = set(config.blocks_to_integrate)
         fits = [f for f in fits if f.name in keep]
@@ -296,13 +286,14 @@ def _build_parser() -> argparse.ArgumentParser:
             "Blockwise pairwise-composite-likelihood fitting with "
             "method-of-moments integration for correlated Gaussian panels."
         ),
-        epilog=f"Default worker count comes from ${WORKERS_ENV} or the CPU count.",
+        epilog=f"simulate's default worker count comes from ${WORKERS_ENV} or the CPU count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit a panel from files and integrate the blocks")
     fit.add_argument("--config", required=True, help="fit config JSON path")
-    fit.add_argument("--workers", type=int, default=None, help="worker processes for block fits")
+    # Accepted but ignored: perfbench's fit_eeg_file workload still passes --workers 1.
+    fit.add_argument("--workers", type=int, default=None, help="ignored: blocks are fit serially")
     fit.add_argument("--output", default=None, help="write the fit report JSON here")
     fit.set_defaults(func=cmd_fit)
 
@@ -327,7 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gof.add_argument(
         "--beta", required=True, help="comma-separated coefficient values to test"
     )
-    gof.add_argument("--workers", type=int, default=None, help="worker processes for block fits")
     gof.add_argument("--output", default=None, help="write the gof report JSON here")
     gof.set_defaults(func=cmd_gof)
     return parser

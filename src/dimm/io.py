@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -274,11 +274,6 @@ class FitConfig:
         Prepend a constant-1 design column to the file covariates.
     blocks_to_integrate : tuple of str or None
         Optional sub-group: integrate only these blocks.
-    workers : int or None
-        Worker processes for the block fits (None = environment default).
-    optimizer : dict
-        Keyword overrides forwarded to the fit options (e.g.
-        ``{"simplex_max_iter": 200}``).
     output_path : str or None
         Where the fit report is written (None = stdout summary only).
     """
@@ -288,8 +283,6 @@ class FitConfig:
     blocks: tuple[dict[str, Any], ...]
     intercept: bool = False
     blocks_to_integrate: tuple[str, ...] | None = None
-    workers: int | None = None
-    optimizer: dict[str, Any] = field(default_factory=dict)
     output_path: str | None = None
 
     def partition(self) -> BlockPartition:
@@ -346,8 +339,6 @@ def load_fit_config(path: str | Path) -> FitConfig:
         "blocks",
         "intercept",
         "blocks_to_integrate",
-        "workers",
-        "optimizer",
         "output_path",
     }
     extra = set(raw) - known
@@ -394,14 +385,6 @@ def load_fit_config(path: str | Path) -> FitConfig:
             raise ConfigError(msg)
         subset = tuple(subset_raw)
 
-    workers = raw.get("workers")
-    if workers is not None and (isinstance(workers, bool) or not isinstance(workers, int) or workers < 1):
-        msg = f"config.workers must be a positive integer, got {workers!r}"
-        raise ConfigError(msg)
-    optimizer = raw.get("optimizer", {})
-    if not isinstance(optimizer, dict):
-        msg = "config.optimizer must be an object of option overrides"
-        raise ConfigError(msg)
     output_path = raw.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
         msg = f"config.output_path must be a string, got {type(output_path).__name__}"
@@ -413,8 +396,6 @@ def load_fit_config(path: str | Path) -> FitConfig:
         blocks=tuple(blocks),
         intercept=bool(raw.get("intercept", False)),
         blocks_to_integrate=subset,
-        workers=workers,
-        optimizer=dict(optimizer),
         output_path=output_path,
     )
 

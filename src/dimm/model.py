@@ -31,7 +31,6 @@ __all__ = [
     "Block",
     "BlockPartition",
     "Dependence",
-    "KroneckerCovariance",
     "PanelDataset",
     "PairCovariance",
     "assemble_kronecker",
@@ -88,10 +87,6 @@ class Dependence:
             raise PartitionError(msg)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "rho", rho)
-
-    def correlation(self, lag: int) -> float:
-        """Correlation of a coordinate pair separated by ``lag`` positions."""
-        return pair_correlation(self, lag)
 
     def rho_lower(self, size: int) -> float:
         """Lower admissible rho for a block of ``size`` coordinates.
@@ -518,37 +513,3 @@ def assemble_kronecker(
         msg = "assembled covariance is not positive definite"
         raise CovarianceError(msg) from None
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class KroneckerCovariance:
-    """Between-block scale S combined with per-block within factors.
-
-    The realized M x M matrix is assembled (and Cholesky-validated) at
-    construction and exposed as ``matrix``.
-    """
-
-    between: np.ndarray
-    blocks: tuple[Dependence, ...]
-    sizes: tuple[int, ...]
-    matrix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        blocks = tuple(self.blocks)
-        sizes = tuple(int(m) for m in self.sizes)
-        between = np.array(self.between, dtype=np.float64, copy=True)
-        realized = assemble_kronecker(between, blocks, sizes)
-        between.setflags(write=False)
-        realized.setflags(write=False)
-        object.__setattr__(self, "between", between)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "matrix", realized)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def total_size(self) -> int:
-        return int(sum(self.sizes))

@@ -33,19 +33,21 @@ kept as a certificate that the refined point is the global maximum over
 the grid. Every step is
 equivariant under a rescaling of the responses, and the post-fit checks
 are relative to scale.
+
+Blocks are fit one after another in the calling process. Each fit is
+independent of the others, which is what lets the paper spread them over
+machines; here a fit takes milliseconds, less than starting a worker.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import parallel_map
-from dimm.errors import ConfigError, FitError
+from dimm.errors import FitError
 from dimm.model import (
     AR1,
     Dependence,
@@ -61,7 +63,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BlockFit",
-    "FitOptions",
     "OptimizerTrace",
     "bivariate_normal_logpdf",
     "block_logcl",
@@ -77,6 +78,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # which bracket is refined, not the answer, as long as the profile has
 # one maximum between neighbouring grid points.
 _GRID_POINTS = 41
+# Bound on the scale-relative score sup-norms at the returned fit (see
+# OptimizerTrace); a fit above it is refused.
+_ACCEPT_TOL = 1e-6
 # Distance of the outermost probe from each end of the rho interval, as
 # a fraction of its length; a profile still rising there puts rho at its
 # bound.
@@ -366,22 +370,6 @@ def block_sensitivity(beta: np.ndarray, gamma: Dependence, block: PanelDataset) 
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    """Knobs for :func:`fit_block`.
-
-    ``accept_tol`` bounds the scale-relative score sup-norms at the
-    returned fit (see :class:`OptimizerTrace`).
-    """
-
-    accept_tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not self.accept_tol > 0.0:
-            msg = f"accept_tol must be positive, got {self.accept_tol!r}"
-            raise ConfigError(msg)
-
-
-@dataclass(frozen=True)
 class OptimizerTrace:
     """Diagnostics from one block fit.
 
@@ -607,7 +595,6 @@ def fit_block(
     structure: Dependence | str,
     *,
     name: str = "block",
-    options: FitOptions | None = None,
 ) -> BlockFit:
     """Fit one block by maximizing its pairwise composite likelihood.
 
@@ -620,8 +607,6 @@ def fit_block(
         Dependence are ignored.
     name : str
         Label stored on the fit.
-    options : FitOptions, optional
-        Search overrides.
 
     Returns
     -------
@@ -636,7 +621,6 @@ def fit_block(
         between grid neighbours, a refined maximum below the grid's, or
         scores above the acceptance tolerance.
     """
-    options = options or FitOptions()
     family = structure.structure if isinstance(structure, Dependence) else structure
     arrays = _arrays_for(block, Dependence(family))
     y = block.responses
@@ -679,13 +663,13 @@ def fit_block(
         logcl=refined,
         rel_beta_score=beta_rel,
         rel_gamma_score=gamma_rel,
-        converged=max(beta_rel, gamma_rel) <= options.accept_tol,
+        converged=max(beta_rel, gamma_rel) <= _ACCEPT_TOL,
     )
     if not trace.converged:
         msg = (
             f"block {name!r} did not converge: relative beta-score sup-norm "
             f"{beta_rel:.3e}, relative gamma-score sup-norm {gamma_rel:.3e} "
-            f"(tol {options.accept_tol:.1e})"
+            f"(tol {_ACCEPT_TOL:.1e})"
         )
         raise FitError(msg, trace=trace)
 
@@ -704,29 +688,9 @@ def fit_block(
     )
 
 
-def _fit_block_task(
-    task: tuple[PanelDataset, str, str], options: FitOptions | None
-) -> BlockFit:
-    block, structure, name = task
-    return fit_block(block, structure, name=name, options=options)
-
-
-def fit_blocks(
-    data: PanelDataset,
-    partition: BlockPartition,
-    *,
-    options: FitOptions | None = None,
-    workers: int | None = None,
-) -> list[BlockFit]:
-    """Fit every block of a partitioned panel, in block order.
-
-    Block fits are independent, so they can run on a worker pool; the
-    result order (and every result bit) is the same whatever the worker
-    count.
-    """
-    blocks_data = partition_dataset(data, partition)
-    tasks = [
-        (block_data, block.structure.structure, block.name)
-        for block_data, block in zip(blocks_data, partition.blocks)
+def fit_blocks(data: PanelDataset, partition: BlockPartition) -> list[BlockFit]:
+    """Fit every block of a partitioned panel, one after another, in block order."""
+    return [
+        fit_block(block_data, block.structure, name=block.name)
+        for block_data, block in zip(partition_dataset(data, partition), partition.blocks)
     ]
-    return parallel_map(partial(_fit_block_task, options=options), tasks, workers)

@@ -63,7 +63,6 @@ __all__ = [
     "SimScenario",
     "bundled_scenario",
     "bundled_scenario_names",
-    "eeg_mimic_scenario",
     "generate_replicate",
     "random_between_matrix",
     "report_fingerprint",
@@ -584,7 +583,7 @@ def _fit_one_method(
     only for the integrated methods.
     """
     if method.startswith("dimm"):
-        fits = fit_blocks(data, scn.partition_for(method), workers=1)
+        fits = fit_blocks(data, scn.partition_for(method))
         res = integrate_fits(fits)
         return res.beta_dimm, res.std_errors, res.asymptotic_std_errors, res.q_stat, res.gof_df
     if method == "gls_oracle":
@@ -938,58 +937,6 @@ def run_scenario(scn: SimScenario, *, workers: int | None = None) -> SimReport:
         between=scn.between,
         methods=tuple(methods),
         timing=timing,
-    )
-
-
-def eeg_mimic_scenario(
-    *, n_replicates: int = 100, seed: int = 31415
-) -> SimScenario:
-    """Synthetic panel shaped like a 157-infant, 18-block ERP study.
-
-    Six scalp regions (sizes 7, 7, 7, 8, 9, 8) crossed with three
-    event-related potentials give 18 blocks and 138 response
-    coordinates. Covariates: age (uniform), an alternating stimulus
-    indicator, and a deficiency indicator with prevalence 0.32.
-    Exchangeable dependence within blocks, both in truth and in the
-    fitted structure. Every numeric setting here is a synthetic default
-    chosen for the mimic, not an estimate from any real dataset.
-    """
-    regions = (
-        ("left_fc", 7),
-        ("middle_fc", 7),
-        ("right_fc", 7),
-        ("left_po", 8),
-        ("middle_po", 9),
-        ("right_po", 8),
-    )
-    erps = ("P2", "P750", "LSW")
-    blocks = [
-        BlockScenario(
-            name=f"{region}_{erp}",
-            size=size,
-            structure_fit=CS,
-            structure_true=CS,
-            sigma=1.2,
-            rho=0.35,
-        )
-        for erp in erps
-        for region, size in regions
-    ]
-    return SimScenario(
-        name="eeg_mimic",
-        n_subjects=157,
-        beta0=np.array([0.2, 0.5, -0.3, 0.4]),
-        blocks=tuple(blocks),
-        between=random_between_matrix(len(blocks), seed=214, off_scale=0.25),
-        covariates=(
-            CovariateSpec(kind="uniform01"),  # age
-            CovariateSpec(kind="alternating01"),  # voice stimulus
-            CovariateSpec(kind="bernoulli", q=0.32),  # sufficiency status
-        ),
-        intercept=True,
-        n_replicates=n_replicates,
-        seed=seed,
-        methods=("dimm", "gee_exchangeable"),
     )
 
 

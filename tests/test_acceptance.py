@@ -113,7 +113,7 @@ def _one_gap(rng: np.random.Generator, n: int) -> float:
     data = PanelDataset(responses=y, covariates=x)
     part = BlockPartition.from_sizes([m_half, m_half], structure="ar1")
     blocks = partition_dataset(data, part)
-    fits = fit_blocks(data, part, workers=1)
+    fits = fit_blocks(data, part)
     combined = integrate_fits(fits)
     weights = weight_matrix(stack_scores(fits))
 
@@ -288,7 +288,7 @@ def test_acceptance_08_exact_collapses() -> None:
 
     # (a) single-block integration returns the block estimate unchanged
     part = BlockPartition.from_sizes([m], structure="ar1")
-    fits = fit_blocks(data, part, workers=1)
+    fits = fit_blocks(data, part)
     single = integrate_fits(fits)
     gap_a = float(np.max(np.abs(single.beta_dimm - fits[0].beta_hat)))
 

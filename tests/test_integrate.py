@@ -58,7 +58,7 @@ def _three_block_panel(
 @pytest.fixture(scope="module")
 def fitted():
     data, part, blocks = _three_block_panel()
-    fits = fit_blocks(data, part, workers=1)
+    fits = fit_blocks(data, part)
     return data, part, blocks, fits
 
 

@@ -265,11 +265,11 @@ def test_fit_config_loads(panel_files) -> None:
         (lambda c: c["blocks"][0].pop("structure"), r"config\.blocks\[0\]\.structure"),
         (lambda c: c["blocks"][0].update(structure="toeplitz"), r"blocks\[0\]\.structure"),
         (lambda c: c["blocks"][1].update(size="two"), r"config\.blocks\[1\]\.size"),
-        (lambda c: c.update(workers=True), r"config\.workers"),
-        (lambda c: c.update(workers=0), r"config\.workers"),
+        (lambda c: c.update(workers=True), r"unknown config fields: \['workers'\]"),
+        (lambda c: c.update(workers=0), r"unknown config fields: \['workers'\]"),
         (lambda c: c.update(blocks_to_integrate=["nope"]), "nope"),
         (lambda c: c.update(schema_version=99), "schema_version"),
-        (lambda c: c.update(optimizer=[1, 2]), r"config\.optimizer"),
+        (lambda c: c.update(optimizer=[1, 2]), r"unknown config fields: \['optimizer'\]"),
     ],
 )
 def test_fit_config_schema_errors(panel_files, tmp_path: Path, mutate, expected) -> None:
@@ -319,7 +319,11 @@ def test_cli_fit_report_content(fit_report_json: Path) -> None:
     assert 0.0 <= report.gof_pvalue <= 1.0
     assert len(report.beta_dimm) == 2
     assert len(report.block_results) == 2
-    assert {b["name"] for b in report.block_results} == {"front", "back"}
+    # Block order and each block's own working family survive fit_blocks.
+    assert [(b["name"], b["structure"]) for b in report.block_results] == [
+        ("front", "ar1"),
+        ("back", "cs"),
+    ]
     for entry in report.block_results:
         assert entry["rel_beta_score"] <= 1e-6
     # Round trip through dict and disk.
@@ -370,7 +374,7 @@ def test_cli_fit_subgroup(panel_files, tmp_path: Path) -> None:
 
 def test_cli_gof_command(panel_files) -> None:
     _, _, _, _, cfg, _ = panel_files
-    result = _run_cli("gof", "--config", str(cfg), "--beta", "1.0,-0.5", "--workers", "1")
+    result = _run_cli("gof", "--config", str(cfg), "--beta", "1.0,-0.5")
     assert result.returncode == 0, result.stderr
     assert "df = 2" in result.stdout
     bad = _run_cli("gof", "--config", str(cfg), "--beta", "1.0,abc")
@@ -386,7 +390,7 @@ def test_cli_gof_report_carries_the_io_schema_version(panel_files, tmp_path: Pat
     _, _, _, _, cfg, _ = panel_files
     out = tmp_path / "gof.json"
     result = _run_cli(
-        "gof", "--config", str(cfg), "--beta", "1.0,-0.5", "--workers", "1", "--output", str(out)
+        "gof", "--config", str(cfg), "--beta", "1.0,-0.5", "--output", str(out)
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(out.read_text())
@@ -394,7 +398,10 @@ def test_cli_gof_report_carries_the_io_schema_version(panel_files, tmp_path: Pat
     assert report["df"] == 2
 
 
-@pytest.mark.parametrize("options", [{"simplex_max_iter": 10}, {"grad_tol": 1e-8}, {"accept_tol": 0.0}])
+@pytest.mark.parametrize(
+    "options",
+    [{"simplex_max_iter": 10}, {"grad_tol": 1e-8}, {"accept_tol": 0.0}, {"accept_tol": 1e-6}],
+)
 def test_cli_rejects_unknown_or_bad_fit_options(panel_files, tmp_path: Path, options) -> None:
     _, _, _, _, _, raw = panel_files
     cfg = tmp_path / "opts.json"
@@ -481,14 +488,13 @@ def test_cli_exit_codes(panel_files, tmp_path: Path) -> None:
     assert _run_cli("simulate", "--config", str(not_scn)).returncode == 6
 
 
-@pytest.mark.parametrize("command", ["fit", "simulate", "gof"])
+@pytest.mark.parametrize("command", ["fit", "simulate"])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_cli_rejects_worker_counts_below_one(panel_files, command, workers) -> None:
     _, _, _, _, cfg, _ = panel_files
     args = {
         "fit": ["fit", "--config", str(cfg)],
         "simulate": ["simulate", "--scenario", "micro", "--replicates", "1"],
-        "gof": ["gof", "--config", str(cfg), "--beta", "1.0,-0.5"],
     }[command]
     proc = _run_cli(*args, "--workers", workers)
     assert proc.returncode == 2, proc.stderr
@@ -502,12 +508,11 @@ def test_cli_rejects_worker_counts_below_one(panel_files, command, workers) -> N
         ("0", "DIMM_WORKERS must be >= 1, got 0"),
     ],
 )
-def test_cli_rejects_a_bad_workers_environment_variable(panel_files, value, expected) -> None:
+def test_cli_rejects_a_bad_workers_environment_variable(value, expected) -> None:
     import os
 
-    _, _, _, _, cfg, _ = panel_files
     proc = subprocess.run(
-        [sys.executable, "-m", "dimm", "fit", "--config", str(cfg)],
+        [sys.executable, "-m", "dimm", "simulate", "--scenario", "micro", "--replicates", "1"],
         capture_output=True,
         text=True,
         timeout=600,
@@ -530,16 +535,47 @@ def test_default_worker_count_reads_the_environment(monkeypatch: pytest.MonkeyPa
 
 
 def test_importing_the_package_loads_no_scipy() -> None:
+    # Nor the process-pool machinery: only a pooled run_scenario needs it.
     code = (
         "import sys\n"
         "import dimm, dimm.cli, dimm.simulate\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "roots = ('scipy', 'concurrent.futures', 'multiprocessing')\n"
+        "print(sorted(m for m in sys.modules if (m + '.').startswith(tuple(r + '.' for r in roots))))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_fit_starts_no_process_pool(panel_files, tmp_path: Path) -> None:
+    # DIMM_WORKERS=2 would start a pool if fit still read it.
+    import os
+
+    _, _, _, _, cfg, _ = panel_files
+    pooled, serial = tmp_path / "env.json", tmp_path / "one.json"
+    code = (
+        "import sys\n"
+        "from dimm.cli import main\n"
+        f"code = main(['fit', '--config', {str(cfg)!r}, '--output', {str(pooled)!r}])\n"
+        "print(code, 'concurrent.futures.process' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=dict(os.environ, DIMM_WORKERS="2"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    result = _run_cli("fit", "--config", str(cfg), "--output", str(serial), "--workers", "1")
+    assert result.returncode == 0, result.stderr
+    one, two = json.loads(pooled.read_text()), json.loads(serial.read_text())
+    one.pop("timing")
+    two.pop("timing")
+    assert one == two
 
 
 def test_cli_partition_size_mismatch_is_config_error(panel_files, tmp_path: Path) -> None:

@@ -19,7 +19,6 @@ from dimm.model import (
     Block,
     BlockPartition,
     Dependence,
-    KroneckerCovariance,
     PanelDataset,
     assemble_kronecker,
     pair_correlation,
@@ -347,18 +346,3 @@ def test_assemble_rejects_non_pd_result() -> None:
     s = np.array([[1.0, 0.95], [0.95, 1.0]])
     with pytest.raises(CovarianceError, match="not positive definite"):
         assemble_kronecker(s, deps, [6, 6])
-
-
-def test_kronecker_covariance_wrapper() -> None:
-    dep = Dependence(AR1, 1.0, 0.3)
-    cov = KroneckerCovariance(
-        between=np.eye(2), blocks=(dep, dep), sizes=(2, 3)
-    )
-    assert cov.n_blocks == 2
-    assert cov.total_size == 5
-    assert cov.matrix.shape == (5, 5)
-    np.testing.assert_allclose(
-        cov.matrix, _oracle_assemble(np.eye(2), [dep, dep], [2, 3]), atol=1e-14
-    )
-    with pytest.raises(ValueError, match="read-only"):
-        cov.matrix[0, 0] = 9.0

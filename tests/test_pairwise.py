@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from dimm import pairwise
-from dimm.errors import ConfigError, DataError, FitError
+from dimm.errors import DataError, FitError
 from dimm.model import (
     BlockPartition,
     Dependence,
@@ -27,7 +27,6 @@ from dimm.model import (
     partition_dataset,
 )
 from dimm.pairwise import (
-    FitOptions,
     bivariate_normal_logpdf,
     block_logcl,
     block_score_beta,
@@ -322,22 +321,6 @@ def test_fit_block_subject_scores_consistent() -> None:
     np.linalg.cholesky(fit.sensitivity)  # positive definite
 
 
-def test_fit_blocks_worker_count_is_invisible() -> None:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(17)))
-    n, m = 40, 6
-    x = rng.standard_normal((n, m, 2))
-    y = np.einsum("nmp,p->nm", x, np.array([1.0, -1.0])) + rng.standard_normal((n, m))
-    data = PanelDataset(responses=y, covariates=x)
-    part = BlockPartition.from_sizes([3, 3], structure=["ar1", "cs"], names=["a", "b"])
-    serial = fit_blocks(data, part, workers=1)
-    pooled = fit_blocks(data, part, workers=2)
-    assert [f.name for f in serial] == ["a", "b"]
-    for f1, f2 in zip(serial, pooled):
-        np.testing.assert_array_equal(f1.beta_hat, f2.beta_hat)
-        assert f1.gamma_hat == f2.gamma_hat
-        assert f1.logcl == f2.logcl
-
-
 def test_fit_blocks_rejects_block_with_degenerate_design() -> None:
     # A column that is constant inside the first block collides with the
     # intercept there, even though the full panel is full-rank.
@@ -351,11 +334,10 @@ def test_fit_blocks_rejects_block_with_degenerate_design() -> None:
     data = PanelDataset(responses=y, covariates=x)
     part = BlockPartition.from_sizes([2, 2])
     with pytest.raises(DataError, match="rank"):
-        fit_blocks(data, part, workers=1)
+        fit_blocks(data, part)
 
 
-def test_fit_options_override(monkeypatch: pytest.MonkeyPatch) -> None:
-    # The grid size picks the bracket, not the answer.
+def test_grid_size_picks_the_bracket_not_the_answer(monkeypatch: pytest.MonkeyPatch) -> None:
     block = _random_block(seed=19, n=15, m=3, p=1)
     default = fit_block(block, "ar1")
     monkeypatch.setattr(pairwise, "_GRID_POINTS", 5)
@@ -365,11 +347,21 @@ def test_fit_options_override(monkeypatch: pytest.MonkeyPatch) -> None:
     assert coarse.trace.converged
     np.testing.assert_allclose(coarse.beta_hat, default.beta_hat, rtol=1e-10, atol=1e-13)
     assert coarse.gamma_hat.rho == pytest.approx(default.gamma_hat.rho, rel=1e-10, abs=1e-13)
-    with pytest.raises(ConfigError, match="accept_tol"):
-        FitOptions(accept_tol=0.0)
-    for removed in ("simplex_max_iter", "grid_points"):
-        with pytest.raises(TypeError):
-            FitOptions(**{removed: 10})
+
+
+def test_fit_above_the_acceptance_tolerance_is_refused(monkeypatch: pytest.MonkeyPatch) -> None:
+    # No real fit has scores this small, so the gate must refuse it.
+    monkeypatch.setattr(pairwise, "_ACCEPT_TOL", 1e-300)
+    block = _random_block(seed=20, n=15, m=3, p=1)
+    with pytest.raises(FitError) as info:
+        fit_block(block, "ar1", name="tight")
+    trace = info.value.trace
+    assert trace is not None and not trace.converged
+    msg = str(info.value)
+    assert msg.startswith("block 'tight' did not converge")
+    assert f"relative beta-score sup-norm {trace.rel_beta_score:.3e}" in msg
+    assert f"relative gamma-score sup-norm {trace.rel_gamma_score:.3e}" in msg
+    assert "(tol 1.0e-300)" in msg
 
 
 def _eeg_block() -> PanelDataset:
@@ -404,7 +396,7 @@ def test_refined_maximum_is_at_least_the_grid_maximum_on_bundled_scenarios() -> 
         for method in scn.methods:
             if not method.startswith("dimm"):
                 continue
-            for fit in fit_blocks(data, scn.partition_for(method), workers=1):
+            for fit in fit_blocks(data, scn.partition_for(method)):
                 assert fit.trace.logcl >= fit.trace.grid_logcl, (name, method, fit.name)
                 checked += 1
     assert checked > 0
@@ -458,7 +450,7 @@ def test_score_root_matches_scipy_brentq_on_bundled_scenarios(
         calls.clear()
         for method in scn.methods:
             if method.startswith("dimm"):
-                fits = fit_blocks(data, scn.partition_for(method), workers=1)
+                fits = fit_blocks(data, scn.partition_for(method))
                 assert [f.trace.newton_iterations for f in fits] == [
                     c[2] for c in calls[-len(fits):]
                 ]

@@ -22,7 +22,6 @@ from dimm.simulate import (
     SimScenario,
     bundled_scenario,
     bundled_scenario_names,
-    eeg_mimic_scenario,
     generate_replicate,
     random_between_matrix,
     report_fingerprint,
@@ -346,7 +345,7 @@ def test_bundled_micro_loads() -> None:
 
 
 def test_eeg_mimic_layout() -> None:
-    scn = eeg_mimic_scenario()
+    scn = bundled_scenario("eeg_mimic")
     assert scn.n_blocks == 18
     assert scn.total_dim == 138  # (7+7+7+8+9+8) regions x 3 waves
     assert scn.n_subjects == 157
@@ -354,8 +353,6 @@ def test_eeg_mimic_layout() -> None:
     names = [blk.name for blk in scn.blocks]
     assert "left_po_P2" in names and "left_po_P750" in names
     assert len(set(names)) == 18
-    # The bundled copy is the same scenario, frozen.
-    assert scenario_to_dict(scn) == scenario_to_dict(bundled_scenario("eeg_mimic"))
 
 
 def test_eeg_mimic_blockwise_fit_beats_exchangeable_gee_precision() -> None:
