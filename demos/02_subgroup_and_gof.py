@@ -18,7 +18,6 @@ from dimm import (
     fit_blocks,
     integrate_fits,
     q_statistic,
-    stack_scores,
     weight_matrix,
 )
 
@@ -68,9 +67,9 @@ print(
 # under the hypothesis the statistic is chi-squared with J*p degrees of
 # freedom (no parameters estimated at the evaluation point here, so all
 # J*p moment coordinates count).
-weights = weight_matrix(stack_scores(fits))
+moments = weight_matrix(fits)
 for label, beta0 in (("truth", beta_true), ("off by 0.2", beta_true + 0.2)):
-    q = q_statistic(beta0, fits, weights)
+    q = q_statistic(beta0, moments)
     df = len(fits) * p
     p_val = 1.0 - chi2_cdf(q, df)
     print(f"hypothesis {label:12s}: Q = {q:9.3f} on {df} df, p = {p_val:.4f}")

@@ -37,7 +37,7 @@ from dimm.errors import (
     PartitionError,
     ScenarioError,
 )
-from dimm.integrate import integrate_fits, q_statistic, stack_scores, weight_matrix
+from dimm.integrate import integrate_fits, q_statistic, weight_matrix
 from dimm.io import (
     SCHEMA_VERSION,
     FitConfig,
@@ -250,14 +250,9 @@ def cmd_gof(args: argparse.Namespace) -> int:
     if config.blocks_to_integrate is not None:
         keep = set(config.blocks_to_integrate)
         fits = [f for f in fits if f.name in keep]
-    if len(fits) < 2:
-        msg = (
-            "goodness-of-fit evaluation needs at least 2 blocks "
-            "(single block has df = 0)"
-        )
-        raise IntegrationError(msg)
-    q_val = q_statistic(beta, fits, weight_matrix(stack_scores(fits)))
-    df = (len(fits) - 1) * beta.shape[0]
+    q_val = q_statistic(beta, weight_matrix(fits))
+    # beta is supplied, not estimated, so all J*p moment conditions count.
+    df = len(fits) * beta.shape[0]
     p_value = 1.0 - chi2_cdf(q_val, df)
     report = GofReport(
         schema_version=SCHEMA_VERSION,

@@ -1,50 +1,55 @@
 """Integration of block fits into one estimate with full inference.
 
-The block fits supply, per subject, a stacked score vector ``psi_i =
-(psi_i1', ..., psi_iJ')'`` (each block's beta-score evaluated at that
-block's own estimate) together with block sensitivities ``S_j``. The
-integration step weights the stacked mean score by the inverse of
+The flow is summary -> combine -> jackknife. :func:`weight_matrix`
+builds the moment summary, a :class:`Moments` record, once: the stacked
+per-subject scores ``psi_i = (psi_i1', ..., psi_iJ')'`` (each block's
+beta-score at its own estimate), the stacked per-subject sensitivities
+``H_i``, the stacked block sensitivities ``S_j``, and the weight matrix
 
     V_hat = (1/N) sum_i psi_i psi_i'          (uncentered outer products)
 
-and combines the block estimates in closed form:
+with its inverse. Every later step reads the record and stacks nothing.
+:func:`one_step_estimator` forms the bread ``sum_jk S_j W_jk S_k``
+once, ``W_jk`` being the (j, k) p x p slice of ``V_hat^(-1)``, and
+combines the block estimates in closed form:
 
-    beta_combined = (sum_jk S_j W_jk S_k)^(-1) sum_jk S_j W_jk S_k beta_k
+    beta_combined = (sum_jk S_j W_jk S_k)^(-1) sum_jk S_j W_jk S_k beta_k.
 
-where ``W_jk`` is the (j, k) p x p slice of ``V_hat^(-1)``. Its
-asymptotic covariance is ``(N sum_jk S_j W_jk S_k)^(-1)``. That formula
-treats ``V_hat`` as known; when N is not large against J*p the noise of
-the weight matrix is left out and intervals built on it undercover. The
-reported covariance is therefore the delete-one-subject jackknife of
-the whole combination: each subject is dropped in turn, ``V_hat`` is
+:func:`dimm_covariance` inverts the same bread into the asymptotic
+covariance ``(N sum_jk S_j W_jk S_k)^(-1)``. That formula treats
+``V_hat`` as known; when N is not large against J*p the noise of the
+weight matrix is left out and intervals built on it undercover. The
+reported covariance is therefore the delete-one-subject jackknife of the
+whole combination: each subject is dropped in turn, ``V_hat`` is
 downdated by rank one, the block estimates and sensitivities are moved
-exactly, and the estimates are recombined. The analytic matrix is kept
-alongside it.
+exactly, and the estimates are recombined. The combination is
+affine-equivariant, so the jackknife runs on the deviations
+``beta_hat_j - beta_combined`` and gets ``b_(-i) - beta_combined``
+directly, without differencing estimates of the size of beta.
 
 Everything here rests on the Gaussian identity link, under which each
 block's score is affine in beta:
 
-    psi_ij(beta) = psi_ij(beta_hat_j) - H_ij (beta - beta_hat_j),
+    psi_ij(beta) = psi_ij(beta_hat_j) - H_ij (beta - beta_hat_j).
 
-with ``H_ij`` the per-subject sensitivities stored on the fit. So the
-jackknife needs no refit at the fitted working parameters, and the
-quadratic form ``Q_N(beta) = N g(beta)' V_hat^(-1) g(beta)`` needs no
-second pass over the data: block j's mean score is ``g_j(beta) = mean_i
-psi_ij(beta_hat_j) - S_j (beta - beta_hat_j)`` exactly. ``Q_N`` doubles
-as an over-identification statistic: with J blocks it is asymptotically
-chi-square with (J - 1) p degrees of freedom at the combined estimate.
+So the jackknife needs no refit at the fitted working parameters, and
+the quadratic form ``Q_N(beta) = N g(beta)' V_hat^(-1) g(beta)`` needs
+no second pass over the data: block j's mean score is ``g_j(beta) =
+mean_i psi_ij(beta_hat_j) - S_j (beta - beta_hat_j)`` exactly. ``Q_N``
+doubles as an over-identification statistic: with J blocks it is
+asymptotically chi-square with (J - 1) p degrees of freedom at the
+combined estimate, and with J p at a supplied beta.
 
-Every symmetric positive definite system here (``V_hat``, the bread
-``sum_jk S_j W_jk S_k``) is solved by :func:`dimm._util.spd_solve`: a
-Cholesky factor, whose failure is the positive-definiteness test, and
-its inverse applied twice.
+Every symmetric positive definite system here (``V_hat``, the bread) is
+solved by :func:`dimm._util.spd_solve`: a Cholesky factor, whose failure
+is the positive-definiteness test, and its inverse applied twice.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,18 +65,13 @@ if TYPE_CHECKING:
 __all__ = [
     "CoefficientTest",
     "IntegratedFit",
-    "StackedScores",
-    "WeightMatrix",
-    "cef_log_density",
+    "Moments",
     "dimm_covariance",
     "gof_test",
     "integrate_fits",
     "jackknife_covariance",
     "one_step_estimator",
-    "q_from_mean_scores",
     "q_statistic",
-    "stack_scores",
-    "wald_tests",
     "weight_matrix",
 ]
 
@@ -84,8 +84,8 @@ _RIDGE_STOP = 1e-2
 _LOO_SLACK_FLOOR = 1e-8
 
 
-def _check_fits(fits: Sequence[BlockFit]) -> tuple[int, int]:
-    """Common-shape validation; returns (n_subjects, p)."""
+def _check_fits(fits: Sequence[BlockFit]) -> None:
+    """Common-shape validation: one N and one p, distinct block names."""
     if not fits:
         msg = "need at least one block fit"
         raise IntegrationError(msg)
@@ -105,85 +105,79 @@ def _check_fits(fits: Sequence[BlockFit]) -> tuple[int, int]:
     if len(set(names)) != len(names):
         msg = f"duplicate block names in fits: {names}"
         raise IntegrationError(msg)
-    return n, p
 
 
 @dataclass(frozen=True, eq=False)
-class StackedScores:
-    """Subject-level stacked scores across blocks.
+class Moments:
+    """Moment summary of J block fits on N subjects; built by :func:`weight_matrix`.
 
-    ``matrix`` has shape (N, J*p); columns ``j*p .. (j+1)*p - 1`` hold
-    block j's per-subject scores, in fit order.
+    Blocks keep fit order: block j occupies entries ``j*p .. (j+1)*p - 1``
+    along every stacked axis of length J*p. The arrays are read-only.
+
+    Attributes
+    ----------
+    block_names : tuple of str
+        Names of the blocks, in order.
+    psi : ndarray, shape (N, J*p)
+        Per-subject stacked scores, each block's at its own estimate.
+    h : ndarray, shape (N, J*p, p)
+        Per-subject stacked sensitivities ``H_i``.
+    s : ndarray, shape (J*p, p)
+        Stacked block sensitivities ``S_j``.
+    sb : ndarray, shape (J*p,)
+        Stacked ``S_j beta_hat_j``.
+    mean_scores : ndarray, shape (J*p,)
+        Column means of ``psi``.
+    beta_hats : ndarray, shape (J, p)
+        Block estimates.
+    v_hat : ndarray, shape (J*p, J*p)
+        ``V_hat = (1/N) sum_i psi_i psi_i'``.
+    v_inv : ndarray, shape (J*p, J*p)
+        Inverse of ``V_hat + ridge_used * I``.
+    ridge_used : float
+        0.0 when the plain Cholesky inversion succeeded, otherwise the
+        diagonal loading that was added to make it succeed.
     """
 
-    matrix: np.ndarray
     block_names: tuple[str, ...]
-    n_params: int
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.float64, copy=True)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "block_names", tuple(self.block_names))
-
-    @property
-    def n_subjects(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_names)
-
-
-def stack_scores(fits: Sequence[BlockFit]) -> StackedScores:
-    """Column-concatenate the per-subject block scores, in fit order."""
-    _, p = _check_fits(fits)
-    matrix = np.hstack([f.subject_scores for f in fits])
-    return StackedScores(
-        matrix=matrix, block_names=tuple(f.name for f in fits), n_params=p
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class WeightMatrix:
-    """Empirical second-moment matrix of the stacked scores and its inverse.
-
-    ``ridge_used`` is 0.0 when the plain Cholesky inversion succeeded,
-    otherwise the diagonal loading that was added to make it succeed.
-    """
-
+    psi: np.ndarray
+    h: np.ndarray
+    s: np.ndarray
+    sb: np.ndarray
+    mean_scores: np.ndarray
+    beta_hats: np.ndarray
     v_hat: np.ndarray
     v_inv: np.ndarray
     ridge_used: float
 
     def __post_init__(self) -> None:
-        v = np.array(self.v_hat, dtype=np.float64, copy=True)
-        w = np.array(self.v_inv, dtype=np.float64, copy=True)
-        v.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "v_hat", v)
-        object.__setattr__(self, "v_inv", w)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
-    def dim(self) -> int:
-        return self.v_hat.shape[0]
+    def n_subjects(self) -> int:
+        return self.psi.shape[0]
 
 
-def weight_matrix(scores: StackedScores) -> WeightMatrix:
-    """Build V_hat = (1/N) sum_i psi_i psi_i' and invert it.
+def weight_matrix(fits: Sequence[BlockFit]) -> Moments:
+    """Stack the block fits and build the weight matrix, once.
 
-    The average is uncentered by construction: at the block optima the
-    mean scores are already ~0, so centering would only blur the
-    estimand. Inversion is by Cholesky (:func:`dimm._util.spd_solve`);
-    if the factorization fails, a diagonal ridge is escalated tenfold
-    from 1e-8*trace/dim up to 1e-2*trace/dim before giving up.
+    ``V_hat = (1/N) sum_i psi_i psi_i'`` is uncentered by construction:
+    at the block optima the mean scores are already ~0, so centering
+    would only blur the estimand. Inversion is by Cholesky
+    (:func:`dimm._util.spd_solve`); if the factorization fails, a
+    diagonal ridge is escalated tenfold from 1e-8*trace/dim up to
+    1e-2*trace/dim before giving up.
 
     Raises
     ------
     IntegrationError
-        If even the largest ridge leaves the matrix non-invertible.
+        If the fits do not share N and p or repeat a block name, or if
+        even the largest ridge leaves the matrix non-invertible.
     """
-    psi = scores.matrix
+    _check_fits(fits)
+    psi = np.hstack([f.subject_scores for f in fits])
     n, dim = psi.shape
     if n <= dim:
         warnings.warn(
@@ -212,54 +206,49 @@ def weight_matrix(scores: StackedScores) -> WeightMatrix:
                 raise IntegrationError(msg) from None
             continue
         break
-    v_inv = (v_inv + v_inv.T) / 2.0
-    return WeightMatrix(v_hat=v_hat, v_inv=v_inv, ridge_used=lam)
+    return Moments(
+        block_names=tuple(f.name for f in fits),
+        psi=psi,
+        h=np.concatenate([f.subject_sensitivities for f in fits], axis=1),
+        s=np.vstack([f.sensitivity for f in fits]),
+        sb=np.concatenate([f.sensitivity @ f.beta_hat for f in fits]),
+        # Each block's own column mean: psi.mean(axis=0) sums a one-column
+        # block in another order, which moves Q_N in the last bit.
+        mean_scores=np.concatenate([f.subject_scores.mean(axis=0) for f in fits]),
+        beta_hats=np.array([f.beta_hat for f in fits]),
+        v_hat=v_hat,
+        v_inv=(v_inv + v_inv.T) / 2.0,
+        ridge_used=lam,
+    )
 
 
-def _bread_and_target(
-    fits: Sequence[BlockFit], weights: WeightMatrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compute (sum_jk S_j W_jk S_k, sum_jk S_j W_jk S_k beta_k)."""
-    n, p = _check_fits(fits)
-    dim = len(fits) * p
-    if weights.dim != dim:
-        msg = f"weight matrix dimension {weights.dim} != J*p = {dim}"
-        raise IntegrationError(msg)
-    stacked_s = np.vstack([f.sensitivity for f in fits])  # (J*p, p)
-    stacked_sb = np.concatenate([f.sensitivity @ f.beta_hat for f in fits])  # (J*p,)
-    half = stacked_s.T @ weights.v_inv
-    bread = half @ stacked_s
-    bread = (bread + bread.T) / 2.0
-    target = half @ stacked_sb
-    return bread, target
+def one_step_estimator(m: Moments) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form combination of the block estimates, and its bread.
 
-
-def one_step_estimator(fits: Sequence[BlockFit], weights: WeightMatrix) -> np.ndarray:
-    """Closed-form combination of the block estimates.
-
-    Returns the p-vector ``(sum_jk S_j W_jk S_k)^(-1) sum_jk S_j W_jk S_k
-    beta_hat_k``. With a single block this collapses to that block's
-    estimate exactly (up to solve roundoff).
+    Returns ``(beta, bread)`` with ``bread = sum_jk S_j W_jk S_k`` and
+    ``beta = bread^(-1) sum_jk S_j W_jk S_k beta_hat_k``. With a single
+    block ``beta`` collapses to that block's estimate exactly (up to
+    solve roundoff).
 
     Raises
     ------
     IntegrationError
         If the bread matrix is not positive definite.
     """
-    bread, target = _bread_and_target(fits, weights)
+    half = m.s.T @ m.v_inv
+    bread = half @ m.s
+    bread = (bread + bread.T) / 2.0
     try:
-        return spd_solve(bread, target)
+        return spd_solve(bread, half @ m.sb), bread
     except np.linalg.LinAlgError:
         msg = "bread matrix sum_jk S_j W_jk S_k is not positive definite"
         raise IntegrationError(msg) from None
 
 
-def dimm_covariance(fits: Sequence[BlockFit], weights: WeightMatrix) -> np.ndarray:
+def dimm_covariance(bread: np.ndarray, n_subjects: int) -> np.ndarray:
     """Asymptotic covariance of the combined estimate: (N * bread)^(-1)."""
-    n, _ = _check_fits(fits)
-    bread, _ = _bread_and_target(fits, weights)
     try:
-        cov = spd_solve(bread, np.eye(bread.shape[0])) / n
+        cov = spd_solve(bread, np.eye(bread.shape[0])) / n_subjects
     except np.linalg.LinAlgError:
         msg = "bread matrix sum_jk S_j W_jk S_k is not positive definite"
         raise IntegrationError(msg) from None
@@ -272,8 +261,8 @@ def dimm_covariance(fits: Sequence[BlockFit], weights: WeightMatrix) -> np.ndarr
     return cov
 
 
-def jackknife_covariance(fits: Sequence[BlockFit], weights: WeightMatrix) -> np.ndarray:
-    """Delete-one-subject jackknife covariance of the combined estimate.
+def jackknife_covariance(m: Moments, beta: np.ndarray) -> np.ndarray:
+    """Delete-one-subject jackknife covariance of the combined estimate ``beta``.
 
     For each subject i the combination is recomputed without it:
 
@@ -287,8 +276,11 @@ def jackknife_covariance(fits: Sequence[BlockFit], weights: WeightMatrix) -> np.
       affine in beta: ``S_j(-i) beta_j(-i) = S_j(-i) beta_j +
       (sum_k psi_kj - psi_ij) / (N - 1)``.
 
-    The result is ``(N - 1)/N sum_i (b_(-i) - b_bar)(b_(-i) - b_bar)'``.
-    All N recombinations run as one batch over (N, J*p, p) arrays.
+    The block estimates enter as ``beta_hat_j - beta``, so each solve
+    gives ``d_i = b_(-i) - beta`` directly (the combination is
+    affine-equivariant), and the result is ``(N - 1)/N sum_i (d_i -
+    d_bar)(d_i - d_bar)'``. All N recombinations run as one batch over
+    (N, J*p, p) arrays.
 
     Raises
     ------
@@ -297,22 +289,18 @@ def jackknife_covariance(fits: Sequence[BlockFit], weights: WeightMatrix) -> np.
         near 0, possible only without a ridge) or a leave-one-out bread
         matrix cannot be solved.
     """
-    n, p = _check_fits(fits)
-    dim = len(fits) * p
-    if weights.dim != dim:
-        msg = f"weight matrix dimension {weights.dim} != J*p = {dim}"
-        raise IntegrationError(msg)
-    psi = np.hstack([f.subject_scores for f in fits])  # (N, J*p)
-    h_subj = np.concatenate([f.subject_sensitivities for f in fits], axis=1)  # (N, J*p, p)
-    stacked_s = np.vstack([f.sensitivity for f in fits])
-    stacked_sb = np.concatenate([f.sensitivity @ f.beta_hat for f in fits])
-    h_beta = np.concatenate([f.subject_sensitivities @ f.beta_hat for f in fits], axis=1)
-    # Both sides scaled by N - 1, which cancels in the combination.
-    s_loo = n * stacked_s - h_subj
-    t_loo = n * stacked_sb + psi.sum(axis=0) - h_beta - psi
+    n = m.n_subjects
+    n_blocks, p = m.beta_hats.shape
+    shift = m.beta_hats - beta
+    # r_k = psi_k + H_k (beta_hat - beta), so that sum_{k != i} r_k is the
+    # leave-one-out target S(-i) (beta_hat - beta) + sum_{k != i} psi_k.
+    # Both sides are scaled by N - 1, which cancels in the combination.
+    r = m.psi + np.einsum("njab,jb->nja", m.h.reshape(n, n_blocks, p, p), shift).reshape(n, -1)
+    s_loo = n * m.s - m.h
+    t_loo = r.sum(axis=0) - r
 
-    u = psi @ weights.v_inv
-    slack = n - np.einsum("na,na->n", u, psi)
+    u = m.psi @ m.v_inv
+    slack = n - np.einsum("na,na->n", u, m.psi)
     if np.any(slack <= _LOO_SLACK_FLOOR * n):
         worst = int(np.argmin(slack))
         msg = (
@@ -320,18 +308,18 @@ def jackknife_covariance(fits: Sequence[BlockFit], weights: WeightMatrix) -> np.
             f"(N - h_i = {slack[worst]:.3g}); the jackknife is unavailable"
         )
         raise IntegrationError(msg)
-    ws = weights.v_inv @ s_loo
+    ws = m.v_inv @ s_loo
     su = np.einsum("nap,na->np", s_loo, u)
     bread = np.swapaxes(s_loo, 1, 2) @ ws + su[:, :, None] * su[:, None, :] / slack[:, None, None]
     target = np.einsum("nap,na->np", ws, t_loo) + su * (
         np.einsum("na,na->n", u, t_loo) / slack
     )[:, None]
     try:
-        b_loo = np.linalg.solve(bread, target[:, :, None])[:, :, 0]
+        d_loo = np.linalg.solve(bread, target[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         msg = "a leave-one-out bread matrix is singular; the jackknife is unavailable"
         raise IntegrationError(msg) from None
-    dev = b_loo - b_loo.mean(axis=0)
+    dev = d_loo - d_loo.mean(axis=0)
     cov = (n - 1) / n * (dev.T @ dev)
     cov = (cov + cov.T) / 2.0
     try:
@@ -342,22 +330,7 @@ def jackknife_covariance(fits: Sequence[BlockFit], weights: WeightMatrix) -> np.
     return cov
 
 
-def q_from_mean_scores(
-    mean_scores: np.ndarray, weights: WeightMatrix, n_subjects: int
-) -> float:
-    """Quadratic form N * Psi' V_hat^(-1) Psi for a stacked mean score."""
-    psi = np.asarray(mean_scores, dtype=np.float64).reshape(-1)
-    if psi.shape[0] != weights.dim:
-        msg = f"mean score length {psi.shape[0]} != weight dimension {weights.dim}"
-        raise IntegrationError(msg)
-    return float(n_subjects * psi @ weights.v_inv @ psi)
-
-
-def q_statistic(
-    beta: np.ndarray,
-    fits: Sequence[BlockFit],
-    weights: WeightMatrix,
-) -> float:
+def q_statistic(beta: np.ndarray, m: Moments) -> float:
     """Q_N(beta): every block's mean score moved to a common beta.
 
     Each block's mean score at ``beta``, with the working parameters held
@@ -366,27 +339,14 @@ def q_statistic(
     mean scores are stacked, and the quadratic form against
     ``V_hat^(-1)`` is scaled by N.
     """
-    n, p = _check_fits(fits)
+    n_blocks, p = m.beta_hats.shape
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)
     if beta.shape != (p,):
         msg = f"beta has length {beta.shape[0]}, expected p={p}"
         raise IntegrationError(msg)
-    parts = [
-        f.subject_scores.mean(axis=0) - f.sensitivity @ (beta - f.beta_hat) for f in fits
-    ]
-    return q_from_mean_scores(np.concatenate(parts), weights, n)
-
-
-def cef_log_density(
-    beta: np.ndarray,
-    fits: Sequence[BlockFit],
-    weights: WeightMatrix,
-) -> float:
-    """Log of the combined estimating-function density, up to a constant.
-
-    Equals ``-Q_N(beta) / 2``; the combined estimate is its mode.
-    """
-    return -0.5 * q_statistic(beta, fits, weights)
+    moved = [s_j @ (beta - b_j) for s_j, b_j in zip(m.s.reshape(n_blocks, p, p), m.beta_hats)]
+    g = m.mean_scores - np.concatenate(moved)
+    return float(m.n_subjects * g @ m.v_inv @ g)
 
 
 def gof_test(q_stat: float, n_blocks: int, n_params: int) -> tuple[int, float]:
@@ -524,15 +484,6 @@ class IntegratedFit:
         return len(self.block_names)
 
 
-def wald_tests(fit: IntegratedFit) -> tuple[CoefficientTest, ...]:
-    """Per-coefficient Wald tests of H0: beta_q = 0 for an integrated fit.
-
-    Recomputes from the stored estimate and covariance; the result is
-    identical to ``fit.wald``.
-    """
-    return _wald_from(fit.beta_dimm, fit.covariance)
-
-
 def integrate_fits(
     fits: Sequence[BlockFit],
     *,
@@ -570,15 +521,13 @@ def integrate_fits(
         keep = [i for i, name in enumerate(names) if name in set(wanted)]
         fits = [fits[i] for i in keep]
 
-    n, p = _check_fits(fits)
-    scores = stack_scores(fits)
-    weights = weight_matrix(scores)
-    beta = one_step_estimator(fits, weights)
-    cov_asymptotic = dimm_covariance(fits, weights)
-    cov = jackknife_covariance(fits, weights)
-    q_val = q_statistic(beta, fits, weights)
+    m = weight_matrix(fits)
+    beta, bread = one_step_estimator(m)
+    cov_asymptotic = dimm_covariance(bread, m.n_subjects)
+    cov = jackknife_covariance(m, beta)
+    q_val = q_statistic(beta, m)
     if len(fits) > 1:
-        gof_df, gof_p = gof_test(q_val, len(fits), p)
+        gof_df, gof_p = gof_test(q_val, len(fits), beta.shape[0])
     else:
         gof_df, gof_p = 0, None
     return IntegratedFit(
@@ -589,7 +538,7 @@ def integrate_fits(
         gof_df=gof_df,
         gof_pvalue=gof_p,
         wald=_wald_from(beta, cov),
-        block_names=tuple(f.name for f in fits),
-        n_subjects=n,
-        ridge_used=weights.ridge_used,
+        block_names=m.block_names,
+        n_subjects=m.n_subjects,
+        ridge_used=m.ridge_used,
     )

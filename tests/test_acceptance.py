@@ -18,7 +18,7 @@ import pytest
 import scipy.optimize
 
 from dimm.baselines import gee_fit, gls_oracle
-from dimm.integrate import integrate_fits, q_from_mean_scores, stack_scores, weight_matrix
+from dimm.integrate import integrate_fits, weight_matrix
 from dimm.model import BlockPartition, Dependence, PanelDataset, partition_dataset
 from dimm.pairwise import block_logcl, block_score_beta, fit_blocks
 from dimm.simulate import bundled_scenario, report_fingerprint, run_scenario
@@ -115,7 +115,7 @@ def _one_gap(rng: np.random.Generator, n: int) -> float:
     blocks = partition_dataset(data, part)
     fits = fit_blocks(data, part)
     combined = integrate_fits(fits)
-    weights = weight_matrix(stack_scores(fits))
+    v_inv = weight_matrix(fits).v_inv
 
     def data_pass_q(b: np.ndarray) -> float:
         # Q_N(b) from a second pass over the block data, independent of
@@ -124,7 +124,8 @@ def _one_gap(rng: np.random.Generator, n: int) -> float:
             block_score_beta(b, f.gamma_hat, block).mean(axis=0)
             for f, block in zip(fits, blocks)
         ]
-        return q_from_mean_scores(np.concatenate(parts), weights, n)
+        g = np.concatenate(parts)
+        return float(n * g @ v_inv @ g)
 
     rows = x.reshape(-1, p)
     ols, *_ = np.linalg.lstsq(rows, y.reshape(-1), rcond=None)

@@ -4,14 +4,15 @@ Independent oracles: scipy's Cholesky solve for the SPD routine and the
 ridge ladder, explicit per-subject outer-product loops for the
 weight matrix, ``np.linalg.inv`` compositions for the estimator and its
 covariance, a brute-force leave-one-out loop for the jackknife,
-``math.erfc`` for the Wald p-values, and closed forms on hand-built
-inputs for the quadratic form.
+``math.erfc`` for the Wald p-values, and a second pass over the block
+data for the quadratic form.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,17 +21,12 @@ from dimm._util import spd_solve
 from dimm.errors import IntegrationError
 from dimm.integrate import (
     IntegratedFit,
-    WeightMatrix,
-    cef_log_density,
     dimm_covariance,
     gof_test,
     integrate_fits,
     jackknife_covariance,
     one_step_estimator,
-    q_from_mean_scores,
     q_statistic,
-    stack_scores,
-    wald_tests,
     weight_matrix,
 )
 from dimm.model import BlockPartition, Dependence, PanelDataset, partition_dataset
@@ -62,6 +58,19 @@ def fitted():
     return data, part, blocks, fits
 
 
+def _subjects(fits, rows: slice) -> list[BlockFit]:
+    """The fits cut to a slice of subjects, with the sensitivity re-averaged."""
+    return [
+        replace(
+            f,
+            subject_scores=f.subject_scores[rows],
+            sensitivity=f.subject_sensitivities[rows].mean(axis=0),
+            subject_sensitivities=f.subject_sensitivities[rows],
+        )
+        for f in fits
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Score stacking and the weight matrix
 # ---------------------------------------------------------------------------
@@ -69,51 +78,48 @@ def fitted():
 
 def test_stack_scores_layout(fitted) -> None:
     _, _, _, fits = fitted
-    stacked = stack_scores(fits)
+    m = weight_matrix(fits)
     n = fits[0].n_subjects
     p = fits[0].n_params
-    assert stacked.matrix.shape == (n, 3 * p)
-    assert stacked.block_names == ("a", "b", "c")
-    assert stacked.n_params == p
+    assert m.psi.shape == (n, 3 * p)
+    assert m.h.shape == (n, 3 * p, p)
+    assert m.block_names == ("a", "b", "c")
+    assert m.n_subjects == n
     for j, fit in enumerate(fits):
-        np.testing.assert_array_equal(
-            stacked.matrix[:, j * p : (j + 1) * p], fit.subject_scores
-        )
+        rows = slice(j * p, (j + 1) * p)
+        np.testing.assert_array_equal(m.psi[:, rows], fit.subject_scores)
+        np.testing.assert_array_equal(m.h[:, rows], fit.subject_sensitivities)
+        np.testing.assert_array_equal(m.s[rows], fit.sensitivity)
+        np.testing.assert_array_equal(m.sb[rows], fit.sensitivity @ fit.beta_hat)
+        np.testing.assert_array_equal(m.beta_hats[j], fit.beta_hat)
+    np.testing.assert_allclose(
+        m.mean_scores, sum(m.psi) / n, rtol=0.0, atol=1e-14 * np.abs(m.psi).max()
+    )
+    assert not (m.psi.flags.writeable or m.v_inv.flags.writeable)
 
 
 def test_weight_matrix_matches_outer_product_loop(fitted) -> None:
     _, _, _, fits = fitted
-    stacked = stack_scores(fits)
-    weights = weight_matrix(stacked)
-    n, d = stacked.matrix.shape
+    m = weight_matrix(fits)
+    n, d = m.psi.shape
     acc = np.zeros((d, d))
     for i in range(n):
-        psi = stacked.matrix[i]
+        psi = m.psi[i]
         acc += np.outer(psi, psi)  # uncentered second moment
     want = acc / n
-    np.testing.assert_allclose(weights.v_hat, want, rtol=1e-12, atol=1e-14)
-    assert weights.ridge_used == 0.0
-    np.testing.assert_allclose(
-        weights.v_inv @ weights.v_hat, np.eye(d), rtol=0.0, atol=1e-8
-    )
-    np.testing.assert_allclose(weights.v_hat, weights.v_hat.T, rtol=0.0, atol=0.0)
+    np.testing.assert_allclose(m.v_hat, want, rtol=1e-12, atol=1e-14)
+    assert m.ridge_used == 0.0
+    np.testing.assert_allclose(m.v_inv @ m.v_hat, np.eye(d), rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(m.v_hat, m.v_hat.T, rtol=0.0, atol=0.0)
 
 
 def test_weight_matrix_ridge_on_degenerate_scores(fitted) -> None:
     _, _, _, fits = fitted
-    # Duplicate block names are rejected upstream, so fabricate a
-    # singular stacked-score container directly: two identical copies of
-    # one block's scores give an exactly rank-deficient second moment.
-    from dimm.integrate import StackedScores
-
-    stacked = StackedScores(
-        matrix=np.hstack([fits[0].subject_scores, fits[0].subject_scores]),
-        block_names=("a", "a2"),
-        n_params=fits[0].n_params,
-    )
-    weights = weight_matrix(stacked)
-    assert weights.ridge_used > 0.0
-    np.linalg.cholesky(weights.v_hat + weights.ridge_used * np.eye(weights.dim))
+    # Two blocks with identical scores give an exactly rank-deficient
+    # second moment.
+    m = weight_matrix([fits[0], replace(fits[0], name="a2")])
+    assert m.ridge_used > 0.0
+    np.linalg.cholesky(m.v_hat + m.ridge_used * np.eye(m.v_hat.shape[0]))
 
 
 def test_spd_solve_matches_scipy_cho_solve() -> None:
@@ -141,71 +147,49 @@ def test_spd_solve_matches_scipy_cho_solve() -> None:
 def test_weight_matrix_ridge_matches_a_scipy_cholesky_ladder(fitted) -> None:
     from scipy import linalg as sla
 
-    from dimm.integrate import StackedScores
-
     _, _, _, fits = fitted
-    stacked = StackedScores(
-        matrix=np.hstack([fits[1].subject_scores, fits[1].subject_scores]),
-        block_names=("b", "b2"),
-        n_params=fits[1].n_params,
-    )
-    weights = weight_matrix(stacked)
-    scale = float(np.trace(weights.v_hat)) / weights.dim
+    m = weight_matrix([fits[1], replace(fits[1], name="b2")])
+    dim = m.v_hat.shape[0]
+    scale = float(np.trace(m.v_hat)) / dim
     lam = 0.0
     while True:
         try:
-            sla.cho_factor(weights.v_hat + lam * np.eye(weights.dim), lower=True)
+            sla.cho_factor(m.v_hat + lam * np.eye(dim), lower=True)
         except sla.LinAlgError:
             lam = 1e-8 * scale if lam == 0.0 else lam * 10.0
             continue
         break
     assert lam > 0.0
-    assert weights.ridge_used == lam
+    assert m.ridge_used == lam
 
 
 def test_non_pd_or_non_finite_bread_is_an_integration_error(fitted) -> None:
     _, _, _, fits = fitted
-    weights = weight_matrix(stack_scores(fits))
-    for v_inv in (-weights.v_inv, np.full_like(weights.v_inv, np.nan)):
-        bad = WeightMatrix(v_hat=weights.v_hat, v_inv=v_inv, ridge_used=0.0)
+    m = weight_matrix(fits)
+    _, bread = one_step_estimator(m)
+    for v_inv in (-m.v_inv, np.full_like(m.v_inv, np.nan)):
         with pytest.raises(IntegrationError, match="bread matrix"):
-            one_step_estimator(fits, bad)
+            one_step_estimator(replace(m, v_inv=v_inv))
+    for bad in (-bread, np.full_like(bread, np.nan)):
         with pytest.raises(IntegrationError, match="bread matrix"):
-            dimm_covariance(fits, bad)
+            dimm_covariance(bad, m.n_subjects)
 
 
 def test_weight_matrix_warns_when_sample_too_small(fitted) -> None:
     _, _, _, fits = fitted
-    from dimm.integrate import StackedScores
-
-    small = StackedScores(
-        matrix=np.vstack([f.subject_scores[:4] for f in fits[:1]]),
-        block_names=("a",),
-        n_params=fits[0].n_params,
-    )
-    # 4 subjects vs 2 score dimensions is fine; shrink to trigger.
-    tiny = StackedScores(
-        matrix=fits[0].subject_scores[:2],
-        block_names=("a",),
-        n_params=fits[0].n_params,
-    )
+    # 4 subjects vs 2 score dimensions is fine; shrink to 2 to trigger.
     with pytest.warns(UserWarning, match="subjects"):
-        weight_matrix(tiny)
+        weight_matrix(_subjects(fits[:1], slice(0, 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        weight_matrix(small)
+        weight_matrix(_subjects(fits[:1], slice(0, 4)))
 
 
 def test_stack_scores_rejects_mismatched_fits(fitted) -> None:
     _, _, _, fits = fitted
-    from dataclasses import replace as dc_replace
-
-    smaller = dc_replace(
-        fits[1],
-        subject_scores=fits[1].subject_scores[:-1],
-    )
+    smaller = replace(fits[1], subject_scores=fits[1].subject_scores[:-1])
     with pytest.raises(IntegrationError):
-        stack_scores([fits[0], smaller])
+        weight_matrix([fits[0], smaller])
 
 
 # ---------------------------------------------------------------------------
@@ -215,25 +199,26 @@ def test_stack_scores_rejects_mismatched_fits(fitted) -> None:
 
 def test_one_step_matches_explicit_inverse_composition(fitted) -> None:
     _, _, _, fits = fitted
-    weights = weight_matrix(stack_scores(fits))
-    got = one_step_estimator(fits, weights)
+    m = weight_matrix(fits)
+    got, got_bread = one_step_estimator(m)
 
     # Independent composition with plain inverses.
     s_stack = np.vstack([f.sensitivity for f in fits])
     target = np.concatenate([f.sensitivity @ f.beta_hat for f in fits])
-    v_inv = np.linalg.inv(weights.v_hat)
+    v_inv = np.linalg.inv(m.v_hat)
     bread = s_stack.T @ v_inv @ s_stack
     want = np.linalg.solve(bread, s_stack.T @ v_inv @ target)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(got_bread, bread, rtol=1e-10, atol=0.0)
 
 
 def test_dimm_covariance_matches_explicit_inverse(fitted) -> None:
     _, _, _, fits = fitted
-    weights = weight_matrix(stack_scores(fits))
-    got = dimm_covariance(fits, weights)
+    m = weight_matrix(fits)
     n = fits[0].n_subjects
+    got = dimm_covariance(one_step_estimator(m)[1], n)
     s_stack = np.vstack([f.sensitivity for f in fits])
-    bread = s_stack.T @ np.linalg.inv(weights.v_hat) @ s_stack
+    bread = s_stack.T @ np.linalg.inv(m.v_hat) @ s_stack
     want = np.linalg.inv(bread) / n
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
     np.linalg.cholesky(got)
@@ -268,87 +253,68 @@ def test_jackknife_covariance_matches_leave_one_out_loop(fitted) -> None:
         np.testing.assert_allclose(
             f.subject_sensitivities.mean(axis=0), f.sensitivity, rtol=1e-12, atol=1e-14
         )
-    weights = weight_matrix(stack_scores(fits))
-    assert weights.ridge_used == 0.0
-    got = jackknife_covariance(fits, weights)
+    m = weight_matrix(fits)
+    assert m.ridge_used == 0.0
+    beta, bread = one_step_estimator(m)
+    got = jackknife_covariance(m, beta)
     np.testing.assert_allclose(got, _leave_one_out_loop(fits), rtol=1e-10, atol=0.0)
     result = integrate_fits(fits)
     np.testing.assert_array_equal(result.covariance, got)
-    np.testing.assert_array_equal(result.covariance_asymptotic, dimm_covariance(fits, weights))
+    np.testing.assert_array_equal(
+        result.covariance_asymptotic, dimm_covariance(bread, m.n_subjects)
+    )
     np.testing.assert_array_equal(result.std_errors, np.sqrt(np.diag(got)))
+
+
+def test_jackknife_is_unmoved_by_a_common_shift_of_the_block_estimates(fitted) -> None:
+    # Shifting every block estimate by c shifts the combination and every
+    # leave-one-out combination by c, so no covariance may move. Forming
+    # the leave-one-out estimates themselves and differencing them would
+    # cancel digits in proportion to c.
+    _, _, _, fits = fitted
+    base = integrate_fits(fits)
+    shifted = integrate_fits([replace(f, beta_hat=f.beta_hat + 1e3) for f in fits])
+    np.testing.assert_allclose(shifted.beta_dimm, base.beta_dimm + 1e3, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(shifted.covariance, base.covariance, rtol=2e-12, atol=0.0)
+    np.testing.assert_array_equal(shifted.covariance_asymptotic, base.covariance_asymptotic)
 
 
 def test_jackknife_refuses_singular_leave_one_out_weight(fitted) -> None:
     _, _, _, fits = fitted
     # With N = J*p subjects and no ridge every leverage h_i equals N, so
     # dropping any subject leaves a singular weight matrix.
-    few = fits[0].n_subjects - 6
-    cut = [
-        BlockFit(
-            name=f.name,
-            structure=f.structure,
-            beta_hat=f.beta_hat,
-            gamma_hat=f.gamma_hat,
-            subject_scores=f.subject_scores[few:],
-            sensitivity=f.subject_sensitivities[few:].mean(axis=0),
-            subject_sensitivities=f.subject_sensitivities[few:],
-            logcl=f.logcl,
-            n_pairs=f.n_pairs,
-            trace=f.trace,
-        )
-        for f in fits
-    ]
+    cut = _subjects(fits, slice(fits[0].n_subjects - 6, None))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        weights = weight_matrix(stack_scores(cut))
-    assert weights.ridge_used == 0.0
+        m = weight_matrix(cut)
+    assert m.ridge_used == 0.0
     with pytest.raises(IntegrationError, match="singular"):
-        jackknife_covariance(cut, weights)
-
-
-def test_q_from_mean_scores_closed_form() -> None:
-    # With an identity weight the quadratic form is just N * ||g||^2.
-    weights = WeightMatrix(v_hat=np.eye(2), v_inv=np.eye(2), ridge_used=0.0)
-    g = np.array([0.3, -0.4])
-    got = q_from_mean_scores(g, weights, 100)
-    assert got == pytest.approx(100 * 0.25, rel=1e-14)
+        jackknife_covariance(m, one_step_estimator(m)[0])
 
 
 def test_q_statistic_second_pass_consistency(fitted) -> None:
     _, _, blocks, fits = fitted
-    weights = weight_matrix(stack_scores(fits))
-    beta = one_step_estimator(fits, weights)
-    q_here = q_statistic(beta, fits, weights)
+    m = weight_matrix(fits)
+    beta, _ = one_step_estimator(m)
+    q_here = q_statistic(beta, m)
     assert q_here >= 0.0
-    # Far from the optimum the quadratic form must blow up.
-    q_far = q_statistic(beta + 5.0, fits, weights)
+    # The combined estimate minimizes the quadratic form ...
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(31)))
+    for _ in range(5):
+        assert q_statistic(beta + rng.standard_normal(beta.size), m) >= q_here
+    # ... and far from it the quadratic form must blow up.
+    q_far = q_statistic(beta + 5.0, m)
     assert q_far > 10.0 * max(q_here, 1.0)
     # Q from the stored fits equals a second pass over the block data:
     # every block's beta-score re-evaluated at a common beta.
+    n = fits[0].n_subjects
+    v_inv = np.linalg.inv(m.v_hat)
     for b in (beta, beta + 5.0, np.array([-2.0, 3.0])):
-        parts = [
-            block_score_beta(b, f.gamma_hat, block).mean(axis=0)
-            for f, block in zip(fits, blocks)
-        ]
-        data_pass = q_from_mean_scores(np.concatenate(parts), weights, fits[0].n_subjects)
-        assert q_statistic(b, fits, weights) == pytest.approx(data_pass, rel=1e-10, abs=1e-12)
-
-
-def test_cef_log_density_is_half_negative_q(fitted) -> None:
-    _, _, _, fits = fitted
-    weights = weight_matrix(stack_scores(fits))
-    beta_star = one_step_estimator(fits, weights)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(31)))
-    for _ in range(5):
-        beta = beta_star + rng.standard_normal(beta_star.size)
-        q = q_statistic(beta, fits, weights)
-        assert cef_log_density(beta, fits, weights) == pytest.approx(
-            -0.5 * q, rel=1e-12
+        g = np.concatenate(
+            [block_score_beta(b, f.gamma_hat, block).mean(axis=0) for f, block in zip(fits, blocks)]
         )
-        # The combined estimate is the mode of the log-density.
-        assert cef_log_density(beta, fits, weights) <= cef_log_density(
-            beta_star, fits, weights
-        )
+        data_pass = n * g @ v_inv @ g
+        assert q_statistic(b, m) == pytest.approx(data_pass, rel=1e-10, abs=1e-12)
 
 
 def test_gof_test_properties() -> None:
@@ -391,9 +357,7 @@ def test_integrate_fits_full_pipeline(fitted) -> None:
 def test_wald_tests_consistent_with_reported_covariance(fitted) -> None:
     _, _, _, fits = fitted
     result = integrate_fits(fits)
-    tests = wald_tests(result)
-    assert tests == result.wald
-    for q, test in enumerate(tests):
+    for q, test in enumerate(result.wald):
         se = math.sqrt(result.covariance[q, q])
         assert test.estimate == pytest.approx(result.beta_dimm[q], rel=1e-15)
         assert test.std_error == pytest.approx(se, rel=1e-12)
@@ -444,6 +408,5 @@ def test_integrate_subset_validation(fitted) -> None:
 
 def test_q_statistic_validates_beta_length(fitted) -> None:
     _, _, _, fits = fitted
-    weights = weight_matrix(stack_scores(fits))
     with pytest.raises(IntegrationError, match="length"):
-        q_statistic(np.array([1.0, 2.0, 3.0]), fits, weights)
+        q_statistic(np.array([1.0, 2.0, 3.0]), weight_matrix(fits))

@@ -376,7 +376,8 @@ def test_cli_gof_command(panel_files) -> None:
     _, _, _, _, cfg, _ = panel_files
     result = _run_cli("gof", "--config", str(cfg), "--beta", "1.0,-0.5")
     assert result.returncode == 0, result.stderr
-    assert "df = 2" in result.stdout
+    # beta is supplied, not estimated: J*p = 2*2 degrees of freedom.
+    assert "df = 4" in result.stdout
     bad = _run_cli("gof", "--config", str(cfg), "--beta", "1.0,abc")
     assert bad.returncode == 2
     short = _run_cli("gof", "--config", str(cfg), "--beta", "1.0")
@@ -395,7 +396,20 @@ def test_cli_gof_report_carries_the_io_schema_version(panel_files, tmp_path: Pat
     assert result.returncode == 0, result.stderr
     report = json.loads(out.read_text())
     assert report["schema_version"] == dimm.io.SCHEMA_VERSION
+    assert report["df"] == 4
+
+
+def test_cli_gof_on_a_single_block_has_p_degrees_of_freedom(panel_files, tmp_path: Path) -> None:
+    _, _, _, _, _, raw = panel_files
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps(dict(raw, blocks=[{"name": "all", "size": 5, "structure": "ar1"}])))
+    out = tmp_path / "gof_one.json"
+    result = _run_cli("gof", "--config", str(cfg), "--beta", "1.0,-0.5", "--output", str(out))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(out.read_text())
     assert report["df"] == 2
+    assert report["block_names"] == ["all"]
+    assert 0.0 <= report["p_value"] <= 1.0
 
 
 @pytest.mark.parametrize(
