@@ -30,28 +30,6 @@ beta_true = np.array([1.2, -0.4])
 y = np.einsum("nmp,p->nm", x, beta_true) + rng.standard_normal((n, m))
 data = PanelDataset(responses=y, covariates=x)
 
-workdir = Path(tempfile.mkdtemp(prefix="dimm_demo_"))
-save_panel(
-    data,
-    workdir / "responses.csv",
-    workdir / "covariates.csv",
-    covariate_names=["age", "dose"],
-)
-
-config = {
-    "schema_version": 1,
-    "response_path": str(workdir / "responses.csv"),
-    "covariate_path": str(workdir / "covariates.csv"),
-    "intercept": False,
-    "blocks": [
-        {"name": "early", "size": 3, "structure": "ar1"},
-        {"name": "late", "size": 3, "structure": "cs"},
-    ],
-    "output_path": str(workdir / "report.json"),
-}
-(workdir / "fit.json").write_text(json.dumps(config, indent=2))
-print(f"wrote panel + config under {workdir}")
-
 # --- drive the CLI -----------------------------------------------------------
 def run(*args: str) -> None:
     cmd = [sys.executable, "-m", "dimm", *args]
@@ -63,20 +41,44 @@ def run(*args: str) -> None:
         raise SystemExit(proc.returncode)
 
 
-run("fit", "--config", str(workdir / "fit.json"))
-run(
-    "gof",
-    "--config",
-    str(workdir / "fit.json"),
-    "--beta",
-    "1.2,-0.4",
-    "--output",
-    str(workdir / "gof.json"),
-)
+# The files live in a temporary directory that is removed at the end.
+with tempfile.TemporaryDirectory(prefix="dimm_demo_") as tmp:
+    workdir = Path(tmp)
+    save_panel(
+        data,
+        workdir / "responses.csv",
+        workdir / "covariates.csv",
+        covariate_names=["age", "dose"],
+    )
 
-# --- read the saved reports back -----------------------------------------------
-report = json.loads((workdir / "report.json").read_text())
-print("\nfit report keys:", ", ".join(sorted(report)))
-print("combined estimate from the report:", report["beta_dimm"])
-gof = json.loads((workdir / "gof.json").read_text())
-print(f"gof report: Q = {gof['q_stat']:.3f}, p = {gof['p_value']:.4f}")
+    config = {
+        "schema_version": 1,
+        "response_path": str(workdir / "responses.csv"),
+        "covariate_path": str(workdir / "covariates.csv"),
+        "intercept": False,
+        "blocks": [
+            {"name": "early", "size": 3, "structure": "ar1"},
+            {"name": "late", "size": 3, "structure": "cs"},
+        ],
+        "output_path": str(workdir / "report.json"),
+    }
+    (workdir / "fit.json").write_text(json.dumps(config, indent=2))
+    print(f"wrote panel + config under {workdir}")
+
+    run("fit", "--config", str(workdir / "fit.json"))
+    run(
+        "gof",
+        "--config",
+        str(workdir / "fit.json"),
+        "--beta",
+        "1.2,-0.4",
+        "--output",
+        str(workdir / "gof.json"),
+    )
+
+    # --- read the saved reports back -------------------------------------------
+    report = json.loads((workdir / "report.json").read_text())
+    print("\nfit report keys:", ", ".join(sorted(report)))
+    print("combined estimate from the report:", report["beta_dimm"])
+    gof = json.loads((workdir / "gof.json").read_text())
+    print(f"gof report: Q = {gof['q_stat']:.3f}, p = {gof['p_value']:.4f}")

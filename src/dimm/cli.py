@@ -213,9 +213,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
             print(f"    gof quantiles (empirical/theoretical): {pairs}")
     if args.output:
-        with Path(args.output).open("w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        report.save(args.output)
         print(f"report written to {args.output}")
     if args.estimates_csv:
         write_estimates_csv(report, args.estimates_csv)
@@ -256,11 +254,11 @@ def cmd_gof(args: argparse.Namespace) -> int:
     p_value = 1.0 - chi2_cdf(q_val, df)
     report = GofReport(
         schema_version=SCHEMA_VERSION,
-        beta=tuple(float(v) for v in beta),
-        q_stat=float(q_val),
+        beta=beta,
+        q_stat=q_val,
         df=df,
-        p_value=float(p_value),
-        block_names=tuple(f.name for f in fits),
+        p_value=p_value,
+        block_names=[f.name for f in fits],
         n_subjects=data.n_subjects,
     )
     print(

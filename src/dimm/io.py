@@ -15,25 +15,36 @@ the offending row, column, or key.
 
 Configs and reports are JSON with a ``schema_version`` field; all floats
 round-trip losslessly through Python's shortest-repr float encoding.
+
+Reports (:class:`FitReport`, :class:`GofReport`, and the simulation
+reports in :mod:`dimm.simulate`) share one codec, :class:`Report`, derived
+from their dataclass fields: the field name is the JSON key, arrays and
+tuples become lists, a nested record becomes an object, and keys are
+written sorted. Loading turns each value back into its annotated type
+(arrays read-only float64, sequences tuples). ``timing`` is the only
+non-deterministic key.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
-from dataclasses import dataclass
+import types
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from dimm.errors import ConfigError, DataError
+from dimm.errors import ConfigError, DataError, DimmError
 from dimm.model import AR1, CS, BlockPartition, PanelDataset
 
 if TYPE_CHECKING:
     from collections.abc import Iterator, Sequence
+    from typing import Self
 
     from dimm.integrate import IntegratedFit
     from dimm.pairwise import BlockFit
@@ -43,6 +54,8 @@ __all__ = [
     "FitConfig",
     "FitReport",
     "GofReport",
+    "Report",
+    "encode",
     "load_fit_config",
     "load_panel",
     "save_panel",
@@ -400,13 +413,109 @@ def load_fit_config(path: str | Path) -> FitConfig:
     )
 
 
+class Report:
+    """Base of the JSON reports: one codec derived from the dataclass fields.
+
+    Subclasses are frozen dataclasses. ``SCHEMA_VERSION`` (None for a
+    record nested in another) is checked on load, and ``ERROR`` is the
+    typed error a malformed report raises, naming the field.
+    """
+
+    SCHEMA_VERSION: ClassVar[int | None] = None
+    ERROR: ClassVar[type[DimmError]]
+
+    def __post_init__(self) -> None:
+        cls = type(self)
+        for name, kind in _field_types(cls).items():
+            try:
+                value = _decode(kind, getattr(self, name))
+            except (TypeError, ValueError, DimmError) as exc:
+                msg = f"{cls.__name__}.{name}: {exc}"
+                raise cls.ERROR(msg) from None
+            object.__setattr__(self, name, value)
+
+    def to_dict(self) -> dict[str, Any]:
+        return encode(self)
+
+    @classmethod
+    def from_dict(cls, entry: Any) -> Self:
+        if not isinstance(entry, dict):
+            msg = f"{cls.__name__} must be a JSON object, got {type(entry).__name__}"
+            raise cls.ERROR(msg)
+        version = entry.get("schema_version")
+        if cls.SCHEMA_VERSION is not None and version != cls.SCHEMA_VERSION:
+            msg = f"unsupported report schema_version {version!r} (this build reads {cls.SCHEMA_VERSION})"
+            raise cls.ERROR(msg)
+        try:
+            return cls(**entry)
+        except TypeError as exc:  # a missing or an unknown field, named by the message
+            raise cls.ERROR(str(exc)) from None
+
+    def save(self, path: str | Path) -> None:
+        with Path(path).open("w", encoding="utf-8") as handle:
+            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+
+    @classmethod
+    def load(cls, path: str | Path) -> Self:
+        with Path(path).open(encoding="utf-8") as handle:
+            try:
+                entry = json.load(handle)
+            except json.JSONDecodeError as exc:
+                msg = f"report file {path} is not valid JSON: {exc}"
+                raise cls.ERROR(msg) from None
+        return cls.from_dict(entry)
+
+
+def encode(value: Any) -> Any:
+    """Plain JSON data of a record: fields by name, arrays and tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [encode(v) for v in value]
+    if isinstance(value, dict):
+        return {key: encode(v) for key, v in value.items()}
+    return value
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, Any]:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _decode(kind: Any, value: Any) -> Any:
+    """``value`` as the annotated ``kind``, frozen: arrays read-only float64, sequences tuples."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is types.UnionType:  # T | None
+        return None if value is None else _decode(args[0], value)
+    if origin is tuple:
+        return tuple(_decode(args[0], v) for v in value)
+    if origin is dict:
+        return {key: _decode(args[1], v) for key, v in dict(value).items()}
+    if kind is np.ndarray:
+        arr = np.array(value, dtype=np.float64, copy=True)
+        arr.setflags(write=False)
+        return arr
+    if isinstance(kind, type) and issubclass(kind, Report):
+        return value if isinstance(value, kind) else kind.from_dict(value)
+    if kind in (int, float, str):
+        return kind(value)
+    return value
+
+
 @dataclass(frozen=True)
-class FitReport:
+class FitReport(Report):
     """Lossless record of a full fit: per-block results plus integration.
 
     ``timing`` is the only non-deterministic field and is segregated at
     the top level, mirroring the simulation report convention.
     """
+
+    SCHEMA_VERSION = SCHEMA_VERSION
+    ERROR = ConfigError
 
     schema_version: int
     block_results: tuple[dict[str, Any], ...]
@@ -420,58 +529,7 @@ class FitReport:
     ridge_used: float
     block_names: tuple[str, ...]
     n_subjects: int
-    timing: dict[str, float]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "block_results": [dict(b) for b in self.block_results],
-            "beta_dimm": list(self.beta_dimm),
-            "std_errors": list(self.std_errors),
-            "covariance": [list(row) for row in self.covariance],
-            "wald": [dict(w) for w in self.wald],
-            "q_stat": self.q_stat,
-            "gof_df": self.gof_df,
-            "gof_pvalue": self.gof_pvalue,
-            "ridge_used": self.ridge_used,
-            "block_names": list(self.block_names),
-            "n_subjects": self.n_subjects,
-            "timing": dict(self.timing),
-        }
-
-    @staticmethod
-    def from_dict(entry: dict[str, Any]) -> FitReport:
-        version = entry.get("schema_version")
-        if version != SCHEMA_VERSION:
-            msg = f"unsupported report schema_version {version!r} (this build reads {SCHEMA_VERSION})"
-            raise ConfigError(msg)
-        return FitReport(
-            schema_version=int(version),
-            block_results=tuple(dict(b) for b in entry["block_results"]),
-            beta_dimm=tuple(float(v) for v in entry["beta_dimm"]),
-            std_errors=tuple(float(v) for v in entry["std_errors"]),
-            covariance=tuple(tuple(float(v) for v in row) for row in entry["covariance"]),
-            wald=tuple(dict(w) for w in entry["wald"]),
-            q_stat=float(entry["q_stat"]),
-            gof_df=int(entry["gof_df"]),
-            gof_pvalue=(
-                float(entry["gof_pvalue"]) if entry["gof_pvalue"] is not None else None
-            ),
-            ridge_used=float(entry["ridge_used"]),
-            block_names=tuple(entry["block_names"]),
-            n_subjects=int(entry["n_subjects"]),
-            timing=dict(entry.get("timing", {})),
-        )
-
-    def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @staticmethod
-    def load(path: str | Path) -> FitReport:
-        with Path(path).open(encoding="utf-8") as handle:
-            return FitReport.from_dict(json.load(handle))
+    timing: dict[str, float] = field(default_factory=dict)
 
 
 def build_fit_report(
@@ -480,47 +538,31 @@ def build_fit_report(
     timing: dict[str, float],
 ) -> FitReport:
     """Assemble the serializable report from in-memory fit objects."""
-    blocks = []
-    for fit in fits:
-        blocks.append(
-            {
-                "name": fit.name,
-                "structure": fit.structure,
-                "beta_hat": [float(v) for v in fit.beta_hat],
-                "sigma": float(fit.gamma_hat.sigma),
-                "rho": float(fit.gamma_hat.rho),
-                "logcl": float(fit.logcl),
-                "n_pairs": int(fit.n_pairs),
-                "rel_beta_score": float(fit.trace.rel_beta_score),
-                "rel_gamma_score": float(fit.trace.rel_gamma_score),
-            }
-        )
-    wald = [
+    blocks = [
         {
-            "estimate": t.estimate,
-            "std_error": t.std_error,
-            "z_value": t.z_value,
-            "p_value": t.p_value,
-            "ci_lower": t.ci_lower,
-            "ci_upper": t.ci_upper,
+            "name": fit.name,
+            "structure": fit.structure,
+            "beta_hat": [float(v) for v in fit.beta_hat],
+            "sigma": float(fit.gamma_hat.sigma),
+            "rho": float(fit.gamma_hat.rho),
+            "logcl": float(fit.logcl),
+            "n_pairs": int(fit.n_pairs),
+            "rel_beta_score": float(fit.trace.rel_beta_score),
+            "rel_gamma_score": float(fit.trace.rel_gamma_score),
         }
-        for t in integrated.wald
+        for fit in fits
     ]
     return FitReport(
         schema_version=SCHEMA_VERSION,
-        block_results=tuple(blocks),
-        beta_dimm=tuple(float(v) for v in integrated.beta_dimm),
-        std_errors=tuple(float(v) for v in integrated.std_errors),
-        covariance=tuple(
-            tuple(float(v) for v in row) for row in integrated.covariance
-        ),
-        wald=tuple(wald),
-        q_stat=float(integrated.q_stat),
-        gof_df=int(integrated.gof_df),
-        gof_pvalue=(
-            float(integrated.gof_pvalue) if integrated.gof_pvalue is not None else None
-        ),
-        ridge_used=float(integrated.ridge_used),
+        block_results=blocks,
+        beta_dimm=integrated.beta_dimm,
+        std_errors=integrated.std_errors,
+        covariance=integrated.covariance,
+        wald=encode(integrated.wald),
+        q_stat=integrated.q_stat,
+        gof_df=integrated.gof_df,
+        gof_pvalue=integrated.gof_pvalue,
+        ridge_used=integrated.ridge_used,
         block_names=integrated.block_names,
         n_subjects=integrated.n_subjects,
         timing=timing,
@@ -528,8 +570,11 @@ def build_fit_report(
 
 
 @dataclass(frozen=True)
-class GofReport:
+class GofReport(Report):
     """Result of evaluating the over-identification statistic at a given beta."""
+
+    SCHEMA_VERSION = SCHEMA_VERSION
+    ERROR = ConfigError
 
     schema_version: int
     beta: tuple[float, ...]
@@ -538,22 +583,6 @@ class GofReport:
     p_value: float
     block_names: tuple[str, ...]
     n_subjects: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "beta": list(self.beta),
-            "q_stat": self.q_stat,
-            "df": self.df,
-            "p_value": self.p_value,
-            "block_names": list(self.block_names),
-            "n_subjects": self.n_subjects,
-        }
-
-    def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
 
 def write_estimates_csv(report: SimReport, path: str | Path) -> None:

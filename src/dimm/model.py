@@ -32,10 +32,7 @@ __all__ = [
     "BlockPartition",
     "Dependence",
     "PanelDataset",
-    "PairCovariance",
     "assemble_kronecker",
-    "pair_correlation",
-    "pair_covariance",
     "partition_dataset",
 ]
 
@@ -107,66 +104,6 @@ class Dependence:
                 f"block of size {size}: admissible interval is ({lower}, 1)"
             )
             raise PartitionError(msg)
-
-
-def pair_correlation(dependence: Dependence, lag: int) -> float:
-    """Correlation between two coordinates ``lag`` positions apart.
-
-    Parameters
-    ----------
-    dependence : Dependence
-        Working family and parameters.
-    lag : int
-        Positive separation ``|r - t|`` between the two coordinates.
-
-    Returns
-    -------
-    float
-        The pair correlation, inside (-1, 1).
-
-    Raises
-    ------
-    ValueError
-        If ``lag`` is not a positive integer (a pair of coordinates is
-        two distinct positions, so lag 0 is meaningless here).
-    """
-    if int(lag) != lag or lag < 1:
-        msg = f"lag must be a positive integer, got {lag!r}"
-        raise ValueError(msg)
-    if dependence.structure == AR1:
-        return float(dependence.rho ** int(lag))
-    return float(dependence.rho)
-
-
-@dataclass(frozen=True)
-class PairCovariance:
-    """2x2 covariance of a coordinate pair: sigma^2 * [[1, c], [c, 1]]."""
-
-    sigma: float
-    corr: float
-
-    def __post_init__(self) -> None:
-        sigma = float(self.sigma)
-        corr = float(self.corr)
-        if not math.isfinite(sigma) or sigma <= 0.0:
-            msg = f"sigma must be a finite positive number, got {self.sigma!r}"
-            raise CovarianceError(msg)
-        if not math.isfinite(corr) or not -1.0 < corr < 1.0:
-            msg = f"pair correlation must lie in (-1, 1), got {self.corr!r}"
-            raise CovarianceError(msg)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "corr", corr)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The 2x2 covariance matrix as a fresh array."""
-        s2 = self.sigma**2
-        return np.array([[s2, s2 * self.corr], [s2 * self.corr, s2]])
-
-
-def pair_covariance(dependence: Dependence, lag: int) -> PairCovariance:
-    """Pair covariance implied by a dependence family at a given lag."""
-    return PairCovariance(dependence.sigma, pair_correlation(dependence, lag))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ from dimm.errors import FitError
 from dimm.model import (
     AR1,
     Dependence,
-    PairCovariance,
     PanelDataset,
     partition_dataset,
 )
@@ -64,7 +63,6 @@ if TYPE_CHECKING:
 __all__ = [
     "BlockFit",
     "OptimizerTrace",
-    "bivariate_normal_logpdf",
     "block_logcl",
     "block_score_beta",
     "block_score_gamma",
@@ -96,39 +94,6 @@ _ROOT_MAX_EVALS = 100
 _EXACT_FIT = 1e-12
 # Roundoff allowance when the refined profile is compared with the grid.
 _CERT_RTOL = 1e-12
-
-
-def bivariate_normal_logpdf(
-    y_pair: np.ndarray, mu_pair: np.ndarray, cov: PairCovariance
-) -> float:
-    """Log density of one coordinate pair under its bivariate margin.
-
-    Parameters
-    ----------
-    y_pair, mu_pair : array-like, shape (2,)
-        Observed pair and its mean.
-    cov : PairCovariance
-        Pair covariance ``sigma^2 [[1, c], [c, 1]]``.
-
-    Returns
-    -------
-    float
-        ``log f(y_pair; mu_pair, cov)``.
-    """
-    y = np.asarray(y_pair, dtype=np.float64).reshape(-1)
-    mu = np.asarray(mu_pair, dtype=np.float64).reshape(-1)
-    if y.shape != (2,) or mu.shape != (2,):
-        msg = f"y_pair and mu_pair must each hold 2 values, got {y.shape} and {mu.shape}"
-        raise ValueError(msg)
-    if not (np.isfinite(y).all() and np.isfinite(mu).all()):
-        msg = "y_pair and mu_pair must be finite"
-        raise ValueError(msg)
-    e1, e2 = y - mu
-    c = cov.corr
-    s2 = cov.sigma**2
-    one_mc2 = 1.0 - c * c
-    quad = (e1 * e1 - 2.0 * c * e1 * e2 + e2 * e2) / (s2 * one_mc2)
-    return -_LOG_2PI - math.log(s2) - 0.5 * math.log(one_mc2) - 0.5 * quad
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from dimm._util import parallel_map
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import DimmError, ScenarioError
 from dimm.integrate import integrate_fits
+from dimm.io import Report, encode
 from dimm.model import (
     AR1,
     CS,
@@ -243,16 +244,6 @@ class BlockScenario:
     def true_dependence(self) -> Dependence:
         return Dependence(self.structure_true, self.sigma, self.rho)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "size": self.size,
-            "structure_fit": self.structure_fit,
-            "structure_true": self.structure_true,
-            "sigma": self.sigma,
-            "rho": self.rho,
-        }
-
 
 def random_between_matrix(
     n_blocks: int, *, seed: int, off_scale: float = 0.3, floor: float = 0.05
@@ -421,7 +412,7 @@ def scenario_to_dict(scn: SimScenario) -> dict[str, Any]:
         "seed": scn.seed,
         "intercept": scn.intercept,
         "beta0": [float(v) for v in scn.beta0],
-        "blocks": [b.to_dict() for b in scn.blocks],
+        "blocks": encode(scn.blocks),
         "between": {"kind": "matrix", "values": scn.between.tolist()},
         "covariates": [c.to_dict() for c in scn.covariates],
         "methods": list(scn.methods),
@@ -618,8 +609,10 @@ def _run_replicate_task(
 
 
 @dataclass(frozen=True, eq=False)
-class GofSummary:
+class GofSummary(Report):
     """Distribution of the over-identification statistic across replicates."""
+
+    ERROR = ScenarioError
 
     df: int
     q_values: np.ndarray
@@ -629,38 +622,9 @@ class GofSummary:
     empirical_quantiles: np.ndarray
     theoretical_quantiles: np.ndarray
 
-    def __post_init__(self) -> None:
-        for name in ("q_values", "probes", "empirical_quantiles", "theoretical_quantiles"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "df": self.df,
-            "q_values": self.q_values.tolist(),
-            "mean_q": self.mean_q,
-            "rejection_rate": self.rejection_rate,
-            "probes": self.probes.tolist(),
-            "empirical_quantiles": self.empirical_quantiles.tolist(),
-            "theoretical_quantiles": self.theoretical_quantiles.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(entry: dict[str, Any]) -> GofSummary:
-        return GofSummary(
-            df=int(entry["df"]),
-            q_values=np.asarray(entry["q_values"], dtype=np.float64),
-            mean_q=float(entry["mean_q"]),
-            rejection_rate=float(entry["rejection_rate"]),
-            probes=np.asarray(entry["probes"], dtype=np.float64),
-            empirical_quantiles=np.asarray(entry["empirical_quantiles"], dtype=np.float64),
-            theoretical_quantiles=np.asarray(entry["theoretical_quantiles"], dtype=np.float64),
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class MethodReport:
+class MethodReport(Report):
     """Per-method simulation results: raw draws and reduced metrics.
 
     ``estimates``, ``std_errors`` and ``asymptotic_std_errors`` hold the
@@ -670,6 +634,8 @@ class MethodReport:
     jackknife SEs and ``asymptotic_std_errors`` the analytic ones; for
     the comparators the two are equal.
     """
+
+    ERROR = ScenarioError
 
     method: str
     n_used: int
@@ -686,70 +652,18 @@ class MethodReport:
     wald_rejection: np.ndarray
     gof: GofSummary | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rep_indices", tuple(int(i) for i in self.rep_indices))
-        for name in (
-            "estimates",
-            "std_errors",
-            "asymptotic_std_errors",
-            "rmse",
-            "bias",
-            "ese",
-            "ase",
-            "coverage",
-            "wald_rejection",
-        ):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "method": self.method,
-            "n_used": self.n_used,
-            "n_failures": self.n_failures,
-            "rep_indices": list(self.rep_indices),
-            "estimates": self.estimates.tolist(),
-            "std_errors": self.std_errors.tolist(),
-            "asymptotic_std_errors": self.asymptotic_std_errors.tolist(),
-            "rmse": self.rmse.tolist(),
-            "bias": self.bias.tolist(),
-            "ese": self.ese.tolist(),
-            "ase": self.ase.tolist(),
-            "coverage": self.coverage.tolist(),
-            "wald_rejection": self.wald_rejection.tolist(),
-            "gof": self.gof.to_dict() if self.gof is not None else None,
-        }
-
-    @staticmethod
-    def from_dict(entry: dict[str, Any]) -> MethodReport:
-        gof = entry.get("gof")
-        return MethodReport(
-            method=str(entry["method"]),
-            n_used=int(entry["n_used"]),
-            n_failures=int(entry["n_failures"]),
-            rep_indices=tuple(entry["rep_indices"]),
-            estimates=np.asarray(entry["estimates"], dtype=np.float64),
-            std_errors=np.asarray(entry["std_errors"], dtype=np.float64),
-            asymptotic_std_errors=np.asarray(entry["asymptotic_std_errors"], dtype=np.float64),
-            rmse=np.asarray(entry["rmse"], dtype=np.float64),
-            bias=np.asarray(entry["bias"], dtype=np.float64),
-            ese=np.asarray(entry["ese"], dtype=np.float64),
-            ase=np.asarray(entry["ase"], dtype=np.float64),
-            coverage=np.asarray(entry["coverage"], dtype=np.float64),
-            wald_rejection=np.asarray(entry["wald_rejection"], dtype=np.float64),
-            gof=GofSummary.from_dict(gof) if gof is not None else None,
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class SimReport:
+class SimReport(Report):
     """Full result of a scenario run.
 
     All numeric content is deterministic for a given scenario and seed;
     wall/CPU time lives only under ``timing`` so determinism checks can
     strip a single top-level key (see :func:`report_fingerprint`).
     """
+
+    SCHEMA_VERSION = REPORT_SCHEMA_VERSION
+    ERROR = ScenarioError
 
     schema_version: int
     scenario_name: str
@@ -759,16 +673,7 @@ class SimReport:
     beta0: np.ndarray
     between: np.ndarray
     methods: tuple[MethodReport, ...]
-    timing: dict[str, dict[str, float]]
-
-    def __post_init__(self) -> None:
-        beta0 = np.array(self.beta0, dtype=np.float64, copy=True)
-        between = np.array(self.between, dtype=np.float64, copy=True)
-        beta0.setflags(write=False)
-        between.setflags(write=False)
-        object.__setattr__(self, "beta0", beta0)
-        object.__setattr__(self, "between", between)
-        object.__setattr__(self, "methods", tuple(self.methods))
+    timing: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def method(self, name: str) -> MethodReport:
         for rep in self.methods:
@@ -777,45 +682,6 @@ class SimReport:
         known = [rep.method for rep in self.methods]
         msg = f"no method {name!r} in report; present: {known}"
         raise ScenarioError(msg)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "scenario_name": self.scenario_name,
-            "n_subjects": self.n_subjects,
-            "n_replicates": self.n_replicates,
-            "seed": self.seed,
-            "beta0": self.beta0.tolist(),
-            "between": self.between.tolist(),
-            "methods": [rep.to_dict() for rep in self.methods],
-            "timing": {
-                meth: {key: float(val) for key, val in inner.items()}
-                for meth, inner in self.timing.items()
-            },
-        }
-
-    @staticmethod
-    def from_dict(entry: dict[str, Any]) -> SimReport:
-        version = entry.get("schema_version")
-        if version != REPORT_SCHEMA_VERSION:
-            msg = (
-                f"unsupported report schema_version {version!r} "
-                f"(this build reads {REPORT_SCHEMA_VERSION})"
-            )
-            raise ScenarioError(msg)
-        return SimReport(
-            schema_version=int(version),
-            scenario_name=str(entry["scenario_name"]),
-            n_subjects=int(entry["n_subjects"]),
-            n_replicates=int(entry["n_replicates"]),
-            seed=int(entry["seed"]),
-            beta0=np.asarray(entry["beta0"], dtype=np.float64),
-            between=np.asarray(entry["between"], dtype=np.float64),
-            methods=tuple(MethodReport.from_dict(m) for m in entry["methods"]),
-            timing={
-                meth: dict(inner) for meth, inner in entry.get("timing", {}).items()
-            },
-        )
 
 
 def report_fingerprint(report: SimReport) -> str:
@@ -935,7 +801,7 @@ def run_scenario(scn: SimScenario, *, workers: int | None = None) -> SimReport:
         seed=scn.seed,
         beta0=scn.beta0,
         between=scn.between,
-        methods=tuple(methods),
+        methods=methods,
         timing=timing,
     )
 

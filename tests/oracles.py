@@ -1,0 +1,112 @@
+"""Pair-level reference functions that only the tests use.
+
+A block's pairwise log-CL is a sum of bivariate normal log densities,
+one per coordinate pair. The package computes it in closed form from a
+Gram matrix; these helpers state it one pair at a time, so the tests can
+check the closed form against the definition.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from dimm.errors import CovarianceError
+from dimm.model import AR1, Dependence
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def pair_correlation(dependence: Dependence, lag: int) -> float:
+    """Correlation between two coordinates ``lag`` positions apart.
+
+    Parameters
+    ----------
+    dependence : Dependence
+        Working family and parameters.
+    lag : int
+        Positive separation ``|r - t|`` between the two coordinates.
+
+    Returns
+    -------
+    float
+        The pair correlation, inside (-1, 1).
+
+    Raises
+    ------
+    ValueError
+        If ``lag`` is not a positive integer (a pair of coordinates is
+        two distinct positions, so lag 0 is meaningless here).
+    """
+    if int(lag) != lag or lag < 1:
+        msg = f"lag must be a positive integer, got {lag!r}"
+        raise ValueError(msg)
+    if dependence.structure == AR1:
+        return float(dependence.rho ** int(lag))
+    return float(dependence.rho)
+
+
+@dataclass(frozen=True)
+class PairCovariance:
+    """2x2 covariance of a coordinate pair: sigma^2 * [[1, c], [c, 1]]."""
+
+    sigma: float
+    corr: float
+
+    def __post_init__(self) -> None:
+        sigma = float(self.sigma)
+        corr = float(self.corr)
+        if not math.isfinite(sigma) or sigma <= 0.0:
+            msg = f"sigma must be a finite positive number, got {self.sigma!r}"
+            raise CovarianceError(msg)
+        if not math.isfinite(corr) or not -1.0 < corr < 1.0:
+            msg = f"pair correlation must lie in (-1, 1), got {self.corr!r}"
+            raise CovarianceError(msg)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "corr", corr)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The 2x2 covariance matrix as a fresh array."""
+        s2 = self.sigma**2
+        return np.array([[s2, s2 * self.corr], [s2 * self.corr, s2]])
+
+
+def pair_covariance(dependence: Dependence, lag: int) -> PairCovariance:
+    """Pair covariance implied by a dependence family at a given lag."""
+    return PairCovariance(dependence.sigma, pair_correlation(dependence, lag))
+
+
+def bivariate_normal_logpdf(
+    y_pair: np.ndarray, mu_pair: np.ndarray, cov: PairCovariance
+) -> float:
+    """Log density of one coordinate pair under its bivariate margin.
+
+    Parameters
+    ----------
+    y_pair, mu_pair : array-like, shape (2,)
+        Observed pair and its mean.
+    cov : PairCovariance
+        Pair covariance ``sigma^2 [[1, c], [c, 1]]``.
+
+    Returns
+    -------
+    float
+        ``log f(y_pair; mu_pair, cov)``.
+    """
+    y = np.asarray(y_pair, dtype=np.float64).reshape(-1)
+    mu = np.asarray(mu_pair, dtype=np.float64).reshape(-1)
+    if y.shape != (2,) or mu.shape != (2,):
+        msg = f"y_pair and mu_pair must each hold 2 values, got {y.shape} and {mu.shape}"
+        raise ValueError(msg)
+    if not (np.isfinite(y).all() and np.isfinite(mu).all()):
+        msg = "y_pair and mu_pair must be finite"
+        raise ValueError(msg)
+    e1, e2 = y - mu
+    c = cov.corr
+    s2 = cov.sigma**2
+    one_mc2 = 1.0 - c * c
+    quad = (e1 * e1 - 2.0 * c * e1 * e2 + e2 * e2) / (s2 * one_mc2)
+    return -_LOG_2PI - math.log(s2) - 0.5 * math.log(one_mc2) - 0.5 * quad

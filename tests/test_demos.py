@@ -15,7 +15,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo: Path, tmp_path: Path) -> None:
-    # TMPDIR: demo 06 writes its files under a mkdtemp() it never removes.
+    # TMPDIR: demo 06 writes its files under a temporary directory, which
+    # must be gone when the demo ends.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     result = subprocess.run(
         [sys.executable, str(demo)],
@@ -26,3 +27,4 @@ def test_demo_runs(demo: Path, tmp_path: Path) -> None:
         timeout=600,
     )
     assert result.returncode == 0, result.stderr
+    assert not list(tmp_path.glob("dimm_demo_*"))

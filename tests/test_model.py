@@ -21,10 +21,9 @@ from dimm.model import (
     Dependence,
     PanelDataset,
     assemble_kronecker,
-    pair_correlation,
-    pair_covariance,
     partition_dataset,
 )
+from tests.oracles import pair_correlation, pair_covariance
 
 # ---------------------------------------------------------------------------
 # Dependence and pair-level pieces

@@ -23,11 +23,9 @@ from dimm.model import (
     BlockPartition,
     Dependence,
     PanelDataset,
-    pair_covariance,
     partition_dataset,
 )
 from dimm.pairwise import (
-    bivariate_normal_logpdf,
     block_logcl,
     block_score_beta,
     block_score_gamma,
@@ -36,6 +34,7 @@ from dimm.pairwise import (
     fit_blocks,
 )
 from dimm.simulate import bundled_scenario, bundled_scenario_names, generate_replicate
+from tests.oracles import bivariate_normal_logpdf, pair_covariance
 
 
 def _random_block(
