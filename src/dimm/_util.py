@@ -13,6 +13,9 @@ if TYPE_CHECKING:
     from collections.abc import Callable, Iterable
 
 WORKERS_ENV = "DIMM_WORKERS"
+# A residual mean square below this fraction of the response mean square
+# is an exact fit: the residual moments cannot resolve it.
+EXACT_FIT = 1e-12
 
 
 def default_worker_count() -> int:
@@ -37,14 +40,12 @@ def default_worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``mat @ x = rhs`` for a symmetric positive definite ``mat``.
+def inv_cholesky(mat: np.ndarray) -> np.ndarray:
+    """``inv(L)`` for the Cholesky factor L of a symmetric positive definite ``mat``.
 
-    The Cholesky factor L of ``mat`` (from its lower triangle) is the
-    positive-definiteness test; the inverse is then applied as ``Li' (Li
-    rhs)`` with ``Li = inv(L)``. numpy has no triangular solve, and on a
-    wide ``rhs`` this is faster than ``np.linalg.solve`` while agreeing
-    with a Cholesky solve to roundoff.
+    L comes from the lower triangle of ``mat`` and is the
+    positive-definiteness test. ``Li = inv(L)`` whitens: ``mat^-1 = Li' Li``,
+    so ``x' mat^-1 x`` is the Gram product of ``Li x``.
 
     Raises
     ------
@@ -56,7 +57,19 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not np.isfinite(mat).all():
         msg = "matrix holds non-finite values"
         raise np.linalg.LinAlgError(msg)
-    inv_factor = np.linalg.inv(np.linalg.cholesky(mat))
+    return np.linalg.inv(np.linalg.cholesky(mat))
+
+
+def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``mat @ x = rhs`` for a symmetric positive definite ``mat``.
+
+    The inverse is applied as ``Li' (Li rhs)`` with ``Li`` from
+    :func:`inv_cholesky`, which also raises ``np.linalg.LinAlgError`` on
+    a non-finite or non-positive-definite ``mat``. numpy has no
+    triangular solve, and on a wide ``rhs`` this is faster than
+    ``np.linalg.solve`` while agreeing with a Cholesky solve to roundoff.
+    """
+    inv_factor = inv_cholesky(mat)
     return inv_factor.T @ (inv_factor @ rhs)
 
 

@@ -12,23 +12,25 @@ Three reference fits for the same mean model ``E[y_it] = x_it' beta``:
   iterating between the beta solve and moment updates of the scale and
   the common correlation, again with a sandwich covariance.
 
-Their symmetric positive definite systems (the covariance that whitens
-the oracle, and every bread matrix) are solved by
-:func:`dimm._util.spd_solve`, through a Cholesky factor; a matrix that
-is not positive definite or holds a non-finite value raises
-:class:`~dimm.errors.FitError`.
+Every full-panel contraction is one BLAS call on a flat view. The
+oracle whitens once: with ``Sigma = L L'`` and ``Li = inv(L)``
+(:func:`dimm._util.inv_cholesky`), ``Li`` times the (M, N*p) panel,
+viewed as (M*N, p) rows, has Gram matrix ``sum_i X_i' Sigma^-1 X_i``.
+GEE takes ``X'X``, ``X'y`` and ``X beta`` from the (N*M, p) view,
+``X_i' e_i`` from a batched matmul, and ``X_i' 1`` once per fit. A
+covariance or bread matrix that fails its Cholesky factor, or a panel
+the mean model fits exactly, raises :class:`~dimm.errors.FitError`.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import spd_solve
+from dimm._util import EXACT_FIT, inv_cholesky
 from dimm.errors import FitError
 
 if TYPE_CHECKING:
@@ -82,12 +84,22 @@ class BaselineFit:
         return np.sqrt(np.diag(self.covariance))
 
 
-def _spd_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+def _inv_factor(mat: np.ndarray, what: str) -> np.ndarray:
     try:
-        return spd_solve(mat, rhs)
+        return inv_cholesky((mat + mat.T) / 2.0)
     except np.linalg.LinAlgError:
         msg = f"{what} is not positive definite"
         raise FitError(msg) from None
+
+
+def _spd_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    inv_factor = _inv_factor(mat, what)
+    return inv_factor.T @ (inv_factor @ rhs)
+
+
+def _sandwich(bread_inv: np.ndarray, meat: np.ndarray) -> np.ndarray:
+    cov = bread_inv @ meat @ bread_inv
+    return (cov + cov.T) / 2.0
 
 
 def gls_oracle(data: PanelDataset, covariance: np.ndarray) -> BaselineFit:
@@ -99,26 +111,21 @@ def gls_oracle(data: PanelDataset, covariance: np.ndarray) -> BaselineFit:
     the point estimate (though not, of course, in the covariance).
     """
     sigma = np.asarray(covariance, dtype=np.float64)
-    m = data.n_coordinates
+    x = data.covariates  # (N, M, p)
+    n, m, p = x.shape
     if sigma.shape != (m, m):
         msg = f"covariance has shape {sigma.shape}, expected ({m}, {m})"
         raise FitError(msg)
     if not np.allclose(sigma, sigma.T, atol=1e-10, rtol=0.0):
         msg = "covariance must be symmetric"
         raise FitError(msg)
-    # X: (N, M, p), y: (N, M). Whiten once: solve Sigma Z = X per subject.
-    x = data.covariates
-    y = data.responses
-    z = _spd_solve(
-        (sigma + sigma.T) / 2.0, np.transpose(x, (1, 0, 2)).reshape(m, -1), "covariance"
-    )
-    z = np.transpose(z.reshape(m, x.shape[0], x.shape[2]), (1, 0, 2))  # (N, M, p)
-    bread = np.einsum("nmp,nmq->pq", x, z)
-    bread = (bread + bread.T) / 2.0
-    rhs = np.einsum("nmp,nm->p", z, y)
-    beta = _spd_solve(bread, rhs, "information matrix sum_i X_i' Sigma^-1 X_i")
-    cov = _spd_solve(bread, np.eye(bread.shape[0]), "information matrix")
+    inv_factor = _inv_factor(sigma, "covariance")
+    # Row (t, i) of the whitened design is (Li X_i)[t]; row t of Li Y' holds (Li y_i)[t].
+    wx = (inv_factor @ x.transpose(1, 0, 2).reshape(m, n * p)).reshape(m * n, p)
+    wy = inv_factor @ data.responses.T
+    cov = _spd_solve(wx.T @ wx, np.eye(p), "information matrix sum_i X_i' Sigma^-1 X_i")
     cov = (cov + cov.T) / 2.0
+    beta = cov @ (wx.T @ wy.reshape(-1))
     return BaselineFit(
         method="gls_oracle",
         beta_hat=beta,
@@ -127,14 +134,6 @@ def gls_oracle(data: PanelDataset, covariance: np.ndarray) -> BaselineFit:
         n_iter=1,
         converged=True,
     )
-
-
-def _sandwich(
-    bread: np.ndarray, meat: np.ndarray, what: str
-) -> np.ndarray:
-    inv = _spd_solve((bread + bread.T) / 2.0, np.eye(bread.shape[0]), what)
-    cov = inv @ meat @ inv
-    return (cov + cov.T) / 2.0
 
 
 def _exchangeable_moments(
@@ -146,11 +145,11 @@ def _exchangeable_moments(
     if denom_phi <= 0:
         msg = f"too few observations (N*M = {n * m}) for p = {n_params}"
         raise FitError(msg)
-    phi = float(np.sum(resid**2)) / denom_phi
+    sum_sq = float(np.sum(resid**2))
+    phi = sum_sq / denom_phi
     # Sum over within-subject pairs t < s of e_it e_is, via the identity
     # sum_{t<s} e_t e_s = ((sum_t e_t)^2 - sum_t e_t^2) / 2.
-    row_sums = resid.sum(axis=1)
-    pair_sum = float(np.sum(row_sums**2) - np.sum(resid**2)) / 2.0
+    pair_sum = (float(np.sum(resid.sum(axis=1) ** 2)) - sum_sq) / 2.0
     denom_rho = n * m * (m - 1) / 2.0 - n_params
     if denom_rho <= 0:
         msg = f"too few within-subject pairs for p = {n_params}"
@@ -189,7 +188,11 @@ def gee_fit(
     Raises
     ------
     FitError
-        On an unknown working structure or a degenerate design.
+        On an unknown working structure, a degenerate design, or an
+        exact fit (the residual mean square at the least-squares
+        estimate is at most ``1e-12`` times the response mean square,
+        so the scale, the correlation and the sandwich are not
+        identified).
 
     Notes
     -----
@@ -204,21 +207,29 @@ def gee_fit(
     x = data.covariates  # (N, M, p)
     y = data.responses  # (N, M)
     n, m, p = x.shape
+    flat = x.reshape(n * m, p)
 
-    xtx = np.einsum("nmp,nmq->pq", x, x)
-    xty = np.einsum("nmp,nm->p", x, y)
-    beta = _spd_solve((xtx + xtx.T) / 2.0, xty, "pooled design matrix X'X")
+    xtx = flat.T @ flat
+    xty = flat.T @ y.reshape(-1)
+    bread_inv = _spd_solve(xtx, np.eye(p), "pooled design matrix X'X")
+    beta = bread_inv @ xty
+    resid = y - (flat @ beta).reshape(n, m)
+    resid_ms, response_ms = float(np.mean(resid**2)), float(np.mean(y**2))
+    if not resid_ms > EXACT_FIT * response_ms:
+        msg = (
+            f"exact fit, the least-squares residuals vanish (mean square {resid_ms:.3g} "
+            f"against a response mean square of {response_ms:.3g}); the scale, the "
+            "working correlation and the sandwich are not identified"
+        )
+        raise FitError(msg)
 
     if working == "independence":
-        resid = y - np.einsum("nmp,p->nm", x, beta)
         # Meat: sum_i X_i' e_i e_i' X_i with u_i = X_i' e_i.
-        u = np.einsum("nmp,nm->np", x, resid)
-        meat = u.T @ u
-        cov = _sandwich(xtx, meat, "pooled design matrix X'X")
+        u = (resid[:, None, :] @ x)[:, 0, :]
         return BaselineFit(
             method="gee_independence",
             beta_hat=beta,
-            covariance=cov,
+            covariance=_sandwich(bread_inv, u.T @ u),
             rho_hat=None,
             n_iter=1,
             converged=True,
@@ -231,11 +242,13 @@ def gee_fit(
     # cancels from both the estimating equation and the sandwich.
     rho_lo = -1.0 / (m - 1) + _RHO_CLAMP_MARGIN
     rho_hi = 1.0 - _RHO_CLAMP_MARGIN
-    rho = 0.0
+    x_sum = np.ones(m) @ x  # (N, p): X_i' 1
+    y_sum = y.sum(axis=1)  # (N,): 1' y_i
+    xsx = x_sum.T @ x_sum
+    xsy = x_sum.T @ y_sum
     n_iter = 0
     converged = False
     for n_iter in range(1, max_iter + 1):
-        resid = y - np.einsum("nmp,p->nm", x, beta)
         _, rho = _exchangeable_moments(resid, p)
         if rho < rho_lo or rho > rho_hi:
             clamped = min(max(rho, rho_lo), rho_hi)
@@ -247,15 +260,13 @@ def gee_fit(
             rho = clamped
         a = 1.0 / (1.0 - rho)
         b = rho / (1.0 + (m - 1) * rho)
-        x_colsum = x.sum(axis=1)  # (N, p): X_i' 1
-        y_sum = y.sum(axis=1)  # (N,): 1' y_i
-        bread = a * (xtx - b * x_colsum.T @ x_colsum)
-        rhs = a * (xty - b * x_colsum.T @ y_sum)
-        beta_new = _spd_solve(
-            (bread + bread.T) / 2.0, rhs, "weighted design matrix X' V^-1 X"
+        bread_inv = _spd_solve(
+            a * (xtx - b * xsx), np.eye(p), "weighted design matrix X' V^-1 X"
         )
+        beta_new = bread_inv @ (a * (xty - b * xsy))
         step = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
+        resid = y - (flat @ beta).reshape(n, m)
         if step <= tol:
             converged = True
             break
@@ -266,25 +277,12 @@ def gee_fit(
         )
         raise FitError(msg)
 
-    resid = y - np.einsum("nmp,p->nm", x, beta)
-    a = 1.0 / (1.0 - rho)
-    b = rho / (1.0 + (m - 1) * rho)
-    x_colsum = x.sum(axis=1)
-    bread = a * (xtx - b * x_colsum.T @ x_colsum)
     # u_i = X_i' R^-1 e_i = a (X_i' e_i - b (X_i' 1)(1' e_i)).
-    u = a * (
-        np.einsum("nmp,nm->np", x, resid)
-        - b * x_colsum * resid.sum(axis=1)[:, None]
-    )
-    meat = u.T @ u
-    cov = _sandwich(bread, meat, "weighted design matrix X' V^-1 X")
-    if not math.isfinite(rho):
-        msg = "exchangeable correlation estimate is not finite"
-        raise FitError(msg)
+    u = a * ((resid[:, None, :] @ x)[:, 0, :] - b * x_sum * resid.sum(axis=1)[:, None])
     return BaselineFit(
         method="gee_exchangeable",
         beta_hat=beta,
-        covariance=cov,
+        covariance=_sandwich(bread_inv, u.T @ u),
         rho_hat=float(rho),
         n_iter=n_iter,
         converged=True,

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from dimm._util import EXACT_FIT
 from dimm.errors import FitError
 from dimm.model import (
     AR1,
@@ -89,9 +90,6 @@ _EDGE = 1e-9
 _RHO_XTOL = 1e-13
 _RHO_RTOL = 4.0 * np.finfo(np.float64).eps
 _ROOT_MAX_EVALS = 100
-# A residual variance below this fraction of the response mean square is
-# an exact fit: the Gram-matrix moments cannot resolve it.
-_EXACT_FIT = 1e-12
 # Roundoff allowance when the refined profile is compared with the grid.
 _CERT_RTOL = 1e-12
 
@@ -506,7 +504,7 @@ def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, float, in
     grid = lo + (hi - lo) * np.arange(1, k + 1) / (k + 1)
     prof = arrays.profile(grid)
     floor = float(np.min(prof.sigma2))
-    if not floor > _EXACT_FIT * arrays.response_ms:
+    if not floor > EXACT_FIT * arrays.response_ms:
         msg = (
             f"block {name!r}: exact fit, the residuals vanish (sigma_hat^2 = "
             f"{floor:.3g} against a response mean square of {arrays.response_ms:.3g}); "

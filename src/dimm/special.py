@@ -128,12 +128,28 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z * _INV_SQRT2)
 
 
+# Abramowitz & Stegun 26.2.23: the upper-tail normal quantile to 4.5e-4.
+_AS_NUM = (2.515517, 0.802853, 0.010328)
+_AS_DEN = (1.432788, 0.189269, 0.001308)
+# A Newton step this short (relative) leaves an error of its square.
+_STEP_RTOL = 1.0e-14
+# Below math.exp's overflow; a step this long leaves the bracket anyway.
+_EXP_MAX = 700.0
+
+
 def chi2_quantile(p: float, df: float) -> float:
     """Chi-square quantile (inverse of :func:`chi2_cdf` in x).
 
-    Solved by bracketing and bisection/Brent on the CDF, so its accuracy
-    is inherited from ``chi2_cdf`` (absolute probability error <= 1e-12
-    mapped through the local slope).
+    Starts from the Wilson-Hilferty cube-root approximation, with the
+    normal quantile from Abramowitz & Stegun 26.2.23, and takes Newton
+    steps on ``log chi2_cdf`` against ``log x``, with the chi-square
+    density giving the slope; on that scale the left tail, where the
+    CDF grows like ``x^(df/2)``, is a straight line. Every evaluation
+    narrows a bracket on the root; a step that leaves the bracket is
+    replaced by bisection. It stops once a step moves x
+    by at most 1e-14 relative, so its accuracy is inherited from
+    ``chi2_cdf`` (absolute probability error <= 1e-12 mapped through
+    the local slope).
 
     Parameters
     ----------
@@ -160,14 +176,37 @@ def chi2_quantile(p: float, df: float) -> float:
     while chi2_cdf(hi, df) < p:
         hi *= 2.0
     lo = 0.0
-    # Plain bisection: ~60 halvings pin x to ~1e-16 relative, plenty for
-    # rejection-rate thresholds.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if chi2_cdf(mid, df) < p:
-            lo = mid
+    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    z = t - (_AS_NUM[0] + t * (_AS_NUM[1] + t * _AS_NUM[2])) / (
+        1.0 + t * (_AS_DEN[0] + t * (_AS_DEN[1] + t * _AS_DEN[2]))
+    )
+    h = 2.0 / (9.0 * df)
+    x = df * (1.0 - h + math.copysign(z, p - 0.5) * math.sqrt(h)) ** 3
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    half = df / 2.0
+    log_norm = half * math.log(2.0) + math.lgamma(half)
+    log_p = math.log(p)
+    for _ in range(_MAX_ITER):
+        cdf = chi2_cdf(x, df)
+        if cdf == p:
+            return x
+        if cdf < p:
+            lo = x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = x
+        x_new = lo  # forces bisection where the CDF underflows
+        if cdf > 0.0:
+            # Newton in u = log x on log F: d(log F)/du = x f(x) / F(x), and
+            # log(x f(x)) = (df/2) log x - x/2 - log_norm.
+            log_cdf = math.log(cdf)
+            log_xf = half * math.log(x) - x / 2.0 - log_norm
+            du = (log_p - log_cdf) * math.exp(min(log_cdf - log_xf, _EXP_MAX))
+            x_new = x * math.exp(min(du, _EXP_MAX))
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= _STEP_RTOL * x or x_new in (lo, hi):
+            return x_new
+        x = x_new
+    msg = f"chi-square quantile failed to converge for p={p}, df={df}"
+    raise RuntimeError(msg)

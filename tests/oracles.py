@@ -1,9 +1,13 @@
-"""Pair-level reference functions that only the tests use.
+"""Reference functions that only the tests use.
 
 A block's pairwise log-CL is a sum of bivariate normal log densities,
 one per coordinate pair. The package computes it in closed form from a
-Gram matrix; these helpers state it one pair at a time, so the tests can
-check the closed form against the definition.
+Gram matrix; the pair-level helpers state it one pair at a time, so the
+tests can check the closed form against the definition.
+
+The comparators whiten and contract the whole panel at once; the
+subject-loop helpers at the end state them one subject at a time, with
+a literal ``np.linalg.inv`` of the covariance or working correlation.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dimm.errors import CovarianceError
-from dimm.model import AR1, Dependence
+from dimm.model import AR1, Dependence, PanelDataset
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -110,3 +114,48 @@ def bivariate_normal_logpdf(
     one_mc2 = 1.0 - c * c
     quad = (e1 * e1 - 2.0 * c * e1 * e2 + e2 * e2) / (s2 * one_mc2)
     return -_LOG_2PI - math.log(s2) - 0.5 * math.log(one_mc2) - 0.5 * quad
+
+
+def gls_normal_equations(
+    data: PanelDataset, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """GLS estimate and covariance from per-subject sums with ``inv(sigma)``.
+
+    Returns ``(beta, cov)`` with ``info = sum_i X_i' inv(sigma) X_i``,
+    ``beta = solve(info, sum_i X_i' inv(sigma) y_i)`` and ``cov = inv(info)``.
+    """
+    sigma_inv = np.linalg.inv(sigma)
+    p = data.n_covariates
+    info = np.zeros((p, p))
+    rhs = np.zeros(p)
+    for xi, yi in zip(data.covariates, data.responses, strict=True):
+        info += xi.T @ sigma_inv @ xi
+        rhs += xi.T @ sigma_inv @ yi
+    return np.linalg.solve(info, rhs), np.linalg.inv(info)
+
+
+def gee_sandwich(
+    data: PanelDataset, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """GEE estimate and sandwich under the exchangeable correlation ``rho``.
+
+    With ``R_inv = inv((1 - rho) I + rho 11')`` (``rho = 0`` is the
+    independence working structure), returns ``(beta, cov)``:
+    ``beta`` solves ``sum_i X_i' R_inv (y_i - X_i beta) = 0``, and ``cov``
+    is ``inv(B) M inv(B)`` with bread ``B = sum_i X_i' R_inv X_i`` and
+    meat ``M = sum_i u_i u_i'``, ``u_i = X_i' R_inv e_i`` at that ``beta``.
+    """
+    m, p = data.n_coordinates, data.n_covariates
+    r_inv = np.linalg.inv((1.0 - rho) * np.eye(m) + rho * np.ones((m, m)))
+    bread = np.zeros((p, p))
+    rhs = np.zeros(p)
+    for xi, yi in zip(data.covariates, data.responses, strict=True):
+        bread += xi.T @ r_inv @ xi
+        rhs += xi.T @ r_inv @ yi
+    beta = np.linalg.solve(bread, rhs)
+    meat = np.zeros((p, p))
+    for xi, yi in zip(data.covariates, data.responses, strict=True):
+        u = xi.T @ r_inv @ (yi - xi @ beta)
+        meat += np.outer(u, u)
+    bread_inv = np.linalg.inv(bread)
+    return beta, bread_inv @ meat @ bread_inv

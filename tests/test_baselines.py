@@ -1,9 +1,10 @@
 """Comparator-estimator tests.
 
-Oracles: ``np.linalg.lstsq`` for ordinary least squares, explicit
-per-subject loops for sandwich pieces, explicit whitened normal
-equations via ``np.linalg.inv`` for generalized least squares, and the
-moment identities recomputed from scratch on the final residuals.
+Oracles: ``np.linalg.lstsq`` for ordinary least squares, the
+per-subject loops of ``tests.oracles`` (GLS normal equations with a
+literal ``inv(Sigma)``, GEE bread and meat with a literal ``inv(R)``),
+and the moment identities recomputed from scratch on the final
+residuals.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import pytest
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import FitError
 from dimm.model import PanelDataset
+from dimm.simulate import bundled_scenario, generate_replicate
+from tests.oracles import gee_sandwich, gls_normal_equations
 
 
 def _panel(seed: int = 30, n: int = 80, m: int = 5, p: int = 3) -> PanelDataset:
@@ -49,17 +52,7 @@ def test_gee_independence_point_estimate_is_ols() -> None:
 def test_gee_independence_sandwich_matches_loops() -> None:
     data = _panel(seed=31)
     fit = gee_fit(data, working="independence")
-    n, m = data.responses.shape
-    p = data.n_covariates
-    resid = data.responses - np.einsum("nmp,p->nm", data.covariates, fit.beta_hat)
-    bread = np.zeros((p, p))
-    meat = np.zeros((p, p))
-    for i in range(n):
-        xi = data.covariates[i]
-        bread += xi.T @ xi
-        u = xi.T @ resid[i]
-        meat += np.outer(u, u)
-    want = np.linalg.inv(bread) @ meat @ np.linalg.inv(bread)
+    _, want = gee_sandwich(data, 0.0)
     np.testing.assert_allclose(fit.covariance, want, rtol=1e-10, atol=1e-14)
 
 
@@ -106,6 +99,18 @@ def test_gee_exchangeable_moment_identity_at_convergence() -> None:
     assert fit.n_iter <= 100
 
 
+def test_gee_exchangeable_sandwich_matches_loops() -> None:
+    # Every covariate varies within subject, so the exchangeable fit
+    # iterates away from OLS; given the reported rho, the estimate and
+    # the sandwich must match the literal inv(R) loops.
+    data = _panel(seed=42)
+    fit = gee_fit(data, working="exchangeable")
+    assert fit.n_iter >= 2
+    beta, cov = gee_sandwich(data, fit.rho_hat)
+    np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-10)
+    np.testing.assert_allclose(fit.covariance, cov, rtol=1e-10, atol=1e-14)
+
+
 def test_gee_exchangeable_weighted_equations_hold() -> None:
     # At the fixed point the working-correlation estimating equation
     # sum_i X_i' R^-1 (y_i - X_i beta) = 0 holds; verify against a
@@ -140,6 +145,18 @@ def test_gee_exchangeable_clamps_impossible_negative_correlation() -> None:
     np.testing.assert_allclose(fit.beta_hat, beta0, atol=1e-8)
 
 
+@pytest.mark.parametrize("working", ["independence", "exchangeable"])
+@pytest.mark.parametrize("level", [0.0, 1.0])
+def test_gee_refuses_an_exact_fit(working: str, level: float) -> None:
+    # A constant response with an intercept leaves no residual: the scale
+    # (and so rho) is 0/0, and the sandwich would report zero SEs.
+    x = _panel(seed=43).covariates.copy()
+    x[..., 0] = 1.0
+    data = PanelDataset(responses=np.full(x.shape[:2], level), covariates=x)
+    with pytest.raises(FitError, match="exact fit"):
+        gee_fit(data, working=working)
+
+
 def test_gee_rejects_unknown_working_structure() -> None:
     with pytest.raises(FitError, match="working"):
         gee_fit(_panel(), working="toeplitz")
@@ -164,15 +181,9 @@ def test_gls_matches_explicit_normal_equations() -> None:
     a = rng.standard_normal((m, m))
     sigma = a @ a.T + m * np.eye(m)
     fit = gls_oracle(data, sigma)
-    sigma_inv = np.linalg.inv(sigma)
-    info = np.zeros((data.n_covariates, data.n_covariates))
-    rhs = np.zeros(data.n_covariates)
-    for i in range(data.n_subjects):
-        xi = data.covariates[i]
-        info += xi.T @ sigma_inv @ xi
-        rhs += xi.T @ sigma_inv @ data.responses[i]
-    np.testing.assert_allclose(fit.beta_hat, np.linalg.solve(info, rhs), rtol=1e-10)
-    np.testing.assert_allclose(fit.covariance, np.linalg.inv(info), rtol=1e-8)
+    beta, cov = gls_normal_equations(data, sigma)
+    np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-10)
+    np.testing.assert_allclose(fit.covariance, cov, rtol=1e-8)
 
 
 def test_gls_point_estimate_invariant_to_covariance_scale() -> None:
@@ -202,6 +213,39 @@ def test_gls_validates_covariance() -> None:
         cov[0, 0] = bad
         with pytest.raises(FitError, match="covariance is not positive definite"):
             gls_oracle(data, cov)
+
+
+# ---------------------------------------------------------------------------
+# Bundled designs
+# ---------------------------------------------------------------------------
+
+
+def test_comparators_match_loop_oracles_on_table1_scaled() -> None:
+    # p = 6 with an intercept, subject-level columns and an interaction.
+    scn = bundled_scenario("table1_scaled")
+    data = generate_replicate(scn, 0)
+    gls = gls_oracle(data, scn.covariance_matrix)
+    ind = gee_fit(data, "independence")
+    exch = gee_fit(data, "exchangeable")
+    for fit, (beta, cov) in (
+        (gls, gls_normal_equations(data, scn.covariance_matrix)),
+        (ind, gee_sandwich(data, 0.0)),
+        (exch, gee_sandwich(data, exch.rho_hat)),
+    ):
+        np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-10, err_msg=fit.method)
+        np.testing.assert_allclose(fit.covariance, cov, rtol=1e-10, err_msg=fit.method)
+
+
+def test_gee_exchangeable_equals_independence_on_eeg_mimic() -> None:
+    # Every column of X_i on the bundled designs is subject-level,
+    # alternating or the intercept; the exchangeable R maps that column
+    # space into itself, so both working structures give one estimate
+    # and one sandwich.
+    data = generate_replicate(bundled_scenario("eeg_mimic"), 0)
+    ind = gee_fit(data, "independence")
+    exch = gee_fit(data, "exchangeable")
+    np.testing.assert_allclose(exch.beta_hat, ind.beta_hat, rtol=1e-10)
+    np.testing.assert_allclose(exch.covariance, ind.covariance, rtol=1e-10)
 
 
 def test_spd_solve_refusals_are_fit_errors() -> None:

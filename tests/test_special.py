@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dimm.special import chi2_cdf, normal_cdf
+from dimm.special import chi2_cdf, chi2_quantile, normal_cdf
 
 # (x, df, P(X <= x)) from mpmath at dps=50.
 CHI2_ORACLE = [
@@ -68,6 +68,30 @@ NORMAL_ORACLE = [
 @pytest.mark.parametrize(("x", "df", "expected"), CHI2_ORACLE)
 def test_chi2_cdf_matches_oracle(x, df, expected):
     assert chi2_cdf(x, df) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    ("x", "df"), [(x, df) for x, df, want in CHI2_ORACLE if abs(want - 0.95) < 1e-15]
+)
+def test_chi2_quantile_matches_oracle_95_percent_points(x, df):
+    assert chi2_quantile(0.95, df) == pytest.approx(x, rel=1e-12)
+
+
+def test_chi2_quantile_domain_and_boundary():
+    assert chi2_quantile(0.0, 4) == 0.0
+    for p in (-0.1, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            chi2_quantile(p, 4)
+    with pytest.raises(ValueError):
+        chi2_quantile(0.5, 0.0)
+
+
+@given(
+    st.floats(min_value=1e-6, max_value=0.999),
+    st.floats(min_value=0.5, max_value=400.0),
+)
+def test_chi2_quantile_inverts_the_cdf(p, df):
+    assert chi2_cdf(chi2_quantile(p, df), df) == pytest.approx(p, abs=1e-12)
 
 
 @pytest.mark.parametrize(("z", "expected"), NORMAL_ORACLE)
