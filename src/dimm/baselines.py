@@ -40,6 +40,10 @@ __all__ = ["BaselineFit", "gee_fit", "gls_oracle"]
 
 _WORKING_CHOICES = ("independence", "exchangeable")
 _RHO_CLAMP_MARGIN = 1e-6
+# The exchangeable fit's cap on beta updates, and its sup-norm
+# convergence tolerance on successive beta iterates.
+_MAX_ITER = 100
+_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,13 +162,7 @@ def _exchangeable_moments(
     return phi, rho
 
 
-def gee_fit(
-    data: PanelDataset,
-    working: str = "independence",
-    *,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> BaselineFit:
+def gee_fit(data: PanelDataset, working: str = "independence") -> BaselineFit:
     """Generalized estimating equations for the marginal mean model.
 
     Parameters
@@ -174,11 +172,8 @@ def gee_fit(
         Working correlation structure. Independence reduces to pooled
         ordinary least squares in the point estimate; exchangeable
         alternates the beta solve with moment updates of the common
-        correlation until ``max |delta beta| <= tol``.
-    max_iter : int
-        Cap on beta updates for the exchangeable fit.
-    tol : float
-        Sup-norm convergence tolerance on successive beta iterates.
+        correlation until ``max |delta beta| <= 1e-8``, in at most 100
+        beta updates.
 
     Returns
     -------
@@ -248,7 +243,7 @@ def gee_fit(
     xsy = x_sum.T @ y_sum
     n_iter = 0
     converged = False
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         _, rho = _exchangeable_moments(resid, p)
         if rho < rho_lo or rho > rho_hi:
             clamped = min(max(rho, rho_lo), rho_hi)
@@ -267,13 +262,13 @@ def gee_fit(
         step = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
         resid = y - (flat @ beta).reshape(n, m)
-        if step <= tol:
+        if step <= _TOL:
             converged = True
             break
     if not converged:
         msg = (
-            f"exchangeable fit did not converge in {max_iter} iterations "
-            f"(last beta step {step:.3g} > tol {tol:.3g})"
+            f"exchangeable fit did not converge in {_MAX_ITER} iterations "
+            f"(last beta step {step:.3g} > tol {_TOL:.3g})"
         )
         raise FitError(msg)
 

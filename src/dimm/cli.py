@@ -19,10 +19,8 @@ configuration problem, wherever it comes from.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,12 +48,7 @@ from dimm.io import (
 from dimm.model import BlockPartition, PanelDataset
 from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
 from dimm.pairwise import fit_blocks
-from dimm.simulate import (
-    bundled_scenario,
-    bundled_scenario_names,
-    run_scenario,
-    scenario_from_dict,
-)
+from dimm.simulate import SimScenario, bundled_scenario, bundled_scenario_names, run_scenario
 from dimm.special import chi2_cdf
 
 if TYPE_CHECKING:
@@ -140,16 +133,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print(f"blocks fitted: {len(fits)}")
     for entry in report.block_results:
         print(
-            f"  {entry['name']:>12s} [{entry['structure']}] "
-            f"sigma={entry['sigma']:.6g} rho={entry['rho']:.6g} "
-            f"logcl={entry['logcl']:.6g}"
+            f"  {entry.name:>12s} [{entry.structure}] "
+            f"sigma={entry.sigma:.6g} rho={entry.rho:.6g} logcl={entry.logcl:.6g}"
         )
     print(f"integrated over {len(report.block_names)} block(s): {', '.join(report.block_names)}")
     for q, test in enumerate(report.wald):
         print(
-            f"  beta[{q}] = {test['estimate']:.6g}  se = {test['std_error']:.6g}  "
-            f"z = {test['z_value']:.4g}  p = {test['p_value']:.4g}  "
-            f"95% CI [{test['ci_lower']:.6g}, {test['ci_upper']:.6g}]"
+            f"  beta[{q}] = {test.estimate:.6g}  se = {test.std_error:.6g}  "
+            f"z = {test.z_value:.4g}  p = {test.p_value:.4g}  "
+            f"95% CI [{test.ci_lower:.6g}, {test.ci_upper:.6g}]"
         )
     if report.gof_pvalue is not None:
         print(
@@ -172,17 +164,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.scenario is not None:
         scenario = bundled_scenario(args.scenario)
     else:
-        path = Path(args.config)
-        if not path.is_file():
-            msg = f"scenario file not found: {path}"
-            raise ScenarioError(msg)
-        try:
-            with path.open(encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            msg = f"scenario file {path} is not valid JSON: {exc}"
-            raise ScenarioError(msg) from None
-        scenario = scenario_from_dict(raw)
+        scenario = SimScenario.load(args.config)
     if args.replicates is not None:
         from dataclasses import replace
 

@@ -56,6 +56,7 @@ import numpy as np
 
 from dimm._util import spd_solve
 from dimm.errors import IntegrationError
+from dimm.io import CoefficientTest
 from dimm.pairwise import BlockFit
 from dimm.special import chi2_cdf, normal_cdf
 
@@ -385,18 +386,6 @@ def gof_test(q_stat: float, n_blocks: int, n_params: int) -> tuple[int, float]:
         msg = f"q_stat must be finite and >= 0, got {q_stat!r}"
         raise IntegrationError(msg)
     return df, 1.0 - chi2_cdf(q_stat, df)
-
-
-@dataclass(frozen=True)
-class CoefficientTest:
-    """Wald inference for one coefficient."""
-
-    estimate: float
-    std_error: float
-    z_value: float
-    p_value: float
-    ci_lower: float
-    ci_upper: float
 
 
 def _wald_from(beta: np.ndarray, covariance: np.ndarray) -> tuple[CoefficientTest, ...]:

@@ -13,16 +13,23 @@ combinations must appear exactly once. Rows may come in any order — the
 panel is keyed by (subject_id, position) — and every error message names
 the offending row, column, or key.
 
-Configs and reports are JSON with a ``schema_version`` field; all floats
-round-trip losslessly through Python's shortest-repr float encoding.
-
-Reports (:class:`FitReport`, :class:`GofReport`, and the simulation
-reports in :mod:`dimm.simulate`) share one codec, :class:`Report`, derived
-from their dataclass fields: the field name is the JSON key, arrays and
-tuples become lists, a nested record becomes an object, and keys are
-written sorted. Loading turns each value back into its annotated type
-(arrays read-only float64, sequences tuples). ``timing`` is the only
-non-deterministic key.
+Every JSON file — the fit config (:class:`FitConfig`), the simulation
+scenario (:class:`dimm.simulate.SimScenario`) and the reports
+(:class:`FitReport`, :class:`GofReport` and the simulation reports) — is
+read and written by one codec, :class:`Report`, derived from the record's
+dataclass fields: the field name is the JSON key, arrays and tuples
+become lists, a nested record becomes an object, and reports are written
+with sorted keys. Floats round-trip losslessly through Python's
+shortest-repr float encoding. Loading is strict: a bool is only
+``true``/``false``, an integer field takes no float or bool, a number
+field no string or bool, and a fixed family such as ``"ar1"``/``"cs"``
+only its listed values; arrays load read-only float64 and sequences as
+tuples. An unknown, missing or mistyped field raises the record's typed
+error naming the JSON path (``config.blocks[1].size``) after the
+``Class.field:`` chain that led to it; checks of meaning (block names,
+methods, covariance assembly) stay in each record's ``__post_init__``.
+Configs and scenarios may omit ``schema_version``; reports must carry
+theirs. ``timing`` is the only non-deterministic report key.
 """
 
 from __future__ import annotations
@@ -33,14 +40,14 @@ import io
 import json
 import math
 import types
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, ClassVar, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Any, ClassVar, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from dimm.errors import ConfigError, DataError, DimmError
-from dimm.model import AR1, CS, BlockPartition, PanelDataset
+from dimm.model import BlockPartition, PanelDataset, Structure
 
 if TYPE_CHECKING:
     from collections.abc import Iterator, Sequence
@@ -51,6 +58,9 @@ if TYPE_CHECKING:
     from dimm.simulate import SimReport
 
 __all__ = [
+    "BlockConfig",
+    "BlockResult",
+    "CoefficientTest",
     "FitConfig",
     "FitReport",
     "GofReport",
@@ -273,183 +283,64 @@ def save_panel(
                 )
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    """Everything the ``fit`` and ``gof`` commands need.
-
-    Parameters
-    ----------
-    response_path, covariate_path : str
-        Panel files in the formats documented in this module.
-    blocks : tuple of (name, size, structure) dicts
-        Contiguous partition of the M response coordinates, in order.
-    intercept : bool
-        Prepend a constant-1 design column to the file covariates.
-    blocks_to_integrate : tuple of str or None
-        Optional sub-group: integrate only these blocks.
-    output_path : str or None
-        Where the fit report is written (None = stdout summary only).
-    """
-
-    response_path: str
-    covariate_path: str
-    blocks: tuple[dict[str, Any], ...]
-    intercept: bool = False
-    blocks_to_integrate: tuple[str, ...] | None = None
-    output_path: str | None = None
-
-    def partition(self) -> BlockPartition:
-        return BlockPartition.from_sizes(
-            [entry["size"] for entry in self.blocks],
-            structure=[entry["structure"] for entry in self.blocks],
-            names=[entry["name"] for entry in self.blocks],
-        )
-
-
-def _config_field(entry: dict[str, Any], key: str, kind: type, *, where: str) -> Any:
-    if key not in entry:
-        msg = f"missing required field {where}.{key}"
-        raise ConfigError(msg)
-    value = entry[key]
-    if kind is int and isinstance(value, bool):
-        msg = f"field {where}.{key} must be an integer, got a boolean"
-        raise ConfigError(msg)
-    if not isinstance(value, kind):
-        msg = f"field {where}.{key} must be {kind.__name__}, got {type(value).__name__}"
-        raise ConfigError(msg)
-    return value
-
-
-def load_fit_config(path: str | Path) -> FitConfig:
-    """Parse and schema-validate a fit config JSON file.
-
-    Raises
-    ------
-    ConfigError
-        Naming the offending field path on any schema violation.
-    """
-    path = Path(path)
-    if not path.is_file():
-        msg = f"config file not found: {path}"
-        raise ConfigError(msg)
-    try:
-        with path.open(encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except json.JSONDecodeError as exc:
-        msg = f"config file {path} is not valid JSON: {exc}"
-        raise ConfigError(msg) from None
-    if not isinstance(raw, dict):
-        msg = f"config root must be an object, got {type(raw).__name__}"
-        raise ConfigError(msg)
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        msg = f"unsupported config schema_version {version!r} (this build reads {SCHEMA_VERSION})"
-        raise ConfigError(msg)
-    known = {
-        "schema_version",
-        "response_path",
-        "covariate_path",
-        "blocks",
-        "intercept",
-        "blocks_to_integrate",
-        "output_path",
-    }
-    extra = set(raw) - known
-    if extra:
-        msg = f"unknown config fields: {sorted(extra)}"
-        raise ConfigError(msg)
-
-    blocks_raw = _config_field(raw, "blocks", list, where="config")
-    if not blocks_raw:
-        msg = "config.blocks must be a non-empty list"
-        raise ConfigError(msg)
-    blocks = []
-    for i, entry in enumerate(blocks_raw):
-        if not isinstance(entry, dict):
-            msg = f"config.blocks[{i}] must be an object"
-            raise ConfigError(msg)
-        name = _config_field(entry, "name", str, where=f"config.blocks[{i}]")
-        size = _config_field(entry, "size", int, where=f"config.blocks[{i}]")
-        structure = _config_field(entry, "structure", str, where=f"config.blocks[{i}]")
-        if structure not in (AR1, CS):
-            msg = (
-                f"config.blocks[{i}].structure must be '{AR1}' or '{CS}', "
-                f"got {structure!r}"
-            )
-            raise ConfigError(msg)
-        unknown = set(entry) - {"name", "size", "structure"}
-        if unknown:
-            msg = f"unknown fields in config.blocks[{i}]: {sorted(unknown)}"
-            raise ConfigError(msg)
-        blocks.append({"name": name, "size": size, "structure": structure})
-
-    subset_raw = raw.get("blocks_to_integrate")
-    subset: tuple[str, ...] | None = None
-    if subset_raw is not None:
-        if not isinstance(subset_raw, list) or not all(
-            isinstance(s, str) for s in subset_raw
-        ):
-            msg = "config.blocks_to_integrate must be a list of block names"
-            raise ConfigError(msg)
-        names = {b["name"] for b in blocks}
-        missing = [s for s in subset_raw if s not in names]
-        if missing:
-            msg = f"config.blocks_to_integrate names {missing} not among the configured blocks"
-            raise ConfigError(msg)
-        subset = tuple(subset_raw)
-
-    output_path = raw.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        msg = f"config.output_path must be a string, got {type(output_path).__name__}"
-        raise ConfigError(msg)
-
-    return FitConfig(
-        response_path=_config_field(raw, "response_path", str, where="config"),
-        covariate_path=_config_field(raw, "covariate_path", str, where="config"),
-        blocks=tuple(blocks),
-        intercept=bool(raw.get("intercept", False)),
-        blocks_to_integrate=subset,
-        output_path=output_path,
-    )
-
-
 class Report:
-    """Base of the JSON reports: one codec derived from the dataclass fields.
+    """Base of the JSON records: one codec derived from the dataclass fields.
 
-    Subclasses are frozen dataclasses. ``SCHEMA_VERSION`` (None for a
-    record nested in another) is checked on load, and ``ERROR`` is the
-    typed error a malformed report raises, naming the field.
+    Subclasses are frozen dataclasses. ``ERROR`` is the typed error a
+    malformed record raises and ``PATH`` names a file's top object in
+    error messages. A record with a ``SCHEMA_VERSION`` checks the
+    ``schema_version`` key on load: a report carries it as a required
+    field, an input as a key that may be left out.
     """
 
     SCHEMA_VERSION: ClassVar[int | None] = None
     ERROR: ClassVar[type[DimmError]]
+    PATH: ClassVar[str] = "report"
 
     def __post_init__(self) -> None:
         cls = type(self)
-        for name, kind in _field_types(cls).items():
-            try:
-                value = _decode(kind, getattr(self, name))
-            except (TypeError, ValueError, DimmError) as exc:
-                msg = f"{cls.__name__}.{name}: {exc}"
-                raise cls.ERROR(msg) from None
+        for name, (kind, _) in _fields(cls).items():
+            value = _decode_field(cls, name, kind, getattr(self, name), name)
             object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict[str, Any]:
         return encode(self)
 
     @classmethod
-    def from_dict(cls, entry: Any) -> Self:
+    def _checked(cls, entry: Any, path: str) -> dict[str, Any]:
+        """``entry`` as an object of this version with no unknown keys."""
         if not isinstance(entry, dict):
-            msg = f"{cls.__name__} must be a JSON object, got {type(entry).__name__}"
+            msg = f"{path} must be a JSON object, got {type(entry).__name__}"
             raise cls.ERROR(msg)
-        version = entry.get("schema_version")
-        if cls.SCHEMA_VERSION is not None and version != cls.SCHEMA_VERSION:
-            msg = f"unsupported report schema_version {version!r} (this build reads {cls.SCHEMA_VERSION})"
+        specs = _fields(cls)
+        if cls.SCHEMA_VERSION is not None:
+            # A report's version is a required field; an input's an optional key, dropped here.
+            is_field = "schema_version" in specs
+            version = entry.get("schema_version", None if is_field else cls.SCHEMA_VERSION)
+            if version != cls.SCHEMA_VERSION:
+                msg = f"unsupported {path} schema_version {version!r} (this build reads {cls.SCHEMA_VERSION})"
+                raise cls.ERROR(msg)
+            entry = entry if is_field else {k: v for k, v in entry.items() if k != "schema_version"}
+        unknown = sorted(set(entry) - specs.keys())
+        if unknown:
+            msg = f"unknown {path} fields: {unknown}"
             raise cls.ERROR(msg)
-        try:
-            return cls(**entry)
-        except TypeError as exc:  # a missing or an unknown field, named by the message
-            raise cls.ERROR(str(exc)) from None
+        return entry
+
+    @classmethod
+    def from_dict(cls, entry: Any, path: str | None = None) -> Self:
+        """Build the record from JSON data; errors name the JSON ``path``."""
+        path = cls.PATH if path is None else path
+        entry = cls._checked(entry, path)
+        specs = _fields(cls)
+        values = {}  # decoded here to name the path; the constructor freezes them again
+        for name, (kind, required) in specs.items():
+            if name in entry:
+                values[name] = _decode_field(cls, name, kind, entry[name], f"{path}.{name}")
+            elif required:
+                msg = f"{path}.{name}: missing required field {name!r}"
+                raise cls.ERROR(msg)
+        return cls(**values)
 
     def save(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8") as handle:
@@ -458,19 +349,31 @@ class Report:
 
     @classmethod
     def load(cls, path: str | Path) -> Self:
-        with Path(path).open(encoding="utf-8") as handle:
-            try:
+        try:
+            with Path(path).open(encoding="utf-8") as handle:
                 entry = json.load(handle)
-            except json.JSONDecodeError as exc:
-                msg = f"report file {path} is not valid JSON: {exc}"
-                raise cls.ERROR(msg) from None
+        except OSError as exc:
+            msg = f"cannot read {cls.PATH} file {path}: {exc.strerror}"
+            raise cls.ERROR(msg) from None
+        except ValueError as exc:
+            msg = f"{cls.PATH} file {path} is not valid JSON: {exc}"
+            raise cls.ERROR(msg) from None
         return cls.from_dict(entry)
 
 
 def encode(value: Any) -> Any:
-    """Plain JSON data of a record: fields by name, arrays and tuples as lists."""
+    """Plain JSON data of a record: fields by name, arrays and tuples as lists.
+
+    Fields set at construction are written, except an optional one left
+    at its default None.
+    """
     if is_dataclass(value):
-        return {f.name: encode(getattr(value, f.name)) for f in fields(value)}
+        out = {}
+        for f in fields(value):
+            item = getattr(value, f.name)
+            if f.init and not (item is None and f.default is None):
+                out[f.name] = encode(item)
+        return out
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (tuple, list)):
@@ -481,29 +384,165 @@ def encode(value: Any) -> Any:
 
 
 @functools.cache
-def _field_types(cls: type) -> dict[str, Any]:
+def _fields(cls: type) -> dict[str, tuple[Any, bool]]:
+    """Each field set at construction: its annotated type, and whether JSON must give it."""
     hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
+    return {
+        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+        if f.init
+    }
 
 
-def _decode(kind: Any, value: Any) -> Any:
-    """``value`` as the annotated ``kind``, frozen: arrays read-only float64, sequences tuples."""
+def _decode_field(cls: type[Report], name: str, kind: Any, value: Any, path: str) -> Any:
+    try:
+        return _decode(kind, value, path)
+    except (TypeError, ValueError, DimmError) as exc:
+        msg = f"{cls.__name__}.{name}: {exc}"
+        raise cls.ERROR(msg) from None
+
+
+# The accepted Python types of each scalar annotation; a bool is only a bool.
+_SCALARS: dict[type, tuple[tuple[type, ...], str]] = {
+    bool: ((bool,), "true or false"),
+    int: ((int, np.integer), "an integer"),
+    float: ((int, float, np.integer, np.floating), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def _decode(kind: Any, value: Any, path: str) -> Any:
+    """``value`` as the annotated ``kind``, strictly typed and frozen.
+
+    Arrays become read-only float64 and sequences tuples; a mistyped
+    value raises an error naming ``path``.
+    """
     origin, args = get_origin(kind), get_args(kind)
     if origin is types.UnionType:  # T | None
-        return None if value is None else _decode(args[0], value)
+        return None if value is None else _decode(args[0], value, path)
+    if origin is Literal:
+        if not (isinstance(value, str) and value in args):
+            msg = f"{path} must be one of {args}, got {value!r}"
+            raise ValueError(msg)
+        return value
     if origin is tuple:
-        return tuple(_decode(args[0], v) for v in value)
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            msg = f"{path} must be a JSON list, got {type(value).__name__}"
+            raise TypeError(msg)
+        return tuple(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if origin is dict:
-        return {key: _decode(args[1], v) for key, v in dict(value).items()}
+        if not isinstance(value, dict):
+            msg = f"{path} must be a JSON object, got {type(value).__name__}"
+            raise TypeError(msg)
+        return {key: _decode(args[1], v, f"{path}.{key}") for key, v in value.items()}
     if kind is np.ndarray:
-        arr = np.array(value, dtype=np.float64, copy=True)
+        arr = np.array(value, copy=True)
+        if arr.dtype.kind not in "fiu":
+            msg = f"{path} must be an array of numbers, got {arr.dtype} values"
+            raise TypeError(msg)
+        arr = arr.astype(np.float64, copy=False)
         arr.setflags(write=False)
         return arr
     if isinstance(kind, type) and issubclass(kind, Report):
-        return value if isinstance(value, kind) else kind.from_dict(value)
-    if kind in (int, float, str):
-        return kind(value)
-    return value
+        return value if isinstance(value, kind) else kind.from_dict(value, path)
+    accepted, noun = _SCALARS[kind]
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        msg = f"{path} must be {noun}, got {type(value).__name__}"
+        raise TypeError(msg)
+    return kind(value)
+
+
+@dataclass(frozen=True)
+class BlockConfig(Report):
+    """One block of a fit config: its name, size and fitted family."""
+
+    ERROR = ConfigError
+
+    name: str
+    size: int
+    structure: Structure
+
+
+@dataclass(frozen=True)
+class FitConfig(Report):
+    """Everything the ``fit`` and ``gof`` commands need.
+
+    Parameters
+    ----------
+    response_path, covariate_path : str
+        Panel files in the formats documented in this module.
+    blocks : tuple of BlockConfig
+        Contiguous partition of the M response coordinates, in order.
+    intercept : bool
+        Prepend a constant-1 design column to the file covariates.
+    blocks_to_integrate : tuple of str or None
+        Optional sub-group: integrate only these blocks.
+    output_path : str or None
+        Where the fit report is written (None = stdout summary only).
+    """
+
+    SCHEMA_VERSION = SCHEMA_VERSION
+    ERROR = ConfigError
+    PATH = "config"
+
+    response_path: str
+    covariate_path: str
+    blocks: tuple[BlockConfig, ...]
+    intercept: bool = False
+    blocks_to_integrate: tuple[str, ...] | None = None
+    output_path: str | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.blocks:
+            msg = "config.blocks must be a non-empty list"
+            raise ConfigError(msg)
+        names = {b.name for b in self.blocks}
+        missing = [s for s in self.blocks_to_integrate or () if s not in names]
+        if missing:
+            msg = f"config.blocks_to_integrate names {missing} not among the configured blocks"
+            raise ConfigError(msg)
+
+    def partition(self) -> BlockPartition:
+        return BlockPartition.from_sizes(
+            [b.size for b in self.blocks],
+            structure=[b.structure for b in self.blocks],
+            names=[b.name for b in self.blocks],
+        )
+
+
+load_fit_config = FitConfig.load  # the loader's name in the CLI and earlier releases
+
+
+@dataclass(frozen=True)
+class BlockResult(Report):
+    """One block's row of a fit report."""
+
+    ERROR = ConfigError
+
+    name: str
+    structure: str
+    beta_hat: tuple[float, ...]
+    sigma: float
+    rho: float
+    logcl: float
+    n_pairs: int
+    rel_beta_score: float
+    rel_gamma_score: float
+
+
+@dataclass(frozen=True)
+class CoefficientTest(Report):
+    """Wald inference for one coefficient, a row of a fit report's ``wald``."""
+
+    ERROR = ConfigError
+
+    estimate: float
+    std_error: float
+    z_value: float
+    p_value: float
+    ci_lower: float
+    ci_upper: float
 
 
 @dataclass(frozen=True)
@@ -518,11 +557,11 @@ class FitReport(Report):
     ERROR = ConfigError
 
     schema_version: int
-    block_results: tuple[dict[str, Any], ...]
+    block_results: tuple[BlockResult, ...]
     beta_dimm: tuple[float, ...]
     std_errors: tuple[float, ...]
     covariance: tuple[tuple[float, ...], ...]
-    wald: tuple[dict[str, float], ...]
+    wald: tuple[CoefficientTest, ...]
     q_stat: float
     gof_df: int
     gof_pvalue: float | None
@@ -539,17 +578,17 @@ def build_fit_report(
 ) -> FitReport:
     """Assemble the serializable report from in-memory fit objects."""
     blocks = [
-        {
-            "name": fit.name,
-            "structure": fit.structure,
-            "beta_hat": [float(v) for v in fit.beta_hat],
-            "sigma": float(fit.gamma_hat.sigma),
-            "rho": float(fit.gamma_hat.rho),
-            "logcl": float(fit.logcl),
-            "n_pairs": int(fit.n_pairs),
-            "rel_beta_score": float(fit.trace.rel_beta_score),
-            "rel_gamma_score": float(fit.trace.rel_gamma_score),
-        }
+        BlockResult(
+            name=fit.name,
+            structure=fit.structure,
+            beta_hat=fit.beta_hat,
+            sigma=fit.gamma_hat.sigma,
+            rho=fit.gamma_hat.rho,
+            logcl=fit.logcl,
+            n_pairs=fit.n_pairs,
+            rel_beta_score=fit.trace.rel_beta_score,
+            rel_gamma_score=fit.trace.rel_gamma_score,
+        )
         for fit in fits
     ]
     return FitReport(
@@ -558,7 +597,7 @@ def build_fit_report(
         beta_dimm=integrated.beta_dimm,
         std_errors=integrated.std_errors,
         covariance=integrated.covariance,
-        wald=encode(integrated.wald),
+        wald=integrated.wald,
         q_stat=integrated.q_stat,
         gof_df=integrated.gof_df,
         gof_pvalue=integrated.gof_pvalue,

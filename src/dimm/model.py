@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
 
@@ -32,13 +32,16 @@ __all__ = [
     "BlockPartition",
     "Dependence",
     "PanelDataset",
+    "Structure",
     "assemble_kronecker",
     "partition_dataset",
 ]
 
 AR1 = "ar1"
 CS = "cs"
-_STRUCTURES = (AR1, CS)
+# The fitted working families, as the JSON records type them.
+Structure = Literal["ar1", "cs"]
+_STRUCTURES = get_args(Structure)
 
 
 @dataclass(frozen=True)

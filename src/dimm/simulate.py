@@ -4,7 +4,9 @@ A :class:`SimScenario` pins down everything needed to draw replicate
 panels — the true mean vector, the block layout with true and fitted
 dependence structures, the between-block scale matrix, and an ordered
 list of covariate recipes — plus the replicate count, base seed, and the
-estimation methods to run. :func:`run_scenario` executes the replicates
+estimation methods to run. Scenario files are read and written by the
+strict :class:`dimm.io.Report` codec, like every other JSON file of the
+package. :func:`run_scenario` executes the replicates
 (optionally across processes), collects per-replicate estimates and
 standard errors, and reduces them to the standard simulation metrics:
 
@@ -31,7 +33,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Literal
 
 import numpy as np
 
@@ -39,13 +41,12 @@ from dimm._util import parallel_map
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import DimmError, ScenarioError
 from dimm.integrate import integrate_fits
-from dimm.io import Report, encode
+from dimm.io import Report
 from dimm.model import (
-    AR1,
-    CS,
     BlockPartition,
     Dependence,
     PanelDataset,
+    Structure,
     assemble_kronecker,
     partition_dataset,  # noqa: F401  (unused; perfbench/tracing.py probes this name)
 )
@@ -68,8 +69,6 @@ __all__ = [
     "random_between_matrix",
     "report_fingerprint",
     "run_scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
 ]
 
 SCHEMA_VERSION = 1
@@ -77,15 +76,11 @@ SCHEMA_VERSION = 1
 # ``std_errors`` the jackknife ones.
 REPORT_SCHEMA_VERSION = 2
 
-_COVARIATE_KINDS = (
-    "standard_normal",
-    "bernoulli",
-    "categorical",
-    "uniform01",
-    "interaction",
-    "mv_normal_rows",
-    "alternating01",
-)
+# The covariate recipes of CovariateSpec.kind.
+CovariateKind = Literal[
+    "standard_normal", "bernoulli", "categorical", "uniform01",
+    "interaction", "mv_normal_rows", "alternating01"
+]
 
 # Methods: the "dimm" entry fits each block with its scenario-declared
 # structure; "dimm:cs" / "dimm:ar1" override every block's fitted
@@ -107,7 +102,7 @@ _MAX_FAILURE_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
-class CovariateSpec:
+class CovariateSpec(Report):
     """One covariate column recipe.
 
     Subject-level recipes (``standard_normal``, ``bernoulli``,
@@ -136,7 +131,9 @@ class CovariateSpec:
         AR(1) correlation of the row covariance for ``mv_normal_rows``.
     """
 
-    kind: str
+    ERROR = ScenarioError
+
+    kind: CovariateKind
     q: float | None = None
     probs: tuple[float, ...] | None = None
     a: int | None = None
@@ -144,9 +141,7 @@ class CovariateSpec:
     rho: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _COVARIATE_KINDS:
-            msg = f"unknown covariate generator {self.kind!r}; expected one of {_COVARIATE_KINDS}"
-            raise ScenarioError(msg)
+        super().__post_init__()
         if self.kind == "bernoulli":
             if self.q is None or not (0.0 < self.q < 1.0):
                 msg = f"bernoulli requires q in (0, 1), got {self.q!r}"
@@ -155,7 +150,6 @@ class CovariateSpec:
             if self.probs is None or len(self.probs) < 2:
                 msg = "categorical requires at least 2 probabilities"
                 raise ScenarioError(msg)
-            object.__setattr__(self, "probs", tuple(float(v) for v in self.probs))
             arr = np.asarray(self.probs, dtype=np.float64)
             if np.any(arr < 0.0) or not math.isclose(
                 float(arr.sum()), 1.0, rel_tol=0.0, abs_tol=1e-9
@@ -186,52 +180,22 @@ class CovariateSpec:
             msg = f"{self.kind!r} does not take parameter(s) {stray}"
             raise ScenarioError(msg)
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind}
-        for key in ("q", "a", "b", "rho"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        if self.probs is not None:
-            out["probs"] = list(self.probs)
-        return out
-
-    @staticmethod
-    def from_dict(entry: dict[str, Any]) -> CovariateSpec:
-        if not isinstance(entry, dict) or "kind" not in entry:
-            msg = f"covariate entry must be an object with a 'kind' field, got {entry!r}"
-            raise ScenarioError(msg)
-        known = {"kind", "q", "probs", "a", "b", "rho"}
-        extra = set(entry) - known
-        if extra:
-            msg = f"unknown covariate fields {sorted(extra)} in {entry!r}"
-            raise ScenarioError(msg)
-        probs = entry.get("probs")
-        return CovariateSpec(
-            kind=entry["kind"],
-            q=entry.get("q"),
-            probs=tuple(probs) if probs is not None else None,
-            a=entry.get("a"),
-            b=entry.get("b"),
-            rho=entry.get("rho"),
-        )
-
 
 @dataclass(frozen=True)
-class BlockScenario:
+class BlockScenario(Report):
     """Layout of one block: its size, true dependence, and fitted structure."""
+
+    ERROR = ScenarioError
 
     name: str
     size: int
-    structure_fit: str
+    structure_fit: Structure
     structure_true: str
     sigma: float
     rho: float
 
     def __post_init__(self) -> None:
-        if self.structure_fit not in (AR1, CS):
-            msg = f"block {self.name!r}: structure_fit must be '{AR1}' or '{CS}', got {self.structure_fit!r}"
-            raise ScenarioError(msg)
+        super().__post_init__()
         # Construct the true dependence to surface invalid (sigma, rho)
         # and size constraints with the block name attached.
         try:
@@ -271,8 +235,36 @@ def random_between_matrix(
     return (mat + mat.T) / 2.0
 
 
+@dataclass(frozen=True)
+class _BetweenRecipe(Report):
+    """The ``between`` input: the identity, a seeded random matrix, or the matrix itself."""
+
+    ERROR = ScenarioError
+
+    kind: Literal["identity", "random", "matrix"]
+    seed: int | None = None
+    off_scale: float = 0.3
+    floor: float = 0.05
+    values: np.ndarray | None = None
+
+
+def _between_from_dict(entry: Any, n_blocks: int, path: str) -> np.ndarray:
+    """Resolve the tagged ``between`` input to the between-block matrix."""
+    recipe = _BetweenRecipe.from_dict(entry, path)
+    if recipe.kind == "identity":
+        return np.eye(n_blocks)
+    if recipe.kind == "random" and recipe.seed is not None:
+        return random_between_matrix(
+            n_blocks, seed=recipe.seed, off_scale=recipe.off_scale, floor=recipe.floor
+        )
+    if recipe.kind == "matrix" and recipe.values is not None:
+        return recipe.values
+    msg = f"{path}: kind {recipe.kind!r} needs {'seed' if recipe.kind == 'random' else 'values'}"
+    raise ScenarioError(msg)
+
+
 @dataclass(frozen=True, eq=False)
-class SimScenario:
+class SimScenario(Report):
     """Complete generative and estimation description of one study.
 
     Parameters
@@ -287,47 +279,51 @@ class SimScenario:
         Between-block scale matrix (symmetric positive definite). The
         realized response covariance is assembled from it and the
         per-block true dependences at construction, so an invalid
-        combination fails fast.
-    covariates : sequence of CovariateSpec
-    intercept : bool
-        Prepend a constant-1 design column.
+        combination fails fast. In JSON it is tagged:
+        ``{"kind": "identity"}``, ``{"kind": "random", "seed": s}``
+        (optional ``off_scale``, ``floor``; see
+        :func:`random_between_matrix`) or ``{"kind": "matrix", "values":
+        [[...]]}``, the form ``to_dict`` writes.
     n_replicates : int
     seed : int
         Base seed; replicate r draws from the stream keyed by
         ``(seed, r)``.
     methods : sequence of str
         Estimation methods to run each replicate; see module docstring.
+    covariates : sequence of CovariateSpec, default ()
+    intercept : bool, default False
+        Prepend a constant-1 design column.
     """
+
+    SCHEMA_VERSION = SCHEMA_VERSION
+    ERROR = ScenarioError
+    PATH = "scenario"
 
     name: str
     n_subjects: int
     beta0: np.ndarray
     blocks: tuple[BlockScenario, ...]
     between: np.ndarray
-    covariates: tuple[CovariateSpec, ...]
-    intercept: bool
     n_replicates: int
     seed: int
     methods: tuple[str, ...]
+    covariates: tuple[CovariateSpec, ...] = ()
+    intercept: bool = False
     covariance_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "covariates", tuple(self.covariates))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        beta0 = np.array(self.beta0, dtype=np.float64, copy=True).reshape(-1)
-        if beta0.size == 0 or not np.all(np.isfinite(beta0)):
-            msg = f"beta0 must be a non-empty finite vector, got {self.beta0!r}"
+        super().__post_init__()
+        beta0 = self.beta0
+        if beta0.ndim != 1 or beta0.size == 0 or not np.all(np.isfinite(beta0)):
+            msg = f"beta0 must be a non-empty finite vector, got {beta0!r}"
             raise ScenarioError(msg)
-        beta0.setflags(write=False)
-        object.__setattr__(self, "beta0", beta0)
         if self.n_subjects < 1:
             msg = f"n_subjects must be >= 1, got {self.n_subjects}"
             raise ScenarioError(msg)
         if self.n_replicates < 1:
             msg = f"n_replicates must be >= 1, got {self.n_replicates}"
             raise ScenarioError(msg)
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             msg = f"seed must be a non-negative integer, got {self.seed!r}"
             raise ScenarioError(msg)
         if not self.blocks:
@@ -361,18 +357,31 @@ class SimScenario:
                     f"(a={spec.a}, b={spec.b}); both must be earlier columns"
                 )
                 raise ScenarioError(msg)
-        between = np.array(self.between, dtype=np.float64, copy=True)
         sizes = tuple(b.size for b in self.blocks)
         deps = [b.true_dependence for b in self.blocks]
         try:
-            sigma_full = assemble_kronecker(between, deps, sizes)
+            sigma_full = assemble_kronecker(self.between, deps, sizes)
         except DimmError as exc:
             msg = f"scenario {self.name!r}: invalid covariance: {exc}"
             raise ScenarioError(msg) from None
-        between.setflags(write=False)
         sigma_full.setflags(write=False)
-        object.__setattr__(self, "between", between)
         object.__setattr__(self, "covariance_matrix", sigma_full)
+
+    def to_dict(self) -> dict[str, Any]:
+        between = {"kind": "matrix", "values": self.between.tolist()}
+        return {**super().to_dict(), "schema_version": SCHEMA_VERSION, "between": between}
+
+    @classmethod
+    def from_dict(cls, entry: Any, path: str | None = None) -> SimScenario:
+        path = cls.PATH if path is None else path
+        entry = cls._checked(entry, path)
+        # Resolve the tagged between once the blocks give its size; any
+        # other shape of blocks is left for the codec to refuse.
+        if isinstance(entry.get("blocks"), list) and "between" in entry:
+            n_blocks = len(entry["blocks"])
+            between = _between_from_dict(entry["between"], n_blocks, f"{path}.between")
+            entry = {**entry, "between": between}
+        return super().from_dict(entry, path)
 
     @property
     def n_blocks(self) -> int:
@@ -400,113 +409,6 @@ class SimScenario:
             structure=structures,
             names=[b.name for b in self.blocks],
         )
-
-
-def scenario_to_dict(scn: SimScenario) -> dict[str, Any]:
-    """Plain-data form of a scenario (the explicit-matrix between form)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": scn.name,
-        "n_subjects": scn.n_subjects,
-        "n_replicates": scn.n_replicates,
-        "seed": scn.seed,
-        "intercept": scn.intercept,
-        "beta0": [float(v) for v in scn.beta0],
-        "blocks": encode(scn.blocks),
-        "between": {"kind": "matrix", "values": scn.between.tolist()},
-        "covariates": [c.to_dict() for c in scn.covariates],
-        "methods": list(scn.methods),
-    }
-
-
-def _require(entry: dict[str, Any], key: str, where: str) -> Any:
-    if key not in entry:
-        msg = f"missing required field {where}.{key}"
-        raise ScenarioError(msg)
-    return entry[key]
-
-
-def _between_from_dict(entry: Any, n_blocks: int) -> np.ndarray:
-    """Resolve the ``between`` field: identity, seeded recipe, or matrix."""
-    if not isinstance(entry, dict) or "kind" not in entry:
-        msg = "between must be an object with a 'kind' field"
-        raise ScenarioError(msg)
-    kind = entry["kind"]
-    if kind == "identity":
-        return np.eye(n_blocks)
-    if kind == "random":
-        return random_between_matrix(
-            n_blocks,
-            seed=_require(entry, "seed", "between"),
-            off_scale=entry.get("off_scale", 0.3),
-            floor=entry.get("floor", 0.05),
-        )
-    if kind == "matrix":
-        return np.asarray(_require(entry, "values", "between"), dtype=np.float64)
-    msg = f"between.kind must be 'identity', 'random', or 'matrix', got {kind!r}"
-    raise ScenarioError(msg)
-
-
-def scenario_from_dict(entry: dict[str, Any]) -> SimScenario:
-    """Build a scenario from its plain-data form, validating field-by-field."""
-    if not isinstance(entry, dict):
-        msg = f"scenario must be an object, got {type(entry).__name__}"
-        raise ScenarioError(msg)
-    version = entry.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        msg = f"unsupported scenario schema_version {version!r} (this build reads {SCHEMA_VERSION})"
-        raise ScenarioError(msg)
-    known = {
-        "schema_version",
-        "name",
-        "n_subjects",
-        "n_replicates",
-        "seed",
-        "intercept",
-        "beta0",
-        "blocks",
-        "between",
-        "covariates",
-        "methods",
-    }
-    extra = set(entry) - known
-    if extra:
-        msg = f"unknown scenario fields: {sorted(extra)}"
-        raise ScenarioError(msg)
-    raw_blocks = _require(entry, "blocks", "scenario")
-    if not isinstance(raw_blocks, list) or not raw_blocks:
-        msg = "scenario.blocks must be a non-empty list"
-        raise ScenarioError(msg)
-    blocks = []
-    for i, blk in enumerate(raw_blocks):
-        if not isinstance(blk, dict):
-            msg = f"scenario.blocks[{i}] must be an object"
-            raise ScenarioError(msg)
-        blocks.append(
-            BlockScenario(
-                name=str(_require(blk, "name", f"blocks[{i}]")),
-                size=int(_require(blk, "size", f"blocks[{i}]")),
-                structure_fit=_require(blk, "structure_fit", f"blocks[{i}]"),
-                structure_true=_require(blk, "structure_true", f"blocks[{i}]"),
-                sigma=float(_require(blk, "sigma", f"blocks[{i}]")),
-                rho=float(_require(blk, "rho", f"blocks[{i}]")),
-            )
-        )
-    covariates = [
-        CovariateSpec.from_dict(c) for c in entry.get("covariates", [])
-    ]
-    return SimScenario(
-        name=str(_require(entry, "name", "scenario")),
-        n_subjects=int(_require(entry, "n_subjects", "scenario")),
-        beta0=np.asarray(_require(entry, "beta0", "scenario"), dtype=np.float64),
-        blocks=tuple(blocks),
-        between=_between_from_dict(_require(entry, "between", "scenario"), len(blocks)),
-        covariates=tuple(covariates),
-        intercept=bool(entry.get("intercept", False)),
-        n_replicates=int(_require(entry, "n_replicates", "scenario")),
-        seed=int(_require(entry, "seed", "scenario")),
-        methods=tuple(_require(entry, "methods", "scenario")),
-    )
 
 
 def _ar1_cholesky(m: int, rho: float) -> np.ndarray:
@@ -550,13 +452,10 @@ def generate_replicate(scn: SimScenario, rep_index: int) -> PanelDataset:
         elif spec.kind == "mv_normal_rows":
             lx = _ar1_cholesky(m, spec.rho)
             col = rng.standard_normal((n, m)) @ lx.T
-        elif spec.kind == "alternating01":
+        else:  # alternating01, the last kind CovariateSpec admits
             col = np.broadcast_to(
                 (np.arange(m) % 2).astype(np.float64)[None, :], (n, m)
             )
-        else:  # pragma: no cover - excluded by CovariateSpec validation
-            msg = f"unknown covariate generator {spec.kind!r}"
-            raise ScenarioError(msg)
         cols.append(col)
     x = np.stack(cols, axis=-1) if cols else np.empty((n, m, 0))
     chol = np.linalg.cholesky(scn.covariance_matrix)
@@ -810,23 +709,17 @@ def bundled_scenario_names() -> tuple[str, ...]:
     """Names of the scenario configs shipped inside the package."""
     from importlib import resources
 
-    root = resources.files("dimm").joinpath("scenarios")
-    names = sorted(
-        entry.name[: -len(".json")]
-        for entry in root.iterdir()
-        if entry.name.endswith(".json")
-    )
-    return tuple(names)
+    files = resources.files("dimm").joinpath("scenarios").iterdir()
+    return tuple(sorted(f.name[: -len(".json")] for f in files if f.name.endswith(".json")))
 
 
 def bundled_scenario(name: str) -> SimScenario:
     """Load one of the scenario configs shipped inside the package."""
-    import json
     from importlib import resources
 
     path = resources.files("dimm").joinpath("scenarios", f"{name}.json")
     if not path.is_file():
         msg = f"no bundled scenario {name!r}; available: {list(bundled_scenario_names())}"
         raise ScenarioError(msg)
-    with path.open("r", encoding="utf-8") as handle:
-        return scenario_from_dict(json.load(handle))
+    with resources.as_file(path) as file:
+        return SimScenario.load(file)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dimm import baselines
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import FitError
 from dimm.model import PanelDataset
@@ -143,6 +144,14 @@ def test_gee_exchangeable_clamps_impossible_negative_correlation() -> None:
         fit = gee_fit(data, working="exchangeable")
     assert fit.rho_hat == pytest.approx(-1.0, abs=1e-5)
     np.testing.assert_allclose(fit.beta_hat, beta0, atol=1e-8)
+
+
+def test_gee_exchangeable_non_convergence_is_a_fit_error(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The row-varying panel needs several beta updates; one is not enough.
+    assert gee_fit(_panel(), working="exchangeable").n_iter > 1
+    monkeypatch.setattr(baselines, "_MAX_ITER", 1)
+    with pytest.raises(FitError, match="did not converge in 1 iterations"):
+        gee_fit(_panel(), working="exchangeable")
 
 
 @pytest.mark.parametrize("working", ["independence", "exchangeable"])

@@ -19,6 +19,8 @@ import pytest
 
 from dimm.errors import ConfigError, DataError
 from dimm.io import (
+    SCHEMA_VERSION,
+    FitConfig,
     FitReport,
     load_fit_config,
     load_panel,
@@ -251,10 +253,20 @@ def test_fit_config_loads(panel_files) -> None:
     _, _, _, _, cfg, raw = panel_files
     config = load_fit_config(cfg)
     assert config.response_path == raw["response_path"]
-    assert [b["name"] for b in config.blocks] == ["front", "back"]
+    assert [b.name for b in config.blocks] == ["front", "back"]
     part = config.partition()
     assert part.total_size == 5
     assert part.blocks[1].structure.structure == "cs"
+
+
+def test_fit_config_round_trips_and_takes_no_version_setting(panel_files) -> None:
+    config = load_fit_config(panel_files[4])
+    entry = config.to_dict()
+    assert FitConfig.from_dict(entry) == config
+    assert FitConfig.from_dict({**entry, "schema_version": SCHEMA_VERSION}) == config
+    # The version is a key of the file, not a setting of the record.
+    with pytest.raises(TypeError, match="schema_version"):
+        FitConfig(**{**entry, "schema_version": 2})
 
 
 @pytest.mark.parametrize(
@@ -280,6 +292,23 @@ def test_fit_config_schema_errors(panel_files, tmp_path: Path, mutate, expected)
     path.write_text(json.dumps(broken))
     with pytest.raises(ConfigError, match=expected):
         load_fit_config(path)
+
+
+@pytest.mark.parametrize(
+    ("key", "value", "expected"),
+    [("intercept", "no", r"config\.intercept"), ("size", True, r"config\.blocks\[0\]\.size")],
+)
+def test_fit_config_is_strictly_typed(panel_files, tmp_path: Path, key, value, expected) -> None:
+    _, _, _, _, _, raw = panel_files
+    broken = json.loads(json.dumps(raw))
+    (broken["blocks"][0] if key == "size" else broken)[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(broken))
+    with pytest.raises(ConfigError, match=expected):
+        load_fit_config(path)
+    proc = _run_cli("fit", "--config", str(path))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
 
 
 def test_fit_config_not_json(tmp_path: Path) -> None:
@@ -320,12 +349,12 @@ def test_cli_fit_report_content(fit_report_json: Path) -> None:
     assert len(report.beta_dimm) == 2
     assert len(report.block_results) == 2
     # Block order and each block's own working family survive fit_blocks.
-    assert [(b["name"], b["structure"]) for b in report.block_results] == [
+    assert [(b.name, b.structure) for b in report.block_results] == [
         ("front", "ar1"),
         ("back", "cs"),
     ]
     for entry in report.block_results:
-        assert entry["rel_beta_score"] <= 1e-6
+        assert entry.rel_beta_score <= 1e-6
     # Round trip through dict and disk.
     assert FitReport.from_dict(report.to_dict()).to_dict() == report.to_dict()
 
@@ -358,7 +387,7 @@ def test_cli_fit_single_block_collapses_to_block_estimate(panel_files, tmp_path:
     report = FitReport.load(out)
     assert report.gof_pvalue is None
     assert report.gof_df == 0
-    block_beta = report.block_results[0]["beta_hat"]
+    block_beta = report.block_results[0].beta_hat
     np.testing.assert_allclose(report.beta_dimm, block_beta, rtol=0.0, atol=1e-10)
 
 
@@ -426,11 +455,9 @@ def test_cli_rejects_unknown_or_bad_fit_options(panel_files, tmp_path: Path, opt
 
 
 def test_cli_simulate_with_scenario_file(tmp_path: Path) -> None:
-    from dimm.simulate import scenario_to_dict
-
     scn = _tiny_scenario(n_replicates=4, methods=("dimm",))
     scn_path = tmp_path / "scn.json"
-    scn_path.write_text(json.dumps(scenario_to_dict(scn)))
+    scn_path.write_text(json.dumps(scn.to_dict()))
     out = tmp_path / "sim.json"
     est = tmp_path / "est.csv"
     result = _run_cli(

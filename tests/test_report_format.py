@@ -8,7 +8,7 @@ to the report codec that alters one byte of a saved report, or of
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -350,3 +350,20 @@ def test_report_file_that_is_not_json_or_not_an_object(tmp_path: Path) -> None:
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ScenarioError, match="JSON object"):
         SimReport.load(path)
+
+
+def test_fit_report_rows_are_frozen() -> None:
+    report = _fit_report()
+    with pytest.raises(FrozenInstanceError):
+        report.block_results[0].sigma = -1.0
+    with pytest.raises(FrozenInstanceError):
+        report.wald[1].p_value = 1.0
+    assert isinstance(report.block_results[0].beta_hat, tuple)
+    assert report.to_dict()["block_results"][0]["sigma"] == 1.25
+
+
+def test_missing_report_file_raises_typed_error(tmp_path: Path) -> None:
+    with pytest.raises(ConfigError, match="cannot read report file"):
+        FitReport.load(tmp_path / "absent.json")
+    with pytest.raises(ScenarioError, match="cannot read report file"):
+        SimReport.load(tmp_path / "absent.json")

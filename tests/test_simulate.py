@@ -26,8 +26,6 @@ from dimm.simulate import (
     random_between_matrix,
     report_fingerprint,
     run_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
 )
 
 
@@ -136,13 +134,57 @@ def test_random_between_matrix_properties() -> None:
 
 def test_scenario_dict_round_trip() -> None:
     scn = _tiny_scenario()
-    entry = scenario_to_dict(scn)
-    back = scenario_from_dict(entry)
-    assert scenario_to_dict(back) == entry
+    entry = scn.to_dict()
+    back = SimScenario.from_dict(entry)
+    assert back.to_dict() == entry
     bad = dict(entry)
     bad["surprise"] = 1
     with pytest.raises(ScenarioError, match="surprise"):
-        scenario_from_dict(bad)
+        SimScenario.from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    ("mutate", "expected"),
+    [
+        (lambda e: e["blocks"][0].update(size=12.7), r"scenario\.blocks\[0\]\.size"),
+        (lambda e: e.update(n_subjects="500"), r"scenario\.n_subjects"),
+        (lambda e: e.update(seed=True), r"scenario\.seed"),
+        (lambda e: e.update(between={"kind": "random"}), r"scenario\.between: .*needs seed"),
+        (lambda e: e.update(between={"kind": "random", "seed": 1.5}), r"scenario\.between\.seed"),
+        (lambda e: e.update(between={"kind": "wild"}), r"scenario\.between\.kind"),
+        # The version and the keys are checked before between is resolved.
+        (
+            lambda e: e.update(schema_version=2, between={"kind": "wild"}),
+            r"unsupported scenario schema_version 2",
+        ),
+        (
+            lambda e: e.update(surprise=1, between={"kind": "wild"}),
+            r"unknown scenario fields: \['surprise'\]",
+        ),
+    ],
+)
+def test_scenario_fields_are_strictly_typed(mutate, expected) -> None:
+    entry = _tiny_scenario().to_dict()
+    mutate(entry)
+    with pytest.raises(ScenarioError, match=expected):
+        SimScenario.from_dict(entry)
+
+
+def test_scenario_between_recipes() -> None:
+    entry = _tiny_scenario().to_dict()
+    scn = SimScenario.from_dict({**entry, "between": {"kind": "identity"}})
+    np.testing.assert_array_equal(scn.between, np.eye(2))
+    scn = SimScenario.from_dict({**entry, "between": {"kind": "random", "seed": 4}})
+    np.testing.assert_array_equal(scn.between, random_between_matrix(2, seed=4))
+    assert scn.to_dict()["between"] == {"kind": "matrix", "values": scn.between.tolist()}
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_scenario_round_trips(name: str) -> None:
+    entry = bundled_scenario(name).to_dict()
+    back = SimScenario.from_dict(entry)
+    assert back.to_dict() == entry
+    np.testing.assert_array_equal(back.covariance_matrix, bundled_scenario(name).covariance_matrix)
 
 
 # ---------------------------------------------------------------------------
