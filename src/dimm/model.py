@@ -229,6 +229,15 @@ class BlockPartition:
             slice(off, off + b.size) for off, b in zip(self.offsets, self.blocks)
         )
 
+    def check_covers(self, n_coordinates: int) -> None:
+        """Raise PartitionError unless the blocks cover ``n_coordinates``."""
+        if self.total_size != n_coordinates:
+            msg = (
+                f"partition covers {self.total_size} coordinates but the panel "
+                f"has M={n_coordinates}"
+            )
+            raise PartitionError(msg)
+
     def index_of(self, name: str) -> int:
         """Position of the named block; PartitionError if absent."""
         try:
@@ -264,6 +273,12 @@ class PanelDataset:
         On shape mismatch, non-finite values, or a rank-deficient stacked
         design (the mean parameters would not be identified, so this
         fails fast at construction).
+
+    A panel is validated once, here, where it enters. Its arrays are
+    copies that cannot be made writeable again, so the block fits read
+    views of them, and :mod:`dimm.pairwise` may cache per-block moments
+    for as long as the panel lives; each block's own identifiability is
+    checked there.
     """
 
     responses: np.ndarray
@@ -305,8 +320,10 @@ class PanelDataset:
             raise DataError(msg)
         y.setflags(write=False)
         x.setflags(write=False)
-        object.__setattr__(self, "responses", y)
-        object.__setattr__(self, "covariates", x)
+        # A view of a locked array cannot be made writeable again, so what
+        # dimm.pairwise caches from a panel cannot go stale.
+        object.__setattr__(self, "responses", y.view())
+        object.__setattr__(self, "covariates", x.view())
 
     @property
     def n_subjects(self) -> int:
@@ -325,20 +342,17 @@ def partition_dataset(data: PanelDataset, partition: BlockPartition) -> list[Pan
     """Split a panel into per-block panels, in block order.
 
     The block datasets carry copies of the corresponding coordinate
-    slices; concatenating them in order reconstructs the original data
-    bit-exactly.
+    slices, each validated as a panel of its own; concatenating them in
+    order reconstructs the original data bit-exactly. A library helper
+    only: :func:`dimm.pairwise.fit_blocks` reads the blocks as views of
+    the panel and does not call it.
 
     Raises
     ------
     PartitionError
         If the partition sizes do not sum to the panel's M.
     """
-    if partition.total_size != data.n_coordinates:
-        msg = (
-            f"partition covers {partition.total_size} coordinates but the panel "
-            f"has M={data.n_coordinates}"
-        )
-        raise PartitionError(msg)
+    partition.check_covers(data.n_coordinates)
     return [
         PanelDataset(data.responses[:, sl], data.covariates[:, sl, :])
         for sl in partition.slices

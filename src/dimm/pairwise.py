@@ -37,24 +37,29 @@ are relative to scale.
 Blocks are fit one after another in the calling process. Each fit is
 independent of the others, which is what lets the paper spread them over
 machines; here a fit takes milliseconds, less than starting a worker.
+
+A block is read as views of its coordinates in the validated panel, never
+copied. Its per-lag moments do not depend on the working family, so they
+are built once per panel and block and kept in a weak cache keyed by the
+panel: a second family fit on the same panel reuses them, and they are
+dropped with the panel. The same Gram decides whether the block's design
+identifies beta (see :class:`_BlockMoments`); the panel's own entry
+check in :class:`~dimm.model.PanelDataset` covers only the whole design.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from dimm._util import EXACT_FIT
-from dimm.errors import FitError
-from dimm.model import (
-    AR1,
-    Dependence,
-    PanelDataset,
-    partition_dataset,
-)
+from dimm.errors import DataError, FitError
+from dimm.model import AR1, Dependence, PanelDataset
+from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -104,8 +109,8 @@ class _Profile:
     score: np.ndarray  # (k,)
 
 
-class _BlockArrays:
-    """Per-lag design and response moments of one block.
+class _BlockMoments:
+    """Per-lag design and response moments of one block, free of the working family.
 
     With ``z_r = (x_r', y_r)'`` for coordinate r, the Gram matrix of ``Z =
     [X | y]`` holds every ``sum_i z_ir z_it'``. For lag d, summed over the
@@ -126,54 +131,59 @@ class _BlockArrays:
     so every evaluation costs O(lags * p^2). (The subtraction loses
     accuracy only when the signal dwarfs the noise; :func:`fit_block`
     refuses such exact fits.)
+
+    ``y`` and ``x`` are views of the block's coordinates in its panel;
+    nothing here depends on the working family, so :func:`_arrays_for`
+    builds them once per panel and block and every family reuses them.
+
+    The block's design Gram ``G = X_b'X_b`` is the sum of the diagonal
+    blocks, so it also decides whether beta is identified in the block.
+    The block is refused with a :class:`DataError` when a covariate
+    column is zero in it, or when the eigenvalues of the equilibrated
+    ``D^-1/2 G D^-1/2`` (``D = diag(G)``) have ``lambda_min / lambda_max
+    <= N m eps``: N m eps bounds the roundoff of a Gram summed over N m
+    rows, so an exactly collinear design cannot pass on roundoff. The
+    rule does not change when a covariate column is rescaled. Because G
+    squares the condition number of the design, it refuses an
+    equilibrated design whose condition number exceeds about ``1 /
+    sqrt(N m eps)``.
     """
 
-    def __init__(self, block: PanelDataset, structure: str) -> None:
-        y = block.responses
-        x = block.covariates
+    def __init__(self, y: np.ndarray, x: np.ndarray, name: str) -> None:
         n, m = y.shape
         p = x.shape[2]
+        lags = np.arange(1, m)
+        counts = m - lags
+        # The cache keeps these past the fit. Allocated ahead of the Gram's
+        # temporaries, they sit below them in the heap instead of pinning
+        # the space they free (with glibc, that fragmentation added 1.4 MB
+        # to the peak RSS of a table1_full study).
+        square, cross = np.empty((2, m - 1, p + 1, p + 1))
         z = np.concatenate([x, y[:, :, None]], axis=2).reshape(n, m * (p + 1))
         # gram[r, t] = sum_i z_ir z_it', shape (m, m, p + 1, p + 1).
         gram = (z.T @ z).reshape(m, p + 1, m, p + 1).transpose(0, 2, 1, 3)
-        lags = np.arange(1, m)
-        counts = m - lags
         r_idx = np.concatenate([np.arange(c) for c in counts])
         t_idx = r_idx + np.repeat(lags, counts)
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        cross = np.add.reduceat(gram[r_idx, t_idx], starts, axis=0)
+        np.add.reduceat(gram[r_idx, t_idx], starts, axis=0, out=cross)
         # Diagonal blocks summed over r < m - d and over t >= d.
         diag = np.cumsum(gram[np.arange(m), np.arange(m)], axis=0)
         diag = np.concatenate([np.zeros((1, p + 1, p + 1)), diag])
-        square = diag[counts] + (diag[m] - diag[lags])
+        np.add(diag[counts], diag[m] - diag[lags], out=square)
+        _check_identified(diag[m, :p, :p], n * m, name)
 
-        self.structure = structure
         self.n_subjects = n
         self.block_size = m
-        self.n_params = p
         self.n_pairs = m * (m - 1) // 2
         self.response_ms = float(np.mean(y * y))
         self.lags = lags
-        self.lag_counts = counts
+        self.n_terms = counts * n  # pair terms at each lag
         self.a_mats = square[:, :p, :p]
         self.u_vecs = square[:, :p, p]
         self.s0 = square[:, p, p]
         self.b_mats = cross[:, :p, :p] + np.swapaxes(cross[:, :p, :p], 1, 2)
         self.v_vecs = cross[:, :p, p] + cross[:, p, :p]
         self.s1 = cross[:, p, p]
-        self.rho_lower = -1.0 if structure == AR1 else -1.0 / (m - 1)
-        self.rho_upper = 1.0
-
-    def lag_correlations(self, rho: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-lag correlations and their rho-derivatives, shape (..., lags)."""
-        rho = np.asarray(rho, dtype=np.float64)[..., None]
-        lags = self.lags.astype(np.float64)
-        if self.structure == AR1:
-            return np.power(rho, lags), lags * np.power(rho, lags - 1.0)
-        c = np.broadcast_to(rho, rho.shape[:-1] + lags.shape)
-        return c, np.ones_like(c)
-
-    # -- parameter-dependent quantities -----------------------------------
 
     def residual_moments(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-lag residual square/cross sums (q0, q1), shape (..., lags)."""
@@ -189,13 +199,78 @@ class _BlockArrays:
         )
         return q0, q1
 
+
+def _check_identified(gram: np.ndarray, n_rows: int, name: str) -> None:
+    """Refuse a block whose design Gram ``gram`` (p x p, summed over
+    ``n_rows`` rows) does not identify beta; see :class:`_BlockMoments`."""
+    scale = np.sqrt(np.diag(gram))
+    scale[scale == 0.0] = 1.0  # a zero column keeps a zero eigenvalue
+    eig = np.linalg.eigvalsh(gram / np.outer(scale, scale))
+    tol = n_rows * np.finfo(np.float64).eps
+    if not eig[0] > tol * eig[-1]:
+        msg = (
+            f"block {name!r}: the design is rank deficient in the block, its "
+            f"equilibrated Gram has eigenvalues from {eig[0]:.3g} to {eig[-1]:.3g} "
+            f"(ratio at most N*m*eps = {tol:.3g}); the mean parameters are not identified"
+        )
+        raise DataError(msg)
+
+
+@dataclass(frozen=True)
+class _BlockSlice:
+    """Coordinates ``start:stop`` of a validated panel, read as views."""
+
+    panel: PanelDataset
+    start: int
+    stop: int
+
+    @property
+    def responses(self) -> np.ndarray:
+        return self.panel.responses[:, self.start : self.stop]
+
+    @property
+    def covariates(self) -> np.ndarray:
+        return self.panel.covariates[:, self.start : self.stop]
+
+
+# The family-free moments of every block fit so far, by panel and then by
+# (start, stop). A panel's arrays cannot be made writeable, so an entry
+# stays valid for as long as its panel lives, and is dropped with it.
+_MOMENTS: weakref.WeakKeyDictionary[PanelDataset, dict[tuple[int, int], _BlockMoments]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+class _BlockArrays:
+    """A block's moments under one working family.
+
+    The family sets the admissible rho interval and the per-lag
+    correlations; it enters only here, at fit time, so the moments it
+    reads are shared by every family fit on the same panel.
+    """
+
+    def __init__(self, moments: _BlockMoments, structure: str) -> None:
+        self.moments = moments
+        self.structure = structure
+        self.rho_lower = -1.0 if structure == AR1 else -1.0 / (moments.block_size - 1)
+        self.rho_upper = 1.0
+
+    def lag_correlations(self, rho: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-lag correlations and their rho-derivatives, shape (..., lags)."""
+        rho = np.asarray(rho, dtype=np.float64)[..., None]
+        lags = self.moments.lags.astype(np.float64)
+        if self.structure == AR1:
+            return np.power(rho, lags), lags * np.power(rho, lags - 1.0)
+        c = np.broadcast_to(rho, rho.shape[:-1] + lags.shape)
+        return c, np.ones_like(c)
+
     def logcl(self, beta: np.ndarray, sigma: float, rho: float) -> float:
         """Total log composite likelihood."""
-        q0, q1 = self.residual_moments(beta)
+        q0, q1 = self.moments.residual_moments(beta)
         c, _ = self.lag_correlations(rho)
         one_mc2 = 1.0 - c * c
         s2 = sigma * sigma
-        n_terms = self.lag_counts * self.n_subjects
+        n_terms = self.moments.n_terms
         const = -n_terms * (_LOG_2PI + math.log(s2)) - 0.5 * n_terms * np.log(one_mc2)
         quad = (q0 - 2.0 * c * q1) / (2.0 * s2 * one_mc2)
         return float(np.sum(const - quad))
@@ -203,29 +278,30 @@ class _BlockArrays:
     def _rho_score(self, q0, q1, c, dc, s2):
         """Total rho-derivative of the log-CL from the per-lag sums."""
         w = 1.0 / (1.0 - c * c)
-        d_c = self.lag_counts * self.n_subjects * c * w + (
+        d_c = self.moments.n_terms * c * w + (
             q1 * (1.0 + c * c) - c * q0
         ) * w * w / s2[..., None]
         return np.sum(dc * d_c, axis=-1)
 
     def mean_score_gamma(self, beta: np.ndarray, sigma: float, rho: float) -> np.ndarray:
         """Gradient of the mean log-CL in (sigma, rho)."""
-        q0, q1 = self.residual_moments(beta)
+        q0, q1 = self.moments.residual_moments(beta)
         c, dc = self.lag_correlations(rho)
-        n_terms = self.lag_counts * self.n_subjects
+        n_terms = self.moments.n_terms
         r = (q0 - 2.0 * c * q1) / (1.0 - c * c)
         d_sigma = float(np.sum(-2.0 * n_terms / sigma + r / sigma**3))
         d_rho = float(self._rho_score(q0, q1, c, dc, np.asarray(sigma * sigma)))
-        return np.array([d_sigma, d_rho]) / self.n_subjects
+        return np.array([d_sigma, d_rho]) / self.moments.n_subjects
 
     def _normal_equations(self, rho) -> tuple[np.ndarray, np.ndarray]:
         """Sensitivity and score target times sigma^2, shape (..., p, p), (..., p)."""
         c, _ = self.lag_correlations(rho)
         w = 1.0 / (1.0 - c * c)
-        lhs = np.einsum("...d,dpq->...pq", w, self.a_mats) - np.einsum(
-            "...d,dpq->...pq", w * c, self.b_mats
+        mom = self.moments
+        lhs = np.einsum("...d,dpq->...pq", w, mom.a_mats) - np.einsum(
+            "...d,dpq->...pq", w * c, mom.b_mats
         )
-        rhs = w @ self.u_vecs - (w * c) @ self.v_vecs
+        rhs = w @ mom.u_vecs - (w * c) @ mom.v_vecs
         return lhs, rhs
 
     def profile(self, rhos: np.ndarray) -> _Profile:
@@ -233,9 +309,9 @@ class _BlockArrays:
         rhos = np.asarray(rhos, dtype=np.float64)
         lhs, rhs = self._normal_equations(rhos)
         beta = np.linalg.solve(lhs, rhs[..., None])[..., 0]
-        q0, q1 = self.residual_moments(beta)
+        q0, q1 = self.moments.residual_moments(beta)
         c, dc = self.lag_correlations(rhos)
-        n_terms = self.lag_counts * self.n_subjects
+        n_terms = self.moments.n_terms
         sigma2 = np.sum((q0 - 2.0 * c * q1) / (1.0 - c * c), axis=-1) / (2.0 * n_terms.sum())
         # At sigma_hat^2 the quadratic terms of the log-CL sum to the
         # number of pair terms, hence the + 1. A non-positive sigma2 (an
@@ -250,7 +326,7 @@ class _BlockArrays:
     def mean_score_beta(self, beta: np.ndarray, sigma: float, rho: float) -> np.ndarray:
         """Mean beta-score (gradient of the mean log-CL in beta)."""
         lhs, rhs = self._normal_equations(rho)
-        return (rhs - lhs @ beta) / (sigma * sigma * self.n_subjects)
+        return (rhs - lhs @ beta) / (sigma * sigma * self.moments.n_subjects)
 
     def sensitivity(self, sigma: float, rho: float) -> np.ndarray:
         """Sensitivity (1/N) sum_i sum_pairs Xpair' Omega^-1 Xpair.
@@ -259,7 +335,7 @@ class _BlockArrays:
         beta, so only the working covariance enters.
         """
         lhs, _ = self._normal_equations(rho)
-        return lhs / (sigma * sigma * self.n_subjects)
+        return lhs / (sigma * sigma * self.moments.n_subjects)
 
     def kernel(self, sigma: float, rho: float) -> np.ndarray:
         """The m x m matrix K with per-subject beta-score ``X_i' K e_i``.
@@ -270,18 +346,18 @@ class _BlockArrays:
         """
         c_lag, _ = self.lag_correlations(rho)
         g_lag = 1.0 / (sigma * sigma * (1.0 - c_lag * c_lag))
-        m = self.block_size
+        m = self.moments.block_size
         g = np.zeros(m)
         gc = np.zeros(m)
-        g[self.lags] = g_lag
-        gc[self.lags] = g_lag * c_lag
+        g[self.moments.lags] = g_lag
+        gc[self.moments.lags] = g_lag * c_lag
         lag = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
         k = -gc[lag]
         k[np.diag_indices(m)] = g[lag].sum(axis=1)
         return k
 
     def subject_terms(
-        self, block: PanelDataset, beta: np.ndarray, sigma: float, rho: float
+        self, block: PanelDataset | _BlockSlice, beta: np.ndarray, sigma: float, rho: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-subject scores ``X_i' K e_i`` (N, p) and sensitivities
         ``H_i = X_i' K X_i`` (N, p, p); the mean of ``H_i`` is
@@ -293,9 +369,17 @@ class _BlockArrays:
         return scores, (h + np.swapaxes(h, 1, 2)) / 2.0
 
 
-def _arrays_for(block: PanelDataset, gamma: Dependence) -> _BlockArrays:
-    gamma.validate_for_size(block.n_coordinates)
-    return _BlockArrays(block, gamma.structure)
+def _arrays_for(
+    block: PanelDataset | _BlockSlice, gamma: Dependence, name: str = "block"
+) -> _BlockArrays:
+    if isinstance(block, PanelDataset):
+        block = _BlockSlice(block, 0, block.n_coordinates)
+    gamma.validate_for_size(block.stop - block.start)
+    per_panel = _MOMENTS.setdefault(block.panel, {})
+    key = (block.start, block.stop)
+    if key not in per_panel:
+        per_panel[key] = _BlockMoments(block.responses, block.covariates, name)
+    return _BlockArrays(per_panel[key], gamma.structure)
 
 
 def block_logcl(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> float:
@@ -504,10 +588,11 @@ def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, float, in
     grid = lo + (hi - lo) * np.arange(1, k + 1) / (k + 1)
     prof = arrays.profile(grid)
     floor = float(np.min(prof.sigma2))
-    if not floor > EXACT_FIT * arrays.response_ms:
+    response_ms = arrays.moments.response_ms
+    if not floor > EXACT_FIT * response_ms:
         msg = (
             f"block {name!r}: exact fit, the residuals vanish (sigma_hat^2 = "
-            f"{floor:.3g} against a response mean square of {arrays.response_ms:.3g}); "
+            f"{floor:.3g} against a response mean square of {response_ms:.3g}); "
             "sigma and rho are not identified"
         )
         raise FitError(msg)
@@ -554,7 +639,7 @@ def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, float, in
 
 
 def fit_block(
-    block: PanelDataset,
+    block: PanelDataset | _BlockSlice,
     structure: Dependence | str,
     *,
     name: str = "block",
@@ -565,6 +650,8 @@ def fit_block(
     ----------
     block : PanelDataset
         The block's responses and covariates (M = block size).
+        :func:`fit_blocks` passes a ``_BlockSlice`` instead, a view of
+        one block of its panel; both take the same path.
     structure : Dependence or str
         Working family to fit ("ar1" or "cs"); parameter values inside a
         Dependence are ignored.
@@ -577,6 +664,9 @@ def fit_block(
 
     Raises
     ------
+    DataError
+        If the block's design does not identify beta (the rank rule of
+        ``_BlockMoments``); the message names the block.
     FitError
         With a message naming the cause: a constant response, an exact
         fit (residual variance at roundoff level), rho at the bound of
@@ -585,7 +675,7 @@ def fit_block(
         scores above the acceptance tolerance.
     """
     family = structure.structure if isinstance(structure, Dependence) else structure
-    arrays = _arrays_for(block, Dependence(family))
+    arrays = _arrays_for(block, Dependence(family), name)
     y = block.responses
     if float(np.ptp(y)) == 0.0:
         msg = (
@@ -616,7 +706,7 @@ def fit_block(
     beta_rel = float(np.max(np.abs(arrays.mean_score_beta(beta_hat, sigma, rho)) / beta_scale))
     gamma_score = arrays.mean_score_gamma(beta_hat, sigma, rho)
     gamma_rel = float(
-        np.max(np.abs(gamma_score * np.array([sigma / 2.0, 1.0]) / arrays.n_pairs))
+        np.max(np.abs(gamma_score * np.array([sigma / 2.0, 1.0]) / arrays.moments.n_pairs))
     )
     trace = OptimizerTrace(
         simplex_iterations=n_evals,
@@ -646,14 +736,25 @@ def fit_block(
         sensitivity=sens,
         subject_sensitivities=subject_sens,
         logcl=refined,
-        n_pairs=arrays.n_pairs,
+        n_pairs=arrays.moments.n_pairs,
         trace=trace,
     )
 
 
 def fit_blocks(data: PanelDataset, partition: BlockPartition) -> list[BlockFit]:
-    """Fit every block of a partitioned panel, one after another, in block order."""
+    """Fit every block of a partitioned panel, one after another, in block order.
+
+    Each block is read as a view of ``data``, not copied, and its
+    moments are built once per panel: fitting another working family on
+    the same panel reuses them.
+
+    Raises
+    ------
+    PartitionError
+        If the partition sizes do not sum to the panel's M.
+    """
+    partition.check_covers(data.n_coordinates)
     return [
-        fit_block(block_data, block.structure, name=block.name)
-        for block_data, block in zip(partition_dataset(data, partition), partition.blocks)
+        fit_block(_BlockSlice(data, sl.start, sl.stop), block.structure, name=block.name)
+        for sl, block in zip(partition.slices, partition.blocks)
     ]

@@ -176,6 +176,17 @@ def test_panel_dataset_shape_checks() -> None:
         PanelDataset(responses=bad, covariates=x)
 
 
+def test_panel_dataset_arrays_cannot_be_made_writeable() -> None:
+    # Block fits cache moments per panel, so a panel must not change.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
+    data = PanelDataset(rng.standard_normal((4, 3)), rng.standard_normal((4, 3, 2)))
+    for arr in (data.responses, data.covariates):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+
+
 def test_panel_dataset_rejects_rank_deficient_design() -> None:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(6)))
     y = rng.standard_normal((4, 3))

@@ -12,13 +12,15 @@ Oracles used here, all independent of the code under test:
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from dimm import pairwise
-from dimm.errors import DataError, FitError
+from dimm import model, pairwise
+from dimm.errors import DataError, FitError, PartitionError
 from dimm.model import (
     BlockPartition,
     Dependence,
@@ -334,6 +336,104 @@ def test_fit_blocks_rejects_block_with_degenerate_design() -> None:
     part = BlockPartition.from_sizes([2, 2])
     with pytest.raises(DataError, match="rank"):
         fit_blocks(data, part)
+
+
+def _table1_full_with_seventh_column(block: str, column) -> tuple[PanelDataset, BlockPartition]:
+    """Replicate 0 of table1_full with a seventh covariate that is
+    ``column(x)`` inside the named block and standard normal elsewhere."""
+    scn = bundled_scenario("table1_full")
+    data = generate_replicate(scn, 0)
+    part = scn.partition_for("dimm")
+    sl = part.slices[part.index_of(block)]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(24)))
+    extra = rng.standard_normal(data.responses.shape)
+    extra[:, sl] = column(data.covariates[:, sl, :])
+    x = np.concatenate([data.covariates, extra[:, :, None]], axis=2)
+    return PanelDataset(data.responses, x), part
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        lambda x: 3.0 * x[..., 1],
+        lambda x: x[..., 1] + x[..., 2],
+        lambda x: 0.1 * x[..., 1] - 0.7 * x[..., 2],
+        lambda x: 0.0 * x[..., 1],
+    ],
+    ids=["3x1", "x1+x2", "0.1x1-0.7x2", "zero"],
+)
+def test_fit_blocks_rejects_block_with_collinear_design(column) -> None:
+    # The seventh column is collinear only inside block3, so the panel
+    # passes entry validation and the block's own check must refuse it.
+    data, part = _table1_full_with_seventh_column("block3", column)
+    with pytest.raises(DataError, match=r"block 'block3'.*rank"):
+        fit_blocks(data, part)
+
+
+def test_block_rank_check_ignores_covariate_scale() -> None:
+    scn = bundled_scenario("table1_full")
+    data = generate_replicate(scn, 0)
+    x = data.covariates.copy()
+    x[..., 1] *= 1e6
+    part = scn.partition_for("dimm")
+    base = fit_blocks(data, part)
+    scaled = fit_blocks(PanelDataset(data.responses, x), part)
+    for b, s in zip(base, scaled):
+        assert s.trace.converged
+        np.testing.assert_allclose(s.beta_hat[1] * 1e6, b.beta_hat[1], rtol=1e-8)
+        assert s.gamma_hat.rho == pytest.approx(b.gamma_hat.rho, rel=1e-8)
+
+
+def _assert_same_fits(got, want) -> None:
+    assert [f.name for f in got] == [f.name for f in want]
+    for g, w in zip(got, want):
+        assert (g.structure, g.gamma_hat, g.logcl, g.n_pairs) == (
+            w.structure, w.gamma_hat, w.logcl, w.n_pairs
+        )
+        for field in ("beta_hat", "subject_scores", "sensitivity", "subject_sensitivities"):
+            assert np.array_equal(getattr(g, field), getattr(w, field)), (g.name, field)
+        assert g.trace == w.trace, g.name
+
+
+def test_fit_blocks_from_slices_equals_fit_block_on_copies() -> None:
+    # The block views and the cached moments give the same bits as a
+    # fit of each block's own copied panel, for either family and in
+    # either order on one panel.
+    scn = bundled_scenario("table1_scaled")
+    data = generate_replicate(scn, 0)
+    for method in ("dimm:ar1", "dimm:cs"):
+        part = scn.partition_for(method)
+        copies = [
+            fit_block(block, b.structure, name=b.name)
+            for block, b in zip(partition_dataset(data, part), part.blocks)
+        ]
+        _assert_same_fits(fit_blocks(data, part), copies)
+    fresh = PanelDataset(data.responses, data.covariates)
+    part = scn.partition_for("dimm:cs")
+    _assert_same_fits(fit_blocks(data, part), fit_blocks(fresh, part))
+
+
+def test_fit_blocks_reads_slices_and_its_cache_dies_with_the_panel(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    def copies_refused(*_args):
+        raise AssertionError("fit_blocks must not copy blocks")
+
+    monkeypatch.setattr(pairwise, "partition_dataset", copies_refused)
+    monkeypatch.setattr(model, "partition_dataset", copies_refused)
+    gc.collect()
+    n_before = len(pairwise._MOMENTS)
+    data = _random_block(seed=25, n=30, m=7, p=2)
+    part = BlockPartition.from_sizes([3, 4])
+    assert [f.name for f in fit_blocks(data, part)] == ["block1", "block2"]
+    assert set(pairwise._MOMENTS[data]) == {(0, 3), (3, 7)}
+    with pytest.raises(PartitionError, match="partition covers 6 coordinates but the panel has M=7"):
+        fit_blocks(data, BlockPartition.from_sizes([3, 3]))
+    alive = weakref.ref(data)
+    del data
+    gc.collect()
+    assert alive() is None
+    assert len(pairwise._MOMENTS) == n_before
 
 
 def test_grid_size_picks_the_bracket_not_the_answer(monkeypatch: pytest.MonkeyPatch) -> None:
