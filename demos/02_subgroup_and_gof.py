@@ -14,7 +14,7 @@ from dimm import (
     Dependence,
     PanelDataset,
     assemble_kronecker,
-    chi2_cdf,
+    chi2_sf,
     fit_blocks,
     integrate_fits,
     q_statistic,
@@ -71,5 +71,5 @@ moments = weight_matrix(fits)
 for label, beta0 in (("truth", beta_true), ("off by 0.2", beta_true + 0.2)):
     q = q_statistic(beta0, moments)
     df = len(fits) * p
-    p_val = 1.0 - chi2_cdf(q, df)
+    p_val = chi2_sf(q, df)
     print(f"hypothesis {label:12s}: Q = {q:9.3f} on {df} df, p = {p_val:.4f}")

@@ -3,9 +3,14 @@
 Partition a high-dimensional response into blocks, fit each block by
 pairwise composite likelihood, and integrate the block estimates into a
 single estimate of the shared mean parameters with full inference.
+
+The top level holds the everyday workflow and the typed errors; every
+other public name is imported from its module (``dimm.model``,
+``dimm.pairwise``, ``dimm.integrate``, ``dimm.baselines``, ``dimm.io``,
+``dimm.simulate``, ``dimm.special``).
 """
 
-from dimm.baselines import BaselineFit, gee_fit, gls_oracle
+from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import (
     ConfigError,
     CovarianceError,
@@ -16,123 +21,44 @@ from dimm.errors import (
     PartitionError,
     ScenarioError,
 )
-from dimm.io import (
-    FitConfig,
-    FitReport,
-    GofReport,
-    build_fit_report,
-    load_fit_config,
-    load_panel,
-    save_panel,
-    write_estimates_csv,
-)
-from dimm.integrate import (
-    CoefficientTest,
-    IntegratedFit,
-    Moments,
-    dimm_covariance,
-    gof_test,
-    integrate_fits,
-    jackknife_covariance,
-    one_step_estimator,
-    q_statistic,
-    weight_matrix,
-)
-from dimm.model import (
-    AR1,
-    CS,
-    Block,
-    BlockPartition,
-    Dependence,
-    PanelDataset,
-    assemble_kronecker,
-    partition_dataset,
-)
-from dimm.pairwise import (
-    BlockFit,
-    OptimizerTrace,
-    block_logcl,
-    block_score_beta,
-    block_score_gamma,
-    block_sensitivity,
-    fit_block,
-    fit_blocks,
-)
+from dimm.integrate import integrate_fits, q_statistic, weight_matrix
+from dimm.io import save_panel
+from dimm.model import BlockPartition, Dependence, PanelDataset, assemble_kronecker
+from dimm.pairwise import fit_blocks
 from dimm.simulate import (
-    BlockScenario,
-    CovariateSpec,
-    GofSummary,
-    MethodReport,
-    SimReport,
-    SimScenario,
     bundled_scenario,
     bundled_scenario_names,
     generate_replicate,
-    random_between_matrix,
     report_fingerprint,
     run_scenario,
 )
-from dimm.special import chi2_cdf, chi2_quantile, normal_cdf
+from dimm.special import chi2_sf
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AR1",
-    "CS",
-    "BaselineFit",
-    "Block",
-    "BlockFit",
     "BlockPartition",
-    "BlockScenario",
-    "CoefficientTest",
     "ConfigError",
     "CovarianceError",
-    "CovariateSpec",
     "DataError",
     "Dependence",
     "DimmError",
-    "FitConfig",
     "FitError",
-    "FitReport",
-    "GofReport",
-    "GofSummary",
-    "IntegratedFit",
     "IntegrationError",
-    "MethodReport",
-    "Moments",
-    "OptimizerTrace",
     "PanelDataset",
     "PartitionError",
     "ScenarioError",
-    "SimReport",
-    "SimScenario",
     "__version__",
     "assemble_kronecker",
-    "block_logcl",
-    "block_score_beta",
-    "block_score_gamma",
-    "block_sensitivity",
-    "build_fit_report",
     "bundled_scenario",
     "bundled_scenario_names",
-    "chi2_cdf",
-    "chi2_quantile",
-    "dimm_covariance",
-    "fit_block",
+    "chi2_sf",
     "fit_blocks",
     "gee_fit",
     "generate_replicate",
     "gls_oracle",
-    "gof_test",
     "integrate_fits",
-    "jackknife_covariance",
-    "load_fit_config",
-    "load_panel",
-    "normal_cdf",
-    "one_step_estimator",
-    "partition_dataset",
     "q_statistic",
-    "random_between_matrix",
     "report_fingerprint",
     "run_scenario",
     "save_panel",

@@ -49,7 +49,7 @@ from dimm.model import BlockPartition, PanelDataset
 from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
 from dimm.pairwise import fit_blocks
 from dimm.simulate import SimScenario, bundled_scenario, bundled_scenario_names, run_scenario
-from dimm.special import chi2_cdf
+from dimm.special import chi2_sf
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
@@ -233,7 +233,7 @@ def cmd_gof(args: argparse.Namespace) -> int:
     q_val = q_statistic(beta, weight_matrix(fits))
     # beta is supplied, not estimated, so all J*p moment conditions count.
     df = len(fits) * beta.shape[0]
-    p_value = 1.0 - chi2_cdf(q_val, df)
+    p_value = chi2_sf(q_val, df)
     report = GofReport(
         schema_version=SCHEMA_VERSION,
         beta=beta,

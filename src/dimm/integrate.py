@@ -58,7 +58,7 @@ from dimm._util import spd_solve
 from dimm.errors import IntegrationError
 from dimm.io import CoefficientTest
 from dimm.pairwise import BlockFit
-from dimm.special import chi2_cdf, normal_cdf
+from dimm.special import chi2_sf, normal_cdf
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
@@ -385,7 +385,7 @@ def gof_test(q_stat: float, n_blocks: int, n_params: int) -> tuple[int, float]:
     if not math.isfinite(q_stat) or q_stat < 0.0:
         msg = f"q_stat must be finite and >= 0, got {q_stat!r}"
         raise IntegrationError(msg)
-    return df, 1.0 - chi2_cdf(q_stat, df)
+    return df, chi2_sf(q_stat, df)
 
 
 def _wald_from(beta: np.ndarray, covariance: np.ndarray) -> tuple[CoefficientTest, ...]:

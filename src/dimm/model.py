@@ -34,6 +34,7 @@ __all__ = [
     "PanelDataset",
     "Structure",
     "assemble_kronecker",
+    "check_identified",
     "partition_dataset",
 ]
 
@@ -270,15 +271,16 @@ class PanelDataset:
     Raises
     ------
     DataError
-        On shape mismatch, non-finite values, or a rank-deficient stacked
-        design (the mean parameters would not be identified, so this
-        fails fast at construction).
+        On shape mismatch, non-finite values, or a stacked (N M, p)
+        design that does not identify the mean parameters by the Gram
+        rule of :func:`check_identified` with N M rows; this fails fast at
+        construction.
 
     A panel is validated once, here, where it enters. Its arrays are
     copies that cannot be made writeable again, so the block fits read
     views of them, and :mod:`dimm.pairwise` may cache per-block moments
     for as long as the panel lives; each block's own identifiability is
-    checked there.
+    checked there by the same rule.
     """
 
     responses: np.ndarray
@@ -309,15 +311,8 @@ class PanelDataset:
         if not np.isfinite(x).all():
             msg = "covariates contain non-finite values"
             raise DataError(msg)
-        p = x.shape[2]
-        design = x.reshape(n * m, p)
-        rank = np.linalg.matrix_rank(design)
-        if rank < p:
-            msg = (
-                f"stacked design is rank deficient (rank {rank} < p={p}); "
-                "the mean parameters are not identified"
-            )
-            raise DataError(msg)
+        design = x.reshape(n * m, x.shape[2])
+        check_identified(design.T @ design, n * m, "panel")
         y.setflags(write=False)
         x.setflags(write=False)
         # A view of a locked array cannot be made writeable again, so what
@@ -336,6 +331,36 @@ class PanelDataset:
     @property
     def n_covariates(self) -> int:
         return self.covariates.shape[2]
+
+
+def check_identified(gram: np.ndarray, n_rows: int, label: str) -> None:
+    """Refuse a design whose Gram does not identify the mean parameters.
+
+    ``gram`` is the p x p Gram ``X'X`` of a design summed over ``n_rows``
+    rows, and ``label`` names the design in the error: ``"panel"`` for a
+    whole panel, ``"block 'name'"`` for one block of it. The design is
+    refused with a :class:`DataError` when a column is zero, or when the
+    eigenvalues of the equilibrated ``D^-1/2 G D^-1/2`` (``D = diag(G)``)
+    have ``lambda_min / lambda_max <= n_rows eps``: ``n_rows eps`` bounds
+    the roundoff of a Gram summed over that many rows, so an exactly
+    collinear design cannot pass on roundoff. The rule does not change
+    when a column is rescaled. Because G squares the condition number of
+    the design, it also refuses an equilibrated design whose condition
+    number exceeds about ``1 / sqrt(n_rows eps)`` (1.5e5 for the 200,000
+    rows of ``table1_full``), a near-collinear design that an SVD rank
+    test would still call full rank.
+    """
+    scale = np.sqrt(np.diag(gram))
+    scale[scale == 0.0] = 1.0  # a zero column keeps a zero eigenvalue
+    eig = np.linalg.eigvalsh(gram / np.outer(scale, scale))
+    tol = n_rows * np.finfo(np.float64).eps
+    if not eig[0] > tol * eig[-1]:
+        msg = (
+            f"{label}: the design is rank deficient, its equilibrated Gram has "
+            f"eigenvalues from {eig[0]:.3g} to {eig[-1]:.3g} (ratio at most "
+            f"{n_rows} rows * eps = {tol:.3g}); the mean parameters are not identified"
+        )
+        raise DataError(msg)
 
 
 def partition_dataset(data: PanelDataset, partition: BlockPartition) -> list[PanelDataset]:

@@ -43,8 +43,8 @@ copied. Its per-lag moments do not depend on the working family, so they
 are built once per panel and block and kept in a weak cache keyed by the
 panel: a second family fit on the same panel reuses them, and they are
 dropped with the panel. The same Gram decides whether the block's design
-identifies beta (see :class:`_BlockMoments`); the panel's own entry
-check in :class:`~dimm.model.PanelDataset` covers only the whole design.
+identifies beta, by the rule :func:`~dimm.model.check_identified` that
+:class:`~dimm.model.PanelDataset` applies to the whole design at entry.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from dimm._util import EXACT_FIT
-from dimm.errors import DataError, FitError
-from dimm.model import AR1, Dependence, PanelDataset
+from dimm.errors import FitError
+from dimm.model import AR1, Dependence, PanelDataset, check_identified
 from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
 
 if TYPE_CHECKING:
@@ -136,17 +136,10 @@ class _BlockMoments:
     nothing here depends on the working family, so :func:`_arrays_for`
     builds them once per panel and block and every family reuses them.
 
-    The block's design Gram ``G = X_b'X_b`` is the sum of the diagonal
-    blocks, so it also decides whether beta is identified in the block.
-    The block is refused with a :class:`DataError` when a covariate
-    column is zero in it, or when the eigenvalues of the equilibrated
-    ``D^-1/2 G D^-1/2`` (``D = diag(G)``) have ``lambda_min / lambda_max
-    <= N m eps``: N m eps bounds the roundoff of a Gram summed over N m
-    rows, so an exactly collinear design cannot pass on roundoff. The
-    rule does not change when a covariate column is rescaled. Because G
-    squares the condition number of the design, it refuses an
-    equilibrated design whose condition number exceeds about ``1 /
-    sqrt(N m eps)``.
+    The block's design Gram ``X_b'X_b`` is the sum of the diagonal
+    blocks, so it also decides whether beta is identified in the block:
+    :func:`~dimm.model.check_identified`, over the block's N m rows,
+    refuses it with a :class:`DataError` that names the block.
     """
 
     def __init__(self, y: np.ndarray, x: np.ndarray, name: str) -> None:
@@ -170,7 +163,7 @@ class _BlockMoments:
         diag = np.cumsum(gram[np.arange(m), np.arange(m)], axis=0)
         diag = np.concatenate([np.zeros((1, p + 1, p + 1)), diag])
         np.add(diag[counts], diag[m] - diag[lags], out=square)
-        _check_identified(diag[m, :p, :p], n * m, name)
+        check_identified(diag[m, :p, :p], n * m, f"block {name!r}")
 
         self.n_subjects = n
         self.block_size = m
@@ -198,22 +191,6 @@ class _BlockMoments:
             + 0.5 * np.einsum("...p,dpq,...q->...d", beta, self.b_mats, beta)
         )
         return q0, q1
-
-
-def _check_identified(gram: np.ndarray, n_rows: int, name: str) -> None:
-    """Refuse a block whose design Gram ``gram`` (p x p, summed over
-    ``n_rows`` rows) does not identify beta; see :class:`_BlockMoments`."""
-    scale = np.sqrt(np.diag(gram))
-    scale[scale == 0.0] = 1.0  # a zero column keeps a zero eigenvalue
-    eig = np.linalg.eigvalsh(gram / np.outer(scale, scale))
-    tol = n_rows * np.finfo(np.float64).eps
-    if not eig[0] > tol * eig[-1]:
-        msg = (
-            f"block {name!r}: the design is rank deficient in the block, its "
-            f"equilibrated Gram has eigenvalues from {eig[0]:.3g} to {eig[-1]:.3g} "
-            f"(ratio at most N*m*eps = {tol:.3g}); the mean parameters are not identified"
-        )
-        raise DataError(msg)
 
 
 @dataclass(frozen=True)
@@ -244,15 +221,16 @@ _MOMENTS: weakref.WeakKeyDictionary[PanelDataset, dict[tuple[int, int], _BlockMo
 class _BlockArrays:
     """A block's moments under one working family.
 
-    The family sets the admissible rho interval and the per-lag
+    The family sets the admissible rho interval (from
+    :meth:`~dimm.model.Dependence.rho_lower`) and the per-lag
     correlations; it enters only here, at fit time, so the moments it
     reads are shared by every family fit on the same panel.
     """
 
-    def __init__(self, moments: _BlockMoments, structure: str) -> None:
+    def __init__(self, moments: _BlockMoments, family: Dependence) -> None:
         self.moments = moments
-        self.structure = structure
-        self.rho_lower = -1.0 if structure == AR1 else -1.0 / (moments.block_size - 1)
+        self.structure = family.structure
+        self.rho_lower = family.rho_lower(moments.block_size)
         self.rho_upper = 1.0
 
     def lag_correlations(self, rho: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +357,7 @@ def _arrays_for(
     key = (block.start, block.stop)
     if key not in per_panel:
         per_panel[key] = _BlockMoments(block.responses, block.covariates, name)
-    return _BlockArrays(per_panel[key], gamma.structure)
+    return _BlockArrays(per_panel[key], gamma)
 
 
 def block_logcl(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> float:
@@ -665,8 +643,8 @@ def fit_block(
     Raises
     ------
     DataError
-        If the block's design does not identify beta (the rank rule of
-        ``_BlockMoments``); the message names the block.
+        If the block's design does not identify beta (the rule of
+        :func:`~dimm.model.check_identified`); the message names the block.
     FitError
         With a message naming the cause: a constant response, an exact
         fit (residual variance at roundoff level), rho at the bound of

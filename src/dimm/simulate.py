@@ -41,7 +41,7 @@ from dimm._util import parallel_map
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import DimmError, ScenarioError
 from dimm.integrate import integrate_fits
-from dimm.io import Report
+from dimm.io import Report, encode
 from dimm.model import (
     BlockPartition,
     Dependence,
@@ -243,20 +243,27 @@ class _BetweenRecipe(Report):
 
     kind: Literal["identity", "random", "matrix"]
     seed: int | None = None
-    off_scale: float = 0.3
-    floor: float = 0.05
+    off_scale: float | None = None
+    floor: float | None = None
     values: np.ndarray | None = None
+
+
+# The keys each kind of between recipe reads; any other is refused.
+_BETWEEN_KEYS = {"identity": (), "random": ("seed", "off_scale", "floor"), "matrix": ("values",)}
 
 
 def _between_from_dict(entry: Any, n_blocks: int, path: str) -> np.ndarray:
     """Resolve the tagged ``between`` input to the between-block matrix."""
     recipe = _BetweenRecipe.from_dict(entry, path)
+    given = {k: v for k, v in encode(recipe).items() if k != "kind"}
+    stray = sorted(set(given) - set(_BETWEEN_KEYS[recipe.kind]))
+    if stray:
+        msg = f"{path}: kind {recipe.kind!r} does not take parameter(s) {stray}"
+        raise ScenarioError(msg)
     if recipe.kind == "identity":
         return np.eye(n_blocks)
     if recipe.kind == "random" and recipe.seed is not None:
-        return random_between_matrix(
-            n_blocks, seed=recipe.seed, off_scale=recipe.off_scale, floor=recipe.floor
-        )
+        return random_between_matrix(n_blocks, **given)
     if recipe.kind == "matrix" and recipe.values is not None:
         return recipe.values
     msg = f"{path}: kind {recipe.kind!r} needs {'seed' if recipe.kind == 'random' else 'values'}"

@@ -322,6 +322,8 @@ def test_gof_test_properties() -> None:
     assert df == 4
     assert p == pytest.approx(0.05, abs=1e-12)
     assert gof_test(0.0, 2, 1) == (1, pytest.approx(1.0))
+    # 18 blocks of 4: df 68, where 1 - chi2_cdf would give exactly 0.
+    assert gof_test(300.0, 18, 4) == (68, pytest.approx(6.839673212954920e-31, rel=1e-10))
     with pytest.raises(IntegrationError, match="single block"):
         gof_test(1.0, 1, 3)
     with pytest.raises(IntegrationError):

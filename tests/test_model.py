@@ -23,6 +23,7 @@ from dimm.model import (
     assemble_kronecker,
     partition_dataset,
 )
+from dimm.simulate import bundled_scenario, generate_replicate
 from tests.oracles import pair_correlation, pair_covariance
 
 # ---------------------------------------------------------------------------
@@ -194,6 +195,28 @@ def test_panel_dataset_rejects_rank_deficient_design() -> None:
     x[:, :, 1] = 2.0 * x[:, :, 0]  # duplicate column: mean not identified
     with pytest.raises(DataError, match="rank"):
         PanelDataset(responses=y, covariates=x)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize(("delta", "refused"), [(1e-6, True), (1e-4, False)])
+def test_panel_dataset_refuses_near_collinear_design_beyond_the_gram_cut(
+    delta, refused, scale
+) -> None:
+    # table1_full replicate 0 with a seventh column x1 + delta * z. At
+    # delta = 1e-6 the equilibrated Gram's eigenvalue ratio is 1.5e-13,
+    # below the cut N*M*eps = 4.4e-11, though an SVD rank test still
+    # finds 7 of 7; at 1e-4 it is 1.5e-9. Rescaling the column by 1e6
+    # does not change the verdict.
+    data = generate_replicate(bundled_scenario("table1_full"), 0)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(25)))
+    z = rng.standard_normal(data.responses.shape)
+    extra = scale * (data.covariates[..., 1] + delta * z)
+    x = np.concatenate([data.covariates, extra[..., None]], axis=2)
+    if refused:
+        with pytest.raises(DataError, match="rank"):
+            PanelDataset(data.responses, x)
+    else:
+        assert PanelDataset(data.responses, x).n_covariates == 7
 
 
 def test_partition_dataset_round_trip_bit_exact() -> None:

@@ -152,6 +152,18 @@ def test_scenario_dict_round_trip() -> None:
         (lambda e: e.update(between={"kind": "random"}), r"scenario\.between: .*needs seed"),
         (lambda e: e.update(between={"kind": "random", "seed": 1.5}), r"scenario\.between\.seed"),
         (lambda e: e.update(between={"kind": "wild"}), r"scenario\.between\.kind"),
+        (
+            lambda e: e.update(between={"kind": "identity", "seed": 3, "values": [[1.0]]}),
+            r"scenario\.between: kind 'identity' does not take parameter\(s\) \['seed', 'values'\]",
+        ),
+        (
+            lambda e: e.update(between={"kind": "matrix", "seed": 3, "values": [[1.0]]}),
+            r"scenario\.between: kind 'matrix' does not take parameter\(s\) \['seed'\]",
+        ),
+        (
+            lambda e: e.update(between={"kind": "random", "seed": 3, "values": [[1.0]]}),
+            r"scenario\.between: kind 'random' does not take parameter\(s\) \['values'\]",
+        ),
         # The version and the keys are checked before between is resolved.
         (
             lambda e: e.update(schema_version=2, between={"kind": "wild"}),
@@ -176,6 +188,15 @@ def test_scenario_between_recipes() -> None:
     np.testing.assert_array_equal(scn.between, np.eye(2))
     scn = SimScenario.from_dict({**entry, "between": {"kind": "random", "seed": 4}})
     np.testing.assert_array_equal(scn.between, random_between_matrix(2, seed=4))
+    spelled = {"kind": "random", "seed": 4, "off_scale": 0.3, "floor": 0.05}
+    np.testing.assert_array_equal(
+        SimScenario.from_dict({**entry, "between": spelled}).between, scn.between
+    )
+    tuned = {"kind": "random", "seed": 4, "off_scale": 0.1, "floor": 0.2}
+    np.testing.assert_array_equal(
+        SimScenario.from_dict({**entry, "between": tuned}).between,
+        random_between_matrix(2, seed=4, off_scale=0.1, floor=0.2),
+    )
     assert scn.to_dict()["between"] == {"kind": "matrix", "values": scn.between.tolist()}
 
 

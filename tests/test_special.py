@@ -3,18 +3,21 @@
 The reference values below were produced by an independent 50-digit
 mpmath computation (regularized lower incomplete gamma for the
 chi-square CDF, mp.ncdf for the normal CDF) and frozen here; the
-implementation must agree to 1e-12 absolute error.
+implementation must agree to 1e-12 absolute error. The chi-square
+survival function is checked against mpmath at run time, to a relative
+error, down to about 1e-300.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dimm.special import chi2_cdf, chi2_quantile, normal_cdf
+from dimm.special import chi2_cdf, chi2_quantile, chi2_sf, normal_cdf
 
 # (x, df, P(X <= x)) from mpmath at dps=50.
 CHI2_ORACLE = [
@@ -103,6 +106,33 @@ def test_chi2_upper_tail_near_conventional_cutoffs():
     # Rounded 95% quantiles: the upper tail should come out at ~0.05.
     assert abs((1.0 - chi2_cdf(9.488, 4)) - 0.05) < 1e-4
     assert abs((1.0 - chi2_cdf(3.841, 1)) - 0.05) < 1e-4
+
+
+@pytest.mark.parametrize("df", [0.5, 1.0, 4.0, 68.0, 300.0])
+def test_chi2_sf_matches_mpmath_into_the_far_tail(df):
+    # Relative error, from the centre down to about 1e-300, where
+    # 1 - chi2_cdf cancels to 0 long before.
+    xs = [df * f for f in (0.01, 0.5, 1.0, 1.5, 2.0, 3.0)]
+    xs += [10.0, 50.0, 100.0, 200.0, 300.0, 500.0, 800.0, 1100.0, 1300.0, 1600.0, 2000.0, 2200.0]
+    smallest = 1.0
+    with mpmath.workdps(40):
+        for x in xs:
+            want = float(mpmath.gammainc(df / 2, x / 2, mpmath.inf, regularized=True))
+            if want < 1e-300:
+                continue
+            smallest = min(smallest, want)
+            assert chi2_sf(x, df) == pytest.approx(want, rel=1e-10), (x, df)
+    assert smallest < 1e-250
+
+
+def test_chi2_sf_does_not_floor_at_zero():
+    assert 1.0 - chi2_cdf(300.0, 68) == 0.0  # the cancellation chi2_sf avoids
+    assert chi2_sf(300.0, 68) > 6e-31
+    assert chi2_sf(0.0, 3) == 1.0
+    with pytest.raises(ValueError):
+        chi2_sf(-1.0, 3)
+    with pytest.raises(ValueError):
+        chi2_sf(1.0, 0.0)
 
 
 def test_chi2_cdf_domain_errors():
