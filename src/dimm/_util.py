@@ -7,10 +7,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm.errors import ConfigError
+from dimm.errors import ConfigError, DimmError
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterable
+    from collections.abc import Callable, Iterable, Sequence
 
 WORKERS_ENV = "DIMM_WORKERS"
 # A residual mean square below this fraction of the response mean square
@@ -38,6 +38,30 @@ def default_worker_count() -> int:
             raise ConfigError(msg)
         return value
     return os.cpu_count() or 1
+
+
+def subgroup(
+    names: Sequence[str], wanted: Sequence[str], error: type[DimmError], label: str
+) -> list[int]:
+    """Positions in ``names`` of the sub-group ``wanted``, in ``names`` order.
+
+    The one sub-group rule, applied by the fit config and by
+    :func:`dimm.integrate.weight_matrix`: an empty sub-group, a repeated
+    name or an unknown one raises ``error``, its message led by ``label``.
+    """
+    wanted = list(wanted)
+    repeated = sorted({w for w in wanted if wanted.count(w) > 1})
+    missing = [w for w in wanted if w not in names]
+    if not wanted:
+        msg = f"{label}: a sub-group must name at least one block"
+        raise error(msg)
+    if repeated:
+        msg = f"{label}: sub-group names contain duplicates: {repeated}"
+        raise error(msg)
+    if missing:
+        msg = f"{label}: sub-group names {missing} not found among the blocks {list(names)}"
+        raise error(msg)
+    return [j for j, name in enumerate(names) if name in wanted]
 
 
 def inv_cholesky(mat: np.ndarray) -> np.ndarray:

@@ -212,6 +212,9 @@ def _parse_beta(raw: str) -> np.ndarray:
     if not values:
         msg = "--beta must contain at least one number"
         raise ConfigError(msg)
+    if not np.isfinite(values).all():
+        msg = f"--beta entries must be finite numbers, got {raw!r}"
+        raise ConfigError(msg)
     return np.asarray(values, dtype=np.float64)
 
 
@@ -226,13 +229,10 @@ def cmd_gof(args: argparse.Namespace) -> int:
         )
         raise ConfigError(msg)
 
-    fits = fit_blocks(data, partition)
-    if config.blocks_to_integrate is not None:
-        keep = set(config.blocks_to_integrate)
-        fits = [f for f in fits if f.name in keep]
-    q_val = q_statistic(beta, weight_matrix(fits))
+    moments = weight_matrix(fit_blocks(data, partition), subset=config.blocks_to_integrate)
+    q_val = q_statistic(beta, moments)
     # beta is supplied, not estimated, so all J*p moment conditions count.
-    df = len(fits) * beta.shape[0]
+    df = len(moments.block_names) * beta.shape[0]
     p_value = chi2_sf(q_val, df)
     report = GofReport(
         schema_version=SCHEMA_VERSION,
@@ -240,7 +240,7 @@ def cmd_gof(args: argparse.Namespace) -> int:
         q_stat=q_val,
         df=df,
         p_value=p_value,
-        block_names=[f.name for f in fits],
+        block_names=moments.block_names,
         n_subjects=data.n_subjects,
     )
     print(

@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import spd_solve
+from dimm._util import spd_solve, subgroup
 from dimm.errors import IntegrationError
 from dimm.io import CoefficientTest
 from dimm.pairwise import BlockFit
@@ -161,8 +161,12 @@ class Moments:
         return self.psi.shape[0]
 
 
-def weight_matrix(fits: Sequence[BlockFit]) -> Moments:
-    """Stack the block fits and build the weight matrix, once.
+def weight_matrix(fits: Sequence[BlockFit], *, subset: Sequence[str] | None = None) -> Moments:
+    """Select the blocks, stack their fits and build the weight matrix, once.
+
+    ``subset`` names the sub-group to keep (default: every fit), in fit
+    order; :func:`integrate_fits` and ``dimm gof`` both choose theirs
+    here, so a sub-group gives the same numbers as passing only its fits.
 
     ``V_hat = (1/N) sum_i psi_i psi_i'`` is uncentered by construction:
     at the block optima the mean scores are already ~0, so centering
@@ -174,9 +178,14 @@ def weight_matrix(fits: Sequence[BlockFit]) -> Moments:
     Raises
     ------
     IntegrationError
-        If the fits do not share N and p or repeat a block name, or if
-        even the largest ridge leaves the matrix non-invertible.
+        If ``subset`` is empty, repeats a name or names no fit; if the
+        fits do not share N and p or repeat a block name; or if even the
+        largest ridge leaves the matrix non-invertible.
     """
+    fits = list(fits)
+    if subset is not None:
+        names = [f.name for f in fits]
+        fits = [fits[j] for j in subgroup(names, subset, IntegrationError, "subset")]
     _check_fits(fits)
     psi = np.hstack([f.subject_scores for f in fits])
     n, dim = psi.shape
@@ -338,16 +347,22 @@ def q_statistic(beta: np.ndarray, m: Moments) -> float:
     at that block's fitted ``gamma_hat``, is ``mean_i psi_ij(beta_hat_j)
     - S_j (beta - beta_hat_j)`` (exact under the identity link); the J
     mean scores are stacked, and the quadratic form against
-    ``V_hat^(-1)`` is scaled by N.
+    ``V_hat^(-1)`` is scaled by N. A ``beta`` of the wrong length, or
+    one so far out that Q_N overflows, raises IntegrationError.
     """
     n_blocks, p = m.beta_hats.shape
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)
     if beta.shape != (p,):
         msg = f"beta has length {beta.shape[0]}, expected p={p}"
         raise IntegrationError(msg)
-    moved = [s_j @ (beta - b_j) for s_j, b_j in zip(m.s.reshape(n_blocks, p, p), m.beta_hats)]
-    g = m.mean_scores - np.concatenate(moved)
-    return float(m.n_subjects * g @ m.v_inv @ g)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        moved = [s_j @ (beta - b_j) for s_j, b_j in zip(m.s.reshape(n_blocks, p, p), m.beta_hats)]
+        g = m.mean_scores - np.concatenate(moved)
+        q_val = float(m.n_subjects * g @ m.v_inv @ g)
+    if not math.isfinite(q_val):
+        msg = f"Q_N is not finite at beta = {beta.tolist()}"
+        raise IntegrationError(msg)
+    return q_val
 
 
 def gof_test(q_stat: float, n_blocks: int, n_params: int) -> tuple[int, float]:
@@ -485,10 +500,9 @@ def integrate_fits(
     fits : sequence of BlockFit
         Per-block fits, in block order.
     subset : sequence of str, optional
-        Integrate only the named blocks (sub-group analysis). Selection
-        preserves fit order; integrating a subset is bit-identical to
-        running on a panel that contains only those blocks, given the
-        same fits.
+        Integrate only the named blocks (sub-group analysis), chosen by
+        :func:`weight_matrix`: fit order is kept, and an empty, repeated
+        or unknown name raises :class:`~dimm.errors.IntegrationError`.
 
     Returns
     -------
@@ -496,27 +510,13 @@ def integrate_fits(
         ``covariance`` is the jackknife (:func:`jackknife_covariance`),
         ``covariance_asymptotic`` the analytic (:func:`dimm_covariance`).
     """
-    fits = list(fits)
-    if subset is not None:
-        wanted = list(subset)
-        names = [f.name for f in fits]
-        missing = [w for w in wanted if w not in names]
-        if missing:
-            msg = f"subset names not found among fits: {missing}; known: {names}"
-            raise IntegrationError(msg)
-        if len(set(wanted)) != len(wanted):
-            msg = f"subset names contain duplicates: {wanted}"
-            raise IntegrationError(msg)
-        keep = [i for i, name in enumerate(names) if name in set(wanted)]
-        fits = [fits[i] for i in keep]
-
-    m = weight_matrix(fits)
+    m = weight_matrix(fits, subset=subset)
     beta, bread = one_step_estimator(m)
     cov_asymptotic = dimm_covariance(bread, m.n_subjects)
     cov = jackknife_covariance(m, beta)
     q_val = q_statistic(beta, m)
-    if len(fits) > 1:
-        gof_df, gof_p = gof_test(q_val, len(fits), beta.shape[0])
+    if len(m.block_names) > 1:
+        gof_df, gof_p = gof_test(q_val, len(m.block_names), beta.shape[0])
     else:
         gof_df, gof_p = 0, None
     return IntegratedFit(

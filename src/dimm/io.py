@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Any, ClassVar, Literal, get_args, get_origin, 
 
 import numpy as np
 
+from dimm._util import subgroup
 from dimm.errors import ConfigError, DataError, DimmError
 from dimm.model import BlockPartition, PanelDataset, Structure
 
@@ -476,7 +477,8 @@ class FitConfig(Report):
     intercept : bool
         Prepend a constant-1 design column to the file covariates.
     blocks_to_integrate : tuple of str or None
-        Optional sub-group: integrate only these blocks.
+        Optional sub-group: integrate only these blocks. An empty list,
+        a repeated name or a name that is not a block is refused.
     output_path : str or None
         Where the fit report is written (None = stdout summary only).
     """
@@ -497,11 +499,9 @@ class FitConfig(Report):
         if not self.blocks:
             msg = "config.blocks must be a non-empty list"
             raise ConfigError(msg)
-        names = {b.name for b in self.blocks}
-        missing = [s for s in self.blocks_to_integrate or () if s not in names]
-        if missing:
-            msg = f"config.blocks_to_integrate names {missing} not among the configured blocks"
-            raise ConfigError(msg)
+        if self.blocks_to_integrate is not None:
+            names = [b.name for b in self.blocks]
+            subgroup(names, self.blocks_to_integrate, ConfigError, "config.blocks_to_integrate")
 
     def partition(self) -> BlockPartition:
         return BlockPartition.from_sizes(

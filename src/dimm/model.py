@@ -15,7 +15,7 @@ simulation harness and the oracle baseline).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
@@ -112,17 +112,15 @@ class Dependence:
 
 @dataclass(frozen=True)
 class Block:
-    """One contiguous block of response coordinates.
+    """One contiguous block of at least two response coordinates.
 
-    ``structure`` may be a :class:`Dependence` or a bare family name
-    (``"ar1"``/``"cs"``), in which case default parameters (sigma=1,
-    rho=0) are attached. Block sizes below 2 are rejected: a block must
-    contain at least one coordinate pair.
+    ``structure`` names the working family fitted to the block, ``"ar1"``
+    or ``"cs"``; the fit estimates its sigma and rho.
     """
 
     name: str
     size: int
-    structure: Dependence = field(default_factory=lambda: Dependence(AR1))
+    structure: Structure = AR1
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -132,14 +130,9 @@ class Block:
             msg = f"block {self.name!r}: size must be an integer >= 2, got {self.size!r}"
             raise PartitionError(msg)
         object.__setattr__(self, "size", int(self.size))
-        structure = self.structure
-        if isinstance(structure, str):
-            structure = Dependence(structure)
-        if not isinstance(structure, Dependence):
-            msg = f"block {self.name!r}: structure must be a Dependence or family name"
+        if self.structure not in _STRUCTURES:
+            msg = f"block {self.name!r}: structure must be one of {_STRUCTURES}, got {self.structure!r}"
             raise PartitionError(msg)
-        structure.validate_for_size(self.size)
-        object.__setattr__(self, "structure", structure)
 
 
 @dataclass(frozen=True)
@@ -148,8 +141,8 @@ class BlockPartition:
 
     Blocks are contiguous and listed in coordinate order: block j covers
     positions ``offset_j .. offset_j + size_j - 1`` with offsets implied
-    by the cumulative sizes. Names must be unique; they key sub-group
-    selection downstream.
+    by the cumulative sizes. Names must be unique; they name the blocks
+    a sub-group selects (:func:`dimm.integrate.weight_matrix`).
 
     Examples
     --------
@@ -183,15 +176,15 @@ class BlockPartition:
         cls,
         sizes: Sequence[int],
         *,
-        structure: Dependence | str | Sequence[Dependence | str] = AR1,
+        structure: str | Sequence[str] = AR1,
         names: Sequence[str] | None = None,
     ) -> BlockPartition:
-        """Build a partition from block sizes with generated names."""
+        """Build a partition from block sizes and one family name, or one per block."""
         sizes = list(sizes)
         if names is None:
             names = [f"block{j + 1}" for j in range(len(sizes))]
-        if isinstance(structure, (str, Dependence)):
-            structures: list[Dependence | str] = [structure] * len(sizes)
+        if isinstance(structure, str):
+            structures = [structure] * len(sizes)
         else:
             structures = list(structure)
         if not (len(names) == len(sizes) == len(structures)):
@@ -238,22 +231,6 @@ class BlockPartition:
                 f"has M={n_coordinates}"
             )
             raise PartitionError(msg)
-
-    def index_of(self, name: str) -> int:
-        """Position of the named block; PartitionError if absent."""
-        try:
-            return self.names.index(name)
-        except ValueError:
-            msg = f"no block named {name!r}; known blocks: {list(self.names)}"
-            raise PartitionError(msg) from None
-
-    def subset(self, names: Sequence[str]) -> BlockPartition:
-        """Partition containing only the named blocks, in original order."""
-        idx = sorted(self.index_of(n) for n in names)
-        if len(set(idx)) != len(list(names)):
-            msg = f"subset names contain duplicates: {list(names)}"
-            raise PartitionError(msg)
-        return BlockPartition(tuple(self.blocks[i] for i in idx))
 
 
 @dataclass(frozen=True, eq=False)

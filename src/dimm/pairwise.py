@@ -618,7 +618,7 @@ def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, float, in
 
 def fit_block(
     block: PanelDataset | _BlockSlice,
-    structure: Dependence | str,
+    structure: str,
     *,
     name: str = "block",
 ) -> BlockFit:
@@ -630,9 +630,9 @@ def fit_block(
         The block's responses and covariates (M = block size).
         :func:`fit_blocks` passes a ``_BlockSlice`` instead, a view of
         one block of its panel; both take the same path.
-    structure : Dependence or str
-        Working family to fit ("ar1" or "cs"); parameter values inside a
-        Dependence are ignored.
+    structure : str
+        Name of the working family to fit, ``"ar1"`` or ``"cs"``; the fit
+        estimates its sigma and rho.
     name : str
         Label stored on the fit.
 
@@ -642,6 +642,8 @@ def fit_block(
 
     Raises
     ------
+    PartitionError
+        If ``structure`` is not a family name.
     DataError
         If the block's design does not identify beta (the rule of
         :func:`~dimm.model.check_identified`); the message names the block.
@@ -652,8 +654,7 @@ def fit_block(
         between grid neighbours, a refined maximum below the grid's, or
         scores above the acceptance tolerance.
     """
-    family = structure.structure if isinstance(structure, Dependence) else structure
-    arrays = _arrays_for(block, Dependence(family), name)
+    arrays = _arrays_for(block, Dependence(structure), name)
     y = block.responses
     if float(np.ptp(y)) == 0.0:
         msg = (

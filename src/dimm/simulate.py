@@ -33,7 +33,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Literal
+from typing import Any, Literal
 
 import numpy as np
 
@@ -52,9 +52,6 @@ from dimm.model import (
 )
 from dimm.pairwise import fit_blocks
 from dimm.special import chi2_quantile
-
-if TYPE_CHECKING:
-    from collections.abc import Sequence
 
 __all__ = [
     "BlockScenario",

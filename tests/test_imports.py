@@ -1,0 +1,56 @@
+"""Every name a ``dimm`` module imports is used by that module.
+
+The scan parses each module's source: a name bound by an ``import``
+counts as used when the module reads it anywhere (annotations included),
+or lists it in ``__all__``. The one exemption is an import whose own line
+carries ``# noqa: F401``, kept on purpose for a caller outside the module.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "dimm"
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    unused = [(line, name) for name, line in imported.items() if name not in used]
+    return [f"line {line}: {name}" for line, name in sorted(unused)]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in _SRC.glob("*.py")))
+def test_module_imports_are_used(module: str) -> None:
+    unused = _unused_imports((_SRC / module).read_text(encoding="utf-8"))
+    assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def test_scan_flags_an_unused_import() -> None:
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import os\n"
+        "import math  # noqa: F401  (kept for callers)\n"
+        "from json import dumps as to_json\n"
+        "__all__ = ['to_json']\n"
+        "if TYPE_CHECKING:\n"
+        "    from collections.abc import Sequence\n"
+    )
+    assert _unused_imports(source) == ["line 2: os", "line 7: Sequence"]

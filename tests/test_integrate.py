@@ -396,19 +396,32 @@ def test_integrate_subset_equals_direct_subset_run(fitted) -> None:
     assert via_subset.q_stat == direct.q_stat
     assert via_subset.gof_df == direct.gof_df == 2
     assert via_subset.block_names == ("a", "c")
+    # The sub-group keeps fit order, whatever the order of its names.
+    assert weight_matrix(fits, subset=["c", "a"]).block_names == ("a", "c")
 
 
 def test_integrate_subset_validation(fitted) -> None:
+    # integrate_fits forwards its subset to weight_matrix, the one place a
+    # sub-group is chosen, so both refuse the same three ways.
     _, _, _, fits = fitted
-    with pytest.raises(IntegrationError, match="not found"):
-        integrate_fits(fits, subset=["a", "nope"])
-    with pytest.raises(IntegrationError, match="duplicate"):
-        integrate_fits(fits, subset=["a", "a"])
-    with pytest.raises(IntegrationError):
-        integrate_fits([])
+    for select in (integrate_fits, weight_matrix):
+        with pytest.raises(IntegrationError, match="not found"):
+            select(fits, subset=["a", "nope"])
+        with pytest.raises(IntegrationError, match="duplicate"):
+            select(fits, subset=["a", "a"])
+        with pytest.raises(IntegrationError, match="at least one block"):
+            select(fits, subset=[])
+        with pytest.raises(IntegrationError):
+            select([])
 
 
 def test_q_statistic_validates_beta_length(fitted) -> None:
     _, _, _, fits = fitted
     with pytest.raises(IntegrationError, match="length"):
         q_statistic(np.array([1.0, 2.0, 3.0]), weight_matrix(fits))
+    # Q_N grows with the square of beta's distance from the block
+    # estimates, so a finite beta of 1e308 overflows it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused with a typed error, not warned about
+        with pytest.raises(IntegrationError, match="not finite"):
+            q_statistic(np.full(2, 1e308), weight_matrix(fits))

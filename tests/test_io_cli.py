@@ -256,7 +256,7 @@ def test_fit_config_loads(panel_files) -> None:
     assert [b.name for b in config.blocks] == ["front", "back"]
     part = config.partition()
     assert part.total_size == 5
-    assert part.blocks[1].structure.structure == "cs"
+    assert part.blocks[1].structure == "cs"
 
 
 def test_fit_config_round_trips_and_takes_no_version_setting(panel_files) -> None:
@@ -280,6 +280,8 @@ def test_fit_config_round_trips_and_takes_no_version_setting(panel_files) -> Non
         (lambda c: c.update(workers=True), r"unknown config fields: \['workers'\]"),
         (lambda c: c.update(workers=0), r"unknown config fields: \['workers'\]"),
         (lambda c: c.update(blocks_to_integrate=["nope"]), "nope"),
+        (lambda c: c.update(blocks_to_integrate=["front", "front"]), "duplicates"),
+        (lambda c: c.update(blocks_to_integrate=[]), "at least one block"),
         (lambda c: c.update(schema_version=99), "schema_version"),
         (lambda c: c.update(optimizer=[1, 2]), r"unknown config fields: \['optimizer'\]"),
     ],
@@ -401,6 +403,34 @@ def test_cli_fit_subgroup(panel_files, tmp_path: Path) -> None:
     assert "integrated over 1 block(s): back" in result.stdout
 
 
+def test_cli_gof_subgroup(panel_files, tmp_path: Path) -> None:
+    _, _, _, _, _, raw = panel_files
+    cfg = tmp_path / "sub.json"
+    cfg.write_text(json.dumps(dict(raw, blocks_to_integrate=["back"])))
+    out = tmp_path / "gof_sub.json"
+    result = _run_cli("gof", "--config", str(cfg), "--beta", "1.0,-0.5", "--output", str(out))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(out.read_text())
+    assert report["block_names"] == ["back"]
+    assert report["df"] == 2
+
+
+@pytest.mark.parametrize("command", ["fit", "gof"])
+@pytest.mark.parametrize(
+    ("subset", "expected"),
+    [(["nope"], "not found"), (["back", "back"], "duplicates"), ([], "at least one block")],
+)
+def test_cli_refuses_a_bad_subgroup(panel_files, tmp_path: Path, command, subset, expected) -> None:
+    # Unknown, repeated and empty sub-groups are config errors in both commands.
+    _, _, _, _, _, raw = panel_files
+    cfg = tmp_path / "bad_sub.json"
+    cfg.write_text(json.dumps(dict(raw, blocks_to_integrate=subset)))
+    args = ["--beta", "1.0,-0.5"] if command == "gof" else []
+    result = _run_cli(command, "--config", str(cfg), *args)
+    assert result.returncode == 2, result.stderr
+    assert expected in result.stderr
+
+
 def test_cli_gof_command(panel_files) -> None:
     _, _, _, _, cfg, _ = panel_files
     result = _run_cli("gof", "--config", str(cfg), "--beta", "1.0,-0.5")
@@ -412,6 +442,12 @@ def test_cli_gof_command(panel_files) -> None:
     short = _run_cli("gof", "--config", str(cfg), "--beta", "1.0")
     assert short.returncode == 2
     assert "p=2" in short.stderr
+    # A non-finite entry is a config error; a finite beta so far out that
+    # Q_N overflows is an integration error. Neither may crash.
+    for beta, code in (("nan,0", 2), ("1,inf", 2), ("1,-inf", 2), ("1e308,1e308", 5)):
+        refused = _run_cli("gof", "--config", str(cfg), "--beta", beta)
+        assert refused.returncode == code, refused.stderr
+        assert "finite" in refused.stderr
 
 
 def test_cli_gof_report_carries_the_io_schema_version(panel_files, tmp_path: Path) -> None:

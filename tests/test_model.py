@@ -115,23 +115,13 @@ def test_block_partition_from_sizes_layout() -> None:
     assert [
         (s.start, s.stop) for s in part.slices
     ] == [(0, 3), (3, 5), (5, 9)]
-    assert part.index_of("block2") == 1
 
 
 def test_block_partition_mixed_structures() -> None:
-    part = BlockPartition.from_sizes(
-        [2, 3], structure=[Dependence(AR1, 1.0, 0.1), "cs"], names=["a", "b"]
-    )
-    assert part.blocks[0].structure.structure == "ar1"
-    assert part.blocks[1].structure.structure == "cs"
-    assert part.blocks[1].structure.sigma == 1.0
-
-
-def test_block_partition_subset_preserves_order() -> None:
-    part = BlockPartition.from_sizes([2, 2, 2], names=["a", "b", "c"])
-    sub = part.subset(["c", "a"])
-    # Selection is by name but the result keeps the original block order.
-    assert sub.names == ("a", "c")
+    part = BlockPartition.from_sizes([2, 3], structure=[AR1, "cs"], names=["a", "b"])
+    # A block's structure is the family name alone; the fit estimates sigma and rho.
+    assert [b.structure for b in part.blocks] == ["ar1", "cs"]
+    assert Block("c", 4).structure == "ar1"
 
 
 @pytest.mark.parametrize(
@@ -140,17 +130,13 @@ def test_block_partition_subset_preserves_order() -> None:
         [],  # no blocks at all
         [("a", 1)],  # a block must contain at least one pair
         [("a", 2), ("a", 3)],  # duplicate names
+        [("a", 3, Dependence(AR1, 1.0, 0.5))],  # a structure is a family name, not parameters
+        [("a", 3, "toeplitz")],  # not a working family
     ],
 )
-def test_block_partition_rejects_bad_layouts(bad: list[tuple[str, int]]) -> None:
+def test_block_partition_rejects_bad_layouts(bad: list[tuple]) -> None:
     with pytest.raises(PartitionError):
-        BlockPartition(tuple(Block(n, m) for n, m in bad))
-
-
-def test_partition_index_of_unknown_name() -> None:
-    part = BlockPartition.from_sizes([2, 2])
-    with pytest.raises(PartitionError):
-        part.index_of("nope")
+        BlockPartition(tuple(Block(*spec) for spec in bad))
 
 
 # ---------------------------------------------------------------------------

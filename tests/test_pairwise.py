@@ -301,15 +301,11 @@ def test_fit_block_gates_and_reported_objective() -> None:
         assert block_logcl(worse, fit.gamma_hat, block) <= fit.logcl + 1e-9
 
 
-def test_fit_block_structure_argument_is_family_only() -> None:
-    # Passing a parameterized Dependence must give the same fit as the
-    # bare family name: its parameter values never seed the search.
+@pytest.mark.parametrize("structure", ["toeplitz", Dependence("ar1", 1.0, 0.5)])
+def test_fit_block_takes_a_family_name(structure) -> None:
     block = _random_block(seed=15, n=30, m=4, p=2)
-    by_name = fit_block(block, "ar1")
-    by_spec = fit_block(block, Dependence("ar1", 5.0, 0.7))
-    np.testing.assert_array_equal(by_name.beta_hat, by_spec.beta_hat)
-    assert by_name.gamma_hat == by_spec.gamma_hat
-    assert by_name.logcl == by_spec.logcl
+    with pytest.raises(PartitionError, match="unknown dependence structure"):
+        fit_block(block, structure)
 
 
 def test_fit_block_subject_scores_consistent() -> None:
@@ -344,7 +340,7 @@ def _table1_full_with_seventh_column(block: str, column) -> tuple[PanelDataset, 
     scn = bundled_scenario("table1_full")
     data = generate_replicate(scn, 0)
     part = scn.partition_for("dimm")
-    sl = part.slices[part.index_of(block)]
+    sl = part.slices[part.names.index(block)]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(24)))
     extra = rng.standard_normal(data.responses.shape)
     extra[:, sl] = column(data.covariates[:, sl, :])
