@@ -68,16 +68,14 @@ class Dependence:
         Correlation parameter.
     """
 
-    structure: str
+    structure: Structure
     sigma: float = 1.0
     rho: float = 0.0
 
     def __post_init__(self) -> None:
-        structure = str(self.structure).lower()
-        if structure not in _STRUCTURES:
-            msg = f"unknown dependence structure {self.structure!r}; expected one of {_STRUCTURES}"
+        if self.structure not in _STRUCTURES:
+            msg = f"structure must be one of {_STRUCTURES}, got {self.structure!r}"
             raise PartitionError(msg)
-        object.__setattr__(self, "structure", structure)
         sigma = float(self.sigma)
         rho = float(self.rho)
         if not math.isfinite(sigma) or sigma <= 0.0:

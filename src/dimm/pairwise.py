@@ -13,14 +13,16 @@ integration step consumes.
 The Gaussian identity link makes all of this closed form but for one
 scalar:
 
-* the log-CL depends on the data only through per-lag moments, and all
-  of them are sums of blocks of one Gram matrix ``Z'Z``, with ``Z = [X |
-  y]`` reshaped to (N, m (p + 1));
-* at fixed rho, ``beta_hat(rho)`` is one linear solve, and sigma cancels
-  out of it;
-* ``sigma_hat^2(rho) = sum_d R_d / (2 N n_pairs)`` with ``R_d = (q0_d -
-  2 c_d q1_d) / (1 - c_d^2)``, from the per-lag residual square and
-  cross sums ``q0_d``, ``q1_d``;
+* the log-CL depends on the data only through the per-lag square and
+  cross moments ``S_d``, ``C_d`` of ``Z = [X | y]``, all sums of blocks
+  of one Gram matrix (:class:`_BlockMoments`);
+* at each rho, two weighted sums of them, ``G0`` and ``G1``
+  (:meth:`_BlockArrays.grams`), hold every statistic. With ``v = (-beta,
+  1)``, ``beta_hat(rho)`` solves ``G0[:p, :p] beta = G0[:p, p]`` (sigma
+  cancels out of it), ``sigma_hat^2(rho) = v'G0 v / (2 N n_pairs)``, and
+  the rho-score is ``sum_d n_d c_d w_d c'_d + v'G1 v / sigma^2``, with
+  ``n_d`` pair terms, correlation ``c_d``, ``c'_d = dc_d/drho`` and
+  ``w_d = 1 / (1 - c_d^2)`` at lag d;
 * the scores are affine in beta: subject i's beta-score is ``X_i' K
   e_i`` with the m x m kernel K of :meth:`_BlockArrays.kernel`.
 
@@ -30,9 +32,11 @@ its analytic score is solved inside the grid bracket of the best point
 by a bracketed root step (:func:`_score_root`: secant and inverse
 quadratic steps, safeguarded by bisection). The grid's best value is
 kept as a certificate that the refined point is the global maximum over
-the grid. Every step is
-equivariant under a rescaling of the responses, and the post-fit checks
-are relative to scale.
+the grid. One evaluation gives the profile, its score and the Grams
+together, so the fit's checks (the sensitivity and the beta-, sigma-
+and rho-scores) read the evaluation at rho_hat that the root step
+already made. Every step is equivariant under a rescaling of the
+responses, and the post-fit checks are relative to scale.
 
 Blocks are fit one after another in the calling process. Each fit is
 independent of the others, which is what lets the paper spread them over
@@ -101,12 +105,14 @@ _CERT_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class _Profile:
-    """The profile log-CL and its rho-score at each of k rho values."""
+    """The profile at each of k rho values, with the Grams it came from."""
 
     beta: np.ndarray  # (k, p)
     sigma2: np.ndarray  # (k,)
     logcl: np.ndarray  # (k,)
     score: np.ndarray  # (k,)
+    grams: np.ndarray  # (2, k, p + 1, p + 1): G0 and G1
+    family_score: np.ndarray  # (k,)
 
 
 class _BlockMoments:
@@ -114,23 +120,18 @@ class _BlockMoments:
 
     With ``z_r = (x_r', y_r)'`` for coordinate r, the Gram matrix of ``Z =
     [X | y]`` holds every ``sum_i z_ir z_it'``. For lag d, summed over the
-    subjects and the pairs (r, t = r + d):
+    subjects and the pairs (r, t = r + d), the square moments ``S_d = sum
+    (z_r z_r' + z_t z_t')`` come from its diagonal blocks and the
+    symmetrised cross moments ``C_d = sum (z_r z_t' + z_t z_r') / 2`` from
+    its lag-d off-diagonal blocks. ``stacked`` is the array F of shape
+    (2 (m - 1), (p + 1)^2) whose rows are ``S_1 .. S_{m-1}`` and then
+    ``C_1 .. C_{m-1}``, each flattened, so a weighted sum over the lags of
+    both is one product with F (:meth:`_BlockArrays.grams`).
 
-    * ``a_mats[d] = sum (x_r x_r' + x_t x_t')``, ``u_vecs[d] = sum (y_r x_r
-      + y_t x_t)``, ``s0[d] = sum (y_r^2 + y_t^2)`` come from its diagonal
-      blocks;
-    * ``b_mats[d] = sum (x_r x_t' + x_t x_r')``, ``v_vecs[d] = sum (y_t x_r
-      + y_r x_t)``, ``s1[d] = sum y_r y_t`` from its lag-d off-diagonal
-      blocks.
-
-    The per-lag residual sums are then exact quadratic forms in beta,
-
-        q0_d(beta) = s0_d - 2 u_d'beta + beta'A_d beta
-        q1_d(beta) = s1_d -   v_d'beta + beta'B_d beta / 2,
-
-    so every evaluation costs O(lags * p^2). (The subtraction loses
-    accuracy only when the signal dwarfs the noise; :func:`fit_block`
-    refuses such exact fits.)
+    With ``v = (-beta, 1)``, ``v'S_d v`` and ``v'C_d v`` are the lag-d
+    residual square and cross sums, exact quadratic forms in beta. (The
+    subtraction they hide loses accuracy only when the signal dwarfs the
+    noise; :func:`fit_block` refuses such exact fits.)
 
     ``y`` and ``x`` are views of the block's coordinates in its panel;
     nothing here depends on the working family, so :func:`_arrays_for`
@@ -147,11 +148,12 @@ class _BlockMoments:
         p = x.shape[2]
         lags = np.arange(1, m)
         counts = m - lags
-        # The cache keeps these past the fit. Allocated ahead of the Gram's
-        # temporaries, they sit below them in the heap instead of pinning
+        # The cache keeps F past the fit. Allocated ahead of the Gram's
+        # temporaries, it sits below them in the heap instead of pinning
         # the space they free (with glibc, that fragmentation added 1.4 MB
         # to the peak RSS of a table1_full study).
-        square, cross = np.empty((2, m - 1, p + 1, p + 1))
+        stacked = np.empty((2, m - 1, p + 1, p + 1))
+        square, cross = stacked
         z = np.concatenate([x, y[:, :, None]], axis=2).reshape(n, m * (p + 1))
         # gram[r, t] = sum_i z_ir z_it', shape (m, m, p + 1, p + 1).
         gram = (z.T @ z).reshape(m, p + 1, m, p + 1).transpose(0, 2, 1, 3)
@@ -159,6 +161,8 @@ class _BlockMoments:
         t_idx = r_idx + np.repeat(lags, counts)
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
         np.add.reduceat(gram[r_idx, t_idx], starts, axis=0, out=cross)
+        np.add(cross, np.swapaxes(cross, 1, 2), out=cross)  # numpy buffers the overlap
+        cross *= 0.5
         # Diagonal blocks summed over r < m - d and over t >= d.
         diag = np.cumsum(gram[np.arange(m), np.arange(m)], axis=0)
         diag = np.concatenate([np.zeros((1, p + 1, p + 1)), diag])
@@ -166,31 +170,14 @@ class _BlockMoments:
         check_identified(diag[m, :p, :p], n * m, f"block {name!r}")
 
         self.n_subjects = n
+        self.n_covariates = p
         self.block_size = m
         self.n_pairs = m * (m - 1) // 2
         self.response_ms = float(np.mean(y * y))
-        self.lags = lags
-        self.n_terms = counts * n  # pair terms at each lag
-        self.a_mats = square[:, :p, :p]
-        self.u_vecs = square[:, :p, p]
-        self.s0 = square[:, p, p]
-        self.b_mats = cross[:, :p, :p] + np.swapaxes(cross[:, :p, :p], 1, 2)
-        self.v_vecs = cross[:, :p, p] + cross[:, p, :p]
-        self.s1 = cross[:, p, p]
-
-    def residual_moments(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-lag residual square/cross sums (q0, q1), shape (..., lags)."""
-        q0 = (
-            self.s0
-            - 2.0 * (beta @ self.u_vecs.T)
-            + np.einsum("...p,dpq,...q->...d", beta, self.a_mats, beta)
-        )
-        q1 = (
-            self.s1
-            - beta @ self.v_vecs.T
-            + 0.5 * np.einsum("...p,dpq,...q->...d", beta, self.b_mats, beta)
-        )
-        return q0, q1
+        self.lags = lags.astype(np.float64)
+        self.n_terms = (counts * n).astype(np.float64)  # pair terms at each lag
+        self.n_total = n * self.n_pairs  # their sum
+        self.stacked = stacked.reshape(2 * (m - 1), (p + 1) ** 2)
 
 
 @dataclass(frozen=True)
@@ -218,6 +205,13 @@ _MOMENTS: weakref.WeakKeyDictionary[PanelDataset, dict[tuple[int, int], _BlockMo
 )
 
 
+def _quadratic_forms(grams: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``v'G v`` at ``v = (-beta, 1)`` for each matrix G of ``grams``
+    (..., p + 1, p + 1), with beta (..., p) broadcast against them."""
+    v = np.concatenate([-beta, np.ones(beta.shape[:-1] + (1,))], axis=-1)
+    return np.einsum("...i,...ij,...j->...", v, grams, v)
+
+
 class _BlockArrays:
     """A block's moments under one working family.
 
@@ -236,84 +230,79 @@ class _BlockArrays:
     def lag_correlations(self, rho: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-lag correlations and their rho-derivatives, shape (..., lags)."""
         rho = np.asarray(rho, dtype=np.float64)[..., None]
-        lags = self.moments.lags.astype(np.float64)
+        lags = self.moments.lags
         if self.structure == AR1:
             return np.power(rho, lags), lags * np.power(rho, lags - 1.0)
         c = np.broadcast_to(rho, rho.shape[:-1] + lags.shape)
         return c, np.ones_like(c)
 
+    def grams(self, rho: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``G0`` and ``G1`` at each rho, shape (2, ..., p + 1, p + 1).
+
+        With ``w_d = 1 / (1 - c_d^2)``, ``G0 = sum_d w_d (S_d - 2 c_d C_d)``
+        and ``G1 = sum_d c'_d w_d^2 ((1 + c_d^2) C_d - c_d S_d)``, both one
+        product of the lag weights with the stacked moments F. Also
+        returns, shape (...,), the terms of the log-CL and of its
+        rho-score that are free of the data: ``sum_d n_d log(1 - c_d^2)``
+        and ``sum_d n_d c_d w_d c'_d``.
+        """
+        c, dc = self.lag_correlations(rho)
+        c2 = c * c
+        one_mc2 = 1.0 - c2
+        w = 1.0 / one_mc2
+        cw = c * w
+        dw2 = dc * w * w
+        weights = np.stack(
+            [np.concatenate([w, -2.0 * cw], -1), np.concatenate([-c * dw2, (1.0 + c2) * dw2], -1)]
+        )
+        q = self.moments.n_covariates + 1
+        grams = (weights @ self.moments.stacked).reshape(*weights.shape[:-1], q, q)
+        n_terms = self.moments.n_terms
+        return grams, np.log(one_mc2) @ n_terms, (cw * dc) @ n_terms
+
     def logcl(self, beta: np.ndarray, sigma: float, rho: float) -> float:
         """Total log composite likelihood."""
-        q0, q1 = self.moments.residual_moments(beta)
-        c, _ = self.lag_correlations(rho)
-        one_mc2 = 1.0 - c * c
+        grams, log_det, _ = self.grams(rho)
         s2 = sigma * sigma
-        n_terms = self.moments.n_terms
-        const = -n_terms * (_LOG_2PI + math.log(s2)) - 0.5 * n_terms * np.log(one_mc2)
-        quad = (q0 - 2.0 * c * q1) / (2.0 * s2 * one_mc2)
-        return float(np.sum(const - quad))
-
-    def _rho_score(self, q0, q1, c, dc, s2):
-        """Total rho-derivative of the log-CL from the per-lag sums."""
-        w = 1.0 / (1.0 - c * c)
-        d_c = self.moments.n_terms * c * w + (
-            q1 * (1.0 + c * c) - c * q0
-        ) * w * w / s2[..., None]
-        return np.sum(dc * d_c, axis=-1)
-
-    def mean_score_gamma(self, beta: np.ndarray, sigma: float, rho: float) -> np.ndarray:
-        """Gradient of the mean log-CL in (sigma, rho)."""
-        q0, q1 = self.moments.residual_moments(beta)
-        c, dc = self.lag_correlations(rho)
-        n_terms = self.moments.n_terms
-        r = (q0 - 2.0 * c * q1) / (1.0 - c * c)
-        d_sigma = float(np.sum(-2.0 * n_terms / sigma + r / sigma**3))
-        d_rho = float(self._rho_score(q0, q1, c, dc, np.asarray(sigma * sigma)))
-        return np.array([d_sigma, d_rho]) / self.moments.n_subjects
-
-    def _normal_equations(self, rho) -> tuple[np.ndarray, np.ndarray]:
-        """Sensitivity and score target times sigma^2, shape (..., p, p), (..., p)."""
-        c, _ = self.lag_correlations(rho)
-        w = 1.0 / (1.0 - c * c)
-        mom = self.moments
-        lhs = np.einsum("...d,dpq->...pq", w, mom.a_mats) - np.einsum(
-            "...d,dpq->...pq", w * c, mom.b_mats
-        )
-        rhs = w @ mom.u_vecs - (w * c) @ mom.v_vecs
-        return lhs, rhs
+        n_total = self.moments.n_total
+        quad = _quadratic_forms(grams[0], beta)
+        return float(-n_total * (_LOG_2PI + math.log(s2)) - 0.5 * log_det - quad / (2.0 * s2))
 
     def profile(self, rhos: np.ndarray) -> _Profile:
         """beta_hat(rho), sigma_hat^2(rho), the profile log-CL and its score."""
-        rhos = np.asarray(rhos, dtype=np.float64)
-        lhs, rhs = self._normal_equations(rhos)
-        beta = np.linalg.solve(lhs, rhs[..., None])[..., 0]
-        q0, q1 = self.moments.residual_moments(beta)
-        c, dc = self.lag_correlations(rhos)
-        n_terms = self.moments.n_terms
-        sigma2 = np.sum((q0 - 2.0 * c * q1) / (1.0 - c * c), axis=-1) / (2.0 * n_terms.sum())
+        grams, log_det, family_score = self.grams(rhos)
+        g0 = grams[0]
+        p = self.moments.n_covariates
+        beta = np.linalg.solve(g0[..., :p, :p], g0[..., :p, p:])[..., 0]
+        quad = _quadratic_forms(grams, beta)
+        n_total = self.moments.n_total
+        sigma2 = quad[0] / (2.0 * n_total)
         # At sigma_hat^2 the quadratic terms of the log-CL sum to the
         # number of pair terms, hence the + 1. A non-positive sigma2 (an
         # exact fit) gives nan here and is refused by the caller.
         with np.errstate(invalid="ignore", divide="ignore"):
-            logcl = (
-                -n_terms.sum() * (_LOG_2PI + np.log(sigma2) + 1.0)
-                - 0.5 * np.log(1.0 - c * c) @ n_terms
-            )
-        return _Profile(beta, sigma2, logcl, self._rho_score(q0, q1, c, dc, sigma2))
+            logcl = -n_total * (_LOG_2PI + np.log(sigma2) + 1.0) - 0.5 * log_det
+            score = family_score + quad[1] / sigma2
+        return _Profile(beta, sigma2, logcl, score, grams, family_score)
 
-    def mean_score_beta(self, beta: np.ndarray, sigma: float, rho: float) -> np.ndarray:
-        """Mean beta-score (gradient of the mean log-CL in beta)."""
-        lhs, rhs = self._normal_equations(rho)
-        return (rhs - lhs @ beta) / (sigma * sigma * self.moments.n_subjects)
+    def checks(
+        self, grams: np.ndarray, family_score: float, beta: np.ndarray, sigma: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sensitivity, mean beta-score and mean (sigma, rho)-score from
+        ``G0`` and ``G1`` at one rho.
 
-    def sensitivity(self, sigma: float, rho: float) -> np.ndarray:
-        """Sensitivity (1/N) sum_i sum_pairs Xpair' Omega^-1 Xpair.
-
-        Exact for the Gaussian identity link: the expression is free of
-        beta, so only the working covariance enters.
+        The sensitivity (1/N) sum_i sum_pairs Xpair' Omega^-1 Xpair is
+        exact for the Gaussian identity link and free of beta.
         """
-        lhs, _ = self._normal_equations(rho)
-        return lhs / (sigma * sigma * self.moments.n_subjects)
+        g0, p, s2 = grams[0], self.moments.n_covariates, sigma * sigma
+        n = self.moments.n_subjects
+        quad0, quad1 = _quadratic_forms(grams, beta)
+        d_sigma = -2.0 * self.moments.n_total / sigma + quad0 / (s2 * sigma)
+        return (
+            g0[:p, :p] / (s2 * n),
+            (g0[:p, p] - g0[:p, :p] @ beta) / (s2 * n),
+            np.array([d_sigma, family_score + quad1 / s2]) / n,
+        )
 
     def kernel(self, sigma: float, rho: float) -> np.ndarray:
         """The m x m matrix K with per-subject beta-score ``X_i' K e_i``.
@@ -327,8 +316,8 @@ class _BlockArrays:
         m = self.moments.block_size
         g = np.zeros(m)
         gc = np.zeros(m)
-        g[self.moments.lags] = g_lag
-        gc[self.moments.lags] = g_lag * c_lag
+        g[1:] = g_lag
+        gc[1:] = g_lag * c_lag
         lag = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
         k = -gc[lag]
         k[np.diag_indices(m)] = g[lag].sum(axis=1)
@@ -383,7 +372,8 @@ def block_score_gamma(beta: np.ndarray, gamma: Dependence, block: PanelDataset) 
     """Gradient of the mean log-CL in (sigma, rho), in closed form."""
     arrays = _arrays_for(block, gamma)
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    return arrays.mean_score_gamma(beta, gamma.sigma, gamma.rho)
+    grams, _, family_score = arrays.grams(gamma.rho)
+    return arrays.checks(grams, family_score, beta, gamma.sigma)[2]
 
 
 def block_sensitivity(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> np.ndarray:
@@ -391,7 +381,9 @@ def block_sensitivity(beta: np.ndarray, gamma: Dependence, block: PanelDataset) 
     ``Xpair' Omega^-1 Xpair``; beta enters the signature for interface
     uniformity only (the Gaussian identity link makes it beta-free)."""
     arrays = _arrays_for(block, gamma)
-    return arrays.sensitivity(gamma.sigma, gamma.rho)
+    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
+    grams, _, family_score = arrays.grams(gamma.rho)
+    return arrays.checks(grams, family_score, beta, gamma.sigma)[0]
 
 
 @dataclass(frozen=True)
@@ -555,11 +547,11 @@ def _score_root(
         n_evals += 1
 
 
-def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, float, int, int]:
+def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, _Profile, float, int, int]:
     """Locate the profile maximum in rho.
 
-    Returns (rho_hat, best grid log-CL, profile evaluations, score
-    evaluations of the root step).
+    Returns (rho_hat, the profile evaluated at rho_hat, best grid log-CL,
+    profile evaluations, score evaluations of the root step).
     """
     lo, hi = arrays.rho_lower, arrays.rho_upper
     k = _GRID_POINTS
@@ -576,6 +568,12 @@ def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, float, in
         raise FitError(msg)
     best = int(np.argmax(prof.logcl))
     n_evals = k
+    # Every evaluation off the grid, by rho; the root is almost always one.
+    evaluated: dict[float, _Profile] = {}
+
+    def evaluate(rho: float) -> _Profile:
+        evaluated[rho] = arrays.profile(np.array([rho]))
+        return evaluated[rho]
 
     # The maximum lies on the side the score points to: up to the next
     # grid point, or up to the probe next to the bound.
@@ -586,7 +584,7 @@ def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, float, in
         outer, outer_score = float(grid[outer_index]), float(prof.score[outer_index])
     else:
         outer = hi - _EDGE * (hi - lo) if rising else lo + _EDGE * (hi - lo)
-        outer_score = float(arrays.profile(np.array([outer])).score[0])
+        outer_score = float(evaluate(outer).score[0])
         n_evals += 1
     if (outer_score >= 0.0) == rising:
         if not 0 <= outer_index < k:
@@ -604,16 +602,14 @@ def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, float, in
         )
         raise FitError(msg)
 
-    def score(rho: float) -> float:
-        return float(arrays.profile(np.array([rho])).score[0])
-
     inner_score = float(prof.score[best])
     if inner < outer:
         bracket = (inner, outer, inner_score, outer_score)
     else:
         bracket = (outer, inner, outer_score, inner_score)
-    rho_hat, n_root = _score_root(score, *bracket, name)
-    return rho_hat, float(prof.logcl[best]), n_evals, n_root
+    rho_hat, n_root = _score_root(lambda rho: float(evaluate(rho).score[0]), *bracket, name)
+    at_root = evaluated[rho_hat] if rho_hat in evaluated else evaluate(rho_hat)
+    return rho_hat, at_root, float(prof.logcl[best]), n_evals, n_root
 
 
 def fit_block(
@@ -663,8 +659,7 @@ def fit_block(
         )
         raise FitError(msg)
 
-    rho, grid_logcl, n_evals, n_root = _maximize_profile(arrays, name)
-    prof = arrays.profile(np.array([rho]))
+    rho, prof, grid_logcl, n_evals, n_root = _maximize_profile(arrays, name)
     beta_hat = prof.beta[0]
     sigma = math.sqrt(float(prof.sigma2[0]))
     refined = float(prof.logcl[0])
@@ -675,15 +670,16 @@ def fit_block(
         )
         raise FitError(msg)
 
-    sens = arrays.sensitivity(sigma, rho)
+    sens, beta_score, gamma_score = arrays.checks(
+        prof.grams[:, 0], prof.family_score[0], beta_hat, sigma
+    )
     try:
         np.linalg.cholesky(sens)
     except np.linalg.LinAlgError:
         msg = f"block {name!r}: sensitivity matrix is not positive definite"
         raise FitError(msg) from None
     beta_scale = np.abs(sens) @ np.abs(beta_hat) + np.sqrt(np.diag(sens))
-    beta_rel = float(np.max(np.abs(arrays.mean_score_beta(beta_hat, sigma, rho)) / beta_scale))
-    gamma_score = arrays.mean_score_gamma(beta_hat, sigma, rho)
+    beta_rel = float(np.max(np.abs(beta_score) / beta_scale))
     gamma_rel = float(
         np.max(np.abs(gamma_score * np.array([sigma / 2.0, 1.0]) / arrays.moments.n_pairs))
     )

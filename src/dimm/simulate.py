@@ -187,7 +187,7 @@ class BlockScenario(Report):
     name: str
     size: int
     structure_fit: Structure
-    structure_true: str
+    structure_true: Structure
     sigma: float
     rho: float
 

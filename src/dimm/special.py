@@ -167,14 +167,15 @@ def chi2_quantile(p: float, df: float) -> float:
 
     Starts from the Wilson-Hilferty cube-root approximation, with the
     normal quantile from Abramowitz & Stegun 26.2.23, and takes Newton
-    steps on ``log chi2_cdf`` against ``log x``, with the chi-square
-    density giving the slope; on that scale the left tail, where the
-    CDF grows like ``x^(df/2)``, is a straight line. Every evaluation
-    narrows a bracket on the root; a step that leaves the bracket is
-    replaced by bisection. It stops once a step moves x
-    by at most 1e-14 relative, so its accuracy is inherited from
-    ``chi2_cdf`` (absolute probability error <= 1e-12 mapped through
-    the local slope).
+    steps in ``log x`` on the log of the nearer tail, ``chi2_cdf`` against
+    p up to p = 1/2 and ``chi2_sf`` against the exact ``1 - p`` above,
+    with the chi-square density giving the slope: the left tail, where
+    the CDF grows like ``x^(df/2)``, is then a straight line, and near p
+    = 1 the survival function keeps the relative accuracy that the CDF
+    rounds away. Every evaluation narrows a bracket on the root; a step
+    that leaves the bracket is replaced by bisection. It stops once a
+    step moves x by at most 1e-14 relative, so its accuracy is inherited
+    from the tail function.
 
     Parameters
     ----------
@@ -197,8 +198,10 @@ def chi2_quantile(p: float, df: float) -> float:
         raise ValueError(msg)
     if p == 0.0:
         return 0.0
+    # The tail read, its target, and its direction in x.
+    tail, target, sign = (chi2_sf, 1.0 - p, -1.0) if p > 0.5 else (chi2_cdf, p, 1.0)
     hi = df + 10.0 * math.sqrt(2.0 * df) + 20.0
-    while chi2_cdf(hi, df) < p:
+    while sign * (tail(hi, df) - target) < 0.0:
         hi *= 2.0
     lo = 0.0
     t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
@@ -211,22 +214,22 @@ def chi2_quantile(p: float, df: float) -> float:
         x = 0.5 * (lo + hi)
     half = df / 2.0
     log_norm = half * math.log(2.0) + math.lgamma(half)
-    log_p = math.log(p)
+    log_target = math.log(target)
     for _ in range(_MAX_ITER):
-        cdf = chi2_cdf(x, df)
-        if cdf == p:
+        value = tail(x, df)
+        if value == target:
             return x
-        if cdf < p:
+        if sign * (value - target) < 0.0:
             lo = x
         else:
             hi = x
-        x_new = lo  # forces bisection where the CDF underflows
-        if cdf > 0.0:
-            # Newton in u = log x on log F: d(log F)/du = x f(x) / F(x), and
-            # log(x f(x)) = (df/2) log x - x/2 - log_norm.
-            log_cdf = math.log(cdf)
+        x_new = lo  # forces bisection where the tail underflows
+        if value > 0.0:
+            # Newton in u = log x on log T: d(log T)/du = sign x f(x) / T(x),
+            # and log(x f(x)) = (df/2) log x - x/2 - log_norm.
+            log_value = math.log(value)
             log_xf = half * math.log(x) - x / 2.0 - log_norm
-            du = (log_p - log_cdf) * math.exp(min(log_cdf - log_xf, _EXP_MAX))
+            du = sign * (log_target - log_value) * math.exp(min(log_value - log_xf, _EXP_MAX))
             x_new = x * math.exp(min(du, _EXP_MAX))
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)

@@ -56,6 +56,14 @@ def test_dependence_rejects_bad_values(structure: str, sigma: float, rho: float)
         Dependence(structure, sigma, rho)
 
 
+def test_dependence_and_block_share_one_spelling_rule() -> None:
+    for name in ("AR1", "Cs", " ar1"):
+        with pytest.raises(PartitionError, match=r"structure must be one of \('ar1', 'cs'\)"):
+            Dependence(name)
+        with pytest.raises(PartitionError, match=r"structure must be one of \('ar1', 'cs'\)"):
+            Block("a", 3, name)
+
+
 def test_cs_lower_bound_depends_on_block_size() -> None:
     # Exchangeable correlation must exceed -1/(m-1) for an m-coordinate block.
     dep = Dependence(CS, 1.0, -0.4)

@@ -7,7 +7,8 @@ Oracles used here, all independent of the code under test:
 * beta-score via central finite differences of the objective;
 * sensitivity via explicit per-pair ``X' Omega^-1 X`` loops;
 * an exactly solvable sign-symmetric dataset with a closed-form optimum;
-* ``scipy.optimize.brentq`` for the root step on the rho-score.
+* ``scipy.optimize.brentq`` for the root step on the rho-score;
+* ``hypothesis`` permutations of the subjects, which must not move a fit.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import seed as hypothesis_seed
+from hypothesis import strategies as st
 
 from dimm import model, pairwise
 from dimm.errors import DataError, FitError, PartitionError
@@ -198,6 +202,62 @@ def test_sensitivity_scales_inversely_with_variance() -> None:
     np.testing.assert_allclose(base / doubled, np.full((2, 2), 4.0), rtol=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# The profile: beta_hat(rho), sigma_hat(rho) and the rho-score from two Grams
+# ---------------------------------------------------------------------------
+
+
+def _pair_logcl(beta: np.ndarray, sigma: float, rho: float, structure: str, block) -> float:
+    """The block's log-CL summed one pair at a time from the oracle densities."""
+    gamma = Dependence(structure, sigma, rho)
+    n, m = block.responses.shape
+    covs = {lag: pair_covariance(gamma, lag) for lag in range(1, m)}
+    total = 0.0
+    for i in range(n):
+        mu = block.covariates[i] @ beta
+        for r in range(m):
+            for t in range(r + 1, m):
+                pair = [r, t]
+                total += bivariate_normal_logpdf(block.responses[i, pair], mu[pair], covs[t - r])
+    return total
+
+
+@pytest.mark.parametrize("structure", ["ar1", "cs"])
+def test_profile_from_two_grams_matches_the_pair_oracle(structure: str) -> None:
+    block = _random_block(seed=31, n=7, m=4, p=2)
+    arrays = pairwise._arrays_for(block, Dependence(structure))
+    lo = arrays.rho_lower
+    rhos = lo + (1.0 - lo) * np.array([0.08, 0.2, 0.35, 0.5, 0.65, 0.8, 0.92])
+    prof = arrays.profile(rhos)
+    for k, rho in enumerate(rhos):
+        beta, sigma = prof.beta[k], math.sqrt(prof.sigma2[k])
+        logcl = _pair_logcl(beta, sigma, rho, structure, block)
+        assert prof.logcl[k] == pytest.approx(logcl, rel=1e-11)
+        # beta_hat(rho) and sigma_hat(rho) zero the oracle's beta- and
+        # sigma-scores. Central differences are exact for the quadratic
+        # beta-part and leave O(h^2) in sigma; at h = 1e-5 both stay far
+        # below the tolerance, a score that a 1e-6 move of beta exceeds.
+        h = 1e-5
+        for q in range(beta.size):
+            step = np.eye(beta.size)[q] * h
+            fd = (
+                _pair_logcl(beta + step, sigma, rho, structure, block)
+                - _pair_logcl(beta - step, sigma, rho, structure, block)
+            ) / (2.0 * h)
+            assert abs(fd) < 1e-7 * abs(logcl)
+        fd = (
+            _pair_logcl(beta, sigma * (1 + h), rho, structure, block)
+            - _pair_logcl(beta, sigma * (1 - h), rho, structure, block)
+        ) / (2.0 * h * sigma)
+        assert abs(fd) < 1e-7 * abs(logcl)
+    # The rho-score is the derivative of the profile log-CL: a five-point
+    # central difference, whose O(h^4) error is negligible at h = 1e-4.
+    h = 1e-4
+    shifted = [arrays.profile(rhos + j * h).logcl for j in (-2, -1, 1, 2)]
+    fd = (shifted[0] - 8.0 * shifted[1] + 8.0 * shifted[2] - shifted[3]) / (12.0 * h)
+    np.testing.assert_allclose(prof.score, fd, rtol=1e-6)
+
+
 def test_beta_score_is_linear_in_beta() -> None:
     # Identity link: the mean beta-score is affine in beta with slope
     # -sensitivity, so a wide finite difference recovers it exactly.
@@ -301,10 +361,10 @@ def test_fit_block_gates_and_reported_objective() -> None:
         assert block_logcl(worse, fit.gamma_hat, block) <= fit.logcl + 1e-9
 
 
-@pytest.mark.parametrize("structure", ["toeplitz", Dependence("ar1", 1.0, 0.5)])
+@pytest.mark.parametrize("structure", ["toeplitz", Dependence("ar1", 1.0, 0.5), "AR1"])
 def test_fit_block_takes_a_family_name(structure) -> None:
     block = _random_block(seed=15, n=30, m=4, p=2)
-    with pytest.raises(PartitionError, match="unknown dependence structure"):
+    with pytest.raises(PartitionError, match="structure must be one of"):
         fit_block(block, structure)
 
 
@@ -407,6 +467,33 @@ def test_fit_blocks_from_slices_equals_fit_block_on_copies() -> None:
     fresh = PanelDataset(data.responses, data.covariates)
     part = scn.partition_for("dimm:cs")
     _assert_same_fits(fit_blocks(data, part), fit_blocks(fresh, part))
+
+
+_ORDER_PANEL = _random_block(seed=41, n=30, m=7, p=2)
+
+
+@hypothesis_seed(18)
+@settings(max_examples=25, deadline=None)
+@given(st.permutations(range(_ORDER_PANEL.n_subjects)))
+def test_subject_order_only_permutes_the_subject_terms(order: list[int]) -> None:
+    # The fit is a function of the set of subjects: reordering them moves
+    # the estimates by roundoff only and permutes the per-subject rows.
+    part = BlockPartition.from_sizes(
+        [3, _ORDER_PANEL.n_coordinates - 3], structure=["ar1", "cs"]
+    )
+    order = np.array(order)
+    data = _ORDER_PANEL
+    shuffled = PanelDataset(data.responses[order], data.covariates[order])
+    for got, want in zip(fit_blocks(shuffled, part), fit_blocks(data, part)):
+        np.testing.assert_allclose(got.beta_hat, want.beta_hat, rtol=1e-10)
+        assert got.gamma_hat.sigma == pytest.approx(want.gamma_hat.sigma, rel=1e-10)
+        assert got.gamma_hat.rho == pytest.approx(want.gamma_hat.rho, rel=1e-10)
+        assert got.logcl == pytest.approx(want.logcl, rel=1e-10)
+        for field in ("subject_scores", "subject_sensitivities"):
+            want_rows = getattr(want, field)[order]
+            np.testing.assert_allclose(
+                getattr(got, field), want_rows, rtol=1e-10, atol=1e-10 * np.abs(want_rows).max()
+            )
 
 
 def test_fit_blocks_reads_slices_and_its_cache_dies_with_the_panel(

@@ -147,6 +147,10 @@ def test_scenario_dict_round_trip() -> None:
     ("mutate", "expected"),
     [
         (lambda e: e["blocks"][0].update(size=12.7), r"scenario\.blocks\[0\]\.size"),
+        (
+            lambda e: e["blocks"][1].update(structure_true="AR1"),
+            r"scenario\.blocks\[1\]\.structure_true must be one of \('ar1', 'cs'\), got 'AR1'",
+        ),
         (lambda e: e.update(n_subjects="500"), r"scenario\.n_subjects"),
         (lambda e: e.update(seed=True), r"scenario\.seed"),
         (lambda e: e.update(between={"kind": "random"}), r"scenario\.between: .*needs seed"),

@@ -89,6 +89,21 @@ def test_chi2_quantile_domain_and_boundary():
         chi2_quantile(0.5, 0.0)
 
 
+@pytest.mark.parametrize("df", [0.5, 1.0, 4.0, 68.0])
+@pytest.mark.parametrize("p", [0.95, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-14])
+def test_chi2_quantile_matches_mpmath_near_one(p, df):
+    # One 40-digit Newton step on the survival function from the returned
+    # x lands on mpmath's root to second order in the error, so the step
+    # is the error. 1 - p is exact in binary for p >= 1/2.
+    x = chi2_quantile(p, df)
+    with mpmath.workdps(40):
+        a, h = mpmath.mpf(df) / 2, mpmath.mpf(x) / 2
+        sf = mpmath.gammainc(a, h, mpmath.inf, regularized=True)
+        density = mpmath.exp((a - 1) * mpmath.log(h) - h - mpmath.loggamma(a)) / 2
+        rel_step = (sf - (1 - mpmath.mpf(p))) / (density * x)
+    assert abs(float(rel_step)) < 1e-9
+
+
 @given(
     st.floats(min_value=1e-6, max_value=0.999),
     st.floats(min_value=0.5, max_value=400.0),
