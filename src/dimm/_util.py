@@ -1,4 +1,7 @@
-"""Small internal helpers shared across modules."""
+"""Small internal helpers shared across modules, among them the one
+positive-definiteness rule: :func:`cholesky` refuses a non-finite or
+indefinite matrix with the caller's typed error.
+"""
 
 from __future__ import annotations
 
@@ -64,36 +67,38 @@ def subgroup(
     return [j for j, name in enumerate(names) if name in wanted]
 
 
-def inv_cholesky(mat: np.ndarray) -> np.ndarray:
-    """``inv(L)`` for the Cholesky factor L of a symmetric positive definite ``mat``.
+def cholesky(mat: np.ndarray, what: str, error: type[DimmError]) -> np.ndarray:
+    """Lower Cholesky factor of ``mat``, symmetrised (bit-exact if already symmetric).
 
-    L comes from the lower triangle of ``mat`` and is the
-    positive-definiteness test. ``Li = inv(L)`` whitens: ``mat^-1 = Li' Li``,
-    so ``x' mat^-1 x`` is the Gram product of ``Li x``.
-
-    Raises
-    ------
-    np.linalg.LinAlgError
-        If ``mat`` holds a non-finite value or is not positive definite;
-        callers turn it into their own typed error.
+    The one positive-definiteness rule: a non-finite entry, which
+    ``np.linalg.cholesky`` passes, or a failed factorization raises
+    ``error(f"{what} is not positive definite")``.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    if not np.isfinite(mat).all():
-        msg = "matrix holds non-finite values"
-        raise np.linalg.LinAlgError(msg)
-    return np.linalg.inv(np.linalg.cholesky(mat))
+    mat = mat + mat.T
+    mat /= 2.0
+    if np.isfinite(mat).all():
+        try:
+            return np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            pass
+    msg = f"{what} is not positive definite"
+    raise error(msg)
 
 
-def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``mat @ x = rhs`` for a symmetric positive definite ``mat``.
+def inv_cholesky(mat: np.ndarray, what: str, error: type[DimmError]) -> np.ndarray:
+    """``Li = inv(L)`` for L from :func:`cholesky`; it whitens, ``mat^-1 = Li' Li``."""
+    return np.linalg.inv(cholesky(mat, what, error))
 
-    The inverse is applied as ``Li' (Li rhs)`` with ``Li`` from
-    :func:`inv_cholesky`, which also raises ``np.linalg.LinAlgError`` on
-    a non-finite or non-positive-definite ``mat``. numpy has no
-    triangular solve, and on a wide ``rhs`` this is faster than
-    ``np.linalg.solve`` while agreeing with a Cholesky solve to roundoff.
+
+def spd_solve(mat: np.ndarray, rhs: np.ndarray, what: str, error: type[DimmError]) -> np.ndarray:
+    """Solve ``mat @ x = rhs`` as ``Li' (Li rhs)``, ``Li`` from :func:`inv_cholesky`.
+
+    numpy has no triangular solve, and on a wide ``rhs`` this is faster
+    than ``np.linalg.solve`` while agreeing with a Cholesky solve to
+    roundoff.
     """
-    inv_factor = inv_cholesky(mat)
+    inv_factor = inv_cholesky(mat, what, error)
     return inv_factor.T @ (inv_factor @ rhs)
 
 

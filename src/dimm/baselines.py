@@ -17,9 +17,12 @@ oracle whitens once: with ``Sigma = L L'`` and ``Li = inv(L)``
 (:func:`dimm._util.inv_cholesky`), ``Li`` times the (M, N*p) panel,
 viewed as (M*N, p) rows, has Gram matrix ``sum_i X_i' Sigma^-1 X_i``.
 GEE takes ``X'X``, ``X'y`` and ``X beta`` from the (N*M, p) view,
-``X_i' e_i`` from a batched matmul, and ``X_i' 1`` once per fit. A
-covariance or bread matrix that fails its Cholesky factor, or a panel
-the mean model fits exactly, raises :class:`~dimm.errors.FitError`.
+``X_i' e_i`` from a batched matmul, and ``X_i' 1`` once per fit. Every
+covariance, information and bread matrix is factored under the
+package's one positive-definiteness rule (:func:`dimm._util.cholesky`):
+a non-finite or indefinite one raises :class:`~dimm.errors.FitError`
+``"<what> is not positive definite"``. A panel the mean model fits
+exactly raises ``FitError`` too.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import EXACT_FIT, inv_cholesky
+from dimm._util import EXACT_FIT, inv_cholesky, spd_solve
 from dimm.errors import FitError
 
 if TYPE_CHECKING:
@@ -88,19 +91,6 @@ class BaselineFit:
         return np.sqrt(np.diag(self.covariance))
 
 
-def _inv_factor(mat: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return inv_cholesky((mat + mat.T) / 2.0)
-    except np.linalg.LinAlgError:
-        msg = f"{what} is not positive definite"
-        raise FitError(msg) from None
-
-
-def _spd_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    inv_factor = _inv_factor(mat, what)
-    return inv_factor.T @ (inv_factor @ rhs)
-
-
 def _sandwich(bread_inv: np.ndarray, meat: np.ndarray) -> np.ndarray:
     cov = bread_inv @ meat @ bread_inv
     return (cov + cov.T) / 2.0
@@ -123,11 +113,13 @@ def gls_oracle(data: PanelDataset, covariance: np.ndarray) -> BaselineFit:
     if not np.allclose(sigma, sigma.T, atol=1e-10, rtol=0.0):
         msg = "covariance must be symmetric"
         raise FitError(msg)
-    inv_factor = _inv_factor(sigma, "covariance")
+    inv_factor = inv_cholesky(sigma, "covariance", FitError)
     # Row (t, i) of the whitened design is (Li X_i)[t]; row t of Li Y' holds (Li y_i)[t].
     wx = (inv_factor @ x.transpose(1, 0, 2).reshape(m, n * p)).reshape(m * n, p)
     wy = inv_factor @ data.responses.T
-    cov = _spd_solve(wx.T @ wx, np.eye(p), "information matrix sum_i X_i' Sigma^-1 X_i")
+    cov = spd_solve(
+        wx.T @ wx, np.eye(p), "information matrix sum_i X_i' Sigma^-1 X_i", FitError
+    )
     cov = (cov + cov.T) / 2.0
     beta = cov @ (wx.T @ wy.reshape(-1))
     return BaselineFit(
@@ -206,7 +198,7 @@ def gee_fit(data: PanelDataset, working: str = "independence") -> BaselineFit:
 
     xtx = flat.T @ flat
     xty = flat.T @ y.reshape(-1)
-    bread_inv = _spd_solve(xtx, np.eye(p), "pooled design matrix X'X")
+    bread_inv = spd_solve(xtx, np.eye(p), "pooled design matrix X'X", FitError)
     beta = bread_inv @ xty
     resid = y - (flat @ beta).reshape(n, m)
     resid_ms, response_ms = float(np.mean(resid**2)), float(np.mean(y**2))
@@ -255,8 +247,8 @@ def gee_fit(data: PanelDataset, working: str = "independence") -> BaselineFit:
             rho = clamped
         a = 1.0 / (1.0 - rho)
         b = rho / (1.0 + (m - 1) * rho)
-        bread_inv = _spd_solve(
-            a * (xtx - b * xsx), np.eye(p), "weighted design matrix X' V^-1 X"
+        bread_inv = spd_solve(
+            a * (xtx - b * xsx), np.eye(p), "weighted design matrix X' V^-1 X", FitError
         )
         beta_new = bread_inv @ (a * (xty - b * xsy))
         step = float(np.max(np.abs(beta_new - beta)))

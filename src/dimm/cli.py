@@ -10,9 +10,10 @@ Exit codes are distinct per failure class so callers can branch on them:
 * 6 — scenario failure (too many replicate failures, bad scenario file)
 
 ``fit`` and ``gof`` fit the blocks one after another in this process
-(``fit`` still accepts ``--workers`` and ignores it). Only ``simulate`` runs a worker pool, over replicates: its worker count is
-the ``--workers`` flag, else the ``DIMM_WORKERS`` environment variable,
-else the machine's CPU count. A count that is not an integer >= 1 is a
+(``fit`` still accepts ``--workers`` and ignores it). Only ``simulate``
+runs a worker pool, over replicates: its worker count is the
+``--workers`` flag, else the ``DIMM_WORKERS`` environment variable, else
+the machine's CPU count. A count that is not an integer >= 1 is a
 configuration problem, wherever it comes from.
 """
 

@@ -41,8 +41,12 @@ asymptotically chi-square with (J - 1) p degrees of freedom at the
 combined estimate, and with J p at a supplied beta.
 
 Every symmetric positive definite system here (``V_hat``, the bread) is
-solved by :func:`dimm._util.spd_solve`: a Cholesky factor, whose failure
-is the positive-definiteness test, and its inverse applied twice.
+solved by :func:`dimm._util.spd_solve`, a Cholesky factor and its
+inverse applied twice, and every reported covariance is checked by
+:func:`dimm._util.cholesky`. Both apply the package's one
+positive-definiteness rule: a non-finite or indefinite matrix raises
+:class:`~dimm.errors.IntegrationError` ``"<what> is not positive
+definite"``, which the weight matrix's ridge ladder catches.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import spd_solve, subgroup
+from dimm._util import cholesky, spd_solve, subgroup
 from dimm.errors import IntegrationError
 from dimm.io import CoefficientTest
 from dimm.pairwise import BlockFit
@@ -83,6 +87,7 @@ _RIDGE_STOP = 1e-2
 # A leave-one-out weight matrix counts as singular when the downdate
 # slack N - h_i falls to this fraction of N.
 _LOO_SLACK_FLOOR = 1e-8
+_BREAD = "bread matrix sum_jk S_j W_jk S_k"
 
 
 def _check_fits(fits: Sequence[BlockFit]) -> None:
@@ -171,9 +176,9 @@ def weight_matrix(fits: Sequence[BlockFit], *, subset: Sequence[str] | None = No
     ``V_hat = (1/N) sum_i psi_i psi_i'`` is uncentered by construction:
     at the block optima the mean scores are already ~0, so centering
     would only blur the estimand. Inversion is by Cholesky
-    (:func:`dimm._util.spd_solve`); if the factorization fails, a
-    diagonal ridge is escalated tenfold from 1e-8*trace/dim up to
-    1e-2*trace/dim before giving up.
+    (:func:`dimm._util.spd_solve`); if the matrix is refused as not
+    positive definite, a diagonal ridge is escalated tenfold from
+    1e-8*trace/dim up to 1e-2*trace/dim before giving up.
 
     Raises
     ------
@@ -202,11 +207,11 @@ def weight_matrix(fits: Sequence[BlockFit], *, subset: Sequence[str] | None = No
         msg = "stacked scores produced a degenerate weight matrix"
         raise IntegrationError(msg)
 
-    lam = 0.0
+    lam, eye = 0.0, np.eye(dim)
     while True:
         try:
-            v_inv = spd_solve(v_hat + lam * np.eye(dim), np.eye(dim))
-        except np.linalg.LinAlgError:
+            v_inv = spd_solve(v_hat + lam * eye, eye, "weight matrix", IntegrationError)
+        except IntegrationError:
             lam = _RIDGE_START * scale if lam == 0.0 else lam * 10.0
             if lam > _RIDGE_STOP * scale * (1.0 + 1e-12):
                 msg = (
@@ -248,26 +253,14 @@ def one_step_estimator(m: Moments) -> tuple[np.ndarray, np.ndarray]:
     half = m.s.T @ m.v_inv
     bread = half @ m.s
     bread = (bread + bread.T) / 2.0
-    try:
-        return spd_solve(bread, half @ m.sb), bread
-    except np.linalg.LinAlgError:
-        msg = "bread matrix sum_jk S_j W_jk S_k is not positive definite"
-        raise IntegrationError(msg) from None
+    return spd_solve(bread, half @ m.sb, _BREAD, IntegrationError), bread
 
 
 def dimm_covariance(bread: np.ndarray, n_subjects: int) -> np.ndarray:
     """Asymptotic covariance of the combined estimate: (N * bread)^(-1)."""
-    try:
-        cov = spd_solve(bread, np.eye(bread.shape[0])) / n_subjects
-    except np.linalg.LinAlgError:
-        msg = "bread matrix sum_jk S_j W_jk S_k is not positive definite"
-        raise IntegrationError(msg) from None
+    cov = spd_solve(bread, np.eye(bread.shape[0]), _BREAD, IntegrationError) / n_subjects
     cov = (cov + cov.T) / 2.0
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        msg = "combined covariance is not positive definite"
-        raise IntegrationError(msg) from None
+    cholesky(cov, "combined covariance", IntegrationError)
     return cov
 
 
@@ -332,11 +325,7 @@ def jackknife_covariance(m: Moments, beta: np.ndarray) -> np.ndarray:
     dev = d_loo - d_loo.mean(axis=0)
     cov = (n - 1) / n * (dev.T @ dev)
     cov = (cov + cov.T) / 2.0
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        msg = "jackknife covariance is not positive definite"
-        raise IntegrationError(msg) from None
+    cholesky(cov, "jackknife covariance", IntegrationError)
     return cov
 
 

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
 
+from dimm._util import cholesky
 from dimm.errors import CovarianceError, DataError, PartitionError
 
 if TYPE_CHECKING:
@@ -417,11 +418,7 @@ def assemble_kronecker(
         msg = "between-block matrix must be symmetric"
         raise CovarianceError(msg)
     s_mat = (s_mat + s_mat.T) / 2.0
-    try:
-        np.linalg.cholesky(s_mat)
-    except np.linalg.LinAlgError:
-        msg = "between-block matrix is not positive definite"
-        raise CovarianceError(msg) from None
+    cholesky(s_mat, "between-block matrix", CovarianceError)
     for dep, m in zip(blocks, sizes):
         if m < 2:
             msg = f"block sizes must be >= 2, got {m}"
@@ -461,9 +458,5 @@ def assemble_kronecker(
             out[rows, cols] = s_mat[j, k] * a_block
             if k != j:
                 out[cols, rows] = out[rows, cols].T
-    try:
-        np.linalg.cholesky(out)
-    except np.linalg.LinAlgError:
-        msg = "assembled covariance is not positive definite"
-        raise CovarianceError(msg) from None
+    cholesky(out, "assembled covariance", CovarianceError)
     return out

@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import EXACT_FIT
+from dimm._util import EXACT_FIT, cholesky
 from dimm.errors import FitError
 from dimm.model import AR1, Dependence, PanelDataset, check_identified
 from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
@@ -673,11 +673,7 @@ def fit_block(
     sens, beta_score, gamma_score = arrays.checks(
         prof.grams[:, 0], prof.family_score[0], beta_hat, sigma
     )
-    try:
-        np.linalg.cholesky(sens)
-    except np.linalg.LinAlgError:
-        msg = f"block {name!r}: sensitivity matrix is not positive definite"
-        raise FitError(msg) from None
+    cholesky(sens, f"block {name!r}: sensitivity matrix", FitError)
     beta_scale = np.abs(sens) @ np.abs(beta_hat) + np.sqrt(np.diag(sens))
     beta_rel = float(np.max(np.abs(beta_score) / beta_scale))
     gamma_rel = float(

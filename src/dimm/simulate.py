@@ -218,8 +218,11 @@ def random_between_matrix(
     if n_blocks < 1:
         msg = f"n_blocks must be >= 1, got {n_blocks}"
         raise ScenarioError(msg)
-    if not (0.0 <= off_scale < 1.0) or floor <= 0.0:
-        msg = f"need 0 <= off_scale < 1 and floor > 0, got {off_scale}, {floor}"
+    if not (0.0 <= off_scale < 1.0) or not (0.0 < floor < math.inf):
+        msg = f"need 0 <= off_scale < 1 and a finite floor > 0, got {off_scale}, {floor}"
+        raise ScenarioError(msg)
+    if seed < 0:
+        msg = f"seed must be a non-negative integer, got {seed!r}"
         raise ScenarioError(msg)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     raw = rng.uniform(-off_scale, off_scale, size=(n_blocks, n_blocks))
@@ -260,7 +263,11 @@ def _between_from_dict(entry: Any, n_blocks: int, path: str) -> np.ndarray:
     if recipe.kind == "identity":
         return np.eye(n_blocks)
     if recipe.kind == "random" and recipe.seed is not None:
-        return random_between_matrix(n_blocks, **given)
+        try:
+            return random_between_matrix(n_blocks, **given)
+        except ScenarioError as exc:
+            msg = f"{path}: {exc}"
+            raise ScenarioError(msg) from None
     if recipe.kind == "matrix" and recipe.values is not None:
         return recipe.values
     msg = f"{path}: kind {recipe.kind!r} needs {'seed' if recipe.kind == 'random' else 'values'}"

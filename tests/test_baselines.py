@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from dimm import baselines
+from dimm._util import spd_solve
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import FitError
 from dimm.model import PanelDataset
@@ -258,15 +259,16 @@ def test_gee_exchangeable_equals_independence_on_eeg_mimic() -> None:
 
 
 def test_spd_solve_refusals_are_fit_errors() -> None:
-    from dimm.baselines import _spd_solve
-
+    # The baselines' solves go through the shared rule with FitError.
     for mat in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, np.nan], [0.0, 1.0]])):
         with pytest.raises(FitError, match="pooled design matrix is not positive definite"):
-            _spd_solve(mat, np.ones(2), "pooled design matrix")
+            spd_solve(mat, np.ones(2), "pooled design matrix", FitError)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(41)))
     a = rng.standard_normal((4, 9))
     mat, rhs = a @ a.T, rng.standard_normal(4)
-    np.testing.assert_allclose(mat @ _spd_solve(mat, rhs, "m"), rhs, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(
+        mat @ spd_solve(mat, rhs, "m", FitError), rhs, rtol=0.0, atol=1e-12
+    )
 
 
 def test_baseline_std_errors_property() -> None:

@@ -17,8 +17,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dimm._util import spd_solve
-from dimm.errors import IntegrationError
+from dimm._util import cholesky, spd_solve
+from dimm.errors import CovarianceError, FitError, IntegrationError
 from dimm.integrate import (
     IntegratedFit,
     dimm_covariance,
@@ -123,6 +123,8 @@ def test_weight_matrix_ridge_on_degenerate_scores(fitted) -> None:
 
 
 def test_spd_solve_matches_scipy_cho_solve() -> None:
+    # The package's one positive-definiteness rule: every refusal is the
+    # caller's typed error, whatever the caller.
     from scipy import linalg as sla
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(24)))
@@ -131,17 +133,26 @@ def test_spd_solve_matches_scipy_cho_solve() -> None:
         mat = a @ a.T / dim
         for rhs in (rng.standard_normal(dim), rng.standard_normal((dim, 7)), np.eye(dim)):
             want = sla.cho_solve(sla.cho_factor(mat, lower=True), rhs)
-            got = spd_solve(mat, rhs)
+            got = spd_solve(mat, rhs, "m", IntegrationError)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), dim
-    with pytest.raises(np.linalg.LinAlgError):
-        spd_solve(-np.eye(3), np.ones(3))
-    for bad in (np.nan, np.inf):
+    refused = [-np.eye(3), np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]
+    for bad in (np.nan, np.inf, -np.inf):
         # Placed in the upper triangle, which a lower Cholesky never reads.
         mat = np.eye(3)
         mat[0, 2] = bad
-        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-            spd_solve(mat, np.ones(3))
+        refused.append(mat)
+    for bad in (np.inf, -np.inf):
+        # On the diagonal, where np.linalg.cholesky factors +inf without complaint.
+        mat = np.eye(3)
+        mat[1, 1] = bad
+        refused.append(mat)
+    for mat in refused:
+        for error in (IntegrationError, FitError, CovarianceError):
+            with pytest.raises(error, match="^pooled design matrix is not positive definite$"):
+                spd_solve(mat, np.ones(3), "pooled design matrix", error)
+            with pytest.raises(error, match="^covariance is not positive definite$"):
+                cholesky(mat, "covariance", error)
 
 
 def test_weight_matrix_ridge_matches_a_scipy_cholesky_ladder(fitted) -> None:

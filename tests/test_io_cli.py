@@ -563,6 +563,14 @@ def test_cli_exit_codes(panel_files, tmp_path: Path) -> None:
     not_scn = tmp_path / "notscn.json"
     not_scn.write_text("{\"surprise\": true}")
     assert _run_cli("simulate", "--config", str(not_scn)).returncode == 6
+    bad_seed = tmp_path / "badseed.json"
+    bad_seed.write_text(
+        json.dumps({**_tiny_scenario().to_dict(), "between": {"kind": "random", "seed": -1}})
+    )
+    proc = _run_cli("simulate", "--config", str(bad_seed))
+    assert proc.returncode == 6
+    assert "scenario.between: seed must be a non-negative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["fit", "simulate"])

@@ -363,6 +363,10 @@ def test_assemble_rejects_bad_between_matrix() -> None:
     not_pd = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(CovarianceError):
         assemble_kronecker(not_pd, [dep, dep], [2, 2])
+    # Symmetric, and a lower Cholesky factor alone would accept the inf.
+    non_finite = np.array([[1.0, 0.0], [0.0, np.inf]])
+    with pytest.raises(CovarianceError, match="between-block matrix is not positive definite"):
+        assemble_kronecker(non_finite, [dep, dep], [2, 2])
 
 
 def test_assemble_rejects_non_pd_result() -> None:

@@ -8,6 +8,7 @@ determinism via canonical-fingerprint comparison across worker counts.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -167,6 +168,21 @@ def test_scenario_dict_round_trip() -> None:
         (
             lambda e: e.update(between={"kind": "random", "seed": 3, "values": [[1.0]]}),
             r"scenario\.between: kind 'random' does not take parameter\(s\) \['values'\]",
+        ),
+        (
+            lambda e: e.update(between={"kind": "random", "seed": -1}),
+            r"scenario\.between: seed must be a non-negative integer, got -1",
+        ),
+        (
+            lambda e: e.update(between={"kind": "random", "seed": 4, "floor": math.inf}),
+            r"scenario\.between: need 0 <= off_scale < 1 and a finite floor > 0, got 0\.3, inf",
+        ),
+        (
+            # json.load reads Infinity, and np.linalg.cholesky factors it without complaint.
+            lambda e: e.update(
+                between=json.loads('{"kind": "matrix", "values": [[Infinity, 0.0], [0.0, 1.0]]}')
+            ),
+            r"invalid covariance: between-block matrix is not positive definite",
         ),
         # The version and the keys are checked before between is resolved.
         (
