@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,7 +47,7 @@ from dimm.io import (
     load_panel,
     write_estimates_csv,
 )
-from dimm.model import BlockPartition, PanelDataset
+from dimm.model import PanelDataset
 from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
 from dimm.pairwise import fit_blocks
 from dimm.simulate import SimScenario, bundled_scenario, bundled_scenario_names, run_scenario
@@ -92,11 +93,9 @@ def _resolve_workers(flag: int | None) -> int:
     return default_worker_count()
 
 
-def _load_panel(config: FitConfig) -> tuple[PanelDataset, BlockPartition]:
+def _load_panel(config: FitConfig) -> PanelDataset:
     data = load_panel(config.response_path, config.covariate_path)
-    if config.intercept:
-        data = _with_intercept(data)
-    return data, config.partition()
+    return _with_intercept(data) if config.intercept else data
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -104,10 +103,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         msg = f"--workers must be >= 1, got {args.workers}"
         raise ConfigError(msg)
-    data, partition = _load_panel(config)
+    data = _load_panel(config)
 
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    fits = fit_blocks(data, partition)
+    fits = fit_blocks(data, config.partition())
     wall_blocks = time.perf_counter() - wall0
     cpu_blocks = time.process_time() - cpu0
 
@@ -167,8 +166,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         scenario = SimScenario.load(args.config)
     if args.replicates is not None:
-        from dataclasses import replace
-
+        if args.replicates < 1:
+            msg = f"--replicates must be >= 1, got {args.replicates}"
+            raise ConfigError(msg)
         scenario = replace(scenario, n_replicates=args.replicates)
     workers = _resolve_workers(args.workers)
 
@@ -206,13 +206,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _parse_beta(raw: str) -> np.ndarray:
     try:
-        values = [float(part) for part in raw.split(",") if part.strip() != ""]
+        values = [float(part) for part in raw.split(",")]
     except ValueError:
-        msg = f"--beta must be a comma-separated list of numbers, got {raw!r}"
+        msg = f"--beta must be a comma-separated list of numbers with no empty entry, got {raw!r}"
         raise ConfigError(msg) from None
-    if not values:
-        msg = "--beta must contain at least one number"
-        raise ConfigError(msg)
     if not np.isfinite(values).all():
         msg = f"--beta entries must be finite numbers, got {raw!r}"
         raise ConfigError(msg)
@@ -222,7 +219,7 @@ def _parse_beta(raw: str) -> np.ndarray:
 def cmd_gof(args: argparse.Namespace) -> int:
     config = load_fit_config(args.config)
     beta = _parse_beta(args.beta)
-    data, partition = _load_panel(config)
+    data = _load_panel(config)
     if beta.shape[0] != data.n_covariates:
         msg = (
             f"--beta has {beta.shape[0]} entries but the design has "
@@ -230,7 +227,7 @@ def cmd_gof(args: argparse.Namespace) -> int:
         )
         raise ConfigError(msg)
 
-    moments = weight_matrix(fit_blocks(data, partition), subset=config.blocks_to_integrate)
+    moments = weight_matrix(fit_blocks(data, config.partition()), subset=config.blocks_to_integrate)
     q_val = q_statistic(beta, moments)
     # beta is supplied, not estimated, so all J*p moment conditions count.
     df = len(moments.block_names) * beta.shape[0]

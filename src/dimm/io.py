@@ -47,8 +47,8 @@ from typing import TYPE_CHECKING, Any, ClassVar, Literal, get_args, get_origin, 
 import numpy as np
 
 from dimm._util import subgroup
-from dimm.errors import ConfigError, DataError, DimmError
-from dimm.model import BlockPartition, PanelDataset, Structure
+from dimm.errors import ConfigError, DataError, DimmError, PartitionError
+from dimm.model import Block, BlockPartition, PanelDataset, Structure
 
 if TYPE_CHECKING:
     from collections.abc import Iterator, Sequence
@@ -473,7 +473,10 @@ class FitConfig(Report):
     response_path, covariate_path : str
         Panel files in the formats documented in this module.
     blocks : tuple of BlockConfig
-        Contiguous partition of the M response coordinates, in order.
+        Contiguous partition of the M response coordinates, in order;
+        built at load as the :class:`~dimm.model.BlockPartition` that
+        :meth:`partition` returns, so a bad layout is a ``ConfigError``
+        naming ``config.blocks`` before any panel file is read.
     intercept : bool
         Prepend a constant-1 design column to the file covariates.
     blocks_to_integrate : tuple of str or None
@@ -493,22 +496,24 @@ class FitConfig(Report):
     intercept: bool = False
     blocks_to_integrate: tuple[str, ...] | None = None
     output_path: str | None = None
+    _partition: BlockPartition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.blocks:
-            msg = "config.blocks must be a non-empty list"
-            raise ConfigError(msg)
+        try:
+            blocks = tuple(Block(b.name, b.size, b.structure) for b in self.blocks)
+            partition = BlockPartition(blocks)
+        except PartitionError as exc:
+            msg = f"config.blocks: {exc}"
+            raise ConfigError(msg) from None
         if self.blocks_to_integrate is not None:
-            names = [b.name for b in self.blocks]
-            subgroup(names, self.blocks_to_integrate, ConfigError, "config.blocks_to_integrate")
+            subgroup(
+                partition.names, self.blocks_to_integrate, ConfigError, "config.blocks_to_integrate"
+            )
+        object.__setattr__(self, "_partition", partition)
 
     def partition(self) -> BlockPartition:
-        return BlockPartition.from_sizes(
-            [b.size for b in self.blocks],
-            structure=[b.structure for b in self.blocks],
-            names=[b.name for b in self.blocks],
-        )
+        return self._partition
 
 
 load_fit_config = FitConfig.load  # the loader's name in the CLI and earlier releases

@@ -14,6 +14,7 @@ simulation harness and the oracle baseline).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, get_args
@@ -92,8 +93,11 @@ class Dependence:
         """Lower admissible rho for a block of ``size`` coordinates.
 
         AR(1) is positive definite on all of (-1, 1); compound symmetry
-        needs rho > -1/(size - 1).
+        needs rho > -1/(size - 1). A size below 2 has no pair and is refused.
         """
+        if size < 2:
+            msg = f"a block needs at least 2 coordinates, got size {size}"
+            raise PartitionError(msg)
         if self.structure == CS:
             return -1.0 / (size - 1)
         return -1.0
@@ -209,18 +213,11 @@ class BlockPartition:
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        out = []
-        pos = 0
-        for b in self.blocks:
-            out.append(pos)
-            pos += b.size
-        return tuple(out)
+        return tuple(itertools.accumulate(self.sizes[:-1], initial=0))
 
     @property
     def slices(self) -> tuple[slice, ...]:
-        return tuple(
-            slice(off, off + b.size) for off, b in zip(self.offsets, self.blocks)
-        )
+        return tuple(slice(off, off + m) for off, m in zip(self.offsets, self.sizes))
 
     def check_covers(self, n_coordinates: int) -> None:
         """Raise PartitionError unless the blocks cover ``n_coordinates``."""
@@ -414,7 +411,8 @@ def assemble_kronecker(
     if s_mat.shape != (j_n, j_n):
         msg = f"between-block matrix has shape {s_mat.shape}, expected ({j_n}, {j_n})"
         raise CovarianceError(msg)
-    if not np.allclose(s_mat, s_mat.T, rtol=0.0, atol=1e-12):
+    # A non-finite entry is left for the positive-definiteness rule to name.
+    if np.isfinite(s_mat).all() and not np.allclose(s_mat, s_mat.T, rtol=0.0, atol=1e-12):
         msg = "between-block matrix must be symmetric"
         raise CovarianceError(msg)
     s_mat = (s_mat + s_mat.T) / 2.0

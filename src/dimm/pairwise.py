@@ -42,9 +42,10 @@ Blocks are fit one after another in the calling process. Each fit is
 independent of the others, which is what lets the paper spread them over
 machines; here a fit takes milliseconds, less than starting a worker.
 
-A block is read as views of its coordinates in the validated panel, never
-copied. Its per-lag moments do not depend on the working family, so they
-are built once per panel and block and kept in a weak cache keyed by the
+A block is read through its :class:`_BlockMoments`: views of its
+coordinates in the validated panel, never copies, and its per-lag moments.
+They do not depend on the working family, so :func:`_moments_for` builds
+them once per panel and block and keeps them in a weak cache keyed by the
 panel: a second family fit on the same panel reuses them, and they are
 dropped with the panel. The same Gram decides whether the block's design
 identifies beta, by the rule :func:`~dimm.model.check_identified` that
@@ -133,9 +134,9 @@ class _BlockMoments:
     subtraction they hide loses accuracy only when the signal dwarfs the
     noise; :func:`fit_block` refuses such exact fits.)
 
-    ``y`` and ``x`` are views of the block's coordinates in its panel;
-    nothing here depends on the working family, so :func:`_arrays_for`
-    builds them once per panel and block and every family reuses them.
+    ``y`` and ``x`` are views of the block's coordinates in its panel, the
+    one view of the block that a fit reads; nothing here depends on the
+    working family, so every family fit on the panel reuses them.
 
     The block's design Gram ``X_b'X_b`` is the sum of the diagonal
     blocks, so it also decides whether beta is identified in the block:
@@ -169,6 +170,8 @@ class _BlockMoments:
         np.add(diag[counts], diag[m] - diag[lags], out=square)
         check_identified(diag[m, :p, :p], n * m, f"block {name!r}")
 
+        self.y = y
+        self.x = x
         self.n_subjects = n
         self.n_covariates = p
         self.block_size = m
@@ -178,23 +181,6 @@ class _BlockMoments:
         self.n_terms = (counts * n).astype(np.float64)  # pair terms at each lag
         self.n_total = n * self.n_pairs  # their sum
         self.stacked = stacked.reshape(2 * (m - 1), (p + 1) ** 2)
-
-
-@dataclass(frozen=True)
-class _BlockSlice:
-    """Coordinates ``start:stop`` of a validated panel, read as views."""
-
-    panel: PanelDataset
-    start: int
-    stop: int
-
-    @property
-    def responses(self) -> np.ndarray:
-        return self.panel.responses[:, self.start : self.stop]
-
-    @property
-    def covariates(self) -> np.ndarray:
-        return self.panel.covariates[:, self.start : self.stop]
 
 
 # The family-free moments of every block fit so far, by panel and then by
@@ -222,10 +208,10 @@ class _BlockArrays:
     """
 
     def __init__(self, moments: _BlockMoments, family: Dependence) -> None:
+        family.validate_for_size(moments.block_size)
         self.moments = moments
         self.structure = family.structure
         self.rho_lower = family.rho_lower(moments.block_size)
-        self.rho_upper = 1.0
 
     def lag_correlations(self, rho: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-lag correlations and their rho-derivatives, shape (..., lags)."""
@@ -324,29 +310,33 @@ class _BlockArrays:
         return k
 
     def subject_terms(
-        self, block: PanelDataset | _BlockSlice, beta: np.ndarray, sigma: float, rho: float
+        self, beta: np.ndarray, sigma: float, rho: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-subject scores ``X_i' K e_i`` (N, p) and sensitivities
         ``H_i = X_i' K X_i`` (N, p, p); the mean of ``H_i`` is
         :meth:`sensitivity`."""
-        x = block.covariates
+        x = self.moments.x
         kx = self.kernel(sigma, rho) @ x  # (N, m, p)
-        scores = np.einsum("nmp,nm->np", kx, block.responses - x @ beta)
+        scores = np.einsum("nmp,nm->np", kx, self.moments.y - x @ beta)
         h = np.swapaxes(x, 1, 2) @ kx
         return scores, (h + np.swapaxes(h, 1, 2)) / 2.0
 
 
+def _moments_for(panel: PanelDataset, start: int, stop: int, name: str = "block") -> _BlockMoments:
+    """The cached moments of coordinates ``start:stop`` of ``panel``."""
+    per_panel = _MOMENTS.setdefault(panel, {})
+    if (start, stop) not in per_panel:
+        y, x = panel.responses[:, start:stop], panel.covariates[:, start:stop]
+        per_panel[start, stop] = _BlockMoments(y, x, name)
+    return per_panel[start, stop]
+
+
 def _arrays_for(
-    block: PanelDataset | _BlockSlice, gamma: Dependence, name: str = "block"
+    block: PanelDataset | _BlockMoments, gamma: Dependence, name: str = "block"
 ) -> _BlockArrays:
     if isinstance(block, PanelDataset):
-        block = _BlockSlice(block, 0, block.n_coordinates)
-    gamma.validate_for_size(block.stop - block.start)
-    per_panel = _MOMENTS.setdefault(block.panel, {})
-    key = (block.start, block.stop)
-    if key not in per_panel:
-        per_panel[key] = _BlockMoments(block.responses, block.covariates, name)
-    return _BlockArrays(per_panel[key], gamma)
+        block = _moments_for(block, 0, block.n_coordinates, name)
+    return _BlockArrays(block, gamma)
 
 
 def block_logcl(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> float:
@@ -365,7 +355,7 @@ def block_score_beta(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -
     gradient of its own pairwise log likelihood in beta."""
     arrays = _arrays_for(block, gamma)
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    return arrays.subject_terms(block, beta, gamma.sigma, gamma.rho)[0]
+    return arrays.subject_terms(beta, gamma.sigma, gamma.rho)[0]
 
 
 def block_score_gamma(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> np.ndarray:
@@ -553,7 +543,7 @@ def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, _Profile,
     Returns (rho_hat, the profile evaluated at rho_hat, best grid log-CL,
     profile evaluations, score evaluations of the root step).
     """
-    lo, hi = arrays.rho_lower, arrays.rho_upper
+    lo, hi = arrays.rho_lower, 1.0
     k = _GRID_POINTS
     grid = lo + (hi - lo) * np.arange(1, k + 1) / (k + 1)
     prof = arrays.profile(grid)
@@ -613,7 +603,7 @@ def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, _Profile,
 
 
 def fit_block(
-    block: PanelDataset | _BlockSlice,
+    block: PanelDataset | _BlockMoments,
     structure: str,
     *,
     name: str = "block",
@@ -624,8 +614,8 @@ def fit_block(
     ----------
     block : PanelDataset
         The block's responses and covariates (M = block size).
-        :func:`fit_blocks` passes a ``_BlockSlice`` instead, a view of
-        one block of its panel; both take the same path.
+        :func:`fit_blocks` passes a block's cached ``_BlockMoments``
+        instead; a panel is read through its own, so both take one path.
     structure : str
         Name of the working family to fit, ``"ar1"`` or ``"cs"``; the fit
         estimates its sigma and rho.
@@ -651,7 +641,7 @@ def fit_block(
         scores above the acceptance tolerance.
     """
     arrays = _arrays_for(block, Dependence(structure), name)
-    y = block.responses
+    y = arrays.moments.y
     if float(np.ptp(y)) == 0.0:
         msg = (
             f"block {name!r}: the response is constant (every value is "
@@ -697,7 +687,7 @@ def fit_block(
         )
         raise FitError(msg, trace=trace)
 
-    scores, subject_sens = arrays.subject_terms(block, beta_hat, sigma, rho)
+    scores, subject_sens = arrays.subject_terms(beta_hat, sigma, rho)
     return BlockFit(
         name=name,
         structure=arrays.structure,
@@ -715,9 +705,9 @@ def fit_block(
 def fit_blocks(data: PanelDataset, partition: BlockPartition) -> list[BlockFit]:
     """Fit every block of a partitioned panel, one after another, in block order.
 
-    Each block is read as a view of ``data``, not copied, and its
-    moments are built once per panel: fitting another working family on
-    the same panel reuses them.
+    Each block is read through its cached moments, views of ``data``
+    that are built once per panel: fitting another working family on the
+    same panel reuses them.
 
     Raises
     ------
@@ -726,6 +716,6 @@ def fit_blocks(data: PanelDataset, partition: BlockPartition) -> list[BlockFit]:
     """
     partition.check_covers(data.n_coordinates)
     return [
-        fit_block(_BlockSlice(data, sl.start, sl.stop), block.structure, name=block.name)
-        for sl, block in zip(partition.slices, partition.blocks)
+        fit_block(_moments_for(data, s.start, s.stop, b.name), b.structure, name=b.name)
+        for s, b in zip(partition.slices, partition.blocks)
     ]

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Literal
 
@@ -39,10 +39,13 @@ import numpy as np
 
 from dimm._util import parallel_map
 from dimm.baselines import gee_fit, gls_oracle
-from dimm.errors import DimmError, ScenarioError
+from dimm.errors import DimmError, PartitionError, ScenarioError
 from dimm.integrate import integrate_fits
 from dimm.io import Report, encode
 from dimm.model import (
+    AR1,
+    CS,
+    Block,
     BlockPartition,
     Dependence,
     PanelDataset,
@@ -180,7 +183,11 @@ class CovariateSpec(Report):
 
 @dataclass(frozen=True)
 class BlockScenario(Report):
-    """Layout of one block: its size, true dependence, and fitted structure."""
+    """Layout of one block: its size, true dependence, and fitted structure.
+
+    ``fitted`` is the :class:`~dimm.model.Block` that the ``dimm`` method
+    fits; it is checked before the true dependence at that size.
+    """
 
     ERROR = ScenarioError
 
@@ -190,16 +197,20 @@ class BlockScenario(Report):
     structure_true: Structure
     sigma: float
     rho: float
+    fitted: Block = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        # Construct the true dependence to surface invalid (sigma, rho)
-        # and size constraints with the block name attached.
+        try:
+            fitted = Block(self.name, self.size, self.structure_fit)
+        except PartitionError as exc:  # its message names the block
+            raise ScenarioError(str(exc)) from None
         try:
             self.true_dependence.validate_for_size(self.size)
         except DimmError as exc:
             msg = f"block {self.name!r}: {exc}"
             raise ScenarioError(msg) from None
+        object.__setattr__(self, "fitted", fitted)
 
     @property
     def true_dependence(self) -> Dependence:
@@ -321,6 +332,7 @@ class SimScenario(Report):
     covariates: tuple[CovariateSpec, ...] = ()
     intercept: bool = False
     covariance_matrix: np.ndarray = field(init=False, repr=False)
+    _partitions: dict[str, BlockPartition] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -337,13 +349,17 @@ class SimScenario(Report):
         if self.seed < 0:
             msg = f"seed must be a non-negative integer, got {self.seed!r}"
             raise ScenarioError(msg)
-        if not self.blocks:
-            msg = "scenario needs at least one block"
-            raise ScenarioError(msg)
-        names = [b.name for b in self.blocks]
-        if len(set(names)) != len(names):
-            msg = f"duplicate block names: {names}"
-            raise ScenarioError(msg)
+        # The fitted partition of each dimm* method, built once here.
+        fitted = tuple(b.fitted for b in self.blocks)
+        try:
+            partitions = {"dimm": BlockPartition(fitted)}
+        except PartitionError as exc:
+            msg = f"scenario {self.name!r}: {exc}"
+            raise ScenarioError(msg) from None
+        for family in (AR1, CS):
+            blocks = tuple(replace(b, structure=family) for b in fitted)
+            partitions[f"dimm:{family}"] = BlockPartition(blocks)
+        object.__setattr__(self, "_partitions", partitions)
         if not self.methods:
             msg = "scenario needs at least one method"
             raise ScenarioError(msg)
@@ -368,10 +384,9 @@ class SimScenario(Report):
                     f"(a={spec.a}, b={spec.b}); both must be earlier columns"
                 )
                 raise ScenarioError(msg)
-        sizes = tuple(b.size for b in self.blocks)
         deps = [b.true_dependence for b in self.blocks]
         try:
-            sigma_full = assemble_kronecker(self.between, deps, sizes)
+            sigma_full = assemble_kronecker(self.between, deps, partitions["dimm"].sizes)
         except DimmError as exc:
             msg = f"scenario {self.name!r}: invalid covariance: {exc}"
             raise ScenarioError(msg) from None
@@ -404,22 +419,14 @@ class SimScenario(Report):
 
     @property
     def total_dim(self) -> int:
-        return sum(b.size for b in self.blocks)
+        return self._partitions["dimm"].total_size
 
     def partition_for(self, method: str) -> BlockPartition:
         """The fitted block partition used by a ``dimm*`` method."""
-        if method == "dimm":
-            structures = [b.structure_fit for b in self.blocks]
-        elif method in ("dimm:ar1", "dimm:cs"):
-            structures = [method.split(":", 1)[1]] * len(self.blocks)
-        else:
+        if method not in self._partitions:
             msg = f"method {method!r} has no block partition"
             raise ScenarioError(msg)
-        return BlockPartition.from_sizes(
-            [b.size for b in self.blocks],
-            structure=structures,
-            names=[b.name for b in self.blocks],
-        )
+        return self._partitions[method]
 
 
 def _ar1_cholesky(m: int, rho: float) -> np.ndarray:

@@ -284,6 +284,19 @@ def test_fit_config_round_trips_and_takes_no_version_setting(panel_files) -> Non
         (lambda c: c.update(blocks_to_integrate=[]), "at least one block"),
         (lambda c: c.update(schema_version=99), "schema_version"),
         (lambda c: c.update(optimizer=[1, 2]), r"unknown config fields: \['optimizer'\]"),
+        (lambda c: c.update(blocks=[]), r"config\.blocks: a partition needs at least one block"),
+        (
+            lambda c: c["blocks"][1].update(size=1),
+            r"config\.blocks: block 'back': size must be an integer >= 2, got 1",
+        ),
+        (
+            lambda c: c["blocks"][0].update(name=""),
+            r"config\.blocks: block name must be a non-empty string, got ''",
+        ),
+        (
+            lambda c: c["blocks"][1].update(name="front"),
+            r"config\.blocks: block names must be unique; duplicated: \['front'\]",
+        ),
     ],
 )
 def test_fit_config_schema_errors(panel_files, tmp_path: Path, mutate, expected) -> None:
@@ -571,6 +584,69 @@ def test_cli_exit_codes(panel_files, tmp_path: Path) -> None:
     assert proc.returncode == 6
     assert "scenario.between: seed must be a non-negative integer" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["fit", "gof"])
+def test_cli_refuses_a_bad_block_layout_before_reading_the_panel(
+    panel_files, tmp_path: Path, command: str
+) -> None:
+    # The layout is checked when the config is read: the missing panel
+    # files are never opened.
+    _, _, _, _, _, raw = panel_files
+    cfg = tmp_path / "size1.json"
+    blocks = [
+        {"name": "front", "size": 4, "structure": "ar1"},
+        {"name": "back", "size": 1, "structure": "cs"},
+    ]
+    absent = {"response_path": str(tmp_path / "y.csv"), "covariate_path": str(tmp_path / "x.csv")}
+    cfg.write_text(json.dumps({**raw, **absent, "blocks": blocks}))
+    args = ["--beta", "1.0,-0.5"] if command == "gof" else []
+    proc = _run_cli(command, "--config", str(cfg), *args)
+    assert proc.returncode == 2, proc.stderr
+    assert "config.blocks: block 'back': size must be an integer >= 2, got 1" in proc.stderr
+    assert "file not found" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    ("mutate", "expected"),
+    [
+        (
+            lambda e: e["blocks"][1].update(size=1),
+            "block 'right': size must be an integer >= 2, got 1",
+        ),
+        (
+            lambda e: e.update(
+                between=json.loads('{"kind": "matrix", "values": [[NaN, 0.0], [0.0, 1.0]]}')
+            ),
+            "invalid covariance: between-block matrix is not positive definite",
+        ),
+    ],
+)
+def test_cli_refuses_a_bad_scenario_at_load(tmp_path: Path, mutate, expected) -> None:
+    entry = _tiny_scenario(n_replicates=2).to_dict()
+    mutate(entry)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(entry))
+    proc = _run_cli("simulate", "--config", str(path), "--workers", "1")
+    assert proc.returncode == 6, proc.stderr
+    assert expected in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("replicates", ["0", "-2"])
+def test_cli_rejects_replicate_counts_below_one(replicates: str) -> None:
+    proc = _run_cli("simulate", "--scenario", "micro", "--replicates", replicates)
+    assert proc.returncode == 2, proc.stderr
+    assert f"--replicates must be >= 1, got {replicates}" in proc.stderr
+
+
+@pytest.mark.parametrize("beta", ["1.0,,-0.5", "1.0,-0.5,", ",1.0,-0.5", "1.0, ,-0.5", ""])
+def test_cli_gof_refuses_an_empty_beta_entry(panel_files, beta: str) -> None:
+    # "1.0,,-0.5" and "1.0,-0.5," used to drop the empty entry and run.
+    _, _, _, _, cfg, _ = panel_files
+    proc = _run_cli("gof", "--config", str(cfg), "--beta", beta)
+    assert proc.returncode == 2, proc.stderr
+    assert "--beta must be a comma-separated list of numbers with no empty entry" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["fit", "simulate"])

@@ -72,6 +72,19 @@ def test_cs_lower_bound_depends_on_block_size() -> None:
         dep.validate_for_size(5)  # -1/4 > -0.4: impossible
 
 
+@pytest.mark.parametrize("structure", [AR1, CS])
+@pytest.mark.parametrize("size", [1, 0, -2])
+def test_dependence_refuses_a_block_below_two_coordinates(structure: str, size: int) -> None:
+    # Such a block has no pair, so no admissible rho: a typed refusal, not
+    # a ZeroDivisionError (cs at size 1) or an interval like (1.0, 1).
+    dep = Dependence(structure, 1.0, 0.2)
+    expected = f"a block needs at least 2 coordinates, got size {size}"
+    with pytest.raises(PartitionError, match=expected):
+        dep.rho_lower(size)
+    with pytest.raises(PartitionError, match=expected):
+        dep.validate_for_size(size)
+
+
 @pytest.mark.parametrize(
     ("dep", "lag", "expected"),
     [
@@ -367,6 +380,12 @@ def test_assemble_rejects_bad_between_matrix() -> None:
     non_finite = np.array([[1.0, 0.0], [0.0, np.inf]])
     with pytest.raises(CovarianceError, match="between-block matrix is not positive definite"):
         assemble_kronecker(non_finite, [dep, dep], [2, 2])
+    # NaN never compares equal, so it must not be reported as asymmetry.
+    for nan_at in ((0, 0), (0, 1)):
+        with_nan = np.eye(2)
+        with_nan[nan_at] = np.nan
+        with pytest.raises(CovarianceError, match="between-block matrix is not positive definite"):
+            assemble_kronecker(with_nan, [dep, dep], [2, 2])
 
 
 def test_assemble_rejects_non_pd_result() -> None:

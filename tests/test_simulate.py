@@ -152,6 +152,25 @@ def test_scenario_dict_round_trip() -> None:
             lambda e: e["blocks"][1].update(structure_true="AR1"),
             r"scenario\.blocks\[1\]\.structure_true must be one of \('ar1', 'cs'\), got 'AR1'",
         ),
+        # The layout is checked at load, each message naming the block once.
+        # A size-1 cs block raised ZeroDivisionError from Dependence.rho_lower.
+        (
+            lambda e: e["blocks"][1].update(size=1),
+            r"^SimScenario\.blocks: block 'right': size must be an integer >= 2, got 1$",
+        ),
+        # An empty name loaded, and every dimm replicate then failed.
+        (
+            lambda e: e["blocks"][1].update(name=""),
+            r"^SimScenario\.blocks: block name must be a non-empty string, got ''$",
+        ),
+        (
+            lambda e: e["blocks"][1].update(name="left"),
+            r"^scenario 'tiny': block names must be unique; duplicated: \['left'\]$",
+        ),
+        (
+            lambda e: e["blocks"][1].update(size=3, rho=-0.9),
+            r"^SimScenario\.blocks: block 'right': cs rho=-0\.9 is not positive definite for a",
+        ),
         (lambda e: e.update(n_subjects="500"), r"scenario\.n_subjects"),
         (lambda e: e.update(seed=True), r"scenario\.seed"),
         (lambda e: e.update(between={"kind": "random"}), r"scenario\.between: .*needs seed"),
@@ -200,6 +219,22 @@ def test_scenario_fields_are_strictly_typed(mutate, expected) -> None:
     mutate(entry)
     with pytest.raises(ScenarioError, match=expected):
         SimScenario.from_dict(entry)
+
+
+def test_scenario_builds_each_fitted_partition_once() -> None:
+    scn = _tiny_scenario(methods=("dimm", "dimm:ar1", "dimm:cs"))
+    for method, structures in (
+        ("dimm", ("ar1", "cs")),
+        ("dimm:ar1", ("ar1", "ar1")),
+        ("dimm:cs", ("cs", "cs")),
+    ):
+        part = scn.partition_for(method)
+        assert part is scn.partition_for(method)
+        assert part.names == ("left", "right")
+        assert part.sizes == (3, 2)
+        assert tuple(b.structure for b in part.blocks) == structures
+    with pytest.raises(ScenarioError, match="'gee_independence' has no block partition"):
+        scn.partition_for("gee_independence")
 
 
 def test_scenario_between_recipes() -> None:
