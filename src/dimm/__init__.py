@@ -8,9 +8,15 @@ The top level holds the everyday workflow and the typed errors; every
 other public name is imported from its module (``dimm.model``,
 ``dimm.pairwise``, ``dimm.integrate``, ``dimm.baselines``, ``dimm.io``,
 ``dimm.simulate``, ``dimm.special``).
+
+``import dimm`` loads only the fitting path: the names from
+``dimm.baselines`` and ``dimm.simulate`` import their module on first
+access, so a process that only fits a panel, such as ``dimm fit``,
+never compiles them.
 """
 
-from dimm.baselines import gee_fit, gls_oracle
+import importlib
+
 from dimm.errors import (
     ConfigError,
     CovarianceError,
@@ -22,16 +28,9 @@ from dimm.errors import (
     ScenarioError,
 )
 from dimm.integrate import integrate_fits, q_statistic, weight_matrix
-from dimm.io import save_panel
+from dimm.io import bundled_scenario_names, save_panel
 from dimm.model import BlockPartition, Dependence, PanelDataset, assemble_kronecker
 from dimm.pairwise import fit_blocks
-from dimm.simulate import (
-    bundled_scenario,
-    bundled_scenario_names,
-    generate_replicate,
-    report_fingerprint,
-    run_scenario,
-)
 from dimm.special import chi2_sf
 
 __version__ = "0.1.0"
@@ -64,3 +63,25 @@ __all__ = [
     "save_panel",
     "weight_matrix",
 ]
+
+_LAZY = {
+    "gee_fit": "dimm.baselines",
+    "gls_oracle": "dimm.baselines",
+    "bundled_scenario": "dimm.simulate",
+    "generate_replicate": "dimm.simulate",
+    "report_fingerprint": "dimm.simulate",
+    "run_scenario": "dimm.simulate",
+}
+
+
+def __getattr__(name: str) -> object:
+    # An unknown name must raise AttributeError: ``from dimm import simulate``
+    # relies on it to fall back to importing the submodule.
+    if name not in _LAZY:
+        msg = f"module {__name__!r} has no attribute {name!r}"
+        raise AttributeError(msg)
+    return getattr(importlib.import_module(_LAZY[name]), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

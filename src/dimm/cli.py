@@ -10,8 +10,11 @@ Exit codes are distinct per failure class so callers can branch on them:
 * 6 — scenario failure (too many replicate failures, bad scenario file)
 
 ``fit`` and ``gof`` fit the blocks one after another in this process
-(``fit`` still accepts ``--workers`` and ignores it). Only ``simulate``
-runs a worker pool, over replicates: its worker count is the
+(``fit`` still accepts ``--workers`` and ignores it), and import neither
+the simulation code nor the comparators: ``simulate`` imports
+:mod:`dimm.simulate` when it runs. ``gof`` writes its report only to
+``--output``; a config's ``output_path`` names the fit report. Only
+``simulate`` runs a worker pool, over replicates: its worker count is the
 ``--workers`` flag, else the ``DIMM_WORKERS`` environment variable, else
 the machine's CPU count. A count that is not an integer >= 1 is a
 configuration problem, wherever it comes from.
@@ -43,6 +46,7 @@ from dimm.io import (
     FitConfig,
     GofReport,
     build_fit_report,
+    bundled_scenario_names,
     load_fit_config,
     load_panel,
     write_estimates_csv,
@@ -50,7 +54,6 @@ from dimm.io import (
 from dimm.model import PanelDataset
 from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
 from dimm.pairwise import fit_blocks
-from dimm.simulate import SimScenario, bundled_scenario, bundled_scenario_names, run_scenario
 from dimm.special import chi2_sf
 
 if TYPE_CHECKING:
@@ -161,6 +164,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from dimm.simulate import SimScenario, bundled_scenario, run_scenario
+
     if args.scenario is not None:
         scenario = bundled_scenario(args.scenario)
     else:
@@ -245,10 +250,9 @@ def cmd_gof(args: argparse.Namespace) -> int:
         f"Q({np.array2string(beta, precision=6)}) = {q_val:.6g} on df = {df}, "
         f"p = {p_value:.4g} over blocks: {', '.join(report.block_names)}"
     )
-    output = args.output or config.output_path
-    if output:
-        report.save(output)
-        print(f"report written to {output}")
+    if args.output:
+        report.save(args.output)
+        print(f"report written to {args.output}")
     return EXIT_OK
 
 

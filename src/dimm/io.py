@@ -66,6 +66,7 @@ __all__ = [
     "FitReport",
     "GofReport",
     "Report",
+    "bundled_scenario_names",
     "encode",
     "load_fit_config",
     "load_panel",
@@ -262,26 +263,39 @@ def save_panel(
     covariate_names: Sequence[str] | None = None,
 ) -> None:
     """Write a panel in the canonical sorted layout ``load_panel`` reads."""
-    n, m = data.responses.shape
+    m = data.n_coordinates
     p = data.n_covariates
     if covariate_names is None:
         covariate_names = [f"x{j + 1}" for j in range(p)]
     if len(covariate_names) != p:
         msg = f"got {len(covariate_names)} covariate names for p={p}"
         raise DataError(msg)
+    # The data lines are joined by hand, as csv.writer would write them: a
+    # float's repr needs no quoting. The headers go through csv.writer,
+    # since a covariate name may. One subject at a time bounds the memory.
     with Path(response_path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"y{j + 1}" for j in range(m)])
-        for i in range(n):
-            writer.writerow([repr(float(v)) for v in data.responses[i]])
+        csv.writer(handle).writerow([f"y{j + 1}" for j in range(m)])
+        for row in data.responses:
+            handle.write(",".join(map(repr, row.tolist())) + "\r\n")
     with Path(covariate_path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["subject_id", "position", *covariate_names])
-        for i in range(n):
-            for t in range(m):
-                writer.writerow(
-                    [i + 1, t + 1, *[repr(float(v)) for v in data.covariates[i, t]]]
-                )
+        csv.writer(handle).writerow(["subject_id", "position", *covariate_names])
+        for i, subject in enumerate(data.covariates, start=1):
+            handle.writelines(
+                ",".join([str(i), str(t), *map(repr, cells)]) + "\r\n"
+                for t, cells in enumerate(subject.tolist(), start=1)
+            )
+
+
+def bundled_scenario_names() -> tuple[str, ...]:
+    """Names of the scenario configs shipped inside the package.
+
+    Listed here rather than in :mod:`dimm.simulate` so that the command
+    line can offer them without importing the simulation code.
+    """
+    from importlib import resources
+
+    files = resources.files("dimm").joinpath("scenarios").iterdir()
+    return tuple(sorted(f.name[: -len(".json")] for f in files if f.name.endswith(".json")))
 
 
 class Report:

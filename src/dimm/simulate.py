@@ -41,7 +41,7 @@ from dimm._util import parallel_map
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import DimmError, PartitionError, ScenarioError
 from dimm.integrate import integrate_fits
-from dimm.io import Report, encode
+from dimm.io import Report, bundled_scenario_names, encode
 from dimm.model import (
     AR1,
     CS,
@@ -721,14 +721,6 @@ def run_scenario(scn: SimScenario, *, workers: int | None = None) -> SimReport:
         methods=methods,
         timing=timing,
     )
-
-
-def bundled_scenario_names() -> tuple[str, ...]:
-    """Names of the scenario configs shipped inside the package."""
-    from importlib import resources
-
-    files = resources.files("dimm").joinpath("scenarios").iterdir()
-    return tuple(sorted(f.name[: -len(".json")] for f in files if f.name.endswith(".json")))
 
 
 def bundled_scenario(name: str) -> SimScenario:

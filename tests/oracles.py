@@ -8,12 +8,18 @@ tests can check the closed form against the definition.
 The comparators whiten and contract the whole panel at once; the
 subject-loop helpers at the end state them one subject at a time, with
 a literal ``np.linalg.inv`` of the covariance or working correlation.
+
+``save_panel_with_csv_writer`` is the panel writer that sends every cell
+through ``csv.writer``; the package joins the data lines itself and must
+write the same bytes.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -159,3 +165,26 @@ def gee_sandwich(
         meat += np.outer(u, u)
     bread_inv = np.linalg.inv(bread)
     return beta, bread_inv @ meat @ bread_inv
+
+
+def save_panel_with_csv_writer(
+    data: PanelDataset,
+    response_path: Path,
+    covariate_path: Path,
+    covariate_names: list[str],
+) -> None:
+    """Write a panel as ``dimm.io.save_panel`` does, every row by ``csv.writer``."""
+    n, m = data.responses.shape
+    with response_path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([f"y{j + 1}" for j in range(m)])
+        for i in range(n):
+            writer.writerow([repr(float(v)) for v in data.responses[i]])
+    with covariate_path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["subject_id", "position", *covariate_names])
+        for i in range(n):
+            for t in range(m):
+                writer.writerow(
+                    [i + 1, t + 1, *[repr(float(v)) for v in data.covariates[i, t]]]
+                )

@@ -1,4 +1,5 @@
-"""Every name a ``dimm`` module imports is used by that module.
+"""Every name a ``dimm`` module imports is used by that module, and every
+name the package exports resolves.
 
 The scan parses each module's source: a name bound by an ``import``
 counts as used when the module reads it anywhere (annotations included),
@@ -9,6 +10,8 @@ carries ``# noqa: F401``, kept on purpose for a caller outside the module.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +57,35 @@ def test_scan_flags_an_unused_import() -> None:
         "    from collections.abc import Sequence\n"
     )
     assert _unused_imports(source) == ["line 2: os", "line 7: Sequence"]
+
+
+def test_every_exported_name_resolves() -> None:
+    import dimm
+    import dimm.baselines
+    import dimm.simulate
+
+    for name in dimm.__all__:
+        assert getattr(dimm, name) is not None, name
+    assert dimm.run_scenario is dimm.simulate.run_scenario
+    assert dimm.gee_fit is dimm.baselines.gee_fit
+    assert dimm.bundled_scenario_names is dimm.simulate.bundled_scenario_names
+    assert set(dimm.__all__) <= set(dir(dimm))
+    star: dict[str, object] = {}
+    exec("from dimm import *", star)  # noqa: S102
+    assert set(dimm.__all__) <= set(star)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dimm.no_such_name  # noqa: B018
+
+
+def test_import_dimm_defers_the_simulation_code() -> None:
+    # An unknown name raises AttributeError, so ``from dimm import simulate``
+    # still finds the submodule; a lazy name loads it on first access.
+    code = (
+        "import sys, dimm\n"
+        "print(sorted(m for m in ('dimm.simulate', 'dimm.baselines') if m in sys.modules))\n"
+        "from dimm import simulate\n"
+        "print(dimm.run_scenario is simulate.run_scenario, 'dimm.baselines' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True"]

@@ -29,6 +29,7 @@ from dimm.io import (
 )
 from dimm.model import Dependence, PanelDataset, assemble_kronecker
 from dimm.simulate import run_scenario
+from tests.oracles import save_panel_with_csv_writer
 from tests.test_simulate import _tiny_scenario
 
 
@@ -72,6 +73,27 @@ def test_panel_round_trip_bit_exact(panel_files) -> None:
     back = load_panel(rp, cp)
     np.testing.assert_array_equal(back.responses, data.responses)
     np.testing.assert_array_equal(back.covariates, data.covariates)
+
+
+def test_save_panel_writes_the_csv_writer_bytes(tmp_path: Path) -> None:
+    # Signed zero, the smallest subnormal, exponent forms and a name that
+    # needs quoting: the hand-joined lines must match csv.writer's byte for byte.
+    specials = [-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e22, -2.5, 123456.789]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(52)))
+    y = rng.standard_normal((6, 4))
+    x = rng.standard_normal((6, 4, 3))
+    y.flat[: len(specials)] = specials
+    x.flat[: len(specials)] = specials[::-1]
+    data = PanelDataset(responses=y, covariates=x)
+    names = ["age", "a,b", 'say "hi"']
+    save_panel(data, tmp_path / "y.csv", tmp_path / "x.csv", covariate_names=names)
+    save_panel_with_csv_writer(data, tmp_path / "y_ref.csv", tmp_path / "x_ref.csv", names)
+    assert (tmp_path / "y.csv").read_bytes() == (tmp_path / "y_ref.csv").read_bytes()
+    assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "x_ref.csv").read_bytes()
+    back = load_panel(tmp_path / "y.csv", tmp_path / "x.csv")
+    np.testing.assert_array_equal(back.responses, data.responses)
+    np.testing.assert_array_equal(back.covariates, data.covariates)
+    assert str(back.responses.flat[0]) == "-0.0"
 
 
 def test_covariate_rows_may_arrive_shuffled(panel_files, tmp_path: Path) -> None:
@@ -477,6 +499,23 @@ def test_cli_gof_report_carries_the_io_schema_version(panel_files, tmp_path: Pat
     assert report["df"] == 4
 
 
+def test_cli_gof_leaves_the_fit_report_at_output_path(panel_files, tmp_path: Path) -> None:
+    # output_path names the fit report; gof without --output writes no file.
+    _, _, _, _, _, raw = panel_files
+    report_path = tmp_path / "fit_report.json"
+    cfg = tmp_path / "with_output.json"
+    cfg.write_text(json.dumps(dict(raw, output_path=str(report_path))))
+    fit = _run_cli("fit", "--config", str(cfg))
+    assert fit.returncode == 0, fit.stderr
+    written = report_path.read_bytes()
+    gof = _run_cli("gof", "--config", str(cfg), "--beta", "1.0,-0.5")
+    assert gof.returncode == 0, gof.stderr
+    assert "report written" not in gof.stdout
+    assert report_path.read_bytes() == written
+    assert len(FitReport.load(report_path).beta_dimm) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fit_report.json", "with_output.json"]
+
+
 def test_cli_gof_on_a_single_block_has_p_degrees_of_freedom(panel_files, tmp_path: Path) -> None:
     _, _, _, _, _, raw = panel_files
     cfg = tmp_path / "one.json"
@@ -708,6 +747,35 @@ def test_importing_the_package_loads_no_scipy() -> None:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_fit_and_gof_load_no_simulation_or_comparator_code(panel_files, tmp_path: Path) -> None:
+    _, _, _, _, cfg, _ = panel_files
+    out = tmp_path / "fit.json"
+    code = (
+        "import sys\n"
+        "import dimm, dimm.cli\n"
+        f"fit = dimm.cli.main(['fit', '--config', {str(cfg)!r}, '--output', {str(out)!r}])\n"
+        f"gof = dimm.cli.main(['gof', '--config', {str(cfg)!r}, '--beta', '1.0,-0.5'])\n"
+        "print(fit, gof, sorted(m for m in ('dimm.simulate', 'dimm.baselines') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 0 []"
+    assert len(FitReport.load(out).beta_dimm) == 2
+
+
+def test_cli_simulate_refuses_an_unknown_bundled_scenario() -> None:
+    # The choices are listed without importing dimm.simulate; argparse
+    # still refuses a name outside them.
+    proc = _run_cli("simulate", "--scenario", "nope")
+    assert proc.returncode == 2
+    assert "invalid choice: 'nope'" in proc.stderr
+    usage = _run_cli("simulate", "--help")
+    assert usage.returncode == 0
+    assert "{eeg_mimic,gof_chi2,micro,table1_full,table1_scaled}" in usage.stdout
 
 
 def test_cli_fit_starts_no_process_pool(panel_files, tmp_path: Path) -> None:
