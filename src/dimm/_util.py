@@ -87,8 +87,13 @@ def cholesky(mat: np.ndarray, what: str, error: type[DimmError]) -> np.ndarray:
 
 
 def inv_cholesky(mat: np.ndarray, what: str, error: type[DimmError]) -> np.ndarray:
-    """``Li = inv(L)`` for L from :func:`cholesky`; it whitens, ``mat^-1 = Li' Li``."""
-    return np.linalg.inv(cholesky(mat, what, error))
+    """``Li = inv(L)`` for L from :func:`cholesky`; it whitens, ``mat^-1 = Li' Li``.
+
+    Subnormal entries, which stall a GEMM by Li, are set to 0.
+    """
+    inv_factor = np.linalg.inv(cholesky(mat, what, error))
+    inv_factor[np.abs(inv_factor) < np.finfo(np.float64).tiny] = 0.0
+    return inv_factor
 
 
 def spd_solve(mat: np.ndarray, rhs: np.ndarray, what: str, error: type[DimmError]) -> np.ndarray:

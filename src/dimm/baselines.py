@@ -16,8 +16,9 @@ Every full-panel contraction is one BLAS call on a flat view. The
 oracle whitens once: with ``Sigma = L L'`` and ``Li = inv(L)``
 (:func:`dimm._util.inv_cholesky`), ``Li`` times the (M, N*p) panel,
 viewed as (M*N, p) rows, has Gram matrix ``sum_i X_i' Sigma^-1 X_i``.
-GEE takes ``X'X``, ``X'y`` and ``X beta`` from the (N*M, p) view,
-``X_i' e_i`` from a batched matmul, and ``X_i' 1`` once per fit. Every
+GEE reads ``X'X`` from the panel; the two GEE fits of a panel share its
+pooled least-squares start, cached per panel as in :mod:`dimm.pairwise`.
+``X_i' e_i`` comes from a batched matmul, and ``X_i' 1`` once per fit. Every
 covariance, information and bread matrix is factored under the
 package's one positive-definiteness rule (:func:`dimm._util.cholesky`):
 a non-finite or indefinite one raises :class:`~dimm.errors.FitError`
@@ -28,6 +29,7 @@ exactly raises ``FitError`` too.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -154,6 +156,40 @@ def _exchangeable_moments(
     return phi, rho
 
 
+# The pooled start of every panel fit so far, dropped with its panel.
+_POOLED: weakref.WeakKeyDictionary[PanelDataset, tuple[np.ndarray, ...]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _pooled_start(data: PanelDataset) -> tuple[np.ndarray, ...]:
+    """``(X'y, inv(X'X), beta_ols, residuals)`` of a panel; an exact fit raises, uncached."""
+    if data in _POOLED:
+        return _POOLED[data]
+    y = data.responses
+    n, m = y.shape
+    flat = data.covariates.reshape(n * m, -1)
+    xty = flat.T @ y.reshape(-1)
+    bread_inv = spd_solve(
+        data.design_gram, np.eye(flat.shape[1]), "pooled design matrix X'X", FitError
+    )
+    beta = bread_inv @ xty
+    resid = y - (flat @ beta).reshape(n, m)
+    resid_ms, response_ms = float(np.mean(resid**2)), float(np.mean(y**2))
+    if not resid_ms > EXACT_FIT * response_ms:
+        msg = (
+            f"exact fit, the least-squares residuals vanish (mean square {resid_ms:.3g} "
+            f"against a response mean square of {response_ms:.3g}); the scale, the "
+            "working correlation and the sandwich are not identified"
+        )
+        raise FitError(msg)
+    start = (xty, bread_inv, beta, resid)
+    for arr in start:
+        arr.setflags(write=False)
+    _POOLED[data] = start
+    return start
+
+
 def gee_fit(data: PanelDataset, working: str = "independence") -> BaselineFit:
     """Generalized estimating equations for the marginal mean model.
 
@@ -195,20 +231,7 @@ def gee_fit(data: PanelDataset, working: str = "independence") -> BaselineFit:
     y = data.responses  # (N, M)
     n, m, p = x.shape
     flat = x.reshape(n * m, p)
-
-    xtx = flat.T @ flat
-    xty = flat.T @ y.reshape(-1)
-    bread_inv = spd_solve(xtx, np.eye(p), "pooled design matrix X'X", FitError)
-    beta = bread_inv @ xty
-    resid = y - (flat @ beta).reshape(n, m)
-    resid_ms, response_ms = float(np.mean(resid**2)), float(np.mean(y**2))
-    if not resid_ms > EXACT_FIT * response_ms:
-        msg = (
-            f"exact fit, the least-squares residuals vanish (mean square {resid_ms:.3g} "
-            f"against a response mean square of {response_ms:.3g}); the scale, the "
-            "working correlation and the sandwich are not identified"
-        )
-        raise FitError(msg)
+    xty, bread_inv, beta, resid = _pooled_start(data)
 
     if working == "independence":
         # Meat: sum_i X_i' e_i e_i' X_i with u_i = X_i' e_i.
@@ -247,9 +270,8 @@ def gee_fit(data: PanelDataset, working: str = "independence") -> BaselineFit:
             rho = clamped
         a = 1.0 / (1.0 - rho)
         b = rho / (1.0 + (m - 1) * rho)
-        bread_inv = spd_solve(
-            a * (xtx - b * xsx), np.eye(p), "weighted design matrix X' V^-1 X", FitError
-        )
+        bread = a * (data.design_gram - b * xsx)
+        bread_inv = spd_solve(bread, np.eye(p), "weighted design matrix X' V^-1 X", FitError)
         beta_new = bread_inv @ (a * (xty - b * xsy))
         step = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
@@ -249,19 +249,21 @@ class PanelDataset:
         rule of :func:`check_identified` with N M rows; this fails fast at
         construction.
 
-    A panel is validated once, here, where it enters. Its arrays are
+    A panel is validated once, here, where it enters. Its arrays, and the
+    Gram ``design_gram = X'X`` its identifiability rule reads, are C-ordered
     copies that cannot be made writeable again, so the block fits read
-    views of them, and :mod:`dimm.pairwise` may cache per-block moments
-    for as long as the panel lives; each block's own identifiability is
-    checked there by the same rule.
+    views of them, and :mod:`dimm.pairwise` and :mod:`dimm.baselines` may
+    cache what they compute from a panel for as long as it lives; each
+    block's own identifiability is checked there by the same rule.
     """
 
     responses: np.ndarray
     covariates: np.ndarray
+    design_gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        y = np.array(self.responses, dtype=np.float64, copy=True)
-        x = np.array(self.covariates, dtype=np.float64, copy=True)
+        y = np.array(self.responses, dtype=np.float64, copy=True, order="C")
+        x = np.array(self.covariates, dtype=np.float64, copy=True, order="C")
         if y.ndim != 2:
             msg = f"responses must be a 2-d (N, M) array, got shape {y.shape}"
             raise DataError(msg)
@@ -285,13 +287,13 @@ class PanelDataset:
             msg = "covariates contain non-finite values"
             raise DataError(msg)
         design = x.reshape(n * m, x.shape[2])
-        check_identified(design.T @ design, n * m, "panel")
-        y.setflags(write=False)
-        x.setflags(write=False)
+        gram = design.T @ design
+        check_identified(gram, n * m, "panel")
         # A view of a locked array cannot be made writeable again, so what
-        # dimm.pairwise caches from a panel cannot go stale.
-        object.__setattr__(self, "responses", y.view())
-        object.__setattr__(self, "covariates", x.view())
+        # dimm.pairwise and dimm.baselines cache from a panel cannot go stale.
+        for name, arr in (("responses", y), ("covariates", x), ("design_gram", gram)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr.view())
 
     @property
     def n_subjects(self) -> int:

@@ -301,7 +301,9 @@ class SimScenario(Report):
         Between-block scale matrix (symmetric positive definite). The
         realized response covariance is assembled from it and the
         per-block true dependences at construction, so an invalid
-        combination fails fast. In JSON it is tagged:
+        combination fails fast; it and its lower Cholesky factor are kept
+        read-only as ``covariance_matrix`` and ``covariance_factor``, so
+        a replicate does not factor it again. In JSON it is tagged:
         ``{"kind": "identity"}``, ``{"kind": "random", "seed": s}``
         (optional ``off_scale``, ``floor``; see
         :func:`random_between_matrix`) or ``{"kind": "matrix", "values":
@@ -332,6 +334,7 @@ class SimScenario(Report):
     covariates: tuple[CovariateSpec, ...] = ()
     intercept: bool = False
     covariance_matrix: np.ndarray = field(init=False, repr=False)
+    covariance_factor: np.ndarray = field(init=False, repr=False)
     _partitions: dict[str, BlockPartition] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -390,8 +393,10 @@ class SimScenario(Report):
         except DimmError as exc:
             msg = f"scenario {self.name!r}: invalid covariance: {exc}"
             raise ScenarioError(msg) from None
-        sigma_full.setflags(write=False)
-        object.__setattr__(self, "covariance_matrix", sigma_full)
+        chol = np.linalg.cholesky(sigma_full)
+        for name, mat in (("covariance_matrix", sigma_full), ("covariance_factor", chol)):
+            mat.setflags(write=False)
+            object.__setattr__(self, name, mat)
 
     def to_dict(self) -> dict[str, Any]:
         between = {"kind": "matrix", "values": self.between.tolist()}
@@ -438,8 +443,10 @@ def generate_replicate(scn: SimScenario, rep_index: int) -> PanelDataset:
     """Draw one replicate panel, deterministic given (scenario.seed, rep_index).
 
     Covariate columns are drawn first in recipe order, then the noise
-    panel; the response is ``X beta0 + L z`` with ``L`` the Cholesky
-    factor of the assembled covariance and ``z`` i.i.d. standard normal.
+    panel; the response is ``X beta0 + L z`` with ``L`` the scenario's
+    ``covariance_factor`` and ``z`` i.i.d. standard normal. ``X beta0`` is
+    formed on the columns' common broadcast shape ((N, 1) when every column
+    is subject-level), and the panel's one copy writes the (N, M, p) design.
     """
     if rep_index < 0:
         msg = f"rep_index must be >= 0, got {rep_index}"
@@ -450,36 +457,30 @@ def generate_replicate(scn: SimScenario, rep_index: int) -> PanelDataset:
     n, m = scn.n_subjects, scn.total_dim
     cols: list[np.ndarray] = []
     if scn.intercept:
-        cols.append(np.ones((n, m)))
+        cols.append(np.ones((1, 1)))
     for spec in scn.covariates:
         if spec.kind == "standard_normal":
-            col = np.broadcast_to(rng.standard_normal(n)[:, None], (n, m))
+            col = rng.standard_normal((n, 1))
         elif spec.kind == "bernoulli":
-            col = np.broadcast_to(
-                (rng.random(n) < spec.q).astype(np.float64)[:, None], (n, m)
-            )
+            col = (rng.random((n, 1)) < spec.q).astype(np.float64)
         elif spec.kind == "categorical":
             values = np.arange(1, len(spec.probs) + 1, dtype=np.float64)
-            col = np.broadcast_to(
-                rng.choice(values, size=n, p=np.asarray(spec.probs))[:, None], (n, m)
-            )
+            col = rng.choice(values, size=(n, 1), p=np.asarray(spec.probs))
         elif spec.kind == "uniform01":
-            col = np.broadcast_to(rng.random(n)[:, None], (n, m))
+            col = rng.random((n, 1))
         elif spec.kind == "interaction":
             col = cols[spec.a] * cols[spec.b]
         elif spec.kind == "mv_normal_rows":
             lx = _ar1_cholesky(m, spec.rho)
             col = rng.standard_normal((n, m)) @ lx.T
         else:  # alternating01, the last kind CovariateSpec admits
-            col = np.broadcast_to(
-                (np.arange(m) % 2).astype(np.float64)[None, :], (n, m)
-            )
+            col = (np.arange(m) % 2).astype(np.float64)[None, :]
         cols.append(col)
-    x = np.stack(cols, axis=-1) if cols else np.empty((n, m, 0))
-    chol = np.linalg.cholesky(scn.covariance_matrix)
-    noise = rng.standard_normal((n, m)) @ chol.T
-    y = np.einsum("nmp,p->nm", x, scn.beta0) + noise
-    return PanelDataset(responses=y, covariates=x)
+    shape = np.broadcast_shapes(*(col.shape for col in cols))
+    x = np.stack([np.broadcast_to(col, shape) for col in cols], axis=-1)
+    noise = rng.standard_normal((n, m)) @ scn.covariance_factor.T
+    y = np.einsum("...p,p->...", x, scn.beta0) + noise
+    return PanelDataset(responses=y, covariates=np.broadcast_to(x, (n, m, x.shape[-1])))
 
 
 def _fit_one_method(

@@ -9,6 +9,12 @@ The comparators whiten and contract the whole panel at once; the
 subject-loop helpers at the end state them one subject at a time, with
 a literal ``np.linalg.inv`` of the covariance or working correlation.
 
+``stacked_replicate`` draws a replicate panel the direct way: every
+covariate column broadcast to the full (N, M) shape, stacked, and
+contracted with ``beta0`` over the full (N, M, p) array, the covariance
+factored on every call. ``dimm.simulate.generate_replicate`` builds each
+column at its natural shape and must give the same panel, bit for bit.
+
 ``save_panel_with_csv_writer`` is the panel writer that sends every cell
 through ``csv.writer``; the package joins the data lines itself and must
 write the same bytes.
@@ -25,6 +31,7 @@ import numpy as np
 
 from dimm.errors import CovarianceError
 from dimm.model import AR1, Dependence, PanelDataset
+from dimm.simulate import SimScenario
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -165,6 +172,46 @@ def gee_sandwich(
         meat += np.outer(u, u)
     bread_inv = np.linalg.inv(bread)
     return beta, bread_inv @ meat @ bread_inv
+
+
+def stacked_replicate(scn: SimScenario, rep_index: int) -> PanelDataset:
+    """Replicate ``rep_index`` of ``scn``, every column stacked at (N, M)."""
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence((scn.seed, int(rep_index))))
+    )
+    n, m = scn.n_subjects, scn.total_dim
+    cols: list[np.ndarray] = []
+    if scn.intercept:
+        cols.append(np.ones((n, m)))
+    for spec in scn.covariates:
+        if spec.kind == "standard_normal":
+            col = np.broadcast_to(rng.standard_normal(n)[:, None], (n, m))
+        elif spec.kind == "bernoulli":
+            col = np.broadcast_to(
+                (rng.random(n) < spec.q).astype(np.float64)[:, None], (n, m)
+            )
+        elif spec.kind == "categorical":
+            values = np.arange(1, len(spec.probs) + 1, dtype=np.float64)
+            col = np.broadcast_to(
+                rng.choice(values, size=n, p=np.asarray(spec.probs))[:, None], (n, m)
+            )
+        elif spec.kind == "uniform01":
+            col = np.broadcast_to(rng.random(n)[:, None], (n, m))
+        elif spec.kind == "interaction":
+            col = cols[spec.a] * cols[spec.b]
+        elif spec.kind == "mv_normal_rows":
+            corr = spec.rho ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+            col = rng.standard_normal((n, m)) @ np.linalg.cholesky(corr).T
+        else:  # alternating01
+            col = np.broadcast_to(
+                (np.arange(m) % 2).astype(np.float64)[None, :], (n, m)
+            )
+        cols.append(col)
+    x = np.stack(cols, axis=-1)
+    chol = np.linalg.cholesky(scn.covariance_matrix)
+    noise = rng.standard_normal((n, m)) @ chol.T
+    y = np.einsum("nmp,p->nm", x, scn.beta0) + noise
+    return PanelDataset(responses=y, covariates=x)
 
 
 def save_panel_with_csv_writer(

@@ -9,11 +9,14 @@ residuals.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from dimm import baselines
-from dimm._util import spd_solve
+from dimm._util import inv_cholesky, spd_solve
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import FitError
 from dimm.model import PanelDataset
@@ -167,6 +170,49 @@ def test_gee_refuses_an_exact_fit(working: str, level: float) -> None:
         gee_fit(data, working=working)
 
 
+def test_gee_exact_fit_refuses_every_call_and_is_not_cached() -> None:
+    x = _panel(seed=43).covariates.copy()
+    x[..., 0] = 1.0
+    data = PanelDataset(responses=np.full(x.shape[:2], 1.0), covariates=x)
+    messages = []
+    for working in ("independence", "exchangeable", "independence"):
+        with pytest.raises(FitError, match="exact fit") as info:
+            gee_fit(data, working=working)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+    assert data not in baselines._POOLED
+
+
+def _same_fit(a: baselines.BaselineFit, b: baselines.BaselineFit) -> None:
+    np.testing.assert_array_equal(a.beta_hat, b.beta_hat)
+    np.testing.assert_array_equal(a.covariance, b.covariance)
+    assert (a.rho_hat, a.n_iter) == (b.rho_hat, b.n_iter)
+
+
+def test_gee_fits_sharing_the_pooled_start_match_fits_on_fresh_panels() -> None:
+    ref = generate_replicate(bundled_scenario("table1_scaled"), 0)
+
+    def fresh() -> PanelDataset:
+        return PanelDataset(ref.responses, ref.covariates)
+
+    alone = {w: gee_fit(fresh(), w) for w in ("independence", "exchangeable")}
+    for order in (("independence", "exchangeable"), ("exchangeable", "independence")):
+        panel = fresh()
+        for working in order:
+            _same_fit(gee_fit(panel, working), alone[working])
+        assert panel in baselines._POOLED
+
+
+def test_gee_pooled_start_is_dropped_with_the_panel() -> None:
+    data = _panel(seed=44)
+    gee_fit(data, "exchangeable")
+    panel, resid = weakref.ref(data), weakref.ref(baselines._POOLED[data][-1])
+    del data
+    gc.collect()
+    assert panel() is None
+    assert resid() is None
+
+
 def test_gee_rejects_unknown_working_structure() -> None:
     with pytest.raises(FitError, match="working"):
         gee_fit(_panel(), working="toeplitz")
@@ -244,6 +290,28 @@ def test_comparators_match_loop_oracles_on_table1_scaled() -> None:
     ):
         np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-10, err_msg=fit.method)
         np.testing.assert_allclose(fit.covariance, cov, rtol=1e-10, err_msg=fit.method)
+
+
+def test_inverse_factor_has_no_subnormal_entry_on_table1_full() -> None:
+    # The raw inverse Cholesky factor of this covariance holds a few
+    # dozen subnormal entries (how many depends on the LAPACK build),
+    # which stall the oracle's whitening GEMM.
+    sigma = bundled_scenario("table1_full").covariance_matrix
+    tiny = np.finfo(np.float64).tiny
+    raw = np.linalg.inv(np.linalg.cholesky(sigma))
+    assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < tiny)) > 0
+    inv_factor = inv_cholesky(sigma, "covariance", FitError)
+    assert not np.any((inv_factor != 0.0) & (np.abs(inv_factor) < tiny))
+    np.testing.assert_array_equal(inv_factor[np.abs(raw) >= tiny], raw[np.abs(raw) >= tiny])
+
+
+def test_gls_oracle_matches_normal_equations_on_table1_full() -> None:
+    scn = bundled_scenario("table1_full")
+    data = generate_replicate(scn, 0)
+    fit = gls_oracle(data, scn.covariance_matrix)
+    beta, cov = gls_normal_equations(data, scn.covariance_matrix)
+    np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-10)
+    np.testing.assert_allclose(fit.covariance, cov, rtol=1e-10)
 
 
 def test_gee_exchangeable_equals_independence_on_eeg_mimic() -> None:

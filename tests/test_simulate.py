@@ -28,6 +28,7 @@ from dimm.simulate import (
     report_fingerprint,
     run_scenario,
 )
+from tests.oracles import stacked_replicate
 
 
 def _tiny_scenario(
@@ -278,6 +279,50 @@ def test_generate_replicate_deterministic_per_index() -> None:
     assert not np.array_equal(a.responses, c.responses)
     with pytest.raises(ScenarioError):
         generate_replicate(scn, -1)
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_generate_replicate_matches_the_stacking_generator(name: str) -> None:
+    scn = bundled_scenario(name)
+    for rep in (0, 1):
+        data, ref = generate_replicate(scn, rep), stacked_replicate(scn, rep)
+        np.testing.assert_array_equal(data.responses, ref.responses)
+        np.testing.assert_array_equal(data.covariates, ref.covariates)
+
+
+def test_generate_replicate_matches_the_stacking_generator_on_row_varying_columns() -> None:
+    # Row-varying columns, and interactions of a subject-level column with
+    # each, put the design at its full (N, M) shape.
+    specs = (
+        CovariateSpec(kind="standard_normal"),
+        CovariateSpec(kind="mv_normal_rows", rho=0.6),
+        CovariateSpec(kind="alternating01"),
+        CovariateSpec(kind="interaction", a=1, b=3),
+        CovariateSpec(kind="interaction", a=1, b=2),
+    )
+    scn = _tiny_scenario(covariates=specs, intercept=True, beta0=(0.5, 1.0, -0.4, 0.3, 0.2, 0.1))
+    for rep in (0, 5):
+        data, ref = generate_replicate(scn, rep), stacked_replicate(scn, rep)
+        np.testing.assert_array_equal(data.responses, ref.responses)
+        np.testing.assert_array_equal(data.covariates, ref.covariates)
+
+
+def test_scenario_factors_its_covariance_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    scn = _tiny_scenario()
+    np.testing.assert_array_equal(
+        scn.covariance_factor, np.linalg.cholesky(scn.covariance_matrix)
+    )
+    with pytest.raises(ValueError):
+        scn.covariance_factor[0, 0] = 0.0
+    assert "covariance_factor" not in scn.to_dict()
+    expected = stacked_replicate(scn, 2)
+
+    def refuse(mat: np.ndarray) -> np.ndarray:
+        raise AssertionError("a replicate factored the covariance")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    data = generate_replicate(scn, 2)
+    np.testing.assert_array_equal(data.responses, expected.responses)
 
 
 def test_recipe_columns_match_their_definitions() -> None:
