@@ -1,6 +1,6 @@
 """Small internal helpers shared across modules, among them the one
-positive-definiteness rule: :func:`cholesky` refuses a non-finite or
-indefinite matrix with the caller's typed error.
+positive-definiteness rule (:func:`cholesky`) and the one read-only
+rule (:func:`frozen`).
 """
 
 from __future__ import annotations
@@ -65,6 +65,19 @@ def subgroup(
         msg = f"{label}: sub-group names {missing} not found among the blocks {list(names)}"
         raise error(msg)
     return [j for j, name in enumerate(names) if name in wanted]
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as float64 behind a view that can never be made writeable again.
+
+    numpy unlocks an array that owns its memory, or whose owner (a view's
+    ``base``) is writeable, so both are locked. ``arr`` is not copied: its
+    caller hands it over, and what is cached from it cannot go stale.
+    """
+    arr = np.asarray(arr, dtype=np.float64)
+    (arr if arr.base is None else arr.base).setflags(write=False)
+    arr.setflags(write=False)
+    return arr.view()
 
 
 def cholesky(mat: np.ndarray, what: str, error: type[DimmError]) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import EXACT_FIT, inv_cholesky, spd_solve
+from dimm._util import EXACT_FIT, frozen, inv_cholesky, spd_solve
 from dimm.errors import FitError
 
 if TYPE_CHECKING:
@@ -54,6 +54,8 @@ _TOL = 1e-8
 @dataclass(frozen=True, eq=False)
 class BaselineFit:
     """Result of a comparator fit.
+
+    It takes ownership of the arrays it is given, read-only (:func:`dimm._util.frozen`).
 
     Attributes
     ----------
@@ -81,12 +83,8 @@ class BaselineFit:
     converged: bool
 
     def __post_init__(self) -> None:
-        beta = np.array(self.beta_hat, dtype=np.float64, copy=True)
-        cov = np.array(self.covariance, dtype=np.float64, copy=True)
-        beta.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "beta_hat", beta)
-        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "beta_hat", frozen(self.beta_hat))
+        object.__setattr__(self, "covariance", frozen(self.covariance))
 
     @property
     def std_errors(self) -> np.ndarray:
@@ -183,9 +181,7 @@ def _pooled_start(data: PanelDataset) -> tuple[np.ndarray, ...]:
             "working correlation and the sandwich are not identified"
         )
         raise FitError(msg)
-    start = (xty, bread_inv, beta, resid)
-    for arr in start:
-        arr.setflags(write=False)
+    start = tuple(map(frozen, (xty, bread_inv, beta, resid)))
     _POOLED[data] = start
     return start
 

@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import cholesky, spd_solve, subgroup
+from dimm._util import cholesky, frozen, spd_solve, subgroup
 from dimm.errors import IntegrationError
 from dimm.io import CoefficientTest
 from dimm.pairwise import BlockFit
@@ -118,7 +118,8 @@ class Moments:
     """Moment summary of J block fits on N subjects; built by :func:`weight_matrix`.
 
     Blocks keep fit order: block j occupies entries ``j*p .. (j+1)*p - 1``
-    along every stacked axis of length J*p. The arrays are read-only.
+    along every stacked axis of length J*p. It takes ownership of the
+    arrays it is given, read-only (:func:`dimm._util.frozen`).
 
     Attributes
     ----------
@@ -157,9 +158,9 @@ class Moments:
     ridge_used: float
 
     def __post_init__(self) -> None:
-        for value in vars(self).values():
+        for name, value in list(vars(self).items()):
             if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+                object.__setattr__(self, name, frozen(value))
 
     @property
     def n_subjects(self) -> int:
@@ -415,7 +416,9 @@ def _wald_from(beta: np.ndarray, covariance: np.ndarray) -> tuple[CoefficientTes
 
 @dataclass(frozen=True, eq=False)
 class IntegratedFit:
-    """Combined estimate across blocks with inference.
+    """Combined estimate across blocks with inference; built by :func:`integrate_fits`.
+
+    It takes ownership of the arrays it is given, read-only (:func:`dimm._util.frozen`).
 
     Attributes
     ----------
@@ -459,10 +462,7 @@ class IntegratedFit:
 
     def __post_init__(self) -> None:
         for name in ("beta_dimm", "covariance", "covariance_asymptotic"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "block_names", tuple(self.block_names))
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     @property
     def std_errors(self) -> np.ndarray:

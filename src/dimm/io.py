@@ -23,11 +23,12 @@ with sorted keys. Floats round-trip losslessly through Python's
 shortest-repr float encoding. Loading is strict: a bool is only
 ``true``/``false``, an integer field takes no float or bool, a number
 field no string or bool, and a fixed family such as ``"ar1"``/``"cs"``
-only its listed values; arrays load read-only float64 and sequences as
-tuples. An unknown, missing or mistyped field raises the record's typed
-error naming the JSON path (``config.blocks[1].size``) after the
-``Class.field:`` chain that led to it; checks of meaning (block names,
-methods, covariance assembly) stay in each record's ``__post_init__``.
+only its listed values; arrays load as read-only float64 copies
+(:func:`dimm._util.frozen`) and sequences as tuples. An unknown, missing
+or mistyped field raises the record's typed error naming the JSON path
+(``config.blocks[1].size``) after the ``Class.field:`` chain that led to
+it; checks of meaning (block names, methods, covariance assembly) stay
+in each record's ``__post_init__``.
 Configs and scenarios may omit ``schema_version``; reports must carry
 theirs. ``timing`` is the only non-deterministic report key.
 """
@@ -46,7 +47,7 @@ from typing import TYPE_CHECKING, Any, ClassVar, Literal, get_args, get_origin, 
 
 import numpy as np
 
-from dimm._util import subgroup
+from dimm._util import frozen, subgroup
 from dimm.errors import ConfigError, DataError, DimmError, PartitionError
 from dimm.model import Block, BlockPartition, PanelDataset, Structure
 
@@ -298,6 +299,16 @@ def bundled_scenario_names() -> tuple[str, ...]:
     return tuple(sorted(f.name[: -len(".json")] for f in files if f.name.endswith(".json")))
 
 
+def _open_for_writing(path: str | Path, what: str, **kwargs: Any) -> io.TextIOWrapper:
+    """``path`` opened for writing text; a path that cannot be opened raises
+    :class:`ConfigError` naming ``what`` and the path."""
+    try:
+        return Path(path).open("w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        msg = f"cannot write {what} file {path}: {exc.strerror}"
+        raise ConfigError(msg) from None
+
+
 class Report:
     """Base of the JSON records: one codec derived from the dataclass fields.
 
@@ -358,7 +369,7 @@ class Report:
         return cls(**values)
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as handle:
+        with _open_for_writing(path, self.PATH) as handle:
             json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
 
@@ -429,8 +440,8 @@ _SCALARS: dict[type, tuple[tuple[type, ...], str]] = {
 def _decode(kind: Any, value: Any, path: str) -> Any:
     """``value`` as the annotated ``kind``, strictly typed and frozen.
 
-    Arrays become read-only float64 and sequences tuples; a mistyped
-    value raises an error naming ``path``.
+    Arrays become read-only float64 copies (:func:`dimm._util.frozen`)
+    and sequences tuples; a mistyped value raises an error naming ``path``.
     """
     origin, args = get_origin(kind), get_args(kind)
     if origin is types.UnionType:  # T | None
@@ -451,13 +462,15 @@ def _decode(kind: Any, value: Any, path: str) -> Any:
             raise TypeError(msg)
         return {key: _decode(args[1], v, f"{path}.{key}") for key, v in value.items()}
     if kind is np.ndarray:
-        arr = np.array(value, copy=True)
+        try:
+            arr = np.array(value, copy=True)
+        except ValueError:
+            msg = f"{path} must be a rectangular array of numbers"
+            raise ValueError(msg) from None
         if arr.dtype.kind not in "fiu":
             msg = f"{path} must be an array of numbers, got {arr.dtype} values"
             raise TypeError(msg)
-        arr = arr.astype(np.float64, copy=False)
-        arr.setflags(write=False)
-        return arr
+        return frozen(arr)
     if isinstance(kind, type) and issubclass(kind, Report):
         return value if isinstance(value, kind) else kind.from_dict(value, path)
     accepted, noun = _SCALARS[kind]
@@ -651,7 +664,7 @@ def write_estimates_csv(report: SimReport, path: str | Path) -> None:
     repeat their per-replicate over-identification statistic on each of
     that replicate's rows (blank for the comparators).
     """
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+    with _open_for_writing(path, "estimates CSV", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["method", "rep_index", "coefficient", "estimate", "std_error", "q_stat"]

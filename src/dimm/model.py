@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
 
-from dimm._util import cholesky
+from dimm._util import cholesky, frozen
 from dimm.errors import CovarianceError, DataError, PartitionError
 
 if TYPE_CHECKING:
@@ -249,12 +249,12 @@ class PanelDataset:
         rule of :func:`check_identified` with N M rows; this fails fast at
         construction.
 
-    A panel is validated once, here, where it enters. Its arrays, and the
-    Gram ``design_gram = X'X`` its identifiability rule reads, are C-ordered
-    copies that cannot be made writeable again, so the block fits read
-    views of them, and :mod:`dimm.pairwise` and :mod:`dimm.baselines` may
-    cache what they compute from a panel for as long as it lives; each
-    block's own identifiability is checked there by the same rule.
+    A panel is validated once, here, where it enters. Its arrays are
+    C-ordered copies, read-only like the Gram ``design_gram = X'X`` its
+    identifiability rule reads (:func:`dimm._util.frozen`), so the block
+    fits read views of them, and :mod:`dimm.pairwise` and
+    :mod:`dimm.baselines` may cache what they compute from a panel for as
+    long as it lives; each block's own identifiability is checked there.
     """
 
     responses: np.ndarray
@@ -289,11 +289,8 @@ class PanelDataset:
         design = x.reshape(n * m, x.shape[2])
         gram = design.T @ design
         check_identified(gram, n * m, "panel")
-        # A view of a locked array cannot be made writeable again, so what
-        # dimm.pairwise and dimm.baselines cache from a panel cannot go stale.
         for name, arr in (("responses", y), ("covariates", x), ("design_gram", gram)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr.view())
+            object.__setattr__(self, name, frozen(arr))
 
     @property
     def n_subjects(self) -> int:

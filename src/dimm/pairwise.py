@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import EXACT_FIT, cholesky
+from dimm._util import EXACT_FIT, cholesky, frozen
 from dimm.errors import FitError
 from dimm.model import AR1, Dependence, PanelDataset, check_identified
 from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
@@ -180,7 +180,7 @@ class _BlockMoments:
         self.lags = lags.astype(np.float64)
         self.n_terms = (counts * n).astype(np.float64)  # pair terms at each lag
         self.n_total = n * self.n_pairs  # their sum
-        self.stacked = stacked.reshape(2 * (m - 1), (p + 1) ** 2)
+        self.stacked = frozen(stacked.reshape(2 * (m - 1), (p + 1) ** 2))
 
 
 # The family-free moments of every block fit so far, by panel and then by
@@ -410,7 +410,9 @@ class OptimizerTrace:
 
 @dataclass(frozen=True, eq=False)
 class BlockFit:
-    """Result of one block's composite-likelihood fit.
+    """Result of one block's composite-likelihood fit; built by :func:`fit_block`.
+
+    It takes ownership of the arrays it is given, read-only (:func:`dimm._util.frozen`).
 
     Attributes
     ----------
@@ -451,16 +453,8 @@ class BlockFit:
     trace: OptimizerTrace
 
     def __post_init__(self) -> None:
-        beta = np.array(self.beta_hat, dtype=np.float64, copy=True)
-        scores = np.array(self.subject_scores, dtype=np.float64, copy=True)
-        sens = np.array(self.sensitivity, dtype=np.float64, copy=True)
-        subject_sens = np.array(self.subject_sensitivities, dtype=np.float64, copy=True)
-        for arr in (beta, scores, sens, subject_sens):
-            arr.setflags(write=False)
-        object.__setattr__(self, "beta_hat", beta)
-        object.__setattr__(self, "subject_scores", scores)
-        object.__setattr__(self, "sensitivity", sens)
-        object.__setattr__(self, "subject_sensitivities", subject_sens)
+        for name in ("beta_hat", "subject_scores", "sensitivity", "subject_sensitivities"):
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     @property
     def n_subjects(self) -> int:

@@ -37,7 +37,7 @@ from typing import Any, Literal
 
 import numpy as np
 
-from dimm._util import parallel_map
+from dimm._util import frozen, parallel_map
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import DimmError, PartitionError, ScenarioError
 from dimm.integrate import integrate_fits
@@ -302,8 +302,9 @@ class SimScenario(Report):
         realized response covariance is assembled from it and the
         per-block true dependences at construction, so an invalid
         combination fails fast; it and its lower Cholesky factor are kept
-        read-only as ``covariance_matrix`` and ``covariance_factor``, so
-        a replicate does not factor it again. In JSON it is tagged:
+        as ``covariance_matrix`` and ``covariance_factor``, so a replicate
+        does not factor it again. Like every array here they are read-only
+        (:func:`dimm._util.frozen`). In JSON it is tagged:
         ``{"kind": "identity"}``, ``{"kind": "random", "seed": s}``
         (optional ``off_scale``, ``floor``; see
         :func:`random_between_matrix`) or ``{"kind": "matrix", "values":
@@ -393,10 +394,8 @@ class SimScenario(Report):
         except DimmError as exc:
             msg = f"scenario {self.name!r}: invalid covariance: {exc}"
             raise ScenarioError(msg) from None
-        chol = np.linalg.cholesky(sigma_full)
-        for name, mat in (("covariance_matrix", sigma_full), ("covariance_factor", chol)):
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
+        object.__setattr__(self, "covariance_matrix", frozen(sigma_full))
+        object.__setattr__(self, "covariance_factor", frozen(np.linalg.cholesky(sigma_full)))
 
     def to_dict(self) -> dict[str, Any]:
         between = {"kind": "matrix", "values": self.between.tolist()}

@@ -10,12 +10,16 @@ data for the quadratic form.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import seed as hypothesis_seed
+from hypothesis import strategies as st
 
 from dimm._util import cholesky, spd_solve
 from dimm.errors import CovarianceError, FitError, IntegrationError
@@ -31,6 +35,7 @@ from dimm.integrate import (
 )
 from dimm.model import BlockPartition, Dependence, PanelDataset, partition_dataset
 from dimm.pairwise import BlockFit, block_score_beta, fit_blocks
+from dimm.simulate import bundled_scenario, generate_replicate
 from dimm.special import chi2_cdf
 
 
@@ -436,3 +441,37 @@ def test_q_statistic_validates_beta_length(fitted) -> None:
         warnings.simplefilter("error")  # refused with a typed error, not warned about
         with pytest.raises(IntegrationError, match="not finite"):
             q_statistic(np.full(2, 1e308), weight_matrix(fits))
+
+
+@functools.cache
+def _in_block_order(
+    name: str,
+) -> tuple[PanelDataset, BlockPartition, dict[str, BlockFit], IntegratedFit]:
+    scn = bundled_scenario(name)
+    data = generate_replicate(scn, 0)
+    part = scn.partition_for("dimm")
+    fits = fit_blocks(data, part)
+    return data, part, {f.name: f for f in fits}, integrate_fits(fits)
+
+
+@pytest.mark.parametrize("name", ["gof_chi2", "eeg_mimic"])
+@hypothesis_seed(25)
+@settings(max_examples=20, deadline=None)
+@given(draw=st.data())
+def test_block_order_only_moves_the_integration_by_roundoff(name: str, draw) -> None:
+    # Moving whole coordinate blocks, with the partition, leaves every block
+    # fit bit-identical; the combination sums the blocks in another order.
+    data, part, want, combined = _in_block_order(name)
+    order = draw.draw(st.permutations(range(len(part.blocks))))
+    cols = np.concatenate([np.arange(part.slices[j].start, part.slices[j].stop) for j in order])
+    moved = PanelDataset(data.responses[:, cols], data.covariates[:, cols])
+    fits = fit_blocks(moved, BlockPartition(tuple(part.blocks[j] for j in order)))
+    for got in fits:
+        w = want[got.name]
+        assert got.gamma_hat == w.gamma_hat, got.name
+        for field in ("beta_hat", "subject_scores", "sensitivity", "subject_sensitivities"):
+            assert np.array_equal(getattr(got, field), getattr(w, field)), (got.name, field)
+    got = integrate_fits(fits)
+    for attr in ("beta_dimm", "std_errors", "asymptotic_std_errors"):
+        np.testing.assert_allclose(getattr(got, attr), getattr(combined, attr), rtol=1e-10, atol=0.0)
+    assert got.q_stat == pytest.approx(combined.q_stat, rel=1e-10, abs=0.0)

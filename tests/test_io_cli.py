@@ -672,6 +672,40 @@ def test_cli_refuses_a_bad_scenario_at_load(tmp_path: Path, mutate, expected) ->
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    ("command", "flag", "what"),
+    [
+        ("fit", "--output", "report"),
+        ("fit", "output_path", "report"),
+        ("gof", "--output", "report"),
+        ("simulate", "--output", "report"),
+        ("simulate", "--estimates-csv", "estimates CSV"),
+    ],
+)
+def test_cli_unwritable_output_is_a_config_error(
+    panel_files, tmp_path: Path, command: str, flag: str, what: str
+) -> None:
+    # Each writer used to end the run with a FileNotFoundError traceback
+    # (exit 1), simulate only after the whole study had run.
+    _, _, _, _, cfg, raw = panel_files
+    target = tmp_path / "absent" / "out"
+    if command == "simulate":
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps(_tiny_scenario(n_replicates=2).to_dict()))
+        args = ["--config", str(scn), "--workers", "1"]
+    else:
+        if flag == "output_path":
+            cfg = tmp_path / "fit.json"
+            cfg.write_text(json.dumps({**raw, "output_path": str(target)}))
+        args = ["--config", str(cfg), *(["--beta", "1.0,-0.5"] if command == "gof" else [])]
+    if flag != "output_path":
+        args += [flag, str(target)]
+    proc = _run_cli(command, *args)
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: cannot write {what} file {target}: No such file or directory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("replicates", ["0", "-2"])
 def test_cli_rejects_replicate_counts_below_one(replicates: str) -> None:
     proc = _run_cli("simulate", "--scenario", "micro", "--replicates", replicates)

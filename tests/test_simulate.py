@@ -172,6 +172,15 @@ def test_scenario_dict_round_trip() -> None:
             lambda e: e["blocks"][1].update(size=3, rho=-0.9),
             r"^SimScenario\.blocks: block 'right': cs rho=-0\.9 is not positive definite for a",
         ),
+        # A ragged list let numpy's "inhomogeneous shape" error through.
+        (
+            lambda e: e.update(beta0=[1.0, [2.0]]),
+            r"^SimScenario\.beta0: scenario\.beta0 must be a rectangular array of numbers$",
+        ),
+        (
+            lambda e: e.update(between={"kind": "matrix", "values": [[1.0, 0.2], [0.2]]}),
+            r"scenario\.between\.values must be a rectangular array of numbers$",
+        ),
         (lambda e: e.update(n_subjects="500"), r"scenario\.n_subjects"),
         (lambda e: e.update(seed=True), r"scenario\.seed"),
         (lambda e: e.update(between={"kind": "random"}), r"scenario\.between: .*needs seed"),
