@@ -23,6 +23,7 @@ configuration problem, wherever it comes from.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import WORKERS_ENV, default_worker_count
+from dimm._util import WORKERS_ENV, _open_for_writing, default_worker_count
 from dimm.errors import (
     ConfigError,
     CovarianceError,
@@ -164,7 +165,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from dimm.simulate import SimScenario, bundled_scenario, run_scenario
+    from dimm.simulate import SimReport, SimScenario, bundled_scenario, run_scenario
 
     if args.scenario is not None:
         scenario = bundled_scenario(args.scenario)
@@ -176,6 +177,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ConfigError(msg)
         scenario = replace(scenario, n_replicates=args.replicates)
     workers = _resolve_workers(args.workers)
+    # An unwritable path is refused before the study runs, and an existing file is left as it is.
+    for path, what in ((args.output, SimReport.PATH), (args.estimates_csv, "estimates CSV")):
+        if path:
+            created = not os.path.lexists(path)
+            _open_for_writing(path, what, "a").close()
+            if created:
+                os.remove(path)
 
     report = run_scenario(scenario, workers=workers)
     print(f"scenario {report.scenario_name!r}: N={report.n_subjects}, "

@@ -9,7 +9,9 @@ family (AR(1) or compound symmetry) with parameters ``gamma_j = (sigma,
 rho)``. Between-block dependence is captured by a ``J x J`` positive
 definite matrix ``S`` that scales per-block within factors into a full
 ``M x M`` covariance (a blockwise Kronecker-style product, used by the
-simulation harness and the oracle baseline).
+simulation harness and the oracle baseline). A config's or scenario's
+block layout is read by the codec of :mod:`dimm._util` as :class:`Block`
+records; :class:`BlockPartition` alone holds the layout rule.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
 
-from dimm._util import cholesky, frozen
+from dimm._util import Report, cholesky, frozen
 from dimm.errors import CovarianceError, DataError, PartitionError
 
 if TYPE_CHECKING:
@@ -114,38 +116,28 @@ class Dependence:
 
 
 @dataclass(frozen=True)
-class Block:
-    """One contiguous block of at least two response coordinates.
-
-    ``structure`` names the working family fitted to the block, ``"ar1"``
-    or ``"cs"``; the fit estimates its sigma and rho.
+class Block(Report):
+    """One contiguous block of response coordinates and the name of the
+    working family fitted to it, ``"ar1"`` or ``"cs"`` (the fit estimates
+    its sigma and rho); :class:`BlockPartition` checks the layout.
     """
+
+    ERROR = PartitionError
 
     name: str
     size: int
-    structure: Structure = AR1
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            msg = f"block name must be a non-empty string, got {self.name!r}"
-            raise PartitionError(msg)
-        if int(self.size) != self.size or self.size < 2:
-            msg = f"block {self.name!r}: size must be an integer >= 2, got {self.size!r}"
-            raise PartitionError(msg)
-        object.__setattr__(self, "size", int(self.size))
-        if self.structure not in _STRUCTURES:
-            msg = f"block {self.name!r}: structure must be one of {_STRUCTURES}, got {self.structure!r}"
-            raise PartitionError(msg)
+    structure: Structure
 
 
 @dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(Report):
     """Ordered partition of the M response coordinates into blocks.
 
     Blocks are contiguous and listed in coordinate order: block j covers
     positions ``offset_j .. offset_j + size_j - 1`` with offsets implied
-    by the cumulative sizes. Names must be unique; they name the blocks
-    a sub-group selects (:func:`dimm.integrate.weight_matrix`).
+    by the cumulative sizes. The layout rule is checked here alone: one
+    block or more, sizes of at least 2, and names that are non-empty and
+    unique, since a sub-group selects by them (:func:`dimm.integrate.weight_matrix`).
 
     Examples
     --------
@@ -156,23 +148,27 @@ class BlockPartition:
     5
     """
 
+    ERROR = PartitionError
+
     blocks: tuple[Block, ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(self.blocks)
-        if not blocks:
+        super().__post_init__()
+        if not self.blocks:
             msg = "a partition needs at least one block"
             raise PartitionError(msg)
-        for b in blocks:
-            if not isinstance(b, Block):
-                msg = f"partition entries must be Block instances, got {type(b).__name__}"
+        for b in self.blocks:
+            if not b.name:
+                msg = f"block name must be a non-empty string, got {b.name!r}"
                 raise PartitionError(msg)
-        names = [b.name for b in blocks]
+            if b.size < 2:
+                msg = f"block {b.name!r}: size must be an integer >= 2, got {b.size!r}"
+                raise PartitionError(msg)
+        names = self.names
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             msg = f"block names must be unique; duplicated: {dupes}"
             raise PartitionError(msg)
-        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def from_sizes(
@@ -417,9 +413,6 @@ def assemble_kronecker(
     s_mat = (s_mat + s_mat.T) / 2.0
     cholesky(s_mat, "between-block matrix", CovarianceError)
     for dep, m in zip(blocks, sizes):
-        if m < 2:
-            msg = f"block sizes must be >= 2, got {m}"
-            raise CovarianceError(msg)
         try:
             dep.validate_for_size(m)
         except PartitionError as exc:

@@ -5,7 +5,7 @@ panels — the true mean vector, the block layout with true and fitted
 dependence structures, the between-block scale matrix, and an ordered
 list of covariate recipes — plus the replicate count, base seed, and the
 estimation methods to run. Scenario files are read and written by the
-strict :class:`dimm.io.Report` codec, like every other JSON file of the
+strict :class:`dimm._util.Report` codec, like every other JSON file of the
 package. :func:`run_scenario` executes the replicates
 (optionally across processes), collects per-replicate estimates and
 standard errors, and reduces them to the standard simulation metrics:
@@ -37,11 +37,11 @@ from typing import Any, Literal
 
 import numpy as np
 
-from dimm._util import frozen, parallel_map
+from dimm._util import Report, encode, frozen, parallel_map
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import DimmError, PartitionError, ScenarioError
 from dimm.integrate import integrate_fits
-from dimm.io import Report, bundled_scenario_names, encode
+from dimm.io import bundled_scenario_names
 from dimm.model import (
     AR1,
     CS,
@@ -185,8 +185,8 @@ class CovariateSpec(Report):
 class BlockScenario(Report):
     """Layout of one block: its size, true dependence, and fitted structure.
 
-    ``fitted`` is the :class:`~dimm.model.Block` that the ``dimm`` method
-    fits; it is checked before the true dependence at that size.
+    The :class:`~dimm.model.Block` that the ``dimm`` method fits is checked
+    by the partition's layout rule before the true dependence at that size.
     """
 
     ERROR = ScenarioError
@@ -197,12 +197,11 @@ class BlockScenario(Report):
     structure_true: Structure
     sigma: float
     rho: float
-    fitted: Block = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         try:
-            fitted = Block(self.name, self.size, self.structure_fit)
+            BlockPartition((Block(self.name, self.size, self.structure_fit),))
         except PartitionError as exc:  # its message names the block
             raise ScenarioError(str(exc)) from None
         try:
@@ -210,7 +209,6 @@ class BlockScenario(Report):
         except DimmError as exc:
             msg = f"block {self.name!r}: {exc}"
             raise ScenarioError(msg) from None
-        object.__setattr__(self, "fitted", fitted)
 
     @property
     def true_dependence(self) -> Dependence:
@@ -354,7 +352,7 @@ class SimScenario(Report):
             msg = f"seed must be a non-negative integer, got {self.seed!r}"
             raise ScenarioError(msg)
         # The fitted partition of each dimm* method, built once here.
-        fitted = tuple(b.fitted for b in self.blocks)
+        fitted = tuple(Block(b.name, b.size, b.structure_fit) for b in self.blocks)
         try:
             partitions = {"dimm": BlockPartition(fitted)}
         except PartitionError as exc:

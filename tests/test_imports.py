@@ -89,3 +89,25 @@ def test_import_dimm_defers_the_simulation_code() -> None:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True True"]
+
+
+def test_import_dimm_model_loads_only_the_modules_below_it() -> None:
+    # The JSON codec lives in dimm._util, below the model, so the model's
+    # records read from JSON without dimm.io. The package's __init__ loads
+    # the whole fitting path, so it is bypassed: an empty package stands
+    # in for it, and only what dimm.model itself imports is loaded.
+    code = (
+        "import importlib.util, sys, types\n"
+        "pkg = types.ModuleType('dimm')\n"
+        "pkg.__path__ = importlib.util.find_spec('dimm').submodule_search_locations\n"
+        "sys.modules['dimm'] = pkg\n"
+        "import dimm.model\n"
+        "print(dimm.model.Block.from_dict({'name': 'a', 'size': 2, 'structure': 'cs'}))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('dimm.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "Block(name='a', size=2, structure='cs')",
+        "['dimm._util', 'dimm.errors', 'dimm.model']",
+    ]

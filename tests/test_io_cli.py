@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dimm.errors import ConfigError, DataError
+from dimm.errors import ConfigError, DataError, ScenarioError
 from dimm.io import (
     SCHEMA_VERSION,
     FitConfig,
@@ -289,6 +289,18 @@ def test_fit_config_round_trips_and_takes_no_version_setting(panel_files) -> Non
     # The version is a key of the file, not a setting of the record.
     with pytest.raises(TypeError, match="schema_version"):
         FitConfig(**{**entry, "schema_version": 2})
+
+
+def test_fit_config_blocks_are_the_model_blocks(panel_files) -> None:
+    import dimm._util
+    import dimm.io
+    from dimm.model import Block
+
+    config = load_fit_config(panel_files[4])
+    assert all(type(b) is Block for b in config.blocks)
+    assert config.partition().blocks == config.blocks
+    assert not hasattr(dimm.io, "BlockConfig")
+    assert (dimm.io.Report, dimm.io.encode) == (dimm._util.Report, dimm._util.encode)
 
 
 @pytest.mark.parametrize(
@@ -704,6 +716,53 @@ def test_cli_unwritable_output_is_a_config_error(
     assert proc.returncode == 2, proc.stderr
     assert f"error: cannot write {what} file {target}: No such file or directory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    ("flag", "what"), [("--output", "report"), ("--estimates-csv", "estimates CSV")]
+)
+def test_cli_simulate_checks_its_output_paths_before_the_study(
+    tmp_path: Path,
+    monkeypatch: pytest.MonkeyPatch,
+    capsys: pytest.CaptureFixture,
+    flag: str,
+    what: str,
+) -> None:
+    # The study used to run in full before the unwritable path was found.
+    import dimm.simulate
+    from dimm.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(dimm.simulate, "run_scenario", refuse)
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier run\n")
+    other = "--estimates-csv" if flag == "--output" else "--output"
+    target = tmp_path / "absent" / "out"
+    args = ["simulate", "--scenario", "micro", "--workers", "1", other, str(kept), flag, str(target)]
+    assert main(args) == 2
+    expected = f"error: cannot write {what} file {target}: No such file or directory"
+    assert expected in capsys.readouterr().err
+    assert kept.read_text() == "earlier run\n"
+
+
+def test_cli_simulate_leaves_its_output_files_alone_when_the_study_fails(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    import dimm.simulate
+    from dimm.cli import main
+
+    def fail(*args, **kwargs):
+        raise ScenarioError("too many replicate failures")
+
+    monkeypatch.setattr(dimm.simulate, "run_scenario", fail)
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.csv"
+    kept.write_text("earlier run\n")
+    args = ["simulate", "--scenario", "micro", "--workers", "1"]
+    assert main([*args, "--output", str(kept), "--estimates-csv", str(fresh)]) == 6
+    assert kept.read_text() == "earlier run\n"
+    assert not fresh.exists()
 
 
 @pytest.mark.parametrize("replicates", ["0", "-2"])

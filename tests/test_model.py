@@ -146,15 +146,15 @@ def test_block_partition_mixed_structures() -> None:
     part = BlockPartition.from_sizes([2, 3], structure=[AR1, "cs"], names=["a", "b"])
     # A block's structure is the family name alone; the fit estimates sigma and rho.
     assert [b.structure for b in part.blocks] == ["ar1", "cs"]
-    assert Block("c", 4).structure == "ar1"
+    assert BlockPartition.from_sizes([4]).blocks[0].structure == "ar1"
 
 
 @pytest.mark.parametrize(
     "bad",
     [
         [],  # no blocks at all
-        [("a", 1)],  # a block must contain at least one pair
-        [("a", 2), ("a", 3)],  # duplicate names
+        [("a", 1, AR1)],  # a block must contain at least one pair
+        [("a", 2, AR1), ("a", 3, AR1)],  # duplicate names
         [("a", 3, Dependence(AR1, 1.0, 0.5))],  # a structure is a family name, not parameters
         [("a", 3, "toeplitz")],  # not a working family
     ],
@@ -438,3 +438,11 @@ def test_assemble_rejects_non_pd_result() -> None:
     s = np.array([[1.0, 0.95], [0.95, 1.0]])
     with pytest.raises(CovarianceError, match="not positive definite"):
         assemble_kronecker(s, deps, [6, 6])
+
+
+@pytest.mark.parametrize("structure", [AR1, CS])
+def test_assemble_rejects_a_block_below_two_coordinates(structure: str) -> None:
+    # The size rule of Dependence.rho_lower, raised as a CovarianceError.
+    dep = Dependence(structure, 1.0, 0.2)
+    with pytest.raises(CovarianceError, match="^a block needs at least 2 coordinates, got size 1$"):
+        assemble_kronecker(np.eye(2), [dep, dep], [3, 1])

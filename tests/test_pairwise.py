@@ -16,6 +16,7 @@ from __future__ import annotations
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -660,3 +661,50 @@ def test_score_root_that_does_not_converge_names_the_block(
     monkeypatch.setattr(pairwise, "_ROOT_MAX_EVALS", 1)
     with pytest.raises(FitError, match=r"block 'slow': the rho-score root step did not converge"):
         fit_block(_random_block(seed=23, n=30, m=4, p=2), "ar1", name="slow")
+
+
+def test_two_turning_points_between_grid_neighbours_are_refused(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # The score at the best grid point's neighbour is given the best point's
+    # sign, so no sign change brackets a maximum between them.
+    profile = pairwise._BlockArrays.profile
+
+    def bent(self, rhos: np.ndarray) -> pairwise._Profile:
+        prof = profile(self, rhos)
+        if rhos.shape[0] != pairwise._GRID_POINTS:
+            return prof
+        score = prof.score.copy()
+        best = int(np.argmax(prof.logcl))
+        neighbour = best + 1 if score[best] >= 0.0 else best - 1
+        assert 0 <= neighbour < rhos.shape[0]
+        score[neighbour] = score[best]
+        return replace(prof, score=score)
+
+    monkeypatch.setattr(pairwise._BlockArrays, "profile", bent)
+    expected = (
+        r"^block 'bent': the profile log-CL has more than one turning point between "
+        r"rho = \S+ and \S+, neighbours on the 41-point rho grid$"
+    )
+    with pytest.raises(FitError, match=expected):
+        fit_block(_random_block(seed=24, n=30, m=4, p=2), "ar1", name="bent")
+
+
+def test_refined_maximum_below_the_grid_maximum_is_refused(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # A root step that lands 0.5 from the root in rho, where the profile
+    # is well below its best grid point.
+    root_step = pairwise._score_root
+
+    def astray(score, lo, hi, f_lo, f_hi, name):
+        rho, n_evals = root_step(score, lo, hi, f_lo, f_hi, name)
+        return (rho - 0.5 if rho > 0.0 else rho + 0.5), n_evals
+
+    monkeypatch.setattr(pairwise, "_score_root", astray)
+    expected = (
+        r"^block 'astray': the refined profile log-CL \S+ is below the maximum \S+ "
+        r"on the 41-point rho grid$"
+    )
+    with pytest.raises(FitError, match=expected):
+        fit_block(_random_block(seed=25, n=30, m=4, p=2), "ar1", name="astray")
