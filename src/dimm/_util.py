@@ -95,17 +95,24 @@ def subgroup(
     return [j for j, name in enumerate(names) if name in wanted]
 
 
-def frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as float64 behind a view that can never be made writeable again.
+def frozen(arr: np.ndarray, dtype: type = np.float64) -> np.ndarray:
+    """``arr`` as ``dtype`` behind a view that can never be made writeable again.
 
     numpy unlocks an array that owns its memory, or whose owner (a view's
     ``base``) is writeable, so both are locked. ``arr`` is not copied: its
     caller hands it over, and what is cached from it cannot go stale.
     """
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = np.asarray(arr, dtype=dtype)
     (arr if arr.base is None else arr.base).setflags(write=False)
     arr.setflags(write=False)
     return arr.view()
+
+
+def is_frozen(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is locked as :func:`frozen` locks it: a read-only view
+    of read-only memory, which numpy will not make writeable again."""
+    base = arr.base
+    return not arr.flags.writeable and isinstance(base, np.ndarray) and not base.flags.writeable
 
 
 def cholesky(mat: np.ndarray, what: str, error: type[DimmError]) -> np.ndarray:

@@ -12,13 +12,19 @@ Three reference fits for the same mean model ``E[y_it] = x_it' beta``:
   iterating between the beta solve and moment updates of the scale and
   the common correlation, again with a sandwich covariance.
 
-Every full-panel contraction is one BLAS call on a flat view. The
-oracle whitens once: with ``Sigma = L L'`` and ``Li = inv(L)``
-(:func:`dimm._util.inv_cholesky`), ``Li`` times the (M, N*p) panel,
-viewed as (M*N, p) rows, has Gram matrix ``sum_i X_i' Sigma^-1 X_i``.
-GEE reads ``X'X`` from the panel; the two GEE fits of a panel share its
-pooled least-squares start, cached per panel as in :mod:`dimm.pairwise`.
-``X_i' e_i`` comes from a batched matmul, and ``X_i' 1`` once per fit. Every
+Each fit reads the design through its :class:`~dimm.model.ColumnSplit`.
+A subject-level column ``a_i 1`` (:attr:`~dimm.model.PanelDataset.subject_level`)
+is kept in closed form, by the Gaussian identity link's linear algebra:
+the oracle's information takes ``(1'Sigma^-1 1) sum_i a_i a_i'`` and its
+right-hand side ``a_i (Sigma^-1 1)'y_i``, and GEE's ``X_i' e_i`` takes
+``a_i 1'e_i``, ``X_i' 1`` takes ``M a_i`` and ``X beta`` is broadcast.
+Only the coordinate-level columns, with the responses, are whitened:
+with ``Sigma = L L'`` and ``Li = inv(L)`` (:func:`dimm._util.inv_cholesky`),
+``Li`` times the (M, N*(pc+1)) panel of those columns has Gram matrix
+``sum_i [U_i | y_i]' Sigma^-1 [U_i | y_i]``. ``Li`` and ``Sigma^-1 1`` are
+worked out once per read-only covariance and dropped with it. GEE reads
+``X'X`` from the panel; the two GEE fits of a panel share its pooled
+least-squares start, cached per panel as in :mod:`dimm.pairwise`. Every
 covariance, information and bread matrix is factored under the
 package's one positive-definiteness rule (:func:`dimm._util.cholesky`):
 a non-finite or indefinite one raises :class:`~dimm.errors.FitError`
@@ -35,8 +41,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import EXACT_FIT, frozen, inv_cholesky, spd_solve
+from dimm._util import EXACT_FIT, frozen, inv_cholesky, is_frozen, spd_solve
 from dimm.errors import FitError
+from dimm.model import ColumnSplit
 
 if TYPE_CHECKING:
     from dimm.model import PanelDataset
@@ -96,6 +103,26 @@ def _sandwich(bread_inv: np.ndarray, meat: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
+# Li and Sigma^-1 1 of each read-only covariance the oracle was given, by
+# id; an entry is dropped when its covariance is freed.
+_WHITENING: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _whitening(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Li, Sigma^-1 1)`` of a covariance, kept while a locked one lives."""
+    if id(sigma) in _WHITENING:
+        return _WHITENING[id(sigma)]
+    if not np.allclose(sigma, sigma.T, atol=1e-10, rtol=0.0):
+        msg = "covariance must be symmetric"
+        raise FitError(msg)
+    inv_factor = inv_cholesky(sigma, "covariance", FitError)
+    entry = frozen(inv_factor), frozen(inv_factor.T @ inv_factor.sum(axis=1))
+    if is_frozen(sigma):  # kept only while it cannot change
+        _WHITENING[id(sigma)] = entry
+        weakref.finalize(sigma, _WHITENING.pop, id(sigma), None)
+    return entry
+
+
 def gls_oracle(data: PanelDataset, covariance: np.ndarray) -> BaselineFit:
     """Generalized least squares with a known response covariance.
 
@@ -105,23 +132,26 @@ def gls_oracle(data: PanelDataset, covariance: np.ndarray) -> BaselineFit:
     the point estimate (though not, of course, in the covariance).
     """
     sigma = np.asarray(covariance, dtype=np.float64)
-    x = data.covariates  # (N, M, p)
-    n, m, p = x.shape
+    y = data.responses
+    n, m = y.shape
     if sigma.shape != (m, m):
         msg = f"covariance has shape {sigma.shape}, expected ({m}, {m})"
         raise FitError(msg)
-    if not np.allclose(sigma, sigma.T, atol=1e-10, rtol=0.0):
-        msg = "covariance must be symmetric"
-        raise FitError(msg)
-    inv_factor = inv_cholesky(sigma, "covariance", FitError)
-    # Row (t, i) of the whitened design is (Li X_i)[t]; row t of Li Y' holds (Li y_i)[t].
-    wx = (inv_factor @ x.transpose(1, 0, 2).reshape(m, n * p)).reshape(m * n, p)
-    wy = inv_factor @ data.responses.T
-    cov = spd_solve(
-        wx.T @ wx, np.eye(p), "information matrix sum_i X_i' Sigma^-1 X_i", FitError
-    )
+    inv_factor, ones_w = _whitening(sigma)
+    split = ColumnSplit.of(data.covariates, data.subject_level)
+    a, u = split.a, split.u
+    pc = u.shape[2]
+    gram = np.zeros((1, 1))  # with no coordinate-level column nothing is whitened
+    if pc:
+        # Row (t, i) of the whitened panel is (Li [U_i | y_i])[t].
+        z = np.concatenate([u, y[:, :, None]], axis=2).transpose(1, 0, 2)
+        wz = (inv_factor @ z.reshape(m, n * (pc + 1))).reshape(m * n, pc + 1)
+        gram = wz.T @ wz
+    info = split.join_symmetric(ones_w.sum() * (a.T @ a), a.T @ (ones_w @ u), gram[:pc, :pc])
+    what = "information matrix sum_i X_i' Sigma^-1 X_i"
+    cov = spd_solve(info, np.eye(data.n_covariates), what, FitError)
     cov = (cov + cov.T) / 2.0
-    beta = cov @ (wx.T @ wy.reshape(-1))
+    beta = cov @ split.join(a.T @ (y @ ones_w), gram[:pc, pc])
     return BaselineFit(
         method="gls_oracle",
         beta_hat=beta,
@@ -166,13 +196,13 @@ def _pooled_start(data: PanelDataset) -> tuple[np.ndarray, ...]:
         return _POOLED[data]
     y = data.responses
     n, m = y.shape
-    flat = data.covariates.reshape(n * m, -1)
-    xty = flat.T @ y.reshape(-1)
+    split = ColumnSplit.of(data.covariates, data.subject_level)
+    xty = split.join(y.sum(axis=1) @ split.a, y.reshape(-1) @ split.u.reshape(n * m, -1))
     bread_inv = spd_solve(
-        data.design_gram, np.eye(flat.shape[1]), "pooled design matrix X'X", FitError
+        data.design_gram, np.eye(data.n_covariates), "pooled design matrix X'X", FitError
     )
     beta = bread_inv @ xty
-    resid = y - (flat @ beta).reshape(n, m)
+    resid = split.residuals(y, beta)
     resid_ms, response_ms = float(np.mean(resid**2)), float(np.mean(y**2))
     if not resid_ms > EXACT_FIT * response_ms:
         msg = (
@@ -223,15 +253,14 @@ def gee_fit(data: PanelDataset, working: str = "independence") -> BaselineFit:
     if working not in _WORKING_CHOICES:
         msg = f"working must be one of {_WORKING_CHOICES}, got {working!r}"
         raise FitError(msg)
-    x = data.covariates  # (N, M, p)
     y = data.responses  # (N, M)
-    n, m, p = x.shape
-    flat = x.reshape(n * m, p)
+    m, p = data.n_coordinates, data.n_covariates
+    split = ColumnSplit.of(data.covariates, data.subject_level)
     xty, bread_inv, beta, resid = _pooled_start(data)
 
     if working == "independence":
         # Meat: sum_i X_i' e_i e_i' X_i with u_i = X_i' e_i.
-        u = (resid[:, None, :] @ x)[:, 0, :]
+        u = split.cross(resid)
         return BaselineFit(
             method="gee_independence",
             beta_hat=beta,
@@ -248,7 +277,7 @@ def gee_fit(data: PanelDataset, working: str = "independence") -> BaselineFit:
     # cancels from both the estimating equation and the sandwich.
     rho_lo = -1.0 / (m - 1) + _RHO_CLAMP_MARGIN
     rho_hi = 1.0 - _RHO_CLAMP_MARGIN
-    x_sum = np.ones(m) @ x  # (N, p): X_i' 1
+    x_sum = split.join(m * split.a, split.u.sum(axis=1))  # (N, p): X_i' 1
     y_sum = y.sum(axis=1)  # (N,): 1' y_i
     xsx = x_sum.T @ x_sum
     xsy = x_sum.T @ y_sum
@@ -271,7 +300,7 @@ def gee_fit(data: PanelDataset, working: str = "independence") -> BaselineFit:
         beta_new = bread_inv @ (a * (xty - b * xsy))
         step = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
-        resid = y - (flat @ beta).reshape(n, m)
+        resid = split.residuals(y, beta)
         if step <= _TOL:
             converged = True
             break
@@ -283,7 +312,7 @@ def gee_fit(data: PanelDataset, working: str = "independence") -> BaselineFit:
         raise FitError(msg)
 
     # u_i = X_i' R^-1 e_i = a (X_i' e_i - b (X_i' 1)(1' e_i)).
-    u = a * ((resid[:, None, :] @ x)[:, 0, :] - b * x_sum * resid.sum(axis=1)[:, None])
+    u = a * (split.cross(resid) - b * x_sum * resid.sum(axis=1)[:, None])
     return BaselineFit(
         method="gee_exchangeable",
         beta_hat=beta,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "CS",
     "Block",
     "BlockPartition",
+    "ColumnSplit",
     "Dependence",
     "PanelDataset",
     "Structure",
@@ -234,8 +236,9 @@ class PanelDataset:
     responses : ndarray, shape (N, M)
         One row per subject, one column per response coordinate.
     covariates : ndarray, shape (N, M, p)
-        Covariate rows ``x_{i,m}`` aligned with the responses. Subject
-        level covariates are simply repeated across the M rows.
+        Covariate rows ``x_{i,m}`` aligned with the responses. A subject
+        level covariate ``a_i`` is repeated across the M rows; the panel
+        finds such columns by value (:attr:`subject_level`).
 
     Raises
     ------
@@ -251,6 +254,13 @@ class PanelDataset:
     fits read views of them, and :mod:`dimm.pairwise` and
     :mod:`dimm.baselines` may cache what they compute from a panel for as
     long as it lives; each block's own identifiability is checked there.
+
+    The read-only (p,) boolean mask :attr:`subject_level` marks the columns
+    that are constant over the M coordinates for every subject, ``X_i[:, k]
+    = a_ik 1``. It is worked out by value on first use and kept on the
+    panel, so a broadcast input and a C-ordered copy of it classify alike
+    and building a panel costs nothing more. The fits read the design
+    through the :class:`ColumnSplit` it defines.
     """
 
     responses: np.ndarray
@@ -299,6 +309,75 @@ class PanelDataset:
     @property
     def n_covariates(self) -> int:
         return self.covariates.shape[2]
+
+    @cached_property
+    def subject_level(self) -> np.ndarray:
+        """Which columns hold one value per subject, worked out on first use."""
+        x = self.covariates
+        mask = (x[:, 1] == x[:, 0]).all(axis=0)  # rules out most other columns at once
+        # Chunks of subjects keep each comparison in cache.
+        for start in range(0, x.shape[0], _CHUNK):
+            if not mask.any():
+                break
+            chunk = x[start : start + _CHUNK, :, mask]
+            mask[mask] = (chunk == chunk[:, :1]).all(axis=(0, 1))
+        return frozen(mask, bool)
+
+
+# Subjects per comparison when a panel classifies its columns.
+_CHUNK = 64
+
+
+class ColumnSplit:
+    """A design (N, m, p) read as its subject-level and coordinate-level columns.
+
+    ``a`` (N, ps) holds each subject's value of the subject-level columns,
+    which sit at positions ``s`` of the design, and ``u`` (N, m, pc) the
+    other columns, at positions ``c``, as they are. Every per-subject form
+    of a subject-level column collapses: ``X_i' e_i`` takes ``a_i (1'e_i)``
+    there and ``X_i' K X_i`` takes ``(1'K1) a_i a_i'``. So the fits spend
+    O(N m) work on those columns where the full design costs O(N m^2).
+    A design with no subject-level column has ``ps = 0`` and is read as it
+    is; one with only subject-level columns has ``pc = 0``.
+    """
+
+    def __init__(self, a: np.ndarray, u: np.ndarray, s: np.ndarray, c: np.ndarray) -> None:
+        self.a, self.u, self.s, self.c = a, u, s, c
+
+    @classmethod
+    def of(cls, x: np.ndarray, subject_level: np.ndarray) -> ColumnSplit:
+        """The split of design ``x`` (N, m, p) by the mask ``subject_level``."""
+        s, c = np.flatnonzero(subject_level), np.flatnonzero(~subject_level)
+        return cls(x[:, 0, s], x[:, :, c], s, c)
+
+    def residuals(self, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """``y_i - X_i beta`` of every subject, (N, m)."""
+        e = y - (self.a @ beta[self.s])[:, None]
+        for k, column in zip(self.c, np.moveaxis(self.u, 2, 0)):
+            e -= beta[k] * column
+        return e
+
+    def cross(self, e: np.ndarray) -> np.ndarray:
+        """``X_i' e_i`` of every subject, (N, p), from e (N, m)."""
+        return self.join(self.a * e.sum(axis=1)[:, None], (e[:, None, :] @ self.u)[:, 0, :])
+
+    def join(self, s_part: np.ndarray, c_part: np.ndarray) -> np.ndarray:
+        """The (..., p) array with ``s_part`` at positions ``s`` and ``c_part`` at ``c``."""
+        out = np.empty(s_part.shape[:-1] + (self.s.size + self.c.size,))
+        out[..., self.s] = s_part
+        out[..., self.c] = c_part
+        return out
+
+    def join_symmetric(self, ss: np.ndarray, sc: np.ndarray, cc: np.ndarray) -> np.ndarray:
+        """The symmetric (..., p, p) matrix with blocks ``ss``, ``sc`` (and its
+        transpose) and ``cc``; the leading shape is that of ``ss``."""
+        s, c = self.s, self.c
+        out = np.empty(ss.shape[:-2] + (s.size + c.size,) * 2)
+        out[..., s[:, None], s] = ss
+        out[..., s[:, None], c] = sc
+        out[..., c[:, None], s] = np.swapaxes(sc, -1, -2)
+        out[..., c[:, None], c] = cc
+        return out
 
 
 def check_identified(gram: np.ndarray, n_rows: int, label: str) -> None:

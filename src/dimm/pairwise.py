@@ -14,8 +14,7 @@ The Gaussian identity link makes all of this closed form but for one
 scalar:
 
 * the log-CL depends on the data only through the per-lag square and
-  cross moments ``S_d``, ``C_d`` of ``Z = [X | y]``, all sums of blocks
-  of one Gram matrix (:class:`_BlockMoments`);
+  cross moments ``S_d``, ``C_d`` of ``Z = [X | y]`` (:class:`_BlockMoments`);
 * at each rho, two weighted sums of them, ``G0`` and ``G1``
   (:meth:`_BlockArrays.grams`), hold every statistic. With ``v = (-beta,
   1)``, ``beta_hat(rho)`` solves ``G0[:p, :p] beta = G0[:p, p]`` (sigma
@@ -24,7 +23,14 @@ scalar:
   ``n_d`` pair terms, correlation ``c_d``, ``c'_d = dc_d/drho`` and
   ``w_d = 1 / (1 - c_d^2)`` at lag d;
 * the scores are affine in beta: subject i's beta-score is ``X_i' K
-  e_i`` with the m x m kernel K of :meth:`_BlockArrays.kernel`.
+  e_i`` with the m x m kernel K of :meth:`_BlockArrays.kernel`;
+* a subject-level column ``a_i 1`` (:attr:`~dimm.model.PanelDataset.subject_level`)
+  is the same at every coordinate of a pair, so its part of ``S_d`` and
+  ``C_d`` is a pair count times ``A'A`` or comes from ``A'Y``, and its
+  part of ``X_i' K X_i`` and ``X_i' K e_i`` is ``(1'K1) a_i a_i'`` and
+  ``a_i (K1)'e_i``. Only y and the other columns go through a Gram or
+  through K (:class:`~dimm.model.ColumnSplit`); a design without such
+  columns is read in full by the same code.
 
 The fit is therefore a 1-D search over the profile log-CL in rho. The
 profile is evaluated on a fixed grid over the admissible interval, and
@@ -32,7 +38,11 @@ its analytic score is solved inside the grid bracket of the best point
 by a bracketed root step (:func:`_score_root`: secant and inverse
 quadratic steps, safeguarded by bisection). The grid's best value is
 kept as a certificate that the refined point is the global maximum over
-the grid. One evaluation gives the profile, its score and the Grams
+the grid. That no second maximum hides inside one grid cell is not proved
+here, for AR(1) least of all, since its lag correlations ``rho^d`` give no
+polynomial profile score; the tests check every bundled block fit, and
+misspecified, small and near-bound ones, against a 4,001-point grid.
+One evaluation gives the profile, its score and the Grams
 together, so the fit's checks (the sensitivity and the beta-, sigma-
 and rho-scores) read the evaluation at rho_hat that the root step
 already made. Every step is equivariant under a rescaling of the
@@ -63,7 +73,7 @@ import numpy as np
 
 from dimm._util import EXACT_FIT, cholesky, frozen
 from dimm.errors import FitError
-from dimm.model import AR1, Dependence, PanelDataset, check_identified
+from dimm.model import AR1, ColumnSplit, Dependence, PanelDataset, check_identified
 from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
 
 if TYPE_CHECKING:
@@ -119,23 +129,31 @@ class _Profile:
 class _BlockMoments:
     """Per-lag design and response moments of one block, free of the working family.
 
-    With ``z_r = (x_r', y_r)'`` for coordinate r, the Gram matrix of ``Z =
-    [X | y]`` holds every ``sum_i z_ir z_it'``. For lag d, summed over the
-    subjects and the pairs (r, t = r + d), the square moments ``S_d = sum
-    (z_r z_r' + z_t z_t')`` come from its diagonal blocks and the
-    symmetrised cross moments ``C_d = sum (z_r z_t' + z_t z_r') / 2`` from
-    its lag-d off-diagonal blocks. ``stacked`` is the array F of shape
+    With ``z_r = (x_r', y_r)'`` for coordinate r, summed over the subjects
+    and the pairs (r, t = r + d) at lag d, the square moments are ``S_d =
+    sum (z_r z_r' + z_t z_t')`` and the symmetrised cross moments ``C_d =
+    sum (z_r z_t' + z_t z_r') / 2``. ``stacked`` is the array F of shape
     (2 (m - 1), (p + 1)^2) whose rows are ``S_1 .. S_{m-1}`` and then
     ``C_1 .. C_{m-1}``, each flattened, so a weighted sum over the lags of
     both is one product with F (:meth:`_BlockArrays.grams`).
+
+    They are read through the block's :class:`~dimm.model.ColumnSplit`.
+    The coordinate-level columns and y, ``w_r``, go through the Gram of
+    ``W = [U | y]``, whose lag-d off-diagonal blocks give their part of
+    ``C_d``. Every ``S_d`` is a difference of cumulative sums of the
+    diagonal blocks ``sum_i z_ir z_ir'``. A subject-level column is the
+    same at r and t, so its part of those blocks is ``A'A`` for every r
+    and ``A'W_r`` against the rest, and its rows and columns of ``C_d``
+    are half those of ``S_d``. So a block whose design is all
+    subject-level pays an m x m Gram of y, not one of size m (p + 1).
 
     With ``v = (-beta, 1)``, ``v'S_d v`` and ``v'C_d v`` are the lag-d
     residual square and cross sums, exact quadratic forms in beta. (The
     subtraction they hide loses accuracy only when the signal dwarfs the
     noise; :func:`fit_block` refuses such exact fits.)
 
-    ``y`` and ``x`` are views of the block's coordinates in its panel, the
-    one view of the block that a fit reads; nothing here depends on the
+    ``y`` and ``split`` are the block's coordinates in its panel, the one
+    view of the block that a fit reads; nothing here depends on the
     working family, so every family fit on the panel reuses them.
 
     The block's design Gram ``X_b'X_b`` is the sum of the diagonal
@@ -144,9 +162,10 @@ class _BlockMoments:
     refuses it with a :class:`DataError` that names the block.
     """
 
-    def __init__(self, y: np.ndarray, x: np.ndarray, name: str) -> None:
+    def __init__(self, y: np.ndarray, split: ColumnSplit, name: str) -> None:
         n, m = y.shape
-        p = x.shape[2]
+        a = split.a
+        p = a.shape[1] + split.u.shape[2]
         lags = np.arange(1, m)
         counts = m - lags
         # The cache keeps F past the fit. Allocated ahead of the Gram's
@@ -155,23 +174,31 @@ class _BlockMoments:
         # to the peak RSS of a table1_full study).
         stacked = np.empty((2, m - 1, p + 1, p + 1))
         square, cross = stacked
-        z = np.concatenate([x, y[:, :, None]], axis=2).reshape(n, m * (p + 1))
-        # gram[r, t] = sum_i z_ir z_it', shape (m, m, p + 1, p + 1).
-        gram = (z.T @ z).reshape(m, p + 1, m, p + 1).transpose(0, 2, 1, 3)
+        # z = [x | y] split as x is, y among the coordinate-level columns.
+        w = np.concatenate([split.u, y[:, :, None]], axis=2)
+        z = ColumnSplit(a, w, split.s, np.append(split.c, p))
+        q = w.shape[2]
+        w = w.reshape(n, m * q)
+        # gram[r, t] = sum_i w_ir w_it', shape (m, m, q, q).
+        gram = (w.T @ w).reshape(m, q, m, q).transpose(0, 2, 1, 3)
+        # diag[k] = sum_{r < k} sum_i z_ir z_ir', for k = 0 .. m.
+        diag = z.join_symmetric(
+            np.arange(m + 1.0)[:, None, None] * (a.T @ a),
+            _cumulative((a.T @ w).reshape(-1, m, q).transpose(1, 0, 2)),
+            _cumulative(gram[np.arange(m), np.arange(m)]),
+        )
+        # Diagonal blocks summed over r < m - d and over t >= d.
+        np.add(diag[counts], diag[m] - diag[lags], out=square)
+        check_identified(diag[m, :p, :p], n * m, f"block {name!r}")
+        cross[...] = square / 2.0  # right where z_r = z_t: the subject-level rows and columns
         r_idx = np.concatenate([np.arange(c) for c in counts])
         t_idx = r_idx + np.repeat(lags, counts)
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        np.add.reduceat(gram[r_idx, t_idx], starts, axis=0, out=cross)
-        np.add(cross, np.swapaxes(cross, 1, 2), out=cross)  # numpy buffers the overlap
-        cross *= 0.5
-        # Diagonal blocks summed over r < m - d and over t >= d.
-        diag = np.cumsum(gram[np.arange(m), np.arange(m)], axis=0)
-        diag = np.concatenate([np.zeros((1, p + 1, p + 1)), diag])
-        np.add(diag[counts], diag[m] - diag[lags], out=square)
-        check_identified(diag[m, :p, :p], n * m, f"block {name!r}")
+        lagged = np.add.reduceat(gram[r_idx, t_idx], starts, axis=0)
+        cross[:, z.c[:, None], z.c] = (lagged + np.swapaxes(lagged, 1, 2)) / 2.0
 
         self.y = y
-        self.x = x
+        self.split = split
         self.n_subjects = n
         self.n_covariates = p
         self.block_size = m
@@ -181,6 +208,13 @@ class _BlockMoments:
         self.n_terms = (counts * n).astype(np.float64)  # pair terms at each lag
         self.n_total = n * self.n_pairs  # their sum
         self.stacked = frozen(stacked.reshape(2 * (m - 1), (p + 1) ** 2))
+
+
+def _cumulative(blocks: np.ndarray) -> np.ndarray:
+    """Sums of the first k of ``blocks`` (m, ...) for k = 0 .. m."""
+    out = np.zeros((blocks.shape[0] + 1,) + blocks.shape[1:])
+    np.cumsum(blocks, axis=0, out=out[1:])
+    return out
 
 
 # The family-free moments of every block fit so far, by panel and then by
@@ -313,21 +347,33 @@ class _BlockArrays:
         self, beta: np.ndarray, sigma: float, rho: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-subject scores ``X_i' K e_i`` (N, p) and sensitivities
-        ``H_i = X_i' K X_i`` (N, p, p); the mean of ``H_i`` is
-        :meth:`sensitivity`."""
-        x = self.moments.x
-        kx = self.kernel(sigma, rho) @ x  # (N, m, p)
-        scores = np.einsum("nmp,nm->np", kx, self.moments.y - x @ beta)
-        h = np.swapaxes(x, 1, 2) @ kx
-        return scores, (h + np.swapaxes(h, 1, 2)) / 2.0
+        ``H_i = X_i' K X_i`` (N, p, p); the mean of ``H_i`` is the
+        sensitivity of :meth:`checks`.
+
+        A subject-level column ``a_i 1`` enters in closed form: ``X_i' K X_i``
+        takes ``(1'K1) a_i a_i'`` and ``a_i (K1)'U_i`` against the
+        coordinate-level columns U, and ``X_i' K e_i`` takes ``a_i (K1)'e_i``.
+        """
+        split = self.moments.split
+        a, u = split.a, split.u
+        k = self.kernel(sigma, rho)
+        k1 = k.sum(axis=1)
+        scores = split.cross(split.residuals(self.moments.y, beta) @ k)  # K is symmetric
+        h_cc = np.swapaxes(u, 1, 2) @ (k @ u)
+        h = split.join_symmetric(
+            k1.sum() * (a[:, :, None] * a[:, None, :]),
+            a[:, :, None] * (k1 @ u)[:, None, :],
+            (h_cc + np.swapaxes(h_cc, 1, 2)) / 2.0,
+        )
+        return scores, h
 
 
 def _moments_for(panel: PanelDataset, start: int, stop: int, name: str = "block") -> _BlockMoments:
     """The cached moments of coordinates ``start:stop`` of ``panel``."""
     per_panel = _MOMENTS.setdefault(panel, {})
     if (start, stop) not in per_panel:
-        y, x = panel.responses[:, start:stop], panel.covariates[:, start:stop]
-        per_panel[start, stop] = _BlockMoments(y, x, name)
+        split = ColumnSplit.of(panel.covariates[:, start:stop], panel.subject_level)
+        per_panel[start, stop] = _BlockMoments(panel.responses[:, start:stop], split, name)
     return per_panel[start, stop]
 
 
@@ -610,6 +656,10 @@ def fit_block(
         The block's responses and covariates (M = block size).
         :func:`fit_blocks` passes a block's cached ``_BlockMoments``
         instead; a panel is read through its own, so both take one path.
+        The columns are split by the mask of the panel the block came
+        from, so a column constant within the block only is read in full
+        there and in closed form in a copy of the block; the two agree
+        to roundoff.
     structure : str
         Name of the working family to fit, ``"ar1"`` or ``"cs"``; the fit
         estimates its sigma and rho.

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dimm import baselines
-from dimm._util import inv_cholesky, spd_solve
+from dimm._util import frozen, inv_cholesky, spd_solve
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import FitError
 from dimm.model import PanelDataset
@@ -312,6 +312,41 @@ def test_gls_oracle_matches_normal_equations_on_table1_full() -> None:
     beta, cov = gls_normal_equations(data, scn.covariance_matrix)
     np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-10)
     np.testing.assert_allclose(fit.covariance, cov, rtol=1e-10)
+
+
+def test_gls_oracle_factors_a_read_only_covariance_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    scn = bundled_scenario("table1_scaled")
+    data = generate_replicate(scn, 0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return inv_cholesky(*args)
+
+    monkeypatch.setattr(baselines, "inv_cholesky", counted)
+    sigma = frozen(np.array(scn.covariance_matrix))
+    first = gls_oracle(data, sigma)
+    second = gls_oracle(generate_replicate(scn, 1), sigma)
+    assert calls == ["covariance"]
+    assert not np.array_equal(first.beta_hat, second.beta_hat)
+    # A covariance that could still be written is factored on every call.
+    writeable = np.array(scn.covariance_matrix)
+    for _ in range(2):
+        np.testing.assert_array_equal(gls_oracle(data, writeable).beta_hat, first.beta_hat)
+    assert calls == ["covariance"] * 3
+
+
+def test_gls_oracle_drops_the_factor_with_its_covariance() -> None:
+    scn = bundled_scenario("micro")
+    sigma = frozen(np.array(scn.covariance_matrix))
+    gls_oracle(generate_replicate(scn, 0), sigma)
+    key = id(sigma)
+    assert key in baselines._WHITENING
+    alive = weakref.ref(sigma)
+    del sigma
+    gc.collect()
+    assert alive() is None
+    assert key not in baselines._WHITENING
 
 
 def test_gee_exchangeable_equals_independence_on_eeg_mimic() -> None:

@@ -40,7 +40,7 @@ from dimm.pairwise import (
     fit_block,
     fit_blocks,
 )
-from dimm.simulate import bundled_scenario, bundled_scenario_names, generate_replicate
+from dimm.simulate import SimScenario, bundled_scenario, bundled_scenario_names, generate_replicate
 from tests.oracles import bivariate_normal_logpdf, pair_covariance
 
 
@@ -583,6 +583,75 @@ def test_refined_maximum_is_at_least_the_grid_maximum_on_bundled_scenarios() -> 
                 assert fit.trace.logcl >= fit.trace.grid_logcl, (name, method, fit.name)
                 checked += 1
     assert checked > 0
+
+
+def _grid_beats_the_fit(data: PanelDataset, part: BlockPartition) -> list[str]:
+    """Block fits whose profile on a 4,001-point rho grid beats the refined
+    maximum by more than the fit's own certificate allows."""
+    beaten = []
+    for fit, sl in zip(fit_blocks(data, part), part.slices):
+        moments = pairwise._moments_for(data, sl.start, sl.stop)
+        arrays = pairwise._BlockArrays(moments, Dependence(fit.structure))
+        lo = arrays.rho_lower
+        grid = lo + (1.0 - lo) * np.arange(1, 4002) / 4002
+        best = float(np.max(arrays.profile(grid).logcl))
+        if best > fit.logcl + pairwise._CERT_RTOL * abs(fit.logcl):
+            beaten.append(f"{fit.name} ({fit.structure}): grid {best!r} > refined {fit.logcl!r}")
+    return beaten
+
+
+def _edge_scenario(n: int, blocks: list[tuple[str, int, str, str, float]]) -> SimScenario:
+    return SimScenario.from_dict(
+        {
+            "name": "edge",
+            "n_subjects": n,
+            "beta0": [0.3, -0.2],
+            "blocks": [
+                {"name": name, "size": size, "structure_fit": fit, "structure_true": true, "sigma": 1.0, "rho": rho}
+                for name, size, fit, true, rho in blocks
+            ],
+            "between": {"kind": "identity"},
+            "n_replicates": 2,
+            "seed": 7,
+            "methods": ["dimm"],
+            "covariates": [{"kind": "standard_normal"}],
+            "intercept": True,
+        }
+    )
+
+
+def test_every_block_maximum_is_global_on_a_fine_rho_grid() -> None:
+    # Every block fit of every bundled scenario, under each family it is
+    # fitted with, then misspecified families, blocks of 2 and 3, rho near
+    # both bounds and few subjects, each fitted with both families.
+    beaten: list[str] = []
+    for name in bundled_scenario_names():
+        scn = bundled_scenario(name)
+        for rep in range(1 if name == "table1_full" else 3):
+            data = generate_replicate(scn, rep)
+            for method in (m for m in scn.methods if m.startswith("dimm")):
+                beaten += _grid_beats_the_fit(data, scn.partition_for(method))
+    edges = (
+        (200, [("cs_on_ar1", 6, "cs", "ar1", 0.7), ("ar1_on_cs", 6, "ar1", "cs", 0.5),
+               ("m2", 2, "ar1", "ar1", 0.3), ("m3", 3, "cs", "cs", 0.2)]),
+        (300, [("ar1_high", 5, "ar1", "ar1", 0.97), ("cs_low", 3, "cs", "cs", -0.45),
+               ("ar1_low", 4, "ar1", "ar1", -0.95), ("cs_high", 4, "cs", "cs", 0.95)]),
+        (8, [("n8_m2", 2, "cs", "cs", 0.3), ("n8_m3", 3, "ar1", "ar1", 0.5),
+             ("n8_m5", 5, "cs", "ar1", 0.6)]),
+    )
+    for n, blocks in edges:
+        scn = _edge_scenario(n, blocks)
+        for rep in range(3):
+            data = generate_replicate(scn, rep)
+            for method in ("dimm:ar1", "dimm:cs"):
+                beaten += _grid_beats_the_fit(data, scn.partition_for(method))
+    # AR(1) fitted to zero lag-1 and 0.5 lag-2 correlation.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(13)))
+    corr = np.array([1.0, 0.0, 0.5, 0.0, 0.25, 0.0])[np.abs(np.subtract.outer(range(6), range(6)))]
+    y = rng.standard_normal((200, 6)) @ np.linalg.cholesky(corr).T
+    data = PanelDataset(y, np.ones((200, 6, 1)))
+    beaten += _grid_beats_the_fit(data, BlockPartition.from_sizes([6], structure="ar1"))
+    assert not beaten
 
 
 def test_constant_response_is_named() -> None:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dimm import baselines, pairwise
-from dimm._util import frozen
+from dimm._util import frozen, is_frozen
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.integrate import integrate_fits, weight_matrix
 from dimm.pairwise import fit_blocks
@@ -59,14 +59,18 @@ def handed_out() -> dict[str, np.ndarray]:
     }
     first = part.slices[0]
     arrays["block_moments.stacked"] = pairwise._moments_for(data, first.start, first.stop).stacked
+    arrays["panel.subject_level"] = data.subject_level
+    for name, arr in zip(("inv_factor", "ones"), baselines._WHITENING[id(scn.covariance_matrix)]):
+        arrays[f"whitening.{name}"] = arr
     return arrays
 
 
 def test_no_array_handed_out_or_cached_can_be_made_writeable(handed_out) -> None:
-    # Panel 3, scenario 4, block fit 4, moments 8, integrated fit 3, the
-    # three comparator fits 2 each, pooled start 4 and block moments 1; and
-    # the 42 arrays the codec decodes into a micro simulation report.
-    assert len(handed_out) == 75
+    # Panel 3 and its subject-level mask, scenario 4, block fit 4, moments
+    # 8, integrated fit 3, the three comparator fits 2 each, pooled start 4,
+    # block moments 1 and the oracle's two per-covariance arrays; and the 42
+    # arrays the codec decodes into a micro simulation report.
+    assert len(handed_out) == 78
     unlocked = []
     for name, arr in handed_out.items():
         try:
@@ -87,4 +91,7 @@ def test_frozen_locks_a_view_at_the_memory_that_owns_it() -> None:
         with pytest.raises(ValueError):
             arr.setflags(write=True)
     assert frozen(np.arange(3)).dtype == np.float64
+    assert is_frozen(locked)
+    assert not is_frozen(owner)  # it owns its memory, so numpy would unlock it
+    assert not is_frozen(np.arange(3.0)[:2])  # a writeable view
 
