@@ -108,13 +108,6 @@ def frozen(arr: np.ndarray, dtype: type = np.float64) -> np.ndarray:
     return arr.view()
 
 
-def is_frozen(arr: np.ndarray) -> bool:
-    """Whether ``arr`` is locked as :func:`frozen` locks it: a read-only view
-    of read-only memory, which numpy will not make writeable again."""
-    base = arr.base
-    return not arr.flags.writeable and isinstance(base, np.ndarray) and not base.flags.writeable
-
-
 def cholesky(mat: np.ndarray, what: str, error: type[DimmError]) -> np.ndarray:
     """Lower Cholesky factor of ``mat``, symmetrised (bit-exact if already symmetric).
 

@@ -21,29 +21,31 @@ right-hand side ``a_i (Sigma^-1 1)'y_i``, and GEE's ``X_i' e_i`` takes
 Only the coordinate-level columns, with the responses, are whitened:
 with ``Sigma = L L'`` and ``Li = inv(L)`` (:func:`dimm._util.inv_cholesky`),
 ``Li`` times the (M, N*(pc+1)) panel of those columns has Gram matrix
-``sum_i [U_i | y_i]' Sigma^-1 [U_i | y_i]``. ``Li`` and ``Sigma^-1 1`` are
-worked out once per read-only covariance and dropped with it. GEE reads
-``X'X`` from the panel; the two GEE fits of a panel share its pooled
-least-squares start, cached per panel as in :mod:`dimm.pairwise`. Every
-covariance, information and bread matrix is factored under the
+``sum_i [U_i | y_i]' Sigma^-1 [U_i | y_i]``. GEE reads ``X'X`` from the
+panel. Every covariance, information and bread matrix is factored under the
 package's one positive-definiteness rule (:func:`dimm._util.cholesky`):
 a non-finite or indefinite one raises :class:`~dimm.errors.FitError`
 ``"<what> is not positive definite"``. A panel the mean model fits
 exactly raises ``FitError`` too.
+
+The two GEE fits share a panel's pooled least-squares start, kept on the
+panel for as long as it lives (:meth:`~dimm.model.PanelDataset.derived`).
+The oracle keeps ``Li`` and ``Sigma^-1 1`` of the last covariance it was
+given, keyed by its content, so every replicate of a study shares them,
+in a pool worker too; a refusal is never kept.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import EXACT_FIT, frozen, inv_cholesky, is_frozen, spd_solve
+from dimm._util import EXACT_FIT, frozen, inv_cholesky, spd_solve
 from dimm.errors import FitError
-from dimm.model import ColumnSplit
 
 if TYPE_CHECKING:
     from dimm.model import PanelDataset
@@ -103,24 +105,15 @@ def _sandwich(bread_inv: np.ndarray, meat: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-# Li and Sigma^-1 1 of each read-only covariance the oracle was given, by
-# id; an entry is dropped when its covariance is freed.
-_WHITENING: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _whitening(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(Li, Sigma^-1 1)`` of a covariance, kept while a locked one lives."""
-    if id(sigma) in _WHITENING:
-        return _WHITENING[id(sigma)]
+@functools.lru_cache(maxsize=1)
+def _whitening(content: bytes, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(Li, Sigma^-1 1)`` of the m x m covariance whose bytes are ``content``."""
+    sigma = np.frombuffer(content).reshape(m, m)
     if not np.allclose(sigma, sigma.T, atol=1e-10, rtol=0.0):
         msg = "covariance must be symmetric"
         raise FitError(msg)
     inv_factor = inv_cholesky(sigma, "covariance", FitError)
-    entry = frozen(inv_factor), frozen(inv_factor.T @ inv_factor.sum(axis=1))
-    if is_frozen(sigma):  # kept only while it cannot change
-        _WHITENING[id(sigma)] = entry
-        weakref.finalize(sigma, _WHITENING.pop, id(sigma), None)
-    return entry
+    return frozen(inv_factor), frozen(inv_factor.T @ inv_factor.sum(axis=1))
 
 
 def gls_oracle(data: PanelDataset, covariance: np.ndarray) -> BaselineFit:
@@ -137,8 +130,8 @@ def gls_oracle(data: PanelDataset, covariance: np.ndarray) -> BaselineFit:
     if sigma.shape != (m, m):
         msg = f"covariance has shape {sigma.shape}, expected ({m}, {m})"
         raise FitError(msg)
-    inv_factor, ones_w = _whitening(sigma)
-    split = ColumnSplit.of(data.covariates, data.subject_level)
+    inv_factor, ones_w = _whitening(sigma.tobytes(), m)
+    split = data.split
     a, u = split.a, split.u
     pc = u.shape[2]
     gram = np.zeros((1, 1))  # with no coordinate-level column nothing is whitened
@@ -184,36 +177,30 @@ def _exchangeable_moments(
     return phi, rho
 
 
-# The pooled start of every panel fit so far, dropped with its panel.
-_POOLED: weakref.WeakKeyDictionary[PanelDataset, tuple[np.ndarray, ...]] = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _pooled_start(data: PanelDataset) -> tuple[np.ndarray, ...]:
-    """``(X'y, inv(X'X), beta_ols, residuals)`` of a panel; an exact fit raises, uncached."""
-    if data in _POOLED:
-        return _POOLED[data]
-    y = data.responses
-    n, m = y.shape
-    split = ColumnSplit.of(data.covariates, data.subject_level)
-    xty = split.join(y.sum(axis=1) @ split.a, y.reshape(-1) @ split.u.reshape(n * m, -1))
-    bread_inv = spd_solve(
-        data.design_gram, np.eye(data.n_covariates), "pooled design matrix X'X", FitError
-    )
-    beta = bread_inv @ xty
-    resid = split.residuals(y, beta)
-    resid_ms, response_ms = float(np.mean(resid**2)), float(np.mean(y**2))
-    if not resid_ms > EXACT_FIT * response_ms:
-        msg = (
-            f"exact fit, the least-squares residuals vanish (mean square {resid_ms:.3g} "
-            f"against a response mean square of {response_ms:.3g}); the scale, the "
-            "working correlation and the sandwich are not identified"
+    """``(X'y, inv(X'X), beta_ols, residuals)`` of a panel, kept on it; an exact fit raises."""
+
+    def build() -> tuple[np.ndarray, ...]:
+        y = data.responses
+        n, m = y.shape
+        split = data.split
+        xty = split.join(y.sum(axis=1) @ split.a, y.reshape(-1) @ split.u.reshape(n * m, -1))
+        bread_inv = spd_solve(
+            data.design_gram, np.eye(data.n_covariates), "pooled design matrix X'X", FitError
         )
-        raise FitError(msg)
-    start = tuple(map(frozen, (xty, bread_inv, beta, resid)))
-    _POOLED[data] = start
-    return start
+        beta = bread_inv @ xty
+        resid = split.residuals(y, beta)
+        resid_ms, response_ms = float(np.mean(resid**2)), float(np.mean(y**2))
+        if not resid_ms > EXACT_FIT * response_ms:
+            msg = (
+                f"exact fit, the least-squares residuals vanish (mean square {resid_ms:.3g} "
+                f"against a response mean square of {response_ms:.3g}); the scale, the "
+                "working correlation and the sandwich are not identified"
+            )
+            raise FitError(msg)
+        return tuple(map(frozen, (xty, bread_inv, beta, resid)))
+
+    return data.derived(_pooled_start, build)
 
 
 def gee_fit(data: PanelDataset, working: str = "independence") -> BaselineFit:
@@ -255,7 +242,7 @@ def gee_fit(data: PanelDataset, working: str = "independence") -> BaselineFit:
         raise FitError(msg)
     y = data.responses  # (N, M)
     m, p = data.n_coordinates, data.n_covariates
-    split = ColumnSplit.of(data.covariates, data.subject_level)
+    split = data.split
     xty, bread_inv, beta, resid = _pooled_start(data)
 
     if working == "independence":

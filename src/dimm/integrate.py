@@ -500,6 +500,11 @@ def integrate_fits(
         ``covariance_asymptotic`` the analytic (:func:`dimm_covariance`).
     """
     m = weight_matrix(fits, subset=subset)
+    # Done with the fits: when the caller keeps none, they go before the
+    # jackknife's (N, J p, p) arrays, 1.7 MB off a table1_full replicate's
+    # peak. Below it, glibc no longer trims and refaults a long study's
+    # heap at every replicate.
+    del fits
     beta, bread = one_step_estimator(m)
     cov_asymptotic = dimm_covariance(bread, m.n_subjects)
     cov = jackknife_covariance(m, beta)

@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Literal, get_args
+from typing import TYPE_CHECKING, Any, Literal
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from dimm._util import Report, cholesky, frozen
 from dimm.errors import CovarianceError, DataError, PartitionError
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
+    from collections.abc import Callable, Hashable, Sequence
 
 __all__ = [
     "AR1",
@@ -48,11 +48,10 @@ AR1 = "ar1"
 CS = "cs"
 # The fitted working families, as the JSON records type them.
 Structure = Literal["ar1", "cs"]
-_STRUCTURES = get_args(Structure)
 
 
 @dataclass(frozen=True)
-class Dependence:
+class Dependence(Report):
     """Within-block dependence family with parameters ``(sigma, rho)``.
 
     ``structure`` selects the working correlation family:
@@ -63,6 +62,8 @@ class Dependence:
       enforced wherever the block size is known).
 
     Both families share one marginal standard deviation ``sigma > 0``.
+    A codec record: its family names and number types are checked as a
+    :class:`Block`'s are.
 
     Parameters
     ----------
@@ -74,24 +75,20 @@ class Dependence:
         Correlation parameter.
     """
 
+    ERROR = PartitionError
+
     structure: Structure
     sigma: float = 1.0
     rho: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.structure not in _STRUCTURES:
-            msg = f"structure must be one of {_STRUCTURES}, got {self.structure!r}"
-            raise PartitionError(msg)
-        sigma = float(self.sigma)
-        rho = float(self.rho)
-        if not math.isfinite(sigma) or sigma <= 0.0:
+        super().__post_init__()
+        if not math.isfinite(self.sigma) or self.sigma <= 0.0:
             msg = f"sigma must be a finite positive number, got {self.sigma!r}"
             raise PartitionError(msg)
-        if not math.isfinite(rho) or not -1.0 < rho < 1.0:
+        if not math.isfinite(self.rho) or not -1.0 < self.rho < 1.0:
             msg = f"rho must lie in (-1, 1), got {self.rho!r}"
             raise PartitionError(msg)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "rho", rho)
 
     def rho_lower(self, size: int) -> float:
         """Lower admissible rho for a block of ``size`` coordinates.
@@ -251,21 +248,27 @@ class PanelDataset:
     A panel is validated once, here, where it enters. Its arrays are
     C-ordered copies, read-only like the Gram ``design_gram = X'X`` its
     identifiability rule reads (:func:`dimm._util.frozen`), so the block
-    fits read views of them, and :mod:`dimm.pairwise` and
-    :mod:`dimm.baselines` may cache what they compute from a panel for as
-    long as it lives; each block's own identifiability is checked there.
+    fits read views of them; each block's own identifiability is checked
+    there.
 
     The read-only (p,) boolean mask :attr:`subject_level` marks the columns
     that are constant over the M coordinates for every subject, ``X_i[:, k]
-    = a_ik 1``. It is worked out by value on first use and kept on the
-    panel, so a broadcast input and a C-ordered copy of it classify alike
-    and building a panel costs nothing more. The fits read the design
-    through the :class:`ColumnSplit` it defines.
+    = a_ik 1``. It is worked out by value on first use, so a broadcast
+    input and a C-ordered copy of it classify alike and building a panel
+    costs nothing more. Every fit reads the design through the
+    :class:`ColumnSplit` it defines, :attr:`split`.
+
+    The one caching rule: what the fits work out from a panel is kept on
+    it, for as long as it lives. That is the mask and :attr:`split` on
+    first use, and what :meth:`derived` builds: each block's moments
+    (:mod:`dimm.pairwise`) and the GEE fits' pooled start
+    (:mod:`dimm.baselines`). The panel cannot change, so none goes stale.
     """
 
     responses: np.ndarray
     covariates: np.ndarray
     design_gram: np.ndarray = field(init=False, repr=False)
+    _derived: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         y = np.array(self.responses, dtype=np.float64, copy=True, order="C")
@@ -323,6 +326,19 @@ class PanelDataset:
             mask[mask] = (chunk == chunk[:, :1]).all(axis=(0, 1))
         return frozen(mask, bool)
 
+    @cached_property
+    def split(self) -> ColumnSplit:
+        """The design read by :attr:`subject_level`, worked out on first use."""
+        return ColumnSplit.of(self.covariates, self.subject_level)
+
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, run once per ``key`` and kept on the panel; a build
+        that raises keeps nothing. A key names its owner first, for example
+        ``(_BlockMoments, start, stop)``, so no two owners' keys collide."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
 
 # Subjects per comparison when a panel classifies its columns.
 _CHUNK = 64
@@ -338,7 +354,8 @@ class ColumnSplit:
     there and ``X_i' K X_i`` takes ``(1'K1) a_i a_i'``. So the fits spend
     O(N m) work on those columns where the full design costs O(N m^2).
     A design with no subject-level column has ``ps = 0`` and is read as it
-    is; one with only subject-level columns has ``pc = 0``.
+    is; one with only subject-level columns has ``pc = 0``. :meth:`of`
+    makes the arrays read-only (:func:`dimm._util.frozen`).
     """
 
     def __init__(self, a: np.ndarray, u: np.ndarray, s: np.ndarray, c: np.ndarray) -> None:
@@ -348,7 +365,7 @@ class ColumnSplit:
     def of(cls, x: np.ndarray, subject_level: np.ndarray) -> ColumnSplit:
         """The split of design ``x`` (N, m, p) by the mask ``subject_level``."""
         s, c = np.flatnonzero(subject_level), np.flatnonzero(~subject_level)
-        return cls(x[:, 0, s], x[:, :, c], s, c)
+        return cls(frozen(x[:, 0, s]), frozen(x[:, :, c]), frozen(s, np.intp), frozen(c, np.intp))
 
     def residuals(self, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """``y_i - X_i beta`` of every subject, (N, m)."""

@@ -53,19 +53,19 @@ independent of the others, which is what lets the paper spread them over
 machines; here a fit takes milliseconds, less than starting a worker.
 
 A block is read through its :class:`_BlockMoments`: views of its
-coordinates in the validated panel, never copies, and its per-lag moments.
-They do not depend on the working family, so :func:`_moments_for` builds
-them once per panel and block and keeps them in a weak cache keyed by the
-panel: a second family fit on the same panel reuses them, and they are
-dropped with the panel. The same Gram decides whether the block's design
-identifies beta, by the rule :func:`~dimm.model.check_identified` that
+coordinates in the validated panel and its split, never copies, and its
+per-lag moments. They do not depend on the working family, so
+:func:`_moments_for` builds them once per panel and block and keeps them
+on the panel (:meth:`~dimm.model.PanelDataset.derived`) for as long as it
+lives: a second family fit on the same panel reuses them. The same Gram
+decides whether the block's design identifies beta, by the rule
+:func:`~dimm.model.check_identified` that
 :class:`~dimm.model.PanelDataset` applies to the whole design at entry.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -168,7 +168,7 @@ class _BlockMoments:
         p = a.shape[1] + split.u.shape[2]
         lags = np.arange(1, m)
         counts = m - lags
-        # The cache keeps F past the fit. Allocated ahead of the Gram's
+        # The panel keeps F past the fit. Allocated ahead of the Gram's
         # temporaries, it sits below them in the heap instead of pinning
         # the space they free (with glibc, that fragmentation added 1.4 MB
         # to the peak RSS of a table1_full study).
@@ -215,14 +215,6 @@ def _cumulative(blocks: np.ndarray) -> np.ndarray:
     out = np.zeros((blocks.shape[0] + 1,) + blocks.shape[1:])
     np.cumsum(blocks, axis=0, out=out[1:])
     return out
-
-
-# The family-free moments of every block fit so far, by panel and then by
-# (start, stop). A panel's arrays cannot be made writeable, so an entry
-# stays valid for as long as its panel lives, and is dropped with it.
-_MOMENTS: weakref.WeakKeyDictionary[PanelDataset, dict[tuple[int, int], _BlockMoments]] = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def _quadratic_forms(grams: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -369,12 +361,14 @@ class _BlockArrays:
 
 
 def _moments_for(panel: PanelDataset, start: int, stop: int, name: str = "block") -> _BlockMoments:
-    """The cached moments of coordinates ``start:stop`` of ``panel``."""
-    per_panel = _MOMENTS.setdefault(panel, {})
-    if (start, stop) not in per_panel:
-        split = ColumnSplit.of(panel.covariates[:, start:stop], panel.subject_level)
-        per_panel[start, stop] = _BlockMoments(panel.responses[:, start:stop], split, name)
-    return per_panel[start, stop]
+    """The moments of coordinates ``start:stop`` of ``panel``, kept on the panel."""
+
+    def build() -> _BlockMoments:
+        split = panel.split
+        block = ColumnSplit(split.a, split.u[:, start:stop], split.s, split.c)
+        return _BlockMoments(panel.responses[:, start:stop], block, name)
+
+    return panel.derived((_BlockMoments, start, stop), build)
 
 
 def _arrays_for(
@@ -749,9 +743,9 @@ def fit_block(
 def fit_blocks(data: PanelDataset, partition: BlockPartition) -> list[BlockFit]:
     """Fit every block of a partitioned panel, one after another, in block order.
 
-    Each block is read through its cached moments, views of ``data``
-    that are built once per panel: fitting another working family on the
-    same panel reuses them.
+    Each block is read through its moments, views of ``data`` that are
+    built once and kept on the panel: fitting another working family on
+    the same panel reuses them.
 
     Raises
     ------

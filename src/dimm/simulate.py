@@ -489,8 +489,7 @@ def _fit_one_method(
     only for the integrated methods.
     """
     if method.startswith("dimm"):
-        fits = fit_blocks(data, scn.partition_for(method))
-        res = integrate_fits(fits)
+        res = integrate_fits(fit_blocks(data, scn.partition_for(method)))
         return res.beta_dimm, res.std_errors, res.asymptotic_std_errors, res.q_stat, res.gof_df
     if method == "gls_oracle":
         fit = gls_oracle(data, scn.covariance_matrix)

@@ -10,13 +10,14 @@ residuals.
 from __future__ import annotations
 
 import gc
+import pickle
 import weakref
 
 import numpy as np
 import pytest
 
 from dimm import baselines
-from dimm._util import frozen, inv_cholesky, spd_solve
+from dimm._util import inv_cholesky, spd_solve
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import FitError
 from dimm.model import PanelDataset
@@ -180,7 +181,7 @@ def test_gee_exact_fit_refuses_every_call_and_is_not_cached() -> None:
             gee_fit(data, working=working)
         messages.append(str(info.value))
     assert len(set(messages)) == 1
-    assert data not in baselines._POOLED
+    assert not data._derived
 
 
 def _same_fit(a: baselines.BaselineFit, b: baselines.BaselineFit) -> None:
@@ -200,13 +201,13 @@ def test_gee_fits_sharing_the_pooled_start_match_fits_on_fresh_panels() -> None:
         panel = fresh()
         for working in order:
             _same_fit(gee_fit(panel, working), alone[working])
-        assert panel in baselines._POOLED
+        assert set(panel._derived) == {baselines._pooled_start}
 
 
 def test_gee_pooled_start_is_dropped_with_the_panel() -> None:
     data = _panel(seed=44)
     gee_fit(data, "exchangeable")
-    panel, resid = weakref.ref(data), weakref.ref(baselines._POOLED[data][-1])
+    panel, resid = weakref.ref(data), weakref.ref(baselines._pooled_start(data)[-1])
     del data
     gc.collect()
     assert panel() is None
@@ -314,7 +315,7 @@ def test_gls_oracle_matches_normal_equations_on_table1_full() -> None:
     np.testing.assert_allclose(fit.covariance, cov, rtol=1e-10)
 
 
-def test_gls_oracle_factors_a_read_only_covariance_once(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_gls_oracle_factors_each_covariance_content_once(monkeypatch: pytest.MonkeyPatch) -> None:
     scn = bundled_scenario("table1_scaled")
     data = generate_replicate(scn, 0)
     calls = []
@@ -324,29 +325,38 @@ def test_gls_oracle_factors_a_read_only_covariance_once(monkeypatch: pytest.Monk
         return inv_cholesky(*args)
 
     monkeypatch.setattr(baselines, "inv_cholesky", counted)
-    sigma = frozen(np.array(scn.covariance_matrix))
+    baselines._whitening.cache_clear()
+    sigma = scn.covariance_matrix
     first = gls_oracle(data, sigma)
+    beta, cov = gls_normal_equations(data, sigma)
+    np.testing.assert_allclose(first.beta_hat, beta, rtol=1e-10)
+    np.testing.assert_allclose(first.covariance, cov, rtol=1e-10)
+    # Equal content is factored once: the same array, a writeable copy,
+    # and the scenario after a pickle round trip, as a pool worker gets it.
+    writeable = np.array(sigma)
+    shipped = pickle.loads(pickle.dumps(scn)).covariance_matrix
+    for same in (sigma, writeable, shipped):
+        _same_fit(gls_oracle(data, same), first)
     second = gls_oracle(generate_replicate(scn, 1), sigma)
-    assert calls == ["covariance"]
     assert not np.array_equal(first.beta_hat, second.beta_hat)
-    # A covariance that could still be written is factored on every call.
-    writeable = np.array(scn.covariance_matrix)
-    for _ in range(2):
-        np.testing.assert_array_equal(gls_oracle(data, writeable).beta_hat, first.beta_hat)
-    assert calls == ["covariance"] * 3
-
-
-def test_gls_oracle_drops_the_factor_with_its_covariance() -> None:
-    scn = bundled_scenario("micro")
-    sigma = frozen(np.array(scn.covariance_matrix))
-    gls_oracle(generate_replicate(scn, 0), sigma)
-    key = id(sigma)
-    assert key in baselines._WHITENING
-    alive = weakref.ref(sigma)
-    del sigma
-    gc.collect()
-    assert alive() is None
-    assert key not in baselines._WHITENING
+    assert calls == ["covariance"]
+    # An in-place change is new content, factored again.
+    writeable[0, 0] *= 2.0
+    changed = gls_oracle(data, writeable)
+    assert calls == ["covariance"] * 2
+    beta, cov = gls_normal_equations(data, writeable)
+    np.testing.assert_allclose(changed.beta_hat, beta, rtol=1e-10)
+    np.testing.assert_allclose(changed.covariance, cov, rtol=1e-10)
+    # A refusal is never kept: it is raised again on every call.
+    asymmetric = np.array(sigma)
+    asymmetric[0, 1] += 0.5
+    for bad, match in ((asymmetric, "symmetric"), (-sigma, "covariance is not positive definite")):
+        for _ in range(2):
+            with pytest.raises(FitError, match=match):
+                gls_oracle(data, bad)
+    assert calls == ["covariance"] * 4  # the indefinite one reached the factorization twice
+    _same_fit(gls_oracle(data, writeable), changed)
+    assert calls == ["covariance"] * 4
 
 
 def test_gee_exchangeable_equals_independence_on_eeg_mimic() -> None:

@@ -18,12 +18,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dimm import pairwise
+from dimm import pairwise, simulate
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.integrate import integrate_fits
-from dimm.model import Dependence, PanelDataset
+from dimm.model import ColumnSplit, Dependence, PanelDataset
 from dimm.pairwise import fit_blocks
-from dimm.simulate import SimScenario, generate_replicate
+from dimm.simulate import SimScenario, bundled_scenario, generate_replicate
 from tests.oracles import gee_sandwich, gls_normal_equations
 
 _RTOL = 1e-10
@@ -183,3 +183,21 @@ def test_a_column_varying_for_one_subject_is_coordinate_level() -> None:
     assert data.subject_level is data.subject_level  # worked out once
     with pytest.raises(ValueError):
         data.subject_level.setflags(write=True)
+
+
+def test_a_replicate_splits_its_design_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Every block of both dimm families, the oracle and both GEE fits read
+    # the one split the panel keeps.
+    scn = bundled_scenario("table1_scaled")
+    assert set(scn.methods) == {"dimm", "dimm:cs", "gls_oracle", "gee_independence", "gee_exchangeable"}
+    split_of = ColumnSplit.of.__func__
+    calls = []
+
+    def counted(cls, x, subject_level):
+        calls.append(x.shape)
+        return split_of(cls, x, subject_level)
+
+    monkeypatch.setattr(ColumnSplit, "of", classmethod(counted))
+    outcomes = simulate._run_replicate_task(scn, 0)
+    assert all(outcome[0] != "fail" for outcome in outcomes.values()), outcomes
+    assert calls == [(scn.n_subjects, sum(scn.partition_for("dimm").sizes), len(scn.beta0))]

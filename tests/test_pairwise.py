@@ -505,19 +505,20 @@ def test_fit_blocks_reads_slices_and_its_cache_dies_with_the_panel(
 
     monkeypatch.setattr(pairwise, "partition_dataset", copies_refused)
     monkeypatch.setattr(model, "partition_dataset", copies_refused)
-    gc.collect()
-    n_before = len(pairwise._MOMENTS)
     data = _random_block(seed=25, n=30, m=7, p=2)
     part = BlockPartition.from_sizes([3, 4])
     assert [f.name for f in fit_blocks(data, part)] == ["block1", "block2"]
-    assert set(pairwise._MOMENTS[data]) == {(0, 3), (3, 7)}
+    assert set(data._derived) == {(pairwise._BlockMoments, 0, 3), (pairwise._BlockMoments, 3, 7)}
+    kept = data._derived[pairwise._BlockMoments, 3, 7]
+    assert np.shares_memory(kept.y, data.responses)
+    assert np.shares_memory(kept.split.u, data.split.u)
     with pytest.raises(PartitionError, match="partition covers 6 coordinates but the panel has M=7"):
         fit_blocks(data, BlockPartition.from_sizes([3, 3]))
-    alive = weakref.ref(data)
-    del data
+    alive, moments = weakref.ref(data), weakref.ref(kept)
+    del data, kept
     gc.collect()
     assert alive() is None
-    assert len(pairwise._MOMENTS) == n_before
+    assert moments() is None
 
 
 def test_grid_size_picks_the_bracket_not_the_answer(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dimm import baselines, pairwise
-from dimm._util import frozen, is_frozen
+from dimm._util import frozen
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.integrate import integrate_fits, weight_matrix
 from dimm.pairwise import fit_blocks
@@ -58,9 +58,14 @@ def handed_out() -> dict[str, np.ndarray]:
         **_record_arrays("sim_report", run_scenario(replace(scn, n_replicates=2), workers=1)),
     }
     first = part.slices[0]
-    arrays["block_moments.stacked"] = pairwise._moments_for(data, first.start, first.stop).stacked
+    block = pairwise._moments_for(data, first.start, first.stop)
+    arrays["block_moments.stacked"] = block.stacked
     arrays["panel.subject_level"] = data.subject_level
-    for name, arr in zip(("inv_factor", "ones"), baselines._WHITENING[id(scn.covariance_matrix)]):
+    for label, split in (("panel.split", data.split), ("block_moments.split", block.split)):
+        for name in ("a", "u", "s", "c"):
+            arrays[f"{label}.{name}"] = getattr(split, name)
+    whitening = baselines._whitening(scn.covariance_matrix.tobytes(), scn.covariance_matrix.shape[0])
+    for name, arr in zip(("inv_factor", "ones"), whitening):
         arrays[f"whitening.{name}"] = arr
     return arrays
 
@@ -68,9 +73,10 @@ def handed_out() -> dict[str, np.ndarray]:
 def test_no_array_handed_out_or_cached_can_be_made_writeable(handed_out) -> None:
     # Panel 3 and its subject-level mask, scenario 4, block fit 4, moments
     # 8, integrated fit 3, the three comparator fits 2 each, pooled start 4,
-    # block moments 1 and the oracle's two per-covariance arrays; and the 42
-    # arrays the codec decodes into a micro simulation report.
-    assert len(handed_out) == 78
+    # block moments 1, the four arrays of the panel's column split and the
+    # four of a block's, and the oracle's two per-covariance arrays; and the
+    # 42 arrays the codec decodes into a micro simulation report.
+    assert len(handed_out) == 86
     unlocked = []
     for name, arr in handed_out.items():
         try:
@@ -91,7 +97,4 @@ def test_frozen_locks_a_view_at_the_memory_that_owns_it() -> None:
         with pytest.raises(ValueError):
             arr.setflags(write=True)
     assert frozen(np.arange(3)).dtype == np.float64
-    assert is_frozen(locked)
-    assert not is_frozen(owner)  # it owns its memory, so numpy would unlock it
-    assert not is_frozen(np.arange(3.0)[:2])  # a writeable view
 
