@@ -12,21 +12,22 @@ Three reference fits for the same mean model ``E[y_it] = x_it' beta``:
   iterating between the beta solve and moment updates of the scale and
   the common correlation, again with a sandwich covariance.
 
-Each fit reads the design through its :class:`~dimm.model.ColumnSplit`.
-A subject-level column ``a_i 1`` (:attr:`~dimm.model.PanelDataset.subject_level`)
-is kept in closed form, by the Gaussian identity link's linear algebra:
+Each fit reads the design in the one form a panel keeps, its
+:class:`~dimm.model.ColumnSplit`. A subject-level column ``a_i 1``
+(:attr:`~dimm.model.PanelDataset.subject_level`) is kept in closed form,
+by the Gaussian identity link's linear algebra:
 the oracle's information takes ``(1'Sigma^-1 1) sum_i a_i a_i'`` and its
 right-hand side ``a_i (Sigma^-1 1)'y_i``, and GEE's ``X_i' e_i`` takes
 ``a_i 1'e_i``, ``X_i' 1`` takes ``M a_i`` and ``X beta`` is broadcast.
 Only the coordinate-level columns, with the responses, are whitened:
 with ``Sigma = L L'`` and ``Li = inv(L)`` (:func:`dimm._util.inv_cholesky`),
 ``Li`` times the (M, N*(pc+1)) panel of those columns has Gram matrix
-``sum_i [U_i | y_i]' Sigma^-1 [U_i | y_i]``. GEE reads ``X'X`` from the
-panel. Every covariance, information and bread matrix is factored under the
-package's one positive-definiteness rule (:func:`dimm._util.cholesky`):
-a non-finite or indefinite one raises :class:`~dimm.errors.FitError`
-``"<what> is not positive definite"``. A panel the mean model fits
-exactly raises ``FitError`` too.
+``sum_i [U_i | y_i]' Sigma^-1 [U_i | y_i]``. GEE reads ``X'X`` as the
+panel forms it from the split. Every covariance, information and bread
+matrix is factored under the package's one positive-definiteness rule
+(:func:`dimm._util.cholesky`): a non-finite or indefinite one raises
+:class:`~dimm.errors.FitError` ``"<what> is not positive definite"``. A
+panel the mean model fits exactly raises ``FitError`` too.
 
 The two GEE fits share a panel's pooled least-squares start, kept on the
 panel for as long as it lives (:meth:`~dimm.model.PanelDataset.derived`).

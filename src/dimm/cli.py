@@ -44,7 +44,6 @@ from dimm.errors import (
 from dimm.integrate import integrate_fits, q_statistic, weight_matrix
 from dimm.io import (
     SCHEMA_VERSION,
-    FitConfig,
     GofReport,
     build_fit_report,
     bundled_scenario_names,
@@ -52,7 +51,6 @@ from dimm.io import (
     load_panel,
     write_estimates_csv,
 )
-from dimm.model import PanelDataset
 from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
 from dimm.pairwise import fit_blocks
 from dimm.special import chi2_sf
@@ -80,14 +78,6 @@ _EXIT_BY_ERROR = (
 )
 
 
-def _with_intercept(data: PanelDataset) -> PanelDataset:
-    ones = np.ones((data.n_subjects, data.n_coordinates, 1))
-    return PanelDataset(
-        responses=data.responses,
-        covariates=np.concatenate([ones, data.covariates], axis=2),
-    )
-
-
 def _resolve_workers(flag: int | None) -> int:
     if flag is not None:
         if flag < 1:
@@ -97,17 +87,12 @@ def _resolve_workers(flag: int | None) -> int:
     return default_worker_count()
 
 
-def _load_panel(config: FitConfig) -> PanelDataset:
-    data = load_panel(config.response_path, config.covariate_path)
-    return _with_intercept(data) if config.intercept else data
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     config = load_fit_config(args.config)
     if args.workers is not None and args.workers < 1:
         msg = f"--workers must be >= 1, got {args.workers}"
         raise ConfigError(msg)
-    data = _load_panel(config)
+    data = load_panel(config.response_path, config.covariate_path, intercept=config.intercept)
 
     wall0, cpu0 = time.perf_counter(), time.process_time()
     fits = fit_blocks(data, config.partition())
@@ -232,7 +217,7 @@ def _parse_beta(raw: str) -> np.ndarray:
 def cmd_gof(args: argparse.Namespace) -> int:
     config = load_fit_config(args.config)
     beta = _parse_beta(args.beta)
-    data = _load_panel(config)
+    data = load_panel(config.response_path, config.covariate_path, intercept=config.intercept)
     if beta.shape[0] != data.n_covariates:
         msg = (
             f"--beta has {beta.shape[0]} entries but the design has "

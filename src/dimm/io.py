@@ -165,13 +165,16 @@ def _unparsed(kind: str, path: Path) -> DataError:
     return DataError(f"{kind} file {path} could not be parsed as numbers")
 
 
-def load_panel(response_path: str | Path, covariate_path: str | Path) -> PanelDataset:
+def load_panel(
+    response_path: str | Path, covariate_path: str | Path, *, intercept: bool = False
+) -> PanelDataset:
     """Read the response and covariate files into a validated panel.
 
     See the module docstring for the file contract. Each file is parsed
     once by numpy's reader and checked with array operations; only when
     a check fails is the file read again, line by line, to name the
-    first offending line.
+    first offending line. ``intercept`` (:attr:`FitConfig.intercept`)
+    writes a constant-1 first column into the design the file fills.
 
     Raises
     ------
@@ -230,9 +233,11 @@ def load_panel(response_path: str | Path, covariate_path: str | Path) -> PanelDa
             f"subject {sid + 1}, position {pos + 1}"
         )
         raise DataError(msg)
-    covariates = np.empty((n * m, p))
-    covariates[cell] = values
-    return PanelDataset(responses=responses, covariates=covariates.reshape(n, m, p))
+    k = int(intercept)
+    covariates = np.empty((n * m, k + p))
+    covariates[:, :k] = 1.0
+    covariates[cell, k:] = values
+    return PanelDataset(responses=responses, covariates=covariates.reshape(n, m, k + p))
 
 
 def save_panel(

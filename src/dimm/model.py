@@ -224,7 +224,7 @@ class BlockPartition(Report):
             raise PartitionError(msg)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PanelDataset:
     """Immutable N-subject panel: responses and per-coordinate covariates.
 
@@ -234,8 +234,8 @@ class PanelDataset:
         One row per subject, one column per response coordinate.
     covariates : ndarray, shape (N, M, p)
         Covariate rows ``x_{i,m}`` aligned with the responses. A subject
-        level covariate ``a_i`` is repeated across the M rows; the panel
-        finds such columns by value (:attr:`subject_level`).
+        level covariate ``a_i`` is repeated across the M rows, or
+        broadcast over them.
 
     Raises
     ------
@@ -245,34 +245,33 @@ class PanelDataset:
         rule of :func:`check_identified` with N M rows; this fails fast at
         construction.
 
-    A panel is validated once, here, where it enters. Its arrays are
-    C-ordered copies, read-only like the Gram ``design_gram = X'X`` its
-    identifiability rule reads (:func:`dimm._util.frozen`), so the block
-    fits read views of them; each block's own identifiability is checked
-    there.
-
-    The read-only (p,) boolean mask :attr:`subject_level` marks the columns
-    that are constant over the M coordinates for every subject, ``X_i[:, k]
-    = a_ik 1``. It is worked out by value on first use, so a broadcast
-    input and a C-ordered copy of it classify alike and building a panel
-    costs nothing more. Every fit reads the design through the
-    :class:`ColumnSplit` it defines, :attr:`split`.
+    A panel is validated once, here, where it enters, and keeps its
+    design in one form, the :class:`ColumnSplit` :attr:`split` that every
+    fit reads. Its (p,) mask :attr:`subject_level` marks the columns that
+    are constant over the M coordinates for every subject, ``X_i[:, k] =
+    a_ik 1``: found by value, or with no scan for an input broadcast over M
+    (stride 0). ``design_gram = X'X``, which the identifiability rule
+    reads, is formed from the split in closed form. The arrays are
+    read-only copies (:func:`dimm._util.frozen`), so the block fits read
+    views of them; each block's own identifiability is checked there. The
+    full design :attr:`covariates` is built on first read, for callers
+    that need it whole; no fit reads it.
 
     The one caching rule: what the fits work out from a panel is kept on
-    it, for as long as it lives. That is the mask and :attr:`split` on
-    first use, and what :meth:`derived` builds: each block's moments
+    it for as long as it lives, by :meth:`derived`: each block's moments
     (:mod:`dimm.pairwise`) and the GEE fits' pooled start
     (:mod:`dimm.baselines`). The panel cannot change, so none goes stale.
     """
 
     responses: np.ndarray
-    covariates: np.ndarray
-    design_gram: np.ndarray = field(init=False, repr=False)
-    _derived: dict = field(init=False, repr=False, default_factory=dict)
+    split: ColumnSplit = field(repr=False)
+    subject_level: np.ndarray = field(repr=False)
+    design_gram: np.ndarray = field(repr=False)
+    _derived: dict = field(repr=False)
 
-    def __post_init__(self) -> None:
-        y = np.array(self.responses, dtype=np.float64, copy=True, order="C")
-        x = np.array(self.covariates, dtype=np.float64, copy=True, order="C")
+    def __init__(self, responses: np.ndarray, covariates: np.ndarray) -> None:
+        y = np.array(responses, dtype=np.float64, copy=True, order="C")
+        x = np.asarray(covariates, dtype=np.float64)
         if y.ndim != 2:
             msg = f"responses must be a 2-d (N, M) array, got shape {y.shape}"
             raise DataError(msg)
@@ -292,14 +291,20 @@ class PanelDataset:
         if not np.isfinite(y).all():
             msg = "responses contain non-finite values"
             raise DataError(msg)
-        if not np.isfinite(x).all():
+        mask = _subject_level(x)
+        split = ColumnSplit.of(x, mask)
+        a, u = split.a, split.u  # every value of x is in one: a NaN never equals itself
+        if not (np.isfinite(a).all() and np.isfinite(u).all()):
             msg = "covariates contain non-finite values"
             raise DataError(msg)
-        design = x.reshape(n * m, x.shape[2])
-        gram = design.T @ design
+        flat = u.reshape(n * m, -1)
+        gram = split.join_symmetric(m * (a.T @ a), a.T @ u.sum(axis=1), flat.T @ flat)
         check_identified(gram, n * m, "panel")
-        for name, arr in (("responses", y), ("covariates", x), ("design_gram", gram)):
-            object.__setattr__(self, name, frozen(arr))
+        for name, value in zip(
+            ("responses", "split", "subject_level", "design_gram", "_derived"),
+            (frozen(y), split, frozen(mask, bool), frozen(gram), {}),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def n_subjects(self) -> int:
@@ -311,25 +316,14 @@ class PanelDataset:
 
     @property
     def n_covariates(self) -> int:
-        return self.covariates.shape[2]
+        return self.subject_level.size
 
     @cached_property
-    def subject_level(self) -> np.ndarray:
-        """Which columns hold one value per subject, worked out on first use."""
-        x = self.covariates
-        mask = (x[:, 1] == x[:, 0]).all(axis=0)  # rules out most other columns at once
-        # Chunks of subjects keep each comparison in cache.
-        for start in range(0, x.shape[0], _CHUNK):
-            if not mask.any():
-                break
-            chunk = x[start : start + _CHUNK, :, mask]
-            mask[mask] = (chunk == chunk[:, :1]).all(axis=(0, 1))
-        return frozen(mask, bool)
-
-    @cached_property
-    def split(self) -> ColumnSplit:
-        """The design read by :attr:`subject_level`, worked out on first use."""
-        return ColumnSplit.of(self.covariates, self.subject_level)
+    def covariates(self) -> np.ndarray:
+        """The full (N, M, p) design, read-only, built from :attr:`split` on first read."""
+        split = self.split
+        a = np.broadcast_to(split.a[:, None, :], (*self.responses.shape, split.s.size))
+        return frozen(split.join(a, split.u))
 
     def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """``build()``, run once per ``key`` and kept on the panel; a build
@@ -340,8 +334,18 @@ class PanelDataset:
         return self._derived[key]
 
 
-# Subjects per comparison when a panel classifies its columns.
-_CHUNK = 64
+def _subject_level(x: np.ndarray) -> np.ndarray:
+    """Which columns of design ``x`` (N, M, p) hold one value per subject."""
+    if x.strides[1] == 0:  # broadcast over the coordinates
+        return np.ones(x.shape[2], bool)
+    mask = (x[:, 1] == x[:, 0]).all(axis=0)  # rules out most other columns at once
+    step = 64  # subjects per comparison, which keeps it in cache
+    for start in range(0, x.shape[0], step):
+        if not mask.any():
+            break
+        chunk = x[start : start + step, :, mask]
+        mask[mask] = (chunk == chunk[:, :1]).all(axis=(0, 1))
+    return mask
 
 
 class ColumnSplit:
@@ -355,7 +359,8 @@ class ColumnSplit:
     O(N m) work on those columns where the full design costs O(N m^2).
     A design with no subject-level column has ``ps = 0`` and is read as it
     is; one with only subject-level columns has ``pc = 0``. :meth:`of`
-    makes the arrays read-only (:func:`dimm._util.frozen`).
+    writes read-only copies (:func:`dimm._util.frozen`) in one memory
+    order, whatever the design's: ``a`` by column, ``u`` C-ordered.
     """
 
     def __init__(self, a: np.ndarray, u: np.ndarray, s: np.ndarray, c: np.ndarray) -> None:
@@ -365,7 +370,8 @@ class ColumnSplit:
     def of(cls, x: np.ndarray, subject_level: np.ndarray) -> ColumnSplit:
         """The split of design ``x`` (N, m, p) by the mask ``subject_level``."""
         s, c = np.flatnonzero(subject_level), np.flatnonzero(~subject_level)
-        return cls(frozen(x[:, 0, s]), frozen(x[:, :, c]), frozen(s, np.intp), frozen(c, np.intp))
+        a, u = np.asfortranarray(x[:, 0, s]), np.ascontiguousarray(x[:, :, c])
+        return cls(frozen(a), frozen(u), frozen(s, np.intp), frozen(c, np.intp))
 
     def residuals(self, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """``y_i - X_i beta`` of every subject, (N, m)."""

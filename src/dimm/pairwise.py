@@ -53,7 +53,7 @@ independent of the others, which is what lets the paper spread them over
 machines; here a fit takes milliseconds, less than starting a worker.
 
 A block is read through its :class:`_BlockMoments`: views of its
-coordinates in the validated panel and its split, never copies, and its
+coordinates in the panel's responses and split, never copies, and its
 per-lag moments. They do not depend on the working family, so
 :func:`_moments_for` builds them once per panel and block and keeps them
 on the panel (:meth:`~dimm.model.PanelDataset.derived`) for as long as it

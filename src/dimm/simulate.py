@@ -443,7 +443,8 @@ def generate_replicate(scn: SimScenario, rep_index: int) -> PanelDataset:
     panel; the response is ``X beta0 + L z`` with ``L`` the scenario's
     ``covariance_factor`` and ``z`` i.i.d. standard normal. ``X beta0`` is
     formed on the columns' common broadcast shape ((N, 1) when every column
-    is subject-level), and the panel's one copy writes the (N, M, p) design.
+    is subject-level), and the panel gets the design broadcast from it, so
+    a design with no coordinate-level column is never written at (N, M, p).
     """
     if rep_index < 0:
         msg = f"rep_index must be >= 0, got {rep_index}"

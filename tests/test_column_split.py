@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dimm import pairwise, simulate
+from dimm import model, pairwise, simulate
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.integrate import integrate_fits
 from dimm.model import ColumnSplit, Dependence, PanelDataset
@@ -89,9 +89,7 @@ def _scenario(design: str) -> SimScenario:
 
 def _full_array(data: PanelDataset, monkeypatch: pytest.MonkeyPatch) -> PanelDataset:
     """A copy of ``data`` whose columns all count as coordinate-level."""
-    monkeypatch.setattr(
-        PanelDataset, "subject_level", property(lambda panel: np.zeros(panel.n_covariates, bool))
-    )
+    monkeypatch.setattr(model, "_subject_level", lambda x: np.zeros(x.shape[2], bool))
     return PanelDataset(data.responses, data.covariates)
 
 
@@ -201,3 +199,28 @@ def test_a_replicate_splits_its_design_once(monkeypatch: pytest.MonkeyPatch) -> 
     outcomes = simulate._run_replicate_task(scn, 0)
     assert all(outcome[0] != "fail" for outcome in outcomes.values()), outcomes
     assert calls == [(scn.n_subjects, sum(scn.partition_for("dimm").sizes), len(scn.beta0))]
+
+
+@pytest.mark.parametrize("name", ["table1_full", "eeg_mimic"])
+def test_a_replicate_never_builds_the_full_design(name: str, monkeypatch: pytest.MonkeyPatch) -> None:
+    # The panel builds its (N, M, p) design only for a caller that reads
+    # `covariates`; no method of a replicate does.
+    scn = bundled_scenario(name)
+    panels = []
+
+    def kept(*args):
+        panels.append(generate_replicate(*args))
+        return panels[-1]
+
+    monkeypatch.setattr(simulate, "generate_replicate", kept)
+    outcomes = simulate._run_replicate_task(scn, 0)
+    assert all(outcome[0] != "fail" for outcome in outcomes.values()), outcomes
+    assert len(panels) == 1
+    assert "covariates" not in vars(panels[0])
+
+
+@pytest.mark.parametrize("design", ["subject_level", "mixed"])
+def test_design_gram_from_the_split_matches_the_flat_gram(design: str) -> None:
+    data = generate_replicate(_scenario(design), 0)
+    flat = data.covariates.reshape(-1, data.n_covariates)
+    np.testing.assert_allclose(data.design_gram, flat.T @ flat, rtol=1e-12, atol=0.0)

@@ -212,29 +212,40 @@ def test_panel_dataset_keeps_its_design_gram_read_only() -> None:
 def test_panel_numbers_do_not_depend_on_the_input_memory_layout() -> None:
     # A Fortran-ordered input (a transposed loadtxt, a pandas .values
     # array) used to give a non-C panel whose fits moved by up to 3.8e-14.
-    scn = bundled_scenario("table1_full")
-    c_panel = generate_replicate(scn, 0)
-    f_panel = PanelDataset(
-        np.asfortranarray(c_panel.responses), np.asfortranarray(c_panel.covariates)
-    )
-    for panel in (c_panel, f_panel):
-        assert panel.responses.flags.c_contiguous
-        assert panel.covariates.flags.c_contiguous
-    c_dimm, f_dimm = (
-        integrate_fits(fit_blocks(panel, scn.partition_for("dimm")))
-        for panel in (c_panel, f_panel)
-    )
-    for attr in ("beta_dimm", "covariance", "covariance_asymptotic"):
-        np.testing.assert_array_equal(getattr(f_dimm, attr), getattr(c_dimm, attr))
-    assert f_dimm.q_stat == c_dimm.q_stat
-    for fit in (
-        partial(gee_fit, working="independence"),
-        partial(gee_fit, working="exchangeable"),
-        partial(gls_oracle, covariance=scn.covariance_matrix),
-    ):
-        c_fit, f_fit = fit(c_panel), fit(f_panel)
-        np.testing.assert_array_equal(f_fit.beta_hat, c_fit.beta_hat)
-        np.testing.assert_array_equal(f_fit.covariance, c_fit.covariance)
+    # An M-major design, which numpy's fancy indexing along M returns,
+    # must not give an M-major split either: its block scores moved in the
+    # last bit. The split's order is fixed: each subject-level column of a
+    # in one run, u C-ordered. table1_full is all subject-level, eeg_mimic
+    # mixed.
+    for name in ("table1_full", "eeg_mimic"):
+        scn = bundled_scenario(name)
+        c_panel = generate_replicate(scn, 0)
+        x = c_panel.covariates
+        panels = (
+            c_panel,
+            PanelDataset(np.asfortranarray(c_panel.responses), np.asfortranarray(x)),
+            PanelDataset(c_panel.responses, np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)),
+        )
+        for panel in panels:
+            assert panel.responses.flags.c_contiguous
+            assert panel.split.a.flags.f_contiguous
+            assert panel.split.u.flags.c_contiguous
+        c_dimm, *others = (
+            integrate_fits(fit_blocks(panel, scn.partition_for("dimm"))) for panel in panels
+        )
+        for other in others:
+            for attr in ("beta_dimm", "covariance", "covariance_asymptotic"):
+                np.testing.assert_array_equal(getattr(other, attr), getattr(c_dimm, attr))
+            assert other.q_stat == c_dimm.q_stat
+        for fit in (
+            partial(gee_fit, working="independence"),
+            partial(gee_fit, working="exchangeable"),
+            partial(gls_oracle, covariance=scn.covariance_matrix),
+        ):
+            c_fit, *other_fits = (fit(panel) for panel in panels)
+            for other in other_fits:
+                np.testing.assert_array_equal(other.beta_hat, c_fit.beta_hat)
+                np.testing.assert_array_equal(other.covariance, c_fit.covariance)
 
 
 def test_panel_dataset_rejects_rank_deficient_design() -> None:

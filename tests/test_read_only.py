@@ -60,7 +60,6 @@ def handed_out() -> dict[str, np.ndarray]:
     first = part.slices[0]
     block = pairwise._moments_for(data, first.start, first.stop)
     arrays["block_moments.stacked"] = block.stacked
-    arrays["panel.subject_level"] = data.subject_level
     for label, split in (("panel.split", data.split), ("block_moments.split", block.split)):
         for name in ("a", "u", "s", "c"):
             arrays[f"{label}.{name}"] = getattr(split, name)
@@ -71,12 +70,13 @@ def handed_out() -> dict[str, np.ndarray]:
 
 
 def test_no_array_handed_out_or_cached_can_be_made_writeable(handed_out) -> None:
-    # Panel 3 and its subject-level mask, scenario 4, block fit 4, moments
-    # 8, integrated fit 3, the three comparator fits 2 each, pooled start 4,
-    # block moments 1, the four arrays of the panel's column split and the
-    # four of a block's, and the oracle's two per-covariance arrays; and the
-    # 42 arrays the codec decodes into a micro simulation report.
-    assert len(handed_out) == 86
+    # Panel 3 (responses, subject-level mask, design Gram), scenario 4,
+    # block fit 4, moments 8, integrated fit 3, the three comparator fits 2
+    # each, pooled start 4, block moments 1, the four arrays of the panel's
+    # column split and the four of a block's, and the oracle's two
+    # per-covariance arrays; and the 42 arrays the codec decodes into a
+    # micro simulation report.
+    assert len(handed_out) == 85
     unlocked = []
     for name, arr in handed_out.items():
         try:
