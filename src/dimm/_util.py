@@ -1,5 +1,6 @@
 """Small internal helpers shared across modules: the one
-positive-definiteness rule (:func:`cholesky`), the one read-only rule
+positive-definiteness rule (:func:`cholesky`) and the one symmetry rule
+beside it (:func:`check_symmetric`), the one read-only rule
 (:func:`frozen`) and the one JSON codec (:class:`Report`), which sits
 below :mod:`dimm.model` so that its :class:`~dimm.model.Block` records
 read from JSON too.
@@ -127,6 +128,17 @@ def cholesky(mat: np.ndarray, what: str, error: type[DimmError]) -> np.ndarray:
     raise error(msg)
 
 
+def check_symmetric(mat: np.ndarray, what: str, error: type[DimmError]) -> None:
+    """The one symmetry rule, free of scale: ``error(f"{what} must be symmetric")``
+    if ``mat`` departs from its transpose by over 1e-10 of its largest |entry|.
+    A non-finite entry passes, for :func:`cholesky` to name."""
+    mat = np.asarray(mat, dtype=np.float64)
+    scale = np.max(np.abs(mat), initial=0.0)
+    if np.isfinite(scale) and np.max(np.abs(mat - mat.T), initial=0.0) > 1e-10 * scale:
+        msg = f"{what} must be symmetric"
+        raise error(msg)
+
+
 def inv_cholesky(mat: np.ndarray, what: str, error: type[DimmError]) -> np.ndarray:
     """``Li = inv(L)`` for L from :func:`cholesky`; it whitens, ``mat^-1 = Li' Li``.
 
@@ -198,6 +210,14 @@ class Report:
         cls = type(self)
         for name, (kind, _) in _fields(cls).items():
             value = _decode_field(cls, name, kind, getattr(self, name), name)
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        """Unpickling locks each array again (:func:`frozen`), keeping its dtype;
+        a copy, since an unpickled array may sit on the pickle's own bytes."""
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value = frozen(value.copy(), value.dtype)
             object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict[str, Any]:

@@ -41,15 +41,12 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import EXACT_FIT, frozen, inv_cholesky, spd_solve
+from dimm._util import EXACT_FIT, check_symmetric, frozen, inv_cholesky, spd_solve
 from dimm.errors import FitError
-
-if TYPE_CHECKING:
-    from dimm.model import PanelDataset
+from dimm.model import CS, Dependence, PanelDataset
 
 __all__ = ["BaselineFit", "gee_fit", "gls_oracle"]
 
@@ -110,9 +107,7 @@ def _sandwich(bread_inv: np.ndarray, meat: np.ndarray) -> np.ndarray:
 def _whitening(content: bytes, m: int) -> tuple[np.ndarray, np.ndarray]:
     """``(Li, Sigma^-1 1)`` of the m x m covariance whose bytes are ``content``."""
     sigma = np.frombuffer(content).reshape(m, m)
-    if not np.allclose(sigma, sigma.T, atol=1e-10, rtol=0.0):
-        msg = "covariance must be symmetric"
-        raise FitError(msg)
+    check_symmetric(sigma, "covariance", FitError)
     inv_factor = inv_cholesky(sigma, "covariance", FitError)
     return frozen(inv_factor), frozen(inv_factor.T @ inv_factor.sum(axis=1))
 
@@ -123,7 +118,9 @@ def gls_oracle(data: PanelDataset, covariance: np.ndarray) -> BaselineFit:
     Solves ``(sum_i X_i' Sigma^-1 X_i) beta = sum_i X_i' Sigma^-1 y_i``
     and reports the exact covariance ``(sum_i X_i' Sigma^-1 X_i)^-1``.
     Invariant to rescaling ``covariance`` by any positive constant in
-    the point estimate (though not, of course, in the covariance).
+    the point estimate (though not, of course, in the covariance), and in
+    the refusal of an asymmetric one, which is measured against its
+    largest entry (:func:`dimm._util.check_symmetric`).
     """
     sigma = np.asarray(covariance, dtype=np.float64)
     y = data.responses
@@ -263,7 +260,7 @@ def gee_fit(data: PanelDataset, working: str = "independence") -> BaselineFit:
     #   a = 1/(1 - rho),  b = rho / (1 + (M - 1) rho),
     # so X_i' R^-1 u = a (X_i' u - b (X_i' 1)(1' u)). The scale phi
     # cancels from both the estimating equation and the sandwich.
-    rho_lo = -1.0 / (m - 1) + _RHO_CLAMP_MARGIN
+    rho_lo = Dependence(CS).rho_lower(m) + _RHO_CLAMP_MARGIN
     rho_hi = 1.0 - _RHO_CLAMP_MARGIN
     x_sum = split.join(m * split.a, split.u.sum(axis=1))  # (N, p): X_i' 1
     y_sum = y.sum(axis=1)  # (N,): 1' y_i

@@ -6,12 +6,13 @@ correlated Gaussian response: subject ``i`` contributes an ``M``-vector
 ``X_i``. The response coordinates are split into ``J`` contiguous blocks;
 within a block the second-moment structure is a single-variance working
 family (AR(1) or compound symmetry) with parameters ``gamma_j = (sigma,
-rho)``. Between-block dependence is captured by a ``J x J`` positive
-definite matrix ``S`` that scales per-block within factors into a full
-``M x M`` covariance (a blockwise Kronecker-style product, used by the
-simulation harness and the oracle baseline). A config's or scenario's
-block layout is read by the codec of :mod:`dimm._util` as :class:`Block`
-records; :class:`BlockPartition` alone holds the layout rule.
+rho)``, defined in :class:`Dependence` alone. Between-block dependence
+is captured by a ``J x J`` positive definite matrix ``S`` that scales
+per-block within factors into a full ``M x M`` covariance (a blockwise
+Kronecker-style product, used by the simulation harness and the oracle
+baseline). A config's or scenario's block layout is read by the codec of
+:mod:`dimm._util` as :class:`Block` records; :class:`BlockPartition`
+alone holds the layout rule.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Literal
+from typing import TYPE_CHECKING, Any, Literal, get_args
 
 import numpy as np
 
-from dimm._util import Report, cholesky, frozen
+from dimm._util import Report, check_symmetric, cholesky, frozen
 from dimm.errors import CovarianceError, DataError, PartitionError
 
 if TYPE_CHECKING:
@@ -44,35 +45,23 @@ __all__ = [
     "partition_dataset",
 ]
 
-AR1 = "ar1"
-CS = "cs"
-# The fitted working families, as the JSON records type them.
+# The working families, as the JSON records type them, stated once here.
 Structure = Literal["ar1", "cs"]
+AR1, CS = get_args(Structure)
 
 
 @dataclass(frozen=True)
 class Dependence(Report):
-    """Within-block dependence family with parameters ``(sigma, rho)``.
+    """Within-block working family ``structure`` with parameters ``(sigma, rho)``.
 
-    ``structure`` selects the working correlation family:
-
-    - ``"ar1"``: corr(y_r, y_t) = rho**|r - t|, rho in (-1, 1);
-    - ``"cs"``: corr(y_r, y_t) = rho for r != t (compound symmetry),
-      rho in (-1/(m-1), 1) for a block of size m (the lower bound is
-      enforced wherever the block size is known).
-
-    Both families share one marginal standard deviation ``sigma > 0``.
-    A codec record: its family names and number types are checked as a
+    The one owner of the working families, ``"ar1"`` and ``"cs"``
+    (compound symmetry): each family's correlation at a lag, its rho-slope
+    (:meth:`lag_correlations`) and its admissible rho interval
+    (:meth:`rho_lower`) are stated here alone, and the block fit, the
+    covariance assembly, the covariate recipes and GEE read them here. Both
+    families share one marginal standard deviation ``sigma > 0``. A codec
+    record: its family names and number types are checked as a
     :class:`Block`'s are.
-
-    Parameters
-    ----------
-    structure : str
-        ``"ar1"`` or ``"cs"``.
-    sigma : float, default 1.0
-        Marginal standard deviation.
-    rho : float, default 0.0
-        Correlation parameter.
     """
 
     ERROR = PartitionError
@@ -102,6 +91,19 @@ class Dependence(Report):
         if self.structure == CS:
             return -1.0 / (size - 1)
         return -1.0
+
+    def lag_correlations(
+        self, lags: np.ndarray, rho: float | np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The correlation ``c`` at each lag ``d >= 0`` and its slope ``dc/drho``,
+        shape ``rho.shape + lags.shape``, at this record's rho by default:
+        AR(1) has ``c = rho^d``, compound symmetry ``c = rho`` off lag 0."""
+        rho = np.asarray(self.rho if rho is None else rho, dtype=np.float64)
+        rho = rho.reshape(rho.shape + (1,) * np.ndim(lags))
+        if self.structure == AR1:  # the exponent floor keeps lag 0 off rho^-1
+            return rho**lags, lags * rho ** np.maximum(lags - 1, 0)
+        at_zero = lags == 0
+        return np.where(at_zero, 1.0, rho), np.where(at_zero, 0.0, np.ones_like(rho))
 
     def validate_for_size(self, size: int) -> None:
         """Raise if ``rho`` violates positive definiteness at this size."""
@@ -454,13 +456,6 @@ def partition_dataset(data: PanelDataset, partition: BlockPartition) -> list[Pan
     ]
 
 
-def _corr_at_lags(dep: Dependence, lags: np.ndarray) -> np.ndarray:
-    """Vectorized correlation function over a nonnegative integer lag grid."""
-    if dep.structure == AR1:
-        return np.power(float(dep.rho), lags.astype(np.float64))
-    return np.where(lags == 0, 1.0, float(dep.rho))
-
-
 def assemble_kronecker(
     between: np.ndarray,
     blocks: Sequence[Dependence],
@@ -508,10 +503,7 @@ def assemble_kronecker(
     if s_mat.shape != (j_n, j_n):
         msg = f"between-block matrix has shape {s_mat.shape}, expected ({j_n}, {j_n})"
         raise CovarianceError(msg)
-    # A non-finite entry is left for the positive-definiteness rule to name.
-    if np.isfinite(s_mat).all() and not np.allclose(s_mat, s_mat.T, rtol=0.0, atol=1e-12):
-        msg = "between-block matrix must be symmetric"
-        raise CovarianceError(msg)
+    check_symmetric(s_mat, "between-block matrix", CovarianceError)
     s_mat = (s_mat + s_mat.T) / 2.0
     cholesky(s_mat, "between-block matrix", CovarianceError)
     for dep, m in zip(blocks, sizes):
@@ -532,11 +524,11 @@ def assemble_kronecker(
                 out[cols, rows] = 0.0
                 continue
             lags = np.abs(np.subtract.outer(np.arange(sizes[j]), np.arange(sizes[k])))
-            cj = _corr_at_lags(blocks[j], lags)
+            cj, _ = blocks[j].lag_correlations(lags)
             if j == k:
                 cc = cj
             else:
-                ck = _corr_at_lags(blocks[k], lags)
+                ck, _ = blocks[k].lag_correlations(lags)
                 same = np.isclose(cj, ck, rtol=0.0, atol=1e-15)
                 prod = cj * ck
                 if np.any(~same & (prod < 0.0)):

@@ -4,7 +4,9 @@ A block of ``m`` correlated Gaussian coordinates is fit by the product of
 all ``m (m - 1) / 2`` within-block bivariate normal margins over the N
 subjects. Each pair (r, t) contributes the bivariate density with mean
 ``(x_ir' beta, x_it' beta)`` and covariance ``sigma^2 [[1, c], [c, 1]]``
-where ``c`` is the working-family correlation at lag ``|r - t|``. The
+where ``c`` is the working-family correlation at lag ``|r - t|``, as
+:meth:`dimm.model.Dependence.lag_correlations` states it with its
+rho-slope: the family is defined there, and this module only reads it. The
 maximizer of this pairwise objective over ``(beta, sigma, rho)`` is the
 block's composite-likelihood estimate; the fit also returns per-subject
 score vectors and sensitivities, which are exactly the ingredients the
@@ -73,7 +75,7 @@ import numpy as np
 
 from dimm._util import EXACT_FIT, cholesky, frozen
 from dimm.errors import FitError
-from dimm.model import AR1, ColumnSplit, Dependence, PanelDataset, check_identified
+from dimm.model import ColumnSplit, Dependence, PanelDataset, check_identified
 from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
 
 if TYPE_CHECKING:
@@ -225,28 +227,17 @@ def _quadratic_forms(grams: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 class _BlockArrays:
-    """A block's moments under one working family.
-
-    The family sets the admissible rho interval (from
-    :meth:`~dimm.model.Dependence.rho_lower`) and the per-lag
-    correlations; it enters only here, at fit time, so the moments it
-    reads are shared by every family fit on the same panel.
+    """A block's moments under one working family, the :class:`~dimm.model.Dependence`
+    that states its rho interval (which refuses a block below 2 coordinates)
+    and its per-lag correlations and their rho-slopes. It enters only here,
+    at fit time, so the moments it reads are shared by every family fit on
+    the same panel.
     """
 
-    def __init__(self, moments: _BlockMoments, family: Dependence) -> None:
-        family.validate_for_size(moments.block_size)
+    def __init__(self, moments: _BlockMoments, dependence: Dependence) -> None:
         self.moments = moments
-        self.structure = family.structure
-        self.rho_lower = family.rho_lower(moments.block_size)
-
-    def lag_correlations(self, rho: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-lag correlations and their rho-derivatives, shape (..., lags)."""
-        rho = np.asarray(rho, dtype=np.float64)[..., None]
-        lags = self.moments.lags
-        if self.structure == AR1:
-            return np.power(rho, lags), lags * np.power(rho, lags - 1.0)
-        c = np.broadcast_to(rho, rho.shape[:-1] + lags.shape)
-        return c, np.ones_like(c)
+        self.dependence = dependence
+        self.rho_lower = dependence.rho_lower(moments.block_size)
 
     def grams(self, rho: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``G0`` and ``G1`` at each rho, shape (2, ..., p + 1, p + 1).
@@ -258,7 +249,7 @@ class _BlockArrays:
         rho-score that are free of the data: ``sum_d n_d log(1 - c_d^2)``
         and ``sum_d n_d c_d w_d c'_d``.
         """
-        c, dc = self.lag_correlations(rho)
+        c, dc = self.dependence.lag_correlations(self.moments.lags, rho)
         c2 = c * c
         one_mc2 = 1.0 - c2
         w = 1.0 / one_mc2
@@ -323,7 +314,7 @@ class _BlockArrays:
         ``K[r, r]`` is the sum of ``g`` over ``t != r``, where
         ``g = 1 / (sigma^2 (1 - c^2))``.
         """
-        c_lag, _ = self.lag_correlations(rho)
+        c_lag, _ = self.dependence.lag_correlations(self.moments.lags, rho)
         g_lag = 1.0 / (sigma * sigma * (1.0 - c_lag * c_lag))
         m = self.moments.block_size
         g = np.zeros(m)
@@ -458,12 +449,10 @@ class BlockFit:
     ----------
     name : str
         Block label (keys sub-group selection downstream).
-    structure : str
-        Working family that was fit ("ar1" or "cs").
     beta_hat : ndarray, shape (p,)
         Mean-parameter estimate.
     gamma_hat : Dependence
-        Fitted working family with (sigma, rho).
+        Fitted working family with (sigma, rho); :attr:`structure` names it.
     subject_scores : ndarray, shape (N, p)
         Per-subject beta-scores at the optimum; column means are ~0.
     sensitivity : ndarray, shape (p, p)
@@ -482,7 +471,6 @@ class BlockFit:
     """
 
     name: str
-    structure: str
     beta_hat: np.ndarray
     gamma_hat: Dependence
     subject_scores: np.ndarray
@@ -495,6 +483,10 @@ class BlockFit:
     def __post_init__(self) -> None:
         for name in ("beta_hat", "subject_scores", "sensitivity", "subject_sensitivities"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
+
+    @property
+    def structure(self) -> str:
+        return self.gamma_hat.structure
 
     @property
     def n_subjects(self) -> int:
@@ -728,9 +720,8 @@ def fit_block(
     scores, subject_sens = arrays.subject_terms(beta_hat, sigma, rho)
     return BlockFit(
         name=name,
-        structure=arrays.structure,
         beta_hat=beta_hat,
-        gamma_hat=Dependence(arrays.structure, sigma=sigma, rho=rho),
+        gamma_hat=Dependence(structure, sigma=sigma, rho=rho),
         subject_scores=scores,
         sensitivity=sens,
         subject_sensitivities=subject_sens,

@@ -33,18 +33,17 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Literal
+from typing import Any, Literal, get_args
 
 import numpy as np
 
-from dimm._util import Report, encode, frozen, parallel_map
+from dimm._util import Report, cholesky, encode, frozen, parallel_map
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.errors import DimmError, PartitionError, ScenarioError
 from dimm.integrate import integrate_fits
 from dimm.io import bundled_scenario_names
 from dimm.model import (
     AR1,
-    CS,
     Block,
     BlockPartition,
     Dependence,
@@ -88,8 +87,7 @@ CovariateKind = Literal[
 # whole-panel comparators.
 _METHOD_CHOICES = (
     "dimm",
-    "dimm:ar1",
-    "dimm:cs",
+    *(f"dimm:{family}" for family in get_args(Structure)),
     "gls_oracle",
     "gee_independence",
     "gee_exchangeable",
@@ -358,7 +356,7 @@ class SimScenario(Report):
         except PartitionError as exc:
             msg = f"scenario {self.name!r}: {exc}"
             raise ScenarioError(msg) from None
-        for family in (AR1, CS):
+        for family in get_args(Structure):
             blocks = tuple(replace(b, structure=family) for b in fitted)
             partitions[f"dimm:{family}"] = BlockPartition(blocks)
         object.__setattr__(self, "_partitions", partitions)
@@ -393,7 +391,8 @@ class SimScenario(Report):
             msg = f"scenario {self.name!r}: invalid covariance: {exc}"
             raise ScenarioError(msg) from None
         object.__setattr__(self, "covariance_matrix", frozen(sigma_full))
-        object.__setattr__(self, "covariance_factor", frozen(np.linalg.cholesky(sigma_full)))
+        factor = cholesky(sigma_full, "assembled covariance", ScenarioError)
+        object.__setattr__(self, "covariance_factor", frozen(factor))
 
     def to_dict(self) -> dict[str, Any]:
         between = {"kind": "matrix", "values": self.between.tolist()}
@@ -431,11 +430,6 @@ class SimScenario(Report):
         return self._partitions[method]
 
 
-def _ar1_cholesky(m: int, rho: float) -> np.ndarray:
-    corr = rho ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
-    return np.linalg.cholesky(corr)
-
-
 def generate_replicate(scn: SimScenario, rep_index: int) -> PanelDataset:
     """Draw one replicate panel, deterministic given (scenario.seed, rep_index).
 
@@ -469,7 +463,9 @@ def generate_replicate(scn: SimScenario, rep_index: int) -> PanelDataset:
         elif spec.kind == "interaction":
             col = cols[spec.a] * cols[spec.b]
         elif spec.kind == "mv_normal_rows":
-            lx = _ar1_cholesky(m, spec.rho)
+            lags = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+            corr, _ = Dependence(AR1, rho=spec.rho).lag_correlations(lags)
+            lx = cholesky(corr, "mv_normal_rows row covariance", ScenarioError)
             col = rng.standard_normal((n, m)) @ lx.T
         else:  # alternating01, the last kind CovariateSpec admits
             col = (np.arange(m) % 2).astype(np.float64)[None, :]

@@ -272,6 +272,26 @@ def test_gls_validates_covariance() -> None:
             gls_oracle(data, cov)
 
 
+def test_gls_symmetry_rule_is_free_of_scale() -> None:
+    # The point estimate does not depend on the covariance's scale, and
+    # neither does the refusal: roundoff asymmetry passes at every scale
+    # and a 1e-3 relative one fails at every scale.
+    data = _panel(seed=46)
+    m = data.n_coordinates
+    lags = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    sigma = 0.6**lags + 0.2 * np.eye(m)
+    rounded = sigma.copy()
+    rounded[0, 1] *= 1.0 + 1e-15
+    asymmetric = sigma.copy()
+    asymmetric[0, 1] += 1e-3 * np.abs(sigma).max()
+    reference = gls_oracle(data, sigma).beta_hat
+    for scale in (1e-12, 1e-6, 1.0, 1e6):
+        fit = gls_oracle(data, scale * rounded)
+        np.testing.assert_allclose(fit.beta_hat, reference, rtol=1e-10, atol=0.0)
+        with pytest.raises(FitError, match="^covariance must be symmetric$"):
+            gls_oracle(data, scale * asymmetric)
+
+
 # ---------------------------------------------------------------------------
 # Bundled designs
 # ---------------------------------------------------------------------------

@@ -126,6 +126,38 @@ def test_pair_covariance_rejects_lag_zero() -> None:
         pair_covariance(Dependence(AR1, 1.0, 0.999999), 0)
 
 
+@pytest.mark.parametrize(
+    ("structure", "rhos"),
+    [(AR1, (-0.7, -0.15, 0.0, 0.3, 0.85)), (CS, (-0.15, 0.0, 0.3, 0.85))],
+)
+def test_lag_correlations_match_the_pair_enumeration_and_their_slope(
+    structure: str, rhos: tuple[float, ...]
+) -> None:
+    # Lags 0 .. m - 1 of a 6-coordinate block; -0.15 is inside cs's (-1/5, 1).
+    # At rho = 0 an AR(1) slope that evaluated rho^-1 at lag 0 would warn,
+    # and a RuntimeWarning fails the test.
+    m, h = 6, 1e-6
+    lags = np.arange(m)
+    for rho in rhos:
+        dep = Dependence(structure, 2.0, rho)
+        c, dc = dep.lag_correlations(lags)
+        assert c.shape == dc.shape == (m,)
+        assert (c[0], dc[0]) == (1.0, 0.0)
+        expected = [pair_correlation(dep, d) for d in range(1, m)]
+        np.testing.assert_allclose(c[1:], expected, rtol=1e-15, atol=0.0)
+        up, _ = dep.lag_correlations(lags, rho + h)
+        down, _ = dep.lag_correlations(lags, rho - h)
+        np.testing.assert_allclose(dc, (up - down) / (2.0 * h), rtol=0.0, atol=1e-8)
+    # rho's shape leads the lags', here a vector of rho against a lag matrix.
+    lag_matrix = np.abs(np.subtract.outer(np.arange(3), np.arange(m)))
+    c, dc = dep.lag_correlations(lag_matrix, np.array(rhos))
+    assert c.shape == dc.shape == (len(rhos), 3, m)
+    for k, rho in enumerate(rhos):
+        one, slope = Dependence(structure, rho=rho).lag_correlations(lag_matrix)
+        np.testing.assert_allclose(c[k], one, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(dc[k], slope, rtol=1e-15, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Blocks and partitions
 # ---------------------------------------------------------------------------
@@ -410,6 +442,22 @@ def test_assemble_zero_between_scale_skips_impossible_bridge() -> None:
     assert np.all(got[3:, :3] == 0.0)
     expected = _oracle_assemble(s, deps, sizes)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
+
+
+def test_assemble_symmetry_rule_is_free_of_scale() -> None:
+    # Roundoff asymmetry passes at any scale, a 1e-3 relative one fails at any.
+    dep = Dependence(AR1, 1.0, 0.2)
+    between = np.array([[1.0, 0.3], [0.3, 1.0]])
+    rounded = between.copy()
+    rounded[0, 1] *= 1.0 + 1e-15
+    asymmetric = between.copy()
+    asymmetric[0, 1] += 1e-3
+    exact = assemble_kronecker(between, [dep, dep], [2, 3])
+    for scale in (1e-12, 1e-6, 1.0, 1e6):
+        got = assemble_kronecker(scale * rounded, [dep, dep], [2, 3])
+        np.testing.assert_allclose(got, scale * exact, rtol=1e-14, atol=0.0)
+        with pytest.raises(CovarianceError, match="^between-block matrix must be symmetric$"):
+            assemble_kronecker(scale * asymmetric, [dep, dep], [2, 3])
 
 
 def test_assemble_rejects_opposite_sign_bridge() -> None:

@@ -8,6 +8,7 @@ that could be unlocked could go stale under the fits that read it.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import fields, is_dataclass, replace
 from typing import Any
 
@@ -19,7 +20,7 @@ from dimm._util import frozen
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.integrate import integrate_fits, weight_matrix
 from dimm.pairwise import fit_blocks
-from dimm.simulate import bundled_scenario, generate_replicate, run_scenario
+from dimm.simulate import bundled_scenario, generate_replicate, report_fingerprint, run_scenario
 
 
 def _record_arrays(label: str, value: Any) -> dict[str, np.ndarray]:
@@ -98,3 +99,21 @@ def test_frozen_locks_a_view_at_the_memory_that_owns_it() -> None:
             arr.setflags(write=True)
     assert frozen(np.arange(3)).dtype == np.float64
 
+
+@pytest.mark.parametrize("protocol", [pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL])
+def test_records_stay_read_only_through_a_pickle_round_trip(protocol: int) -> None:
+    # A pool worker unpickles its scenario with every replicate.
+    scn = bundled_scenario("table1_scaled")
+    report = run_scenario(replace(bundled_scenario("micro"), n_replicates=2), workers=1)
+    for label, record in (("scenario", scn), ("sim_report", report)):
+        before = _record_arrays(label, record)
+        after = _record_arrays(label, pickle.loads(pickle.dumps(record, protocol=protocol)))
+        assert after.keys() == before.keys()
+        assert len(after) >= 4
+        for name, arr in after.items():
+            assert arr.dtype == before[name].dtype
+            np.testing.assert_array_equal(arr, before[name])
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+    again = pickle.loads(pickle.dumps(report, protocol=protocol))
+    assert report_fingerprint(again) == report_fingerprint(report)
