@@ -99,12 +99,18 @@ def subgroup(
 def frozen(arr: np.ndarray, dtype: type = np.float64) -> np.ndarray:
     """``arr`` as ``dtype`` behind a view that can never be made writeable again.
 
-    numpy unlocks an array that owns its memory, or whose owner (a view's
-    ``base``) is writeable, so both are locked. ``arr`` is not copied: its
-    caller hands it over, and what is cached from it cannot go stale.
+    numpy unlocks an array that owns its memory, or whose owner (the end of
+    its chain of ``base`` arrays) is writeable, so both are locked. ``arr``
+    is not copied: its caller hands it over, and what is cached from it
+    cannot go stale. Memory that no ndarray owns, such as a ``bytes`` or
+    ``bytearray`` buffer, cannot be locked that way, so it is copied.
     """
-    arr = np.asarray(arr, dtype=dtype)
-    (arr if arr.base is None else arr.base).setflags(write=False)
+    arr = owner = np.asarray(arr, dtype=dtype)
+    while isinstance(owner, np.ndarray) and owner.base is not None:
+        owner = owner.base
+    if not isinstance(owner, np.ndarray):
+        arr = owner = arr.copy()
+    owner.setflags(write=False)
     arr.setflags(write=False)
     return arr.view()
 
@@ -166,7 +172,9 @@ def parallel_map(fn: Callable, items: Iterable, workers: int | None = None) -> l
     With ``workers`` <= 1 (or a single item) this runs serially in the
     caller's process. Otherwise a process pool is used; results are
     collected in submission order, so the output is identical to the
-    serial path whatever the worker count.
+    serial path whatever the worker count. ``fn``, with whatever it binds
+    (a ``functools.partial`` of a scenario, say), reaches each worker once,
+    through the pool's initializer, and each task carries only its item.
     """
     items = list(items)
     if workers is None:
@@ -178,8 +186,19 @@ def parallel_map(fn: Callable, items: Iterable, workers: int | None = None) -> l
     # start a pool.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    with ProcessPoolExecutor(min(workers, len(items)), initializer=_set_task, initargs=(fn,)) as pool:
+        return list(pool.map(_run_task, items))
+
+
+_TASK: list[Callable] = []  # the function a pool worker maps, set by its initializer
+
+
+def _set_task(fn: Callable) -> None:
+    _TASK[:] = [fn]
+
+
+def _run_task(item: Any) -> Any:
+    return _TASK[0](item)
 
 
 def _open_for_writing(path: str | Path, what: str, mode: str = "w", **kwargs: Any) -> TextIO:
@@ -213,11 +232,10 @@ class Report:
             object.__setattr__(self, name, value)
 
     def __setstate__(self, state: dict[str, Any]) -> None:
-        """Unpickling locks each array again (:func:`frozen`), keeping its dtype;
-        a copy, since an unpickled array may sit on the pickle's own bytes."""
+        """Unpickling locks each array again (:func:`frozen`), keeping its dtype."""
         for name, value in state.items():
             if isinstance(value, np.ndarray):
-                value = frozen(value.copy(), value.dtype)
+                value = frozen(value, value.dtype)
             object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict[str, Any]:

@@ -9,11 +9,11 @@ Exit codes are distinct per failure class so callers can branch on them:
 * 5 — integration failure (degenerate weight or bread matrix)
 * 6 — scenario failure (too many replicate failures, bad scenario file)
 
-``fit`` and ``gof`` fit the blocks one after another in this process
-(``fit`` still accepts ``--workers`` and ignores it), and import neither
-the simulation code nor the comparators: ``simulate`` imports
-:mod:`dimm.simulate` when it runs. ``gof`` writes its report only to
-``--output``; a config's ``output_path`` names the fit report. Only
+``fit`` and ``gof`` fit the blocks in this process, a working family's
+blocks together (``fit`` still accepts ``--workers`` and ignores it),
+and import neither the simulation code nor the comparators: ``simulate``
+imports :mod:`dimm.simulate` when it runs. ``gof`` writes its report
+only to ``--output``; a config's ``output_path`` names the fit report. Only
 ``simulate`` runs a worker pool, over replicates: its worker count is the
 ``--workers`` flag, else the ``DIMM_WORKERS`` environment variable, else
 the machine's CPU count. A count that is not an integer >= 1 is a

@@ -97,11 +97,17 @@ class Dependence(Report):
     ) -> tuple[np.ndarray, np.ndarray]:
         """The correlation ``c`` at each lag ``d >= 0`` and its slope ``dc/drho``,
         shape ``rho.shape + lags.shape``, at this record's rho by default:
-        AR(1) has ``c = rho^d``, compound symmetry ``c = rho`` off lag 0."""
+        AR(1) has ``c = rho^d`` and slope ``d c_{d-1}`` (0 at lag 0), read
+        from a running product over the lags 0 .. max(lags), which is many
+        times cheaper than a float power; compound symmetry ``c = rho`` off
+        lag 0. The lags are integers."""
         rho = np.asarray(self.rho if rho is None else rho, dtype=np.float64)
+        if self.structure == AR1:
+            powers = np.ones(rho.shape + (int(np.max(lags, initial=0)) + 1,))
+            powers[..., 1:] = rho[..., None]
+            np.cumprod(powers, axis=-1, out=powers)
+            return np.take(powers, lags, -1), lags * np.take(powers, np.maximum(lags - 1, 0), -1)
         rho = rho.reshape(rho.shape + (1,) * np.ndim(lags))
-        if self.structure == AR1:  # the exponent floor keeps lag 0 off rho^-1
-            return rho**lags, lags * rho ** np.maximum(lags - 1, 0)
         at_zero = lags == 0
         return np.where(at_zero, 1.0, rho), np.where(at_zero, 0.0, np.ones_like(rho))
 

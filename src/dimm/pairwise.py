@@ -25,7 +25,7 @@ scalar:
   ``n_d`` pair terms, correlation ``c_d``, ``c'_d = dc_d/drho`` and
   ``w_d = 1 / (1 - c_d^2)`` at lag d;
 * the scores are affine in beta: subject i's beta-score is ``X_i' K
-  e_i`` with the m x m kernel K of :meth:`_BlockArrays.kernel`;
+  e_i`` with the m x m kernel K of :meth:`_BlockMoments.kernel`;
 * a subject-level column ``a_i 1`` (:attr:`~dimm.model.PanelDataset.subject_level`)
   is the same at every coordinate of a pair, so its part of ``S_d`` and
   ``C_d`` is a pair count times ``A'A`` or comes from ``A'Y``, and its
@@ -46,13 +46,14 @@ polynomial profile score; the tests check every bundled block fit, and
 misspecified, small and near-bound ones, against a 4,001-point grid.
 One evaluation gives the profile, its score and the Grams
 together, so the fit's checks (the sensitivity and the beta-, sigma-
-and rho-scores) read the evaluation at rho_hat that the root step
-already made. Every step is equivariant under a rescaling of the
-responses, and the post-fit checks are relative to scale.
+and rho-scores) read the evaluation at rho_hat. Every step is
+equivariant under a rescaling of the responses, and the post-fit checks
+are relative to scale.
 
-Blocks are fit one after another in the calling process. Each fit is
-independent of the others, which is what lets the paper spread them over
-machines; here a fit takes milliseconds, less than starting a worker.
+Each block's fit is independent of the others, which is what lets the
+paper spread them over machines. Here a fit takes well under a millisecond,
+mostly call overhead, so :func:`fit_blocks` fits a working family's blocks
+in lock-step, one profile evaluation a round, each as :func:`fit_block` would.
 
 A block is read through its :class:`_BlockMoments`: views of its
 coordinates in the panel's responses and split, never copies, and its
@@ -67,6 +68,7 @@ decides whether the block's design identifies beta, by the rule
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -74,12 +76,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from dimm._util import EXACT_FIT, cholesky, frozen
-from dimm.errors import FitError
+from dimm.errors import DataError, FitError
 from dimm.model import ColumnSplit, Dependence, PanelDataset, check_identified
 from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Generator, Sequence
 
     from dimm.model import BlockPartition
 
@@ -118,14 +120,31 @@ _CERT_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class _Profile:
-    """The profile at each of k rho values, with the Grams it came from."""
+    """The profile of each of J blocks at k rho values each, with the Grams it came from."""
 
-    beta: np.ndarray  # (k, p)
-    sigma2: np.ndarray  # (k,)
-    logcl: np.ndarray  # (k,)
-    score: np.ndarray  # (k,)
-    grams: np.ndarray  # (2, k, p + 1, p + 1): G0 and G1
-    family_score: np.ndarray  # (k,)
+    beta: np.ndarray  # (J, k, p)
+    sigma2: np.ndarray  # (J, k)
+    logcl: np.ndarray  # (J, k)
+    score: np.ndarray  # (J, k)
+    grams: np.ndarray  # (2, J, k, p + 1, p + 1): G0 and G1
+    family_score: np.ndarray  # (J, k)
+
+    def row(self, i: int) -> _Profile:
+        grams, family_score = self.grams[:, i], self.family_score[i]
+        return _Profile(self.beta[i], self.sigma2[i], self.logcl[i], self.score[i], grams, family_score)
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (r, t = r + d) of a block of m coordinates, ordered by lag
+    d = 1 .. m - 1: their rows r, their columns t and where each lag's run
+    starts. They depend on the block size alone, so blocks of one size share them."""
+    lags = np.arange(1, m)
+    counts = m - lags
+    r_idx = np.concatenate([np.arange(c) for c in counts])
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    t_idx = r_idx + np.repeat(lags, counts)
+    return frozen(r_idx, np.intp), frozen(t_idx, np.intp), frozen(starts, np.intp)
 
 
 class _BlockMoments:
@@ -193,9 +212,7 @@ class _BlockMoments:
         np.add(diag[counts], diag[m] - diag[lags], out=square)
         check_identified(diag[m, :p, :p], n * m, f"block {name!r}")
         cross[...] = square / 2.0  # right where z_r = z_t: the subject-level rows and columns
-        r_idx = np.concatenate([np.arange(c) for c in counts])
-        t_idx = r_idx + np.repeat(lags, counts)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        r_idx, t_idx, starts = _pair_index(m)
         lagged = np.add.reduceat(gram[r_idx, t_idx], starts, axis=0)
         cross[:, z.c[:, None], z.c] = (lagged + np.swapaxes(lagged, 1, 2)) / 2.0
 
@@ -206,10 +223,57 @@ class _BlockMoments:
         self.block_size = m
         self.n_pairs = m * (m - 1) // 2
         self.response_ms = float(np.mean(y * y))
-        self.lags = lags.astype(np.float64)
+        self.lags = lags
         self.n_terms = (counts * n).astype(np.float64)  # pair terms at each lag
         self.n_total = n * self.n_pairs  # their sum
         self.stacked = frozen(stacked.reshape(2 * (m - 1), (p + 1) ** 2))
+
+    def kernel(self, gamma: Dependence) -> np.ndarray:
+        """The m x m matrix K with per-subject beta-score ``X_i' K e_i`` under ``gamma``.
+
+        Off the diagonal, ``K[r, t] = -g c`` at lag ``|r - t|``; on it,
+        ``K[r, r]`` is the sum of ``g`` over ``t != r``, where
+        ``g = 1 / (sigma^2 (1 - c^2))``.
+        """
+        c_lag, _ = gamma.lag_correlations(self.lags)
+        g_lag = 1.0 / (gamma.sigma * gamma.sigma * (1.0 - c_lag * c_lag))
+        m = self.block_size
+        g = np.zeros(m)
+        gc = np.zeros(m)
+        g[1:] = g_lag
+        gc[1:] = g_lag * c_lag
+        lag = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+        k = -gc[lag]
+        k[np.diag_indices(m)] = g[lag].sum(axis=1)
+        return k
+
+    def subject_terms(self, beta: np.ndarray, gamma: Dependence) -> tuple[np.ndarray, np.ndarray]:
+        """Per-subject scores ``X_i' K e_i`` (N, p) and sensitivities
+        ``H_i = X_i' K X_i`` (N, p, p) under ``gamma``; the mean of ``H_i``
+        is the sensitivity of :meth:`_BlockArrays.checks`.
+
+        A subject-level column ``a_i 1`` enters in closed form: ``X_i' K X_i``
+        takes ``(1'K1) a_i a_i'`` and ``a_i (K1)'U_i`` against the
+        coordinate-level columns U, and ``X_i' K e_i`` takes ``a_i (K1)'e_i``.
+        The residuals are read through ``K1``, ``K U_i`` and ``U_i' K U_i``,
+        which ``H_i`` needs too, so no (N, m) array of them is formed.
+        """
+        split = self.split
+        a, u, beta_s, beta_c = split.a, split.u, beta[split.s], beta[split.c]
+        k = self.kernel(gamma)
+        k1 = k.sum(axis=1)
+        ku, k1u, fitted = k @ u, k1 @ u, a @ beta_s
+        h_cc = np.swapaxes(u, 1, 2) @ ku
+        scores = split.join(
+            (self.y @ k1 - fitted * k1.sum() - k1u @ beta_c)[:, None] * a,
+            (self.y[:, None, :] @ ku)[:, 0, :] - fitted[:, None] * k1u - h_cc @ beta_c,
+        )
+        h = split.join_symmetric(
+            (k1.sum() * a)[:, :, None] * a[:, None, :],
+            a[:, :, None] * k1u[:, None, :],
+            (h_cc + np.swapaxes(h_cc, 1, 2)) / 2.0,
+        )
+        return scores, h
 
 
 def _cumulative(blocks: np.ndarray) -> np.ndarray:
@@ -227,58 +291,67 @@ def _quadratic_forms(grams: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 class _BlockArrays:
-    """A block's moments under one working family, the :class:`~dimm.model.Dependence`
-    that states its rho interval (which refuses a block below 2 coordinates)
-    and its per-lag correlations and their rho-slopes. It enters only here,
-    at fit time, so the moments it reads are shared by every family fit on
-    the same panel.
+    """The moments of J blocks of one panel under one working family, read together,
+    and the :class:`~dimm.model.Dependence` that states each block's rho interval
+    ``rho_lower`` (J, 1) and its per-lag correlations and their rho-slopes. It
+    enters only here, at fit time, so the moments are shared by every family fit
+    on the panel. ``blocks`` picks the blocks a method evaluates, all by default.
+    The Fs of one block size are stacked (``stacked[m]``): a product padded with
+    zero rows would be summed by BLAS in another order, and move root steps.
     """
 
-    def __init__(self, moments: _BlockMoments, dependence: Dependence) -> None:
+    def __init__(self, moments: Sequence[_BlockMoments], dependence: Dependence) -> None:
         self.moments = moments
         self.dependence = dependence
-        self.rho_lower = dependence.rho_lower(moments.block_size)
+        self.rho_lower = np.array([[dependence.rho_lower(b.block_size)] for b in moments])
+        sizes = [b.block_size for b in moments]
+        self.sizes = np.array(sizes)
+        self.position = np.array([sizes[:j].count(m) for j, m in enumerate(sizes)])  # in stacked[m]
+        self.stacked = {m: np.stack([b.stacked for b in moments if b.block_size == m]) for m in sizes}
+        self.n_terms = {b.block_size: b.n_terms for b in moments}
+        self.n_total = np.array([float(b.n_total) for b in moments])
+        self.lags = np.arange(1, max(sizes, default=2))
 
-    def grams(self, rho: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``G0`` and ``G1`` at each rho, shape (2, ..., p + 1, p + 1).
+    def grams(
+        self, rho: np.ndarray, blocks: np.ndarray | slice = slice(None)
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``G0`` and ``G1`` at each rho (J, k), shape (2, J, k, p + 1, p + 1).
 
         With ``w_d = 1 / (1 - c_d^2)``, ``G0 = sum_d w_d (S_d - 2 c_d C_d)``
         and ``G1 = sum_d c'_d w_d^2 ((1 + c_d^2) C_d - c_d S_d)``, both one
         product of the lag weights with the stacked moments F. Also
-        returns, shape (...,), the terms of the log-CL and of its
+        returns, shape (J, k), the terms of the log-CL and of its
         rho-score that are free of the data: ``sum_d n_d log(1 - c_d^2)``
         and ``sum_d n_d c_d w_d c'_d``.
         """
-        c, dc = self.dependence.lag_correlations(self.moments.lags, rho)
-        c2 = c * c
-        one_mc2 = 1.0 - c2
-        w = 1.0 / one_mc2
-        cw = c * w
-        dw2 = dc * w * w
-        weights = np.stack(
-            [np.concatenate([w, -2.0 * cw], -1), np.concatenate([-c * dw2, (1.0 + c2) * dw2], -1)]
-        )
-        q = self.moments.n_covariates + 1
-        grams = (weights @ self.moments.stacked).reshape(*weights.shape[:-1], q, q)
-        n_terms = self.moments.n_terms
-        return grams, np.log(one_mc2) @ n_terms, (cw * dc) @ n_terms
+        q = self.moments[0].n_covariates + 1
+        grams = np.empty((2, *rho.shape, q, q))
+        free = np.empty((2, *rho.shape))
+        sizes, rows = self.sizes[blocks], self.position[blocks]
+        for m in dict.fromkeys(sizes.tolist()):
+            at = np.flatnonzero(sizes == m)
+            c, dc = self.dependence.lag_correlations(self.lags[: m - 1], rho[at])
+            c2 = c * c
+            one_mc2 = 1.0 - c2
+            w = 1.0 / one_mc2
+            cw = c * w
+            dw2 = dc * w * w
+            weights = np.stack(
+                [np.concatenate([w, -2.0 * cw], -1), np.concatenate([-c * dw2, (1.0 + c2) * dw2], -1)]
+            )
+            product = weights @ self.stacked[m][rows[at]]
+            grams[:, at] = product.reshape(*weights.shape[:-1], q, q)
+            free[:, at] = np.log(one_mc2) @ self.n_terms[m], (cw * dc) @ self.n_terms[m]
+        return grams, free[0], free[1]
 
-    def logcl(self, beta: np.ndarray, sigma: float, rho: float) -> float:
-        """Total log composite likelihood."""
-        grams, log_det, _ = self.grams(rho)
-        s2 = sigma * sigma
-        n_total = self.moments.n_total
-        quad = _quadratic_forms(grams[0], beta)
-        return float(-n_total * (_LOG_2PI + math.log(s2)) - 0.5 * log_det - quad / (2.0 * s2))
-
-    def profile(self, rhos: np.ndarray) -> _Profile:
-        """beta_hat(rho), sigma_hat^2(rho), the profile log-CL and its score."""
-        grams, log_det, family_score = self.grams(rhos)
+    def profile(self, rhos: np.ndarray, blocks: np.ndarray | slice = slice(None)) -> _Profile:
+        """beta_hat(rho), sigma_hat^2(rho), the profile log-CL and its score at each rho (J, k)."""
+        grams, log_det, family_score = self.grams(rhos, blocks)
         g0 = grams[0]
-        p = self.moments.n_covariates
+        p = self.moments[0].n_covariates
         beta = np.linalg.solve(g0[..., :p, :p], g0[..., :p, p:])[..., 0]
         quad = _quadratic_forms(grams, beta)
-        n_total = self.moments.n_total
+        n_total = self.n_total[blocks][:, None]
         sigma2 = quad[0] / (2.0 * n_total)
         # At sigma_hat^2 the quadratic terms of the log-CL sum to the
         # number of pair terms, hence the + 1. A non-positive sigma2 (an
@@ -289,66 +362,23 @@ class _BlockArrays:
         return _Profile(beta, sigma2, logcl, score, grams, family_score)
 
     def checks(
-        self, grams: np.ndarray, family_score: float, beta: np.ndarray, sigma: float
+        self, grams: np.ndarray, family_score: float, beta: np.ndarray, sigma: float, j: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sensitivity, mean beta-score and mean (sigma, rho)-score from
-        ``G0`` and ``G1`` at one rho.
+        """Sensitivity, mean beta-score and mean (sigma, rho)-score of block
+        ``j`` from its ``G0`` and ``G1`` at one rho.
 
         The sensitivity (1/N) sum_i sum_pairs Xpair' Omega^-1 Xpair is
         exact for the Gaussian identity link and free of beta.
         """
-        g0, p, s2 = grams[0], self.moments.n_covariates, sigma * sigma
-        n = self.moments.n_subjects
+        g0, p, s2 = grams[0], self.moments[j].n_covariates, sigma * sigma
+        n = self.moments[j].n_subjects
         quad0, quad1 = _quadratic_forms(grams, beta)
-        d_sigma = -2.0 * self.moments.n_total / sigma + quad0 / (s2 * sigma)
+        d_sigma = -2.0 * self.moments[j].n_total / sigma + quad0 / (s2 * sigma)
         return (
             g0[:p, :p] / (s2 * n),
             (g0[:p, p] - g0[:p, :p] @ beta) / (s2 * n),
             np.array([d_sigma, family_score + quad1 / s2]) / n,
         )
-
-    def kernel(self, sigma: float, rho: float) -> np.ndarray:
-        """The m x m matrix K with per-subject beta-score ``X_i' K e_i``.
-
-        Off the diagonal, ``K[r, t] = -g c`` at lag ``|r - t|``; on it,
-        ``K[r, r]`` is the sum of ``g`` over ``t != r``, where
-        ``g = 1 / (sigma^2 (1 - c^2))``.
-        """
-        c_lag, _ = self.dependence.lag_correlations(self.moments.lags, rho)
-        g_lag = 1.0 / (sigma * sigma * (1.0 - c_lag * c_lag))
-        m = self.moments.block_size
-        g = np.zeros(m)
-        gc = np.zeros(m)
-        g[1:] = g_lag
-        gc[1:] = g_lag * c_lag
-        lag = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
-        k = -gc[lag]
-        k[np.diag_indices(m)] = g[lag].sum(axis=1)
-        return k
-
-    def subject_terms(
-        self, beta: np.ndarray, sigma: float, rho: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-subject scores ``X_i' K e_i`` (N, p) and sensitivities
-        ``H_i = X_i' K X_i`` (N, p, p); the mean of ``H_i`` is the
-        sensitivity of :meth:`checks`.
-
-        A subject-level column ``a_i 1`` enters in closed form: ``X_i' K X_i``
-        takes ``(1'K1) a_i a_i'`` and ``a_i (K1)'U_i`` against the
-        coordinate-level columns U, and ``X_i' K e_i`` takes ``a_i (K1)'e_i``.
-        """
-        split = self.moments.split
-        a, u = split.a, split.u
-        k = self.kernel(sigma, rho)
-        k1 = k.sum(axis=1)
-        scores = split.cross(split.residuals(self.moments.y, beta) @ k)  # K is symmetric
-        h_cc = np.swapaxes(u, 1, 2) @ (k @ u)
-        h = split.join_symmetric(
-            k1.sum() * (a[:, :, None] * a[:, None, :]),
-            a[:, :, None] * (k1 @ u)[:, None, :],
-            (h_cc + np.swapaxes(h_cc, 1, 2)) / 2.0,
-        )
-        return scores, h
 
 
 def _moments_for(panel: PanelDataset, start: int, stop: int, name: str = "block") -> _BlockMoments:
@@ -367,7 +397,15 @@ def _arrays_for(
 ) -> _BlockArrays:
     if isinstance(block, PanelDataset):
         block = _moments_for(block, 0, block.n_coordinates, name)
-    return _BlockArrays(block, gamma)
+    return _BlockArrays([block], gamma)
+
+
+def _checks_at(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> tuple[np.ndarray, ...]:
+    """:meth:`_BlockArrays.checks` of one block at ``(beta, gamma)``."""
+    arrays = _arrays_for(block, gamma)
+    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
+    grams, _, family_score = arrays.grams(np.array([[gamma.rho]]))
+    return arrays.checks(grams[:, 0, 0], family_score[0, 0], beta, gamma.sigma, 0)
 
 
 def block_logcl(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> float:
@@ -378,33 +416,30 @@ def block_logcl(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> flo
     """
     arrays = _arrays_for(block, gamma)
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    return arrays.logcl(beta, gamma.sigma, gamma.rho)
+    grams, log_det, _ = arrays.grams(np.array([[gamma.rho]]))
+    s2 = gamma.sigma * gamma.sigma
+    n_total = arrays.moments[0].n_total
+    quad = _quadratic_forms(grams[0, 0, 0], beta)
+    return float(-n_total * (_LOG_2PI + math.log(s2)) - 0.5 * log_det[0, 0] - quad / (2.0 * s2))
 
 
 def block_score_beta(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> np.ndarray:
     """Per-subject beta-scores, shape (N, p); row i is subject i's
     gradient of its own pairwise log likelihood in beta."""
-    arrays = _arrays_for(block, gamma)
-    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    return arrays.subject_terms(beta, gamma.sigma, gamma.rho)[0]
+    moments = _arrays_for(block, gamma).moments[0]
+    return moments.subject_terms(np.asarray(beta, dtype=np.float64).reshape(-1), gamma)[0]
 
 
 def block_score_gamma(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> np.ndarray:
     """Gradient of the mean log-CL in (sigma, rho), in closed form."""
-    arrays = _arrays_for(block, gamma)
-    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    grams, _, family_score = arrays.grams(gamma.rho)
-    return arrays.checks(grams, family_score, beta, gamma.sigma)[2]
+    return _checks_at(beta, gamma, block)[2]
 
 
 def block_sensitivity(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> np.ndarray:
     """Sensitivity matrix (1/N) sum over subjects and pairs of
     ``Xpair' Omega^-1 Xpair``; beta enters the signature for interface
     uniformity only (the Gaussian identity link makes it beta-free)."""
-    arrays = _arrays_for(block, gamma)
-    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    grams, _, family_score = arrays.grams(gamma.rho)
-    return arrays.checks(grams, family_score, beta, gamma.sigma)[0]
+    return _checks_at(beta, gamma, block)[0]
 
 
 @dataclass(frozen=True)
@@ -498,13 +533,8 @@ class BlockFit:
 
 
 def _score_root(
-    score: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float,
-    f_hi: float,
-    name: str,
-) -> tuple[float, int]:
+    lo: float, hi: float, f_lo: float, f_hi: float, name: str
+) -> Generator[float, float, tuple[float, int]]:
     """Root of the rho-score between ``lo`` and ``hi``, whose scores
     ``f_lo`` and ``f_hi`` differ in sign (or one is zero).
 
@@ -512,9 +542,9 @@ def _score_root(
     and ``[x_cur, x_blk]`` brackets the root. Each step is a secant or
     inverse quadratic interpolation step when that step is short against
     the last two, and a bisection otherwise. The known end scores are
-    not recomputed.
-
-    Returns (root, score evaluations).
+    not recomputed. It yields each trial rho, is sent the score there
+    and returns (root, score evaluations), so blocks step in lock-step
+    (:func:`_fit_family`), each with its own state and the scalar step.
     """
     x_pre, x_cur, f_pre, f_cur = lo, hi, f_lo, f_hi
     if f_pre == 0.0:
@@ -559,22 +589,29 @@ def _score_root(
             x_cur += s_cur
         else:
             x_cur += delta if s_bis > 0.0 else -delta
-        f_cur = score(x_cur)
+        f_cur = yield x_cur
         n_evals += 1
 
 
-def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, _Profile, float, int, int]:
-    """Locate the profile maximum in rho.
-
-    Returns (rho_hat, the profile evaluated at rho_hat, best grid log-CL,
-    profile evaluations, score evaluations of the root step).
+def _fit_steps(arrays: _BlockArrays, j: int, name: str) -> Generator[np.ndarray, _Profile, BlockFit]:
+    """The fit of block ``j`` of ``arrays``: it yields each array of rhos it
+    needs the profile at, is sent the block's profile there, and returns
+    the fit or raises the :class:`FitError` that refuses it.
     """
-    lo, hi = arrays.rho_lower, 1.0
+    y = arrays.moments[j].y
+    if float(np.ptp(y)) == 0.0:
+        msg = (
+            f"block {name!r}: the response is constant (every value is "
+            f"{float(y.flat[0]):.6g}); sigma and rho are not identified"
+        )
+        raise FitError(msg)
+
+    lo, hi = float(arrays.rho_lower[j, 0]), 1.0
     k = _GRID_POINTS
     grid = lo + (hi - lo) * np.arange(1, k + 1) / (k + 1)
-    prof = arrays.profile(grid)
-    floor = float(np.min(prof.sigma2))
-    response_ms = arrays.moments.response_ms
+    prof_grid = yield grid
+    floor = float(np.min(prof_grid.sigma2))
+    response_ms = arrays.moments[j].response_ms
     if not floor > EXACT_FIT * response_ms:
         msg = (
             f"block {name!r}: exact fit, the residuals vanish (sigma_hat^2 = "
@@ -582,25 +619,22 @@ def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, _Profile,
             "sigma and rho are not identified"
         )
         raise FitError(msg)
-    best = int(np.argmax(prof.logcl))
+    best = int(np.argmax(prof_grid.logcl))
     n_evals = k
     # Every evaluation off the grid, by rho; the root is almost always one.
     evaluated: dict[float, _Profile] = {}
 
-    def evaluate(rho: float) -> _Profile:
-        evaluated[rho] = arrays.profile(np.array([rho]))
-        return evaluated[rho]
-
     # The maximum lies on the side the score points to: up to the next
     # grid point, or up to the probe next to the bound.
-    rising = prof.score[best] >= 0.0
+    rising = prof_grid.score[best] >= 0.0
     inner = float(grid[best])
     outer_index = best + 1 if rising else best - 1
     if 0 <= outer_index < k:
-        outer, outer_score = float(grid[outer_index]), float(prof.score[outer_index])
+        outer, outer_score = float(grid[outer_index]), float(prof_grid.score[outer_index])
     else:
         outer = hi - _EDGE * (hi - lo) if rising else lo + _EDGE * (hi - lo)
-        outer_score = float(evaluate(outer).score[0])
+        evaluated[outer] = yield np.array([outer])
+        outer_score = float(evaluated[outer].score[0])
         n_evals += 1
     if (outer_score >= 0.0) == rising:
         if not 0 <= outer_index < k:
@@ -618,14 +652,94 @@ def _maximize_profile(arrays: _BlockArrays, name: str) -> tuple[float, _Profile,
         )
         raise FitError(msg)
 
-    inner_score = float(prof.score[best])
+    inner_score = float(prof_grid.score[best])
     if inner < outer:
         bracket = (inner, outer, inner_score, outer_score)
     else:
         bracket = (outer, inner, outer_score, inner_score)
-    rho_hat, n_root = _score_root(lambda rho: float(evaluate(rho).score[0]), *bracket, name)
-    at_root = evaluated[rho_hat] if rho_hat in evaluated else evaluate(rho_hat)
-    return rho_hat, at_root, float(prof.logcl[best]), n_evals, n_root
+    step = _score_root(*bracket, name)
+    try:
+        rho = next(step)
+        while True:
+            evaluated[rho] = yield np.array([rho])
+            rho = step.send(float(evaluated[rho].score[0]))
+    except StopIteration as stop:
+        rho, n_root = stop.value
+    prof = evaluated[rho] if rho in evaluated else (yield np.array([rho]))
+    grid_logcl = float(prof_grid.logcl[best])
+    beta_hat = prof.beta[0]
+    sigma = math.sqrt(float(prof.sigma2[0]))
+    refined = float(prof.logcl[0])
+    if refined < grid_logcl - _CERT_RTOL * abs(grid_logcl):
+        msg = (
+            f"block {name!r}: the refined profile log-CL {refined:.12g} is below the "
+            f"maximum {grid_logcl:.12g} on the {_GRID_POINTS}-point rho grid"
+        )
+        raise FitError(msg)
+
+    sens, beta_score, gamma_score = arrays.checks(
+        prof.grams[:, 0], prof.family_score[0], beta_hat, sigma, j
+    )
+    cholesky(sens, f"block {name!r}: sensitivity matrix", FitError)
+    beta_scale = np.abs(sens) @ np.abs(beta_hat) + np.sqrt(np.diag(sens))
+    beta_rel = float(np.max(np.abs(beta_score) / beta_scale))
+    n_pairs = arrays.moments[j].n_pairs
+    gamma_rel = float(np.max(np.abs(gamma_score * np.array([sigma / 2.0, 1.0]) / n_pairs)))
+    trace = OptimizerTrace(
+        simplex_iterations=n_evals,
+        newton_iterations=n_root,
+        restarts=0,
+        grid_logcl=grid_logcl,
+        logcl=refined,
+        rel_beta_score=beta_rel,
+        rel_gamma_score=gamma_rel,
+        converged=max(beta_rel, gamma_rel) <= _ACCEPT_TOL,
+    )
+    if not trace.converged:
+        msg = (
+            f"block {name!r} did not converge: relative beta-score sup-norm "
+            f"{beta_rel:.3e}, relative gamma-score sup-norm {gamma_rel:.3e} "
+            f"(tol {_ACCEPT_TOL:.1e})"
+        )
+        raise FitError(msg, trace=trace)
+
+    gamma_hat = Dependence(arrays.dependence.structure, sigma=sigma, rho=rho)
+    scores, subject_sens = arrays.moments[j].subject_terms(beta_hat, gamma_hat)
+    return BlockFit(
+        name=name,
+        beta_hat=beta_hat,
+        gamma_hat=gamma_hat,
+        subject_scores=scores,
+        sensitivity=sens,
+        subject_sensitivities=subject_sens,
+        logcl=refined,
+        n_pairs=n_pairs,
+        trace=trace,
+    )
+
+
+def _fit_family(
+    moments: Sequence[_BlockMoments], dependence: Dependence, names: Sequence[str]
+) -> list[BlockFit | FitError]:
+    """Each block's fit, or the :class:`FitError` that refuses it: the blocks run
+    :func:`_fit_steps` in lock-step, one profile evaluation per round."""
+    arrays = _BlockArrays(moments, dependence)
+    fits = [_fit_steps(arrays, j, name) for j, name in enumerate(names)]
+    out: list[BlockFit | FitError | None] = [None] * len(fits)
+    sent: dict[int, _Profile | None] = dict.fromkeys(range(len(fits)))
+    while sent:
+        asked = {}
+        for j, prof in sent.items():
+            try:
+                asked[j] = fits[j].send(prof)
+            except StopIteration as stop:
+                out[j] = stop.value
+            except FitError as exc:
+                out[j] = exc
+        at = np.fromiter(asked, dtype=np.intp, count=len(asked))
+        prof = arrays.profile(np.array(list(asked.values())), at) if asked else None
+        sent = {j: prof.row(i) for i, j in enumerate(asked)}
+    return out
 
 
 def fit_block(
@@ -640,12 +754,11 @@ def fit_block(
     ----------
     block : PanelDataset
         The block's responses and covariates (M = block size).
-        :func:`fit_blocks` passes a block's cached ``_BlockMoments``
-        instead; a panel is read through its own, so both take one path.
-        The columns are split by the mask of the panel the block came
-        from, so a column constant within the block only is read in full
-        there and in closed form in a copy of the block; the two agree
-        to roundoff.
+        A block's cached ``_BlockMoments`` may be passed instead; a panel
+        is read through its own, so both take one path. The columns are
+        split by the mask of the panel the block came from, so a column
+        constant within the block only is read in full there and in
+        closed form in a copy of the block; the two agree to roundoff.
     structure : str
         Name of the working family to fit, ``"ar1"`` or ``"cs"``; the fit
         estimates its sigma and rho.
@@ -670,70 +783,18 @@ def fit_block(
         between grid neighbours, a refined maximum below the grid's, or
         scores above the acceptance tolerance.
     """
-    arrays = _arrays_for(block, Dependence(structure), name)
-    y = arrays.moments.y
-    if float(np.ptp(y)) == 0.0:
-        msg = (
-            f"block {name!r}: the response is constant (every value is "
-            f"{float(y.flat[0]):.6g}); sigma and rho are not identified"
-        )
-        raise FitError(msg)
-
-    rho, prof, grid_logcl, n_evals, n_root = _maximize_profile(arrays, name)
-    beta_hat = prof.beta[0]
-    sigma = math.sqrt(float(prof.sigma2[0]))
-    refined = float(prof.logcl[0])
-    if refined < grid_logcl - _CERT_RTOL * abs(grid_logcl):
-        msg = (
-            f"block {name!r}: the refined profile log-CL {refined:.12g} is below the "
-            f"maximum {grid_logcl:.12g} on the {_GRID_POINTS}-point rho grid"
-        )
-        raise FitError(msg)
-
-    sens, beta_score, gamma_score = arrays.checks(
-        prof.grams[:, 0], prof.family_score[0], beta_hat, sigma
-    )
-    cholesky(sens, f"block {name!r}: sensitivity matrix", FitError)
-    beta_scale = np.abs(sens) @ np.abs(beta_hat) + np.sqrt(np.diag(sens))
-    beta_rel = float(np.max(np.abs(beta_score) / beta_scale))
-    gamma_rel = float(
-        np.max(np.abs(gamma_score * np.array([sigma / 2.0, 1.0]) / arrays.moments.n_pairs))
-    )
-    trace = OptimizerTrace(
-        simplex_iterations=n_evals,
-        newton_iterations=n_root,
-        restarts=0,
-        grid_logcl=grid_logcl,
-        logcl=refined,
-        rel_beta_score=beta_rel,
-        rel_gamma_score=gamma_rel,
-        converged=max(beta_rel, gamma_rel) <= _ACCEPT_TOL,
-    )
-    if not trace.converged:
-        msg = (
-            f"block {name!r} did not converge: relative beta-score sup-norm "
-            f"{beta_rel:.3e}, relative gamma-score sup-norm {gamma_rel:.3e} "
-            f"(tol {_ACCEPT_TOL:.1e})"
-        )
-        raise FitError(msg, trace=trace)
-
-    scores, subject_sens = arrays.subject_terms(beta_hat, sigma, rho)
-    return BlockFit(
-        name=name,
-        beta_hat=beta_hat,
-        gamma_hat=Dependence(structure, sigma=sigma, rho=rho),
-        subject_scores=scores,
-        sensitivity=sens,
-        subject_sensitivities=subject_sens,
-        logcl=refined,
-        n_pairs=arrays.moments.n_pairs,
-        trace=trace,
-    )
+    dependence = Dependence(structure)
+    [fit] = _fit_family(_arrays_for(block, dependence, name).moments, dependence, [name])
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
 
 
 def fit_blocks(data: PanelDataset, partition: BlockPartition) -> list[BlockFit]:
-    """Fit every block of a partitioned panel, one after another, in block order.
+    """Fit every block of a partitioned panel, returned in block order.
 
+    A working family's blocks are fit together, each as :func:`fit_block`
+    fits it; a refusal is that of the first refused block in block order.
     Each block is read through its moments, views of ``data`` that are
     built once and kept on the panel: fitting another working family on
     the same panel reuses them.
@@ -744,7 +805,19 @@ def fit_blocks(data: PanelDataset, partition: BlockPartition) -> list[BlockFit]:
         If the partition sizes do not sum to the panel's M.
     """
     partition.check_covers(data.n_coordinates)
-    return [
-        fit_block(_moments_for(data, s.start, s.stop, b.name), b.structure, name=b.name)
-        for s, b in zip(partition.slices, partition.blocks)
-    ]
+    blocks, out = partition.blocks, []
+    for s, b in zip(partition.slices, blocks):
+        try:
+            out.append(_moments_for(data, s.start, s.stop, b.name))
+        except DataError as exc:
+            out.append(exc)
+    fitting = [j for j, moments in enumerate(out) if isinstance(moments, _BlockMoments)]
+    for structure in dict.fromkeys(blocks[j].structure for j in fitting):
+        js = [j for j in fitting if blocks[j].structure == structure]
+        fits = _fit_family([out[j] for j in js], Dependence(structure), [blocks[j].name for j in js])
+        for j, fit in zip(js, fits):
+            out[j] = fit
+    for fit in out:
+        if isinstance(fit, (DataError, FitError)):
+            raise fit
+    return out

@@ -200,7 +200,9 @@ def stacked_replicate(scn: SimScenario, rep_index: int) -> PanelDataset:
         elif spec.kind == "interaction":
             col = cols[spec.a] * cols[spec.b]
         elif spec.kind == "mv_normal_rows":
-            corr = spec.rho ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+            # rho^d as the running product rho * rho * ..., the recipe's own rounding
+            powers = np.cumprod(np.concatenate([[1.0], np.full(m - 1, spec.rho)]))
+            corr = powers[np.abs(np.subtract.outer(np.arange(m), np.arange(m)))]
             col = rng.standard_normal((n, m)) @ np.linalg.cholesky(corr).T
         else:  # alternating01
             col = np.broadcast_to(

@@ -21,7 +21,7 @@ import pytest
 from dimm import model, pairwise, simulate
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.integrate import integrate_fits
-from dimm.model import ColumnSplit, Dependence, PanelDataset
+from dimm.model import ColumnSplit, PanelDataset
 from dimm.pairwise import fit_blocks
 from dimm.simulate import SimScenario, bundled_scenario, generate_replicate
 from tests.oracles import gee_sandwich, gls_normal_equations
@@ -134,10 +134,8 @@ def test_split_matches_the_full_array_forms(design: str, monkeypatch: pytest.Mon
         y, x = data.responses[:, sl], data.covariates[:, sl]
         moments = pairwise._moments_for(data, sl.start, sl.stop)
         _close(moments.stacked, _pairwise_moments(y, x), f"F of {fit.name}")
-        arrays = pairwise._BlockArrays(moments, Dependence(fit.structure))
-        gamma = fit.gamma_hat
-        k = arrays.kernel(gamma.sigma, gamma.rho)
-        scores, sens = arrays.subject_terms(fit.beta_hat, gamma.sigma, gamma.rho)
+        k = moments.kernel(fit.gamma_hat)
+        scores, sens = moments.subject_terms(fit.beta_hat, fit.gamma_hat)
         _close(scores, np.einsum("nmp,mk,nk->np", x, k, y - x @ fit.beta_hat), "X_i' K e_i")
         _close(sens, np.einsum("nmp,mk,nkq->npq", x, k, x), "X_i' K X_i")
 

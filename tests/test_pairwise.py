@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from dimm import model, pairwise
 from dimm.errors import DataError, FitError, PartitionError
+from dimm.integrate import integrate_fits
 from dimm.model import (
     BlockPartition,
     Dependence,
@@ -226,14 +227,15 @@ def _pair_logcl(beta: np.ndarray, sigma: float, rho: float, structure: str, bloc
 @pytest.mark.parametrize("structure", ["ar1", "cs"])
 def test_profile_from_two_grams_matches_the_pair_oracle(structure: str) -> None:
     block = _random_block(seed=31, n=7, m=4, p=2)
+    # A batch of one block: its rho interval and profile lead with the block axis.
     arrays = pairwise._arrays_for(block, Dependence(structure))
     lo = arrays.rho_lower
     rhos = lo + (1.0 - lo) * np.array([0.08, 0.2, 0.35, 0.5, 0.65, 0.8, 0.92])
     prof = arrays.profile(rhos)
-    for k, rho in enumerate(rhos):
-        beta, sigma = prof.beta[k], math.sqrt(prof.sigma2[k])
+    for k, rho in enumerate(rhos[0]):
+        beta, sigma = prof.beta[0, k], math.sqrt(prof.sigma2[0, k])
         logcl = _pair_logcl(beta, sigma, rho, structure, block)
-        assert prof.logcl[k] == pytest.approx(logcl, rel=1e-11)
+        assert prof.logcl[0, k] == pytest.approx(logcl, rel=1e-11)
         # beta_hat(rho) and sigma_hat(rho) zero the oracle's beta- and
         # sigma-scores. Central differences are exact for the quadratic
         # beta-part and leave O(h^2) in sigma; at h = 1e-5 both stay far
@@ -497,6 +499,104 @@ def test_subject_order_only_permutes_the_subject_terms(order: list[int]) -> None
             )
 
 
+def _fit_each(data: PanelDataset, part: BlockPartition) -> list:
+    """The blocks of ``part`` fitted one at a time, each a batch of one."""
+    return [
+        fit_block(pairwise._moments_for(data, sl.start, sl.stop, b.name), b.structure, name=b.name)
+        for sl, b in zip(part.slices, part.blocks)
+    ]
+
+
+@pytest.mark.parametrize("structure", ["ar1", "cs"])
+def test_fit_blocks_matches_a_loop_of_fit_block_on_bundled_scenarios(structure: str) -> None:
+    # Fitting a family's blocks together moves no block's rho by more than
+    # 1e-12, nor beta_dimm, the SEs or Q by more than 1e-10 relative, and
+    # each block takes the steps it takes alone.
+    for name in bundled_scenario_names():
+        scn = bundled_scenario(name)
+        part = scn.partition_for(f"dimm:{structure}")
+        for rep in range(1 if name == "table1_full" else 2):
+            data = generate_replicate(scn, rep)
+            together, alone = fit_blocks(data, part), _fit_each(data, part)
+            for got, want in zip(together, alone):
+                assert got.name == want.name
+                assert got.gamma_hat.rho == pytest.approx(want.gamma_hat.rho, rel=0.0, abs=1e-12)
+                counts = [(f.trace.simplex_iterations, f.trace.newton_iterations) for f in (got, want)]
+                assert counts[0] == counts[1], (name, rep, got.name)
+            got, want = integrate_fits(together), integrate_fits(alone)
+            for attr in ("beta_dimm", "std_errors", "asymptotic_std_errors"):
+                np.testing.assert_allclose(getattr(got, attr), getattr(want, attr), rtol=1e-10, atol=0.0)
+            assert got.q_stat == pytest.approx(want.q_stat, rel=1e-10)
+
+
+def _mixed_panel() -> tuple[PanelDataset, BlockPartition]:
+    """Five blocks of three sizes under both families, interleaved."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(41)))
+    n, sizes = 60, [3, 5, 4, 3, 6]
+    corr = 0.5 ** np.abs(np.subtract.outer(np.arange(21), np.arange(21)))
+    y = rng.standard_normal((n, 21)) @ np.linalg.cholesky(corr).T
+    x = np.concatenate([np.ones((n, 21, 1)), rng.standard_normal((n, 21, 1))], axis=2)
+    part = BlockPartition.from_sizes(
+        sizes, structure=["cs", "ar1", "cs", "ar1", "ar1"], names=["e", "d", "c", "b", "a"]
+    )
+    return PanelDataset(y + x @ np.array([0.4, -0.3]), x), part
+
+
+def test_fit_blocks_returns_a_mixed_partition_in_block_order() -> None:
+    data, part = _mixed_panel()
+    fits = fit_blocks(data, part)
+    assert [(f.name, f.structure, f.subject_sensitivities.shape[0]) for f in fits] == [
+        (b.name, b.structure, 60) for b in part.blocks
+    ]
+    for got, want in zip(fits, _fit_each(data, part)):
+        np.testing.assert_array_equal(got.beta_hat, want.beta_hat)
+        assert (got.gamma_hat, got.trace) == (want.gamma_hat, want.trace)
+
+
+def _spoilt(data: PanelDataset, part: BlockPartition, how: dict[str, str]) -> PanelDataset:
+    """``data`` with the blocks named in ``how`` made unfit: a constant
+    response, an exact fit, duplicated coordinates (rho at its bound) or a
+    design that does not identify beta."""
+    y, x = np.array(data.responses), np.array(data.covariates)
+    for sl, b in zip(part.slices, part.blocks):
+        kind = how.get(b.name)
+        if kind == "constant":
+            y[:, sl] = 3.0
+        elif kind == "exact":
+            y[:, sl] = x[:, sl] @ np.array([0.7, -1.3])
+        elif kind == "bound":
+            y[:, sl], x[:, sl] = y[:, sl.start, None], x[:, sl.start, None]
+        elif kind == "rank":
+            x[:, sl, 1] = 2.0 * x[:, sl, 0]
+    return PanelDataset(y, x)
+
+
+@pytest.mark.parametrize(
+    ("how", "culprit"),
+    [
+        ({"c": "constant"}, "c"),
+        ({"b": "exact"}, "b"),
+        ({"d": "bound"}, "d"),
+        ({"a": "rank"}, "a"),
+        # The first bad block in block order, whatever stage the others fail at.
+        ({"e": "exact", "c": "constant"}, "e"),
+        ({"d": "bound", "b": "rank"}, "d"),
+        ({"c": "rank", "a": "constant"}, "c"),
+    ],
+)
+def test_a_bad_block_in_a_batch_raises_what_it_raises_alone(how: dict[str, str], culprit: str) -> None:
+    data, part = _mixed_panel()
+    data = _spoilt(data, part, how)
+    j = part.names.index(culprit)
+    sl, block = part.slices[j], part.blocks[j]
+    with pytest.raises((FitError, DataError)) as alone:
+        fit_block(pairwise._moments_for(data, sl.start, sl.stop, culprit), block.structure, name=culprit)
+    with pytest.raises(type(alone.value)) as together:
+        fit_blocks(data, part)
+    assert str(together.value) == str(alone.value)
+    assert str(together.value).startswith(f"block {culprit!r}")
+
+
 def test_fit_blocks_reads_slices_and_its_cache_dies_with_the_panel(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
@@ -592,7 +692,7 @@ def _grid_beats_the_fit(data: PanelDataset, part: BlockPartition) -> list[str]:
     beaten = []
     for fit, sl in zip(fit_blocks(data, part), part.slices):
         moments = pairwise._moments_for(data, sl.start, sl.stop)
-        arrays = pairwise._BlockArrays(moments, Dependence(fit.structure))
+        arrays = pairwise._BlockArrays([moments], Dependence(fit.structure))
         lo = arrays.rho_lower
         grid = lo + (1.0 - lo) * np.arange(1, 4002) / 4002
         best = float(np.max(arrays.profile(grid).logcl))
@@ -681,32 +781,39 @@ def test_duplicated_coordinates_put_rho_at_its_bound() -> None:
 def test_score_root_matches_scipy_brentq_on_bundled_scenarios(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # Every block of replicate 0 of every bundled scenario: the root step
-    # finds brentq's rho on the same bracket, at no more evaluations.
+    # Every block of replicate 0 of every bundled scenario: the root step,
+    # run in lock-step with the other blocks of its family, finds brentq's
+    # rho on the same bracket, at no more evaluations.
     from scipy import optimize
 
     calls: list[tuple[float, float, int, int]] = []
+    steps: dict[str, tuple[float, float, float, int]] = {}
     root_step = pairwise._score_root
 
-    def both(score, lo, hi, f_lo, f_hi, name):
-        rho, n_evals = root_step(score, lo, hi, f_lo, f_hi, name)
-        _, result = optimize.brentq(
-            score, lo, hi, xtol=pairwise._RHO_XTOL, full_output=True
-        )
-        calls.append((rho, result.root, n_evals, result.function_calls))
+    def recorded(lo, hi, f_lo, f_hi, name):
+        rho, n_evals = yield from root_step(lo, hi, f_lo, f_hi, name)
+        steps[name] = (lo, hi, rho, n_evals)
         return rho, n_evals
 
-    monkeypatch.setattr(pairwise, "_score_root", both)
+    monkeypatch.setattr(pairwise, "_score_root", recorded)
     for name in bundled_scenario_names():
         scn = bundled_scenario(name)
         data = generate_replicate(scn, 0)
         calls.clear()
         for method in scn.methods:
             if method.startswith("dimm"):
-                fits = fit_blocks(data, scn.partition_for(method))
-                assert [f.trace.newton_iterations for f in fits] == [
-                    c[2] for c in calls[-len(fits):]
-                ]
+                steps.clear()
+                part = scn.partition_for(method)
+                for fit, sl in zip(fit_blocks(data, part), part.slices):
+                    moments = pairwise._moments_for(data, sl.start, sl.stop)
+                    arrays = pairwise._BlockArrays([moments], Dependence(fit.structure))
+                    lo, hi, rho, n_evals = steps[fit.name]
+                    _, result = optimize.brentq(
+                        lambda x, arrays=arrays: float(arrays.profile(np.array([[x]])).score[0, 0]),
+                        lo, hi, xtol=pairwise._RHO_XTOL, full_output=True,
+                    )
+                    assert fit.trace.newton_iterations == n_evals
+                    calls.append((rho, result.root, n_evals, result.function_calls))
         assert calls, name
         got = np.array(calls)
         np.testing.assert_allclose(got[:, 0], got[:, 1], rtol=0.0, atol=1e-12, err_msg=name)
@@ -717,12 +824,21 @@ def test_score_root_on_known_functions() -> None:
     def cubic(x: float) -> float:
         return x**3 - 0.2
 
-    root, n_evals = pairwise._score_root(cubic, 0.0, 1.0, cubic(0.0), cubic(1.0), "b")
+    def solve(lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, int]:
+        step = pairwise._score_root(lo, hi, f_lo, f_hi, "b")
+        try:
+            rho = next(step)
+            while True:
+                rho = step.send(cubic(rho))
+        except StopIteration as stop:
+            return stop.value
+
+    root, n_evals = solve(0.0, 1.0, cubic(0.0), cubic(1.0))
     assert root == pytest.approx(0.2 ** (1.0 / 3.0), abs=1e-13)
     assert 0 < n_evals < 20
     # A zero score at either end is the root, with no evaluation.
-    assert pairwise._score_root(cubic, -0.5, 0.5, 0.0, 1.0, "b") == (-0.5, 0)
-    assert pairwise._score_root(cubic, -0.5, 0.5, -1.0, 0.0, "b") == (0.5, 0)
+    assert solve(-0.5, 0.5, 0.0, 1.0) == (-0.5, 0)
+    assert solve(-0.5, 0.5, -1.0, 0.0) == (0.5, 0)
 
 
 def test_score_root_that_does_not_converge_names_the_block(
@@ -740,15 +856,15 @@ def test_two_turning_points_between_grid_neighbours_are_refused(
     # sign, so no sign change brackets a maximum between them.
     profile = pairwise._BlockArrays.profile
 
-    def bent(self, rhos: np.ndarray) -> pairwise._Profile:
-        prof = profile(self, rhos)
-        if rhos.shape[0] != pairwise._GRID_POINTS:
+    def bent(self, rhos: np.ndarray, blocks=slice(None)) -> pairwise._Profile:
+        prof = profile(self, rhos, blocks)
+        if rhos.shape[-1] != pairwise._GRID_POINTS:
             return prof
         score = prof.score.copy()
-        best = int(np.argmax(prof.logcl))
-        neighbour = best + 1 if score[best] >= 0.0 else best - 1
-        assert 0 <= neighbour < rhos.shape[0]
-        score[neighbour] = score[best]
+        best = int(np.argmax(prof.logcl[0]))
+        neighbour = best + 1 if score[0, best] >= 0.0 else best - 1
+        assert 0 <= neighbour < rhos.shape[-1]
+        score[0, neighbour] = score[0, best]
         return replace(prof, score=score)
 
     monkeypatch.setattr(pairwise._BlockArrays, "profile", bent)
@@ -767,8 +883,8 @@ def test_refined_maximum_below_the_grid_maximum_is_refused(
     # is well below its best grid point.
     root_step = pairwise._score_root
 
-    def astray(score, lo, hi, f_lo, f_hi, name):
-        rho, n_evals = root_step(score, lo, hi, f_lo, f_hi, name)
+    def astray(lo, hi, f_lo, f_hi, name):
+        rho, n_evals = yield from root_step(lo, hi, f_lo, f_hi, name)
         return (rho - 0.5 if rho > 0.0 else rho + 0.5), n_evals
 
     monkeypatch.setattr(pairwise, "_score_root", astray)

@@ -100,6 +100,21 @@ def test_frozen_locks_a_view_at_the_memory_that_owns_it() -> None:
     assert frozen(np.arange(3)).dtype == np.float64
 
 
+@pytest.mark.parametrize("buffer", [bytes, bytearray])
+def test_frozen_copies_memory_that_no_ndarray_owns(buffer: type) -> None:
+    # np.frombuffer leaves the array on the buffer; a view of such an array
+    # has an ndarray base that owns nothing either.
+    data = buffer(np.arange(4.0).tobytes())
+    for arr in (np.frombuffer(data), np.frombuffer(data)[1:]):
+        locked = frozen(arr)
+        with pytest.raises(ValueError):
+            locked.setflags(write=True)
+        assert not np.shares_memory(locked, arr)
+    if buffer is bytearray:
+        np.frombuffer(data)[:] = -1.0  # the buffer stays writeable; the copy does not see it
+    np.testing.assert_array_equal(locked, [1.0, 2.0, 3.0])
+
+
 @pytest.mark.parametrize("protocol", [pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL])
 def test_records_stay_read_only_through_a_pickle_round_trip(protocol: int) -> None:
     # A pool worker unpickles its scenario with every replicate.
