@@ -392,17 +392,16 @@ def _moments_for(panel: PanelDataset, start: int, stop: int, name: str = "block"
     return panel.derived((_BlockMoments, start, stop), build)
 
 
-def _arrays_for(
-    block: PanelDataset | _BlockMoments, gamma: Dependence, name: str = "block"
-) -> _BlockArrays:
+def _block_moments(block: PanelDataset | _BlockMoments, name: str = "block") -> _BlockMoments:
+    """The moments of a whole panel as one block, or ``block`` if it is moments already."""
     if isinstance(block, PanelDataset):
-        block = _moments_for(block, 0, block.n_coordinates, name)
-    return _BlockArrays([block], gamma)
+        return _moments_for(block, 0, block.n_coordinates, name)
+    return block
 
 
 def _checks_at(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> tuple[np.ndarray, ...]:
     """:meth:`_BlockArrays.checks` of one block at ``(beta, gamma)``."""
-    arrays = _arrays_for(block, gamma)
+    arrays = _BlockArrays([_block_moments(block)], gamma)
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)
     grams, _, family_score = arrays.grams(np.array([[gamma.rho]]))
     return arrays.checks(grams[:, 0, 0], family_score[0, 0], beta, gamma.sigma, 0)
@@ -414,7 +413,7 @@ def block_logcl(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> flo
     Sums the bivariate log densities of every within-block coordinate
     pair over all subjects.
     """
-    arrays = _arrays_for(block, gamma)
+    arrays = _BlockArrays([_block_moments(block)], gamma)
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)
     grams, log_det, _ = arrays.grams(np.array([[gamma.rho]]))
     s2 = gamma.sigma * gamma.sigma
@@ -426,8 +425,7 @@ def block_logcl(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> flo
 def block_score_beta(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> np.ndarray:
     """Per-subject beta-scores, shape (N, p); row i is subject i's
     gradient of its own pairwise log likelihood in beta."""
-    moments = _arrays_for(block, gamma).moments[0]
-    return moments.subject_terms(np.asarray(beta, dtype=np.float64).reshape(-1), gamma)[0]
+    return _block_moments(block).subject_terms(np.asarray(beta, dtype=np.float64).reshape(-1), gamma)[0]
 
 
 def block_score_gamma(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> np.ndarray:
@@ -609,6 +607,9 @@ def _fit_steps(arrays: _BlockArrays, j: int, name: str) -> Generator[np.ndarray,
     lo, hi = float(arrays.rho_lower[j, 0]), 1.0
     k = _GRID_POINTS
     grid = lo + (hi - lo) * np.arange(1, k + 1) / (k + 1)
+    # The fit keeps its grid row, and with it the round's batch, to its end: letting it go
+    # after the grid round cut a table1_full study's peak RSS by 1 MB but put glibc into
+    # trimming and refaulting the heap, with twice the minor faults per replicate.
     prof_grid = yield grid
     floor = float(np.min(prof_grid.sigma2))
     response_ms = arrays.moments[j].response_ms
@@ -784,7 +785,7 @@ def fit_block(
         scores above the acceptance tolerance.
     """
     dependence = Dependence(structure)
-    [fit] = _fit_family(_arrays_for(block, dependence, name).moments, dependence, [name])
+    [fit] = _fit_family([_block_moments(block, name)], dependence, [name])
     if isinstance(fit, FitError):
         raise fit
     return fit

@@ -228,7 +228,7 @@ def _pair_logcl(beta: np.ndarray, sigma: float, rho: float, structure: str, bloc
 def test_profile_from_two_grams_matches_the_pair_oracle(structure: str) -> None:
     block = _random_block(seed=31, n=7, m=4, p=2)
     # A batch of one block: its rho interval and profile lead with the block axis.
-    arrays = pairwise._arrays_for(block, Dependence(structure))
+    arrays = pairwise._BlockArrays([pairwise._block_moments(block)], Dependence(structure))
     lo = arrays.rho_lower
     rhos = lo + (1.0 - lo) * np.array([0.08, 0.2, 0.35, 0.5, 0.65, 0.8, 0.92])
     prof = arrays.profile(rhos)
