@@ -328,20 +328,21 @@ class _BlockArrays:
         grams = np.empty((2, *rho.shape, q, q))
         free = np.empty((2, *rho.shape))
         sizes, rows = self.sizes[blocks], self.position[blocks]
+        c, dc = self.dependence.lag_correlations(self.lags[: sizes.max() - 1], rho)
+        c2 = c * c
+        one_mc2 = 1.0 - c2
+        w = 1.0 / one_mc2
+        cw = c * w
+        dw2 = dc * w * w
+        # Weights of S and C in G0 and G1, then the data-free terms, at the largest block's lags.
+        terms = np.stack([w, -2.0 * cw, -c * dw2, (1.0 + c2) * dw2, np.log(one_mc2), cw * dc])
         for m in dict.fromkeys(sizes.tolist()):
             at = np.flatnonzero(sizes == m)
-            c, dc = self.dependence.lag_correlations(self.lags[: m - 1], rho[at])
-            c2 = c * c
-            one_mc2 = 1.0 - c2
-            w = 1.0 / one_mc2
-            cw = c * w
-            dw2 = dc * w * w
-            weights = np.stack(
-                [np.concatenate([w, -2.0 * cw], -1), np.concatenate([-c * dw2, (1.0 + c2) * dw2], -1)]
-            )
+            part = terms[:, at, :, : m - 1]
+            weights = np.concatenate([part[0:4:2], part[1:4:2]], -1)
             product = weights @ self.stacked[m][rows[at]]
             grams[:, at] = product.reshape(*weights.shape[:-1], q, q)
-            free[:, at] = np.log(one_mc2) @ self.n_terms[m], (cw * dc) @ self.n_terms[m]
+            free[:, at] = part[4:] @ self.n_terms[m]
         return grams, free[0], free[1]
 
     def profile(self, rhos: np.ndarray, blocks: np.ndarray | slice = slice(None)) -> _Profile:
