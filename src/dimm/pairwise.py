@@ -18,8 +18,8 @@ scalar:
 * the log-CL depends on the data only through the per-lag square and
   cross moments ``S_d``, ``C_d`` of ``Z = [X | y]`` (:class:`_BlockMoments`);
 * at each rho, two weighted sums of them, ``G0`` and ``G1``
-  (:meth:`_BlockArrays.grams`), hold every statistic. With ``v = (-beta,
-  1)``, ``beta_hat(rho)`` solves ``G0[:p, :p] beta = G0[:p, p]`` (sigma
+  (:func:`_grams`), hold every statistic. With ``v = (-beta, 1)``,
+  ``beta_hat(rho)`` solves ``G0[:p, :p] beta = G0[:p, p]`` (sigma
   cancels out of it), ``sigma_hat^2(rho) = v'G0 v / (2 N n_pairs)``, and
   the rho-score is ``sum_d n_d c_d w_d c'_d + v'G1 v / sigma^2``, with
   ``n_d`` pair terms, correlation ``c_d``, ``c'_d = dc_d/drho`` and
@@ -156,7 +156,7 @@ class _BlockMoments:
     sum (z_r z_t' + z_t z_r') / 2``. ``stacked`` is the array F of shape
     (2 (m - 1), (p + 1)^2) whose rows are ``S_1 .. S_{m-1}`` and then
     ``C_1 .. C_{m-1}``, each flattened, so a weighted sum over the lags of
-    both is one product with F (:meth:`_BlockArrays.grams`).
+    both is one product with F (:func:`_grams`).
 
     They are read through the block's :class:`~dimm.model.ColumnSplit`.
     The coordinate-level columns and y, ``w_r``, go through the Gram of
@@ -223,6 +223,7 @@ class _BlockMoments:
         self.block_size = m
         self.n_pairs = m * (m - 1) // 2
         self.response_ms = float(np.mean(y * y))
+        self.constant_response = float(np.ptp(y)) == 0.0
         self.lags = lags
         self.n_terms = (counts * n).astype(np.float64)  # pair terms at each lag
         self.n_total = n * self.n_pairs  # their sum
@@ -250,7 +251,7 @@ class _BlockMoments:
     def subject_terms(self, beta: np.ndarray, gamma: Dependence) -> tuple[np.ndarray, np.ndarray]:
         """Per-subject scores ``X_i' K e_i`` (N, p) and sensitivities
         ``H_i = X_i' K X_i`` (N, p, p) under ``gamma``; the mean of ``H_i``
-        is the sensitivity of :meth:`_BlockArrays.checks`.
+        is the sensitivity of :meth:`checks`.
 
         A subject-level column ``a_i 1`` enters in closed form: ``X_i' K X_i``
         takes ``(1'K1) a_i a_i'`` and ``a_i (K1)'U_i`` against the
@@ -275,6 +276,24 @@ class _BlockMoments:
         )
         return scores, h
 
+    def checks(
+        self, grams: np.ndarray, family_score: float, beta: np.ndarray, sigma: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sensitivity, mean beta-score and mean (sigma, rho)-score from the
+        block's ``G0`` and ``G1`` at one rho (:func:`_grams`).
+
+        The sensitivity (1/N) sum_i sum_pairs Xpair' Omega^-1 Xpair is
+        exact for the Gaussian identity link and free of beta.
+        """
+        g0, p, s2, n = grams[0], self.n_covariates, sigma * sigma, self.n_subjects
+        quad0, quad1 = _quadratic_forms(grams, beta)
+        d_sigma = -2.0 * self.n_total / sigma + quad0 / (s2 * sigma)
+        return (
+            g0[:p, :p] / (s2 * n),
+            (g0[:p, p] - g0[:p, :p] @ beta) / (s2 * n),
+            np.array([d_sigma, family_score + quad1 / s2]) / n,
+        )
+
 
 def _cumulative(blocks: np.ndarray) -> np.ndarray:
     """Sums of the first k of ``blocks`` (m, ...) for k = 0 .. m."""
@@ -290,96 +309,59 @@ def _quadratic_forms(grams: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...ij,...j->...", v, grams, v)
 
 
-class _BlockArrays:
-    """The moments of J blocks of one panel under one working family, read together,
-    and the :class:`~dimm.model.Dependence` that states each block's rho interval
-    ``rho_lower`` (J, 1) and its per-lag correlations and their rho-slopes. It
-    enters only here, at fit time, so the moments are shared by every family fit
-    on the panel. ``blocks`` picks the blocks a method evaluates, all by default.
-    The Fs of one block size are stacked (``stacked[m]``): a product padded with
-    zero rows would be summed by BLAS in another order, and move root steps.
+def _grams(
+    moments: Sequence[_BlockMoments], dependence: Dependence, rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``G0`` and ``G1`` of each block of ``moments`` at its rhos, row j of
+    ``rho`` (J, k), shape (2, J, k, p + 1, p + 1).
+
+    With ``w_d = 1 / (1 - c_d^2)``, ``G0 = sum_d w_d (S_d - 2 c_d C_d)``
+    and ``G1 = sum_d c'_d w_d^2 ((1 + c_d^2) C_d - c_d S_d)``, both one
+    product of the lag weights with the block's stacked moments F. Also
+    returns, shape (J, k), the terms of the log-CL and of its rho-score
+    that are free of the data: ``sum_d n_d log(1 - c_d^2)`` and ``sum_d
+    n_d c_d w_d c'_d``. :class:`~dimm.model.Dependence` states the
+    correlations ``c_d`` and slopes ``c'_d``; it enters only here, at fit
+    time, so the moments are shared by every family fit on the panel.
     """
+    q = moments[0].n_covariates + 1
+    grams = np.empty((2, *rho.shape, q, q))
+    free = np.empty((2, *rho.shape))
+    c, dc = dependence.lag_correlations(np.arange(1, max(b.block_size for b in moments)), rho)
+    c2 = c * c
+    one_mc2 = 1.0 - c2
+    w = 1.0 / one_mc2
+    cw = c * w
+    dw2 = dc * w * w
+    # Weights of S and C in G0 and G1, then the data-free terms, at the largest block's lags.
+    terms = np.stack([w, -2.0 * cw, -c * dw2, (1.0 + c2) * dw2, np.log(one_mc2), cw * dc])
+    # One product per block: a batch padded with zero lags would be summed by BLAS in
+    # another order, and move root steps.
+    for j, b in enumerate(moments):
+        part = terms[:, j, :, : b.block_size - 1]
+        weights = np.concatenate([part[0:4:2], part[1:4:2]], -1)
+        grams[:, j] = (weights @ b.stacked).reshape(*weights.shape[:-1], q, q)
+        free[:, j] = part[4:] @ b.n_terms
+    return grams, free[0], free[1]
 
-    def __init__(self, moments: Sequence[_BlockMoments], dependence: Dependence) -> None:
-        self.moments = moments
-        self.dependence = dependence
-        self.rho_lower = np.array([[dependence.rho_lower(b.block_size)] for b in moments])
-        sizes = [b.block_size for b in moments]
-        self.sizes = np.array(sizes)
-        self.position = np.array([sizes[:j].count(m) for j, m in enumerate(sizes)])  # in stacked[m]
-        self.stacked = {m: np.stack([b.stacked for b in moments if b.block_size == m]) for m in sizes}
-        self.n_terms = {b.block_size: b.n_terms for b in moments}
-        self.n_total = np.array([float(b.n_total) for b in moments])
-        self.lags = np.arange(1, max(sizes, default=2))
 
-    def grams(
-        self, rho: np.ndarray, blocks: np.ndarray | slice = slice(None)
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``G0`` and ``G1`` at each rho (J, k), shape (2, J, k, p + 1, p + 1).
-
-        With ``w_d = 1 / (1 - c_d^2)``, ``G0 = sum_d w_d (S_d - 2 c_d C_d)``
-        and ``G1 = sum_d c'_d w_d^2 ((1 + c_d^2) C_d - c_d S_d)``, both one
-        product of the lag weights with the stacked moments F. Also
-        returns, shape (J, k), the terms of the log-CL and of its
-        rho-score that are free of the data: ``sum_d n_d log(1 - c_d^2)``
-        and ``sum_d n_d c_d w_d c'_d``.
-        """
-        q = self.moments[0].n_covariates + 1
-        grams = np.empty((2, *rho.shape, q, q))
-        free = np.empty((2, *rho.shape))
-        sizes, rows = self.sizes[blocks], self.position[blocks]
-        c, dc = self.dependence.lag_correlations(self.lags[: sizes.max() - 1], rho)
-        c2 = c * c
-        one_mc2 = 1.0 - c2
-        w = 1.0 / one_mc2
-        cw = c * w
-        dw2 = dc * w * w
-        # Weights of S and C in G0 and G1, then the data-free terms, at the largest block's lags.
-        terms = np.stack([w, -2.0 * cw, -c * dw2, (1.0 + c2) * dw2, np.log(one_mc2), cw * dc])
-        for m in dict.fromkeys(sizes.tolist()):
-            at = np.flatnonzero(sizes == m)
-            part = terms[:, at, :, : m - 1]
-            weights = np.concatenate([part[0:4:2], part[1:4:2]], -1)
-            product = weights @ self.stacked[m][rows[at]]
-            grams[:, at] = product.reshape(*weights.shape[:-1], q, q)
-            free[:, at] = part[4:] @ self.n_terms[m]
-        return grams, free[0], free[1]
-
-    def profile(self, rhos: np.ndarray, blocks: np.ndarray | slice = slice(None)) -> _Profile:
-        """beta_hat(rho), sigma_hat^2(rho), the profile log-CL and its score at each rho (J, k)."""
-        grams, log_det, family_score = self.grams(rhos, blocks)
-        g0 = grams[0]
-        p = self.moments[0].n_covariates
-        beta = np.linalg.solve(g0[..., :p, :p], g0[..., :p, p:])[..., 0]
-        quad = _quadratic_forms(grams, beta)
-        n_total = self.n_total[blocks][:, None]
-        sigma2 = quad[0] / (2.0 * n_total)
-        # At sigma_hat^2 the quadratic terms of the log-CL sum to the
-        # number of pair terms, hence the + 1. A non-positive sigma2 (an
-        # exact fit) gives nan here and is refused by the caller.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            logcl = -n_total * (_LOG_2PI + np.log(sigma2) + 1.0) - 0.5 * log_det
-            score = family_score + quad[1] / sigma2
-        return _Profile(beta, sigma2, logcl, score, grams, family_score)
-
-    def checks(
-        self, grams: np.ndarray, family_score: float, beta: np.ndarray, sigma: float, j: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sensitivity, mean beta-score and mean (sigma, rho)-score of block
-        ``j`` from its ``G0`` and ``G1`` at one rho.
-
-        The sensitivity (1/N) sum_i sum_pairs Xpair' Omega^-1 Xpair is
-        exact for the Gaussian identity link and free of beta.
-        """
-        g0, p, s2 = grams[0], self.moments[j].n_covariates, sigma * sigma
-        n = self.moments[j].n_subjects
-        quad0, quad1 = _quadratic_forms(grams, beta)
-        d_sigma = -2.0 * self.moments[j].n_total / sigma + quad0 / (s2 * sigma)
-        return (
-            g0[:p, :p] / (s2 * n),
-            (g0[:p, p] - g0[:p, :p] @ beta) / (s2 * n),
-            np.array([d_sigma, family_score + quad1 / s2]) / n,
-        )
+def _profile(moments: Sequence[_BlockMoments], dependence: Dependence, rhos: np.ndarray) -> _Profile:
+    """beta_hat(rho), sigma_hat^2(rho), the profile log-CL and its score of
+    each block of ``moments`` at its rhos, row j of ``rhos`` (J, k)."""
+    grams, log_det, family_score = _grams(moments, dependence, rhos)
+    g0 = grams[0]
+    p = moments[0].n_covariates
+    beta = np.linalg.solve(g0[..., :p, :p], g0[..., :p, p:])[..., 0]
+    quad = _quadratic_forms(grams, beta)
+    n_total = np.array([[float(b.n_total)] for b in moments])
+    sigma2 = quad[0] / (2.0 * n_total)
+    # At sigma_hat^2 the quadratic terms of the log-CL sum to the
+    # number of pair terms, hence the + 1. A non-positive sigma2 (an
+    # exact fit) gives nan here and is refused by the caller.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        logcl = -n_total * (_LOG_2PI + np.log(sigma2) + 1.0) - 0.5 * log_det
+        score = family_score + quad[1] / sigma2
+    return _Profile(beta, sigma2, logcl, score, grams, family_score)
 
 
 def _moments_for(panel: PanelDataset, start: int, stop: int, name: str = "block") -> _BlockMoments:
@@ -401,11 +383,11 @@ def _block_moments(block: PanelDataset | _BlockMoments, name: str = "block") -> 
 
 
 def _checks_at(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> tuple[np.ndarray, ...]:
-    """:meth:`_BlockArrays.checks` of one block at ``(beta, gamma)``."""
-    arrays = _BlockArrays([_block_moments(block)], gamma)
+    """:meth:`_BlockMoments.checks` of one block at ``(beta, gamma)``."""
+    b = _block_moments(block)
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    grams, _, family_score = arrays.grams(np.array([[gamma.rho]]))
-    return arrays.checks(grams[:, 0, 0], family_score[0, 0], beta, gamma.sigma, 0)
+    grams, _, family_score = _grams([b], gamma, np.array([[gamma.rho]]))
+    return b.checks(grams[:, 0, 0], family_score[0, 0], beta, gamma.sigma)
 
 
 def block_logcl(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> float:
@@ -414,13 +396,12 @@ def block_logcl(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> flo
     Sums the bivariate log densities of every within-block coordinate
     pair over all subjects.
     """
-    arrays = _BlockArrays([_block_moments(block)], gamma)
+    b = _block_moments(block)
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    grams, log_det, _ = arrays.grams(np.array([[gamma.rho]]))
+    grams, log_det, _ = _grams([b], gamma, np.array([[gamma.rho]]))
     s2 = gamma.sigma * gamma.sigma
-    n_total = arrays.moments[0].n_total
     quad = _quadratic_forms(grams[0, 0, 0], beta)
-    return float(-n_total * (_LOG_2PI + math.log(s2)) - 0.5 * log_det[0, 0] - quad / (2.0 * s2))
+    return float(-b.n_total * (_LOG_2PI + math.log(s2)) - 0.5 * log_det[0, 0] - quad / (2.0 * s2))
 
 
 def block_score_beta(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> np.ndarray:
@@ -445,14 +426,11 @@ def block_sensitivity(beta: np.ndarray, gamma: Dependence, block: PanelDataset) 
 class OptimizerTrace:
     """Diagnostics from one block fit.
 
-    ``simplex_iterations`` counts the profile evaluations that bracket
+    ``profile_evaluations`` counts the profile evaluations that bracket
     the maximum (the grid, plus one probe next to a bound when the best
-    grid point is the outermost one), ``newton_iterations`` the score
+    grid point is the outermost one), and ``root_evaluations`` the score
     evaluations of the root step that refines it (the scores at the
-    bracket ends come from the grid and are not counted again), and
-    ``restarts`` is always 0; the names are those of an earlier
-    optimizer, kept because perfbench's ``pairwise.iterations`` and
-    ``restart_frac`` probes read them.
+    bracket ends come from the grid and are not counted again).
 
     ``grid_logcl`` is the best profile log-CL on the grid and ``logcl``
     the refined one; ``logcl >= grid_logcl`` certifies that the fit is
@@ -463,9 +441,8 @@ class OptimizerTrace:
     n_pairs, n_pairs)``; both are free of the response scale.
     """
 
-    simplex_iterations: int
-    newton_iterations: int
-    restarts: int
+    profile_evaluations: int
+    root_evaluations: int
     grid_logcl: float
     logcl: float
     rel_beta_score: float
@@ -475,7 +452,7 @@ class OptimizerTrace:
 
 @dataclass(frozen=True, eq=False)
 class BlockFit:
-    """Result of one block's composite-likelihood fit; built by :func:`fit_block`.
+    """Result of one block's composite-likelihood fit, from :func:`fit_block` or :func:`fit_blocks`.
 
     It takes ownership of the arrays it is given, read-only (:func:`dimm._util.frozen`).
 
@@ -592,20 +569,22 @@ def _score_root(
         n_evals += 1
 
 
-def _fit_steps(arrays: _BlockArrays, j: int, name: str) -> Generator[np.ndarray, _Profile, BlockFit]:
-    """The fit of block ``j`` of ``arrays``: it yields each array of rhos it
-    needs the profile at, is sent the block's profile there, and returns
-    the fit or raises the :class:`FitError` that refuses it.
+def _fit_steps(
+    b: _BlockMoments, dependence: Dependence, name: str
+) -> Generator[np.ndarray, _Profile, BlockFit]:
+    """The fit of the block with moments ``b`` under ``dependence``'s family:
+    it yields each array of rhos it needs the profile at, is sent the
+    block's profile there, and returns the fit or raises the
+    :class:`FitError` that refuses it.
     """
-    y = arrays.moments[j].y
-    if float(np.ptp(y)) == 0.0:
+    if b.constant_response:
         msg = (
             f"block {name!r}: the response is constant (every value is "
-            f"{float(y.flat[0]):.6g}); sigma and rho are not identified"
+            f"{float(b.y.flat[0]):.6g}); sigma and rho are not identified"
         )
         raise FitError(msg)
 
-    lo, hi = float(arrays.rho_lower[j, 0]), 1.0
+    lo, hi = dependence.rho_lower(b.block_size), 1.0
     k = _GRID_POINTS
     grid = lo + (hi - lo) * np.arange(1, k + 1) / (k + 1)
     # The fit keeps its grid row, and with it the round's batch, to its end: letting it go
@@ -613,11 +592,10 @@ def _fit_steps(arrays: _BlockArrays, j: int, name: str) -> Generator[np.ndarray,
     # trimming and refaulting the heap, with twice the minor faults per replicate.
     prof_grid = yield grid
     floor = float(np.min(prof_grid.sigma2))
-    response_ms = arrays.moments[j].response_ms
-    if not floor > EXACT_FIT * response_ms:
+    if not floor > EXACT_FIT * b.response_ms:
         msg = (
             f"block {name!r}: exact fit, the residuals vanish (sigma_hat^2 = "
-            f"{floor:.3g} against a response mean square of {response_ms:.3g}); "
+            f"{floor:.3g} against a response mean square of {b.response_ms:.3g}); "
             "sigma and rho are not identified"
         )
         raise FitError(msg)
@@ -679,18 +657,15 @@ def _fit_steps(arrays: _BlockArrays, j: int, name: str) -> Generator[np.ndarray,
         )
         raise FitError(msg)
 
-    sens, beta_score, gamma_score = arrays.checks(
-        prof.grams[:, 0], prof.family_score[0], beta_hat, sigma, j
-    )
+    sens, beta_score, gamma_score = b.checks(prof.grams[:, 0], prof.family_score[0], beta_hat, sigma)
     cholesky(sens, f"block {name!r}: sensitivity matrix", FitError)
     beta_scale = np.abs(sens) @ np.abs(beta_hat) + np.sqrt(np.diag(sens))
     beta_rel = float(np.max(np.abs(beta_score) / beta_scale))
-    n_pairs = arrays.moments[j].n_pairs
+    n_pairs = b.n_pairs
     gamma_rel = float(np.max(np.abs(gamma_score * np.array([sigma / 2.0, 1.0]) / n_pairs)))
     trace = OptimizerTrace(
-        simplex_iterations=n_evals,
-        newton_iterations=n_root,
-        restarts=0,
+        profile_evaluations=n_evals,
+        root_evaluations=n_root,
         grid_logcl=grid_logcl,
         logcl=refined,
         rel_beta_score=beta_rel,
@@ -705,8 +680,8 @@ def _fit_steps(arrays: _BlockArrays, j: int, name: str) -> Generator[np.ndarray,
         )
         raise FitError(msg, trace=trace)
 
-    gamma_hat = Dependence(arrays.dependence.structure, sigma=sigma, rho=rho)
-    scores, subject_sens = arrays.moments[j].subject_terms(beta_hat, gamma_hat)
+    gamma_hat = Dependence(dependence.structure, sigma=sigma, rho=rho)
+    scores, subject_sens = b.subject_terms(beta_hat, gamma_hat)
     return BlockFit(
         name=name,
         beta_hat=beta_hat,
@@ -725,8 +700,7 @@ def _fit_family(
 ) -> list[BlockFit | FitError]:
     """Each block's fit, or the :class:`FitError` that refuses it: the blocks run
     :func:`_fit_steps` in lock-step, one profile evaluation per round."""
-    arrays = _BlockArrays(moments, dependence)
-    fits = [_fit_steps(arrays, j, name) for j, name in enumerate(names)]
+    fits = [_fit_steps(b, dependence, name) for b, name in zip(moments, names)]
     out: list[BlockFit | FitError | None] = [None] * len(fits)
     sent: dict[int, _Profile | None] = dict.fromkeys(range(len(fits)))
     while sent:
@@ -738,8 +712,8 @@ def _fit_family(
                 out[j] = stop.value
             except FitError as exc:
                 out[j] = exc
-        at = np.fromiter(asked, dtype=np.intp, count=len(asked))
-        prof = arrays.profile(np.array(list(asked.values())), at) if asked else None
+        rhos = np.array(list(asked.values()))
+        prof = _profile([moments[j] for j in asked], dependence, rhos) if asked else None
         sent = {j: prof.row(i) for i, j in enumerate(asked)}
     return out
 

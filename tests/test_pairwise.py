@@ -228,10 +228,10 @@ def _pair_logcl(beta: np.ndarray, sigma: float, rho: float, structure: str, bloc
 def test_profile_from_two_grams_matches_the_pair_oracle(structure: str) -> None:
     block = _random_block(seed=31, n=7, m=4, p=2)
     # A batch of one block: its rho interval and profile lead with the block axis.
-    arrays = pairwise._BlockArrays([pairwise._block_moments(block)], Dependence(structure))
-    lo = arrays.rho_lower
+    moments, dependence = pairwise._block_moments(block), Dependence(structure)
+    lo = np.array([[dependence.rho_lower(moments.block_size)]])
     rhos = lo + (1.0 - lo) * np.array([0.08, 0.2, 0.35, 0.5, 0.65, 0.8, 0.92])
-    prof = arrays.profile(rhos)
+    prof = pairwise._profile([moments], dependence, rhos)
     for k, rho in enumerate(rhos[0]):
         beta, sigma = prof.beta[0, k], math.sqrt(prof.sigma2[0, k])
         logcl = _pair_logcl(beta, sigma, rho, structure, block)
@@ -256,7 +256,7 @@ def test_profile_from_two_grams_matches_the_pair_oracle(structure: str) -> None:
     # The rho-score is the derivative of the profile log-CL: a five-point
     # central difference, whose O(h^4) error is negligible at h = 1e-4.
     h = 1e-4
-    shifted = [arrays.profile(rhos + j * h).logcl for j in (-2, -1, 1, 2)]
+    shifted = [pairwise._profile([moments], dependence, rhos + j * h).logcl for j in (-2, -1, 1, 2)]
     fd = (shifted[0] - 8.0 * shifted[1] + 8.0 * shifted[2] - shifted[3]) / (12.0 * h)
     np.testing.assert_allclose(prof.score, fd, rtol=1e-6)
 
@@ -509,9 +509,10 @@ def _fit_each(data: PanelDataset, part: BlockPartition) -> list:
 
 @pytest.mark.parametrize("structure", ["ar1", "cs"])
 def test_fit_blocks_matches_a_loop_of_fit_block_on_bundled_scenarios(structure: str) -> None:
-    # Fitting a family's blocks together moves no block's rho by more than
-    # 1e-12, nor beta_dimm, the SEs or Q by more than 1e-10 relative, and
-    # each block takes the steps it takes alone.
+    # Fitting a family's blocks together gives each block the fit it gets
+    # alone, and the steps it takes alone. The relative scores are left out:
+    # the score at the root is roundoff, and numpy sums equal inputs to
+    # another 1e-16 where they sit elsewhere in memory.
     for name in bundled_scenario_names():
         scn = bundled_scenario(name)
         part = scn.partition_for(f"dimm:{structure}")
@@ -520,8 +521,10 @@ def test_fit_blocks_matches_a_loop_of_fit_block_on_bundled_scenarios(structure: 
             together, alone = fit_blocks(data, part), _fit_each(data, part)
             for got, want in zip(together, alone):
                 assert got.name == want.name
-                assert got.gamma_hat.rho == pytest.approx(want.gamma_hat.rho, rel=0.0, abs=1e-12)
-                counts = [(f.trace.simplex_iterations, f.trace.newton_iterations) for f in (got, want)]
+                assert (got.gamma_hat, got.logcl) == (want.gamma_hat, want.logcl), (name, rep, got.name)
+                for field in ("beta_hat", "subject_scores", "subject_sensitivities"):
+                    np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+                counts = [(f.trace.profile_evaluations, f.trace.root_evaluations) for f in (got, want)]
                 assert counts[0] == counts[1], (name, rep, got.name)
             got, want = integrate_fits(together), integrate_fits(alone)
             for attr in ("beta_dimm", "std_errors", "asymptotic_std_errors"):
@@ -626,8 +629,8 @@ def test_grid_size_picks_the_bracket_not_the_answer(monkeypatch: pytest.MonkeyPa
     default = fit_block(block, "ar1")
     monkeypatch.setattr(pairwise, "_GRID_POINTS", 5)
     coarse = fit_block(block, "ar1")
-    assert coarse.trace.simplex_iterations in (5, 6)
-    assert default.trace.simplex_iterations in (41, 42)
+    assert coarse.trace.profile_evaluations in (5, 6)
+    assert default.trace.profile_evaluations in (41, 42)
     assert coarse.trace.converged
     np.testing.assert_allclose(coarse.beta_hat, default.beta_hat, rtol=1e-10, atol=1e-13)
     assert coarse.gamma_hat.rho == pytest.approx(default.gamma_hat.rho, rel=1e-10, abs=1e-13)
@@ -692,10 +695,10 @@ def _grid_beats_the_fit(data: PanelDataset, part: BlockPartition) -> list[str]:
     beaten = []
     for fit, sl in zip(fit_blocks(data, part), part.slices):
         moments = pairwise._moments_for(data, sl.start, sl.stop)
-        arrays = pairwise._BlockArrays([moments], Dependence(fit.structure))
-        lo = arrays.rho_lower
+        dependence = Dependence(fit.structure)
+        lo = dependence.rho_lower(moments.block_size)
         grid = lo + (1.0 - lo) * np.arange(1, 4002) / 4002
-        best = float(np.max(arrays.profile(grid).logcl))
+        best = float(np.max(pairwise._profile([moments], dependence, grid[None]).logcl))
         if best > fit.logcl + pairwise._CERT_RTOL * abs(fit.logcl):
             beaten.append(f"{fit.name} ({fit.structure}): grid {best!r} > refined {fit.logcl!r}")
     return beaten
@@ -806,13 +809,15 @@ def test_score_root_matches_scipy_brentq_on_bundled_scenarios(
                 part = scn.partition_for(method)
                 for fit, sl in zip(fit_blocks(data, part), part.slices):
                     moments = pairwise._moments_for(data, sl.start, sl.stop)
-                    arrays = pairwise._BlockArrays([moments], Dependence(fit.structure))
+                    dependence = Dependence(fit.structure)
                     lo, hi, rho, n_evals = steps[fit.name]
                     _, result = optimize.brentq(
-                        lambda x, arrays=arrays: float(arrays.profile(np.array([[x]])).score[0, 0]),
+                        lambda x, moments=moments, dependence=dependence: float(
+                            pairwise._profile([moments], dependence, np.array([[x]])).score[0, 0]
+                        ),
                         lo, hi, xtol=pairwise._RHO_XTOL, full_output=True,
                     )
-                    assert fit.trace.newton_iterations == n_evals
+                    assert fit.trace.root_evaluations == n_evals
                     calls.append((rho, result.root, n_evals, result.function_calls))
         assert calls, name
         got = np.array(calls)
@@ -854,10 +859,10 @@ def test_two_turning_points_between_grid_neighbours_are_refused(
 ) -> None:
     # The score at the best grid point's neighbour is given the best point's
     # sign, so no sign change brackets a maximum between them.
-    profile = pairwise._BlockArrays.profile
+    profile = pairwise._profile
 
-    def bent(self, rhos: np.ndarray, blocks=slice(None)) -> pairwise._Profile:
-        prof = profile(self, rhos, blocks)
+    def bent(moments, dependence, rhos: np.ndarray) -> pairwise._Profile:
+        prof = profile(moments, dependence, rhos)
         if rhos.shape[-1] != pairwise._GRID_POINTS:
             return prof
         score = prof.score.copy()
@@ -867,7 +872,7 @@ def test_two_turning_points_between_grid_neighbours_are_refused(
         score[0, neighbour] = score[0, best]
         return replace(prof, score=score)
 
-    monkeypatch.setattr(pairwise._BlockArrays, "profile", bent)
+    monkeypatch.setattr(pairwise, "_profile", bent)
     expected = (
         r"^block 'bent': the profile log-CL has more than one turning point between "
         r"rho = \S+ and \S+, neighbours on the 41-point rho grid$"
