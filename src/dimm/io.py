@@ -258,11 +258,11 @@ def save_panel(
     # The data lines are joined by hand, as csv.writer would write them: a
     # float's repr needs no quoting. The headers go through csv.writer,
     # since a covariate name may. One subject at a time bounds the memory.
-    with Path(response_path).open("w", newline="", encoding="utf-8") as handle:
+    with _open_for_writing(response_path, "response", newline="") as handle:
         csv.writer(handle).writerow([f"y{j + 1}" for j in range(m)])
         for row in data.responses:
             handle.write(",".join(map(repr, row.tolist())) + "\r\n")
-    with Path(covariate_path).open("w", newline="", encoding="utf-8") as handle:
+    with _open_for_writing(covariate_path, "covariate", newline="") as handle:
         csv.writer(handle).writerow(["subject_id", "position", *covariate_names])
         for i, subject in enumerate(data.covariates, start=1):
             handle.writelines(

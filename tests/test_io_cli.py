@@ -96,6 +96,16 @@ def test_save_panel_writes_the_csv_writer_bytes(tmp_path: Path) -> None:
     assert str(back.responses.flat[0]) == "-0.0"
 
 
+@pytest.mark.parametrize("what", ["response", "covariate"])
+def test_save_panel_refuses_an_unwritable_path_with_a_config_error(tmp_path: Path, what: str) -> None:
+    # It used to raise a bare FileNotFoundError.
+    paths = {"response": tmp_path / "y.csv", "covariate": tmp_path / "x.csv"}
+    paths[what] = target = tmp_path / "absent" / f"{what}.csv"
+    with pytest.raises(ConfigError) as info:
+        save_panel(_make_panel(), paths["response"], paths["covariate"])
+    assert str(info.value) == f"cannot write {what} file {target}: No such file or directory"
+
+
 def test_covariate_rows_may_arrive_shuffled(panel_files, tmp_path: Path) -> None:
     _, data, rp, cp, _, _ = panel_files
     with open(cp, newline="") as handle:
