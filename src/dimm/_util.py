@@ -211,6 +211,16 @@ def _open_for_writing(path: str | Path, what: str, mode: str = "w", **kwargs: An
         raise ConfigError(msg) from None
 
 
+def _refuse_unwritable(path: str | Path, what: str) -> None:
+    """Raise :func:`_open_for_writing`'s :class:`ConfigError` now if ``path``
+    cannot be written, before anything is; an existing file is left as it
+    is, and a new one is not left behind."""
+    created = not os.path.lexists(path)
+    _open_for_writing(path, what, "a").close()
+    if created:
+        os.remove(path)
+
+
 class Report:
     """Base of the JSON records: one codec derived from the dataclass fields.
 

@@ -23,7 +23,6 @@ configuration problem, wherever it comes from.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -31,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import WORKERS_ENV, _open_for_writing, default_worker_count
+from dimm._util import WORKERS_ENV, _refuse_unwritable, default_worker_count
 from dimm.errors import (
     ConfigError,
     CovarianceError,
@@ -165,10 +164,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # An unwritable path is refused before the study runs, and an existing file is left as it is.
     for path, what in ((args.output, SimReport.PATH), (args.estimates_csv, "estimates CSV")):
         if path:
-            created = not os.path.lexists(path)
-            _open_for_writing(path, what, "a").close()
-            if created:
-                os.remove(path)
+            _refuse_unwritable(path, what)
 
     report = run_scenario(scenario, workers=workers)
     print(f"scenario {report.scenario_name!r}: N={report.n_subjects}, "

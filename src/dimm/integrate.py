@@ -3,8 +3,10 @@
 The flow is summary -> combine -> jackknife. :func:`weight_matrix`
 builds the moment summary, a :class:`Moments` record, once: the stacked
 per-subject scores ``psi_i = (psi_i1', ..., psi_iJ')'`` (each block's
-beta-score at its own estimate), the stacked per-subject sensitivities
-``H_i``, the stacked block sensitivities ``S_j``, and the weight matrix
+beta-score at its own estimate), the per-subject sensitivity cores
+``Phi_ij`` (subject i's block-j sensitivity is ``H_ij = L_i' Phi_ij
+L_i``, :class:`~dimm.model.ColumnSplit`), the stacked block
+sensitivities ``S_j``, and the weight matrix
 
     V_hat = (1/N) sum_i psi_i psi_i'          (uncentered outer products)
 
@@ -67,6 +69,8 @@ from dimm.special import chi2_sf, normal_cdf
 if TYPE_CHECKING:
     from collections.abc import Sequence
 
+    from dimm.model import ColumnSplit
+
 __all__ = [
     "CoefficientTest",
     "IntegratedFit",
@@ -91,12 +95,15 @@ _BREAD = "bread matrix sum_jk S_j W_jk S_k"
 
 
 def _check_fits(fits: Sequence[BlockFit]) -> None:
-    """Common-shape validation: one N and one p, distinct block names."""
+    """Common-shape validation: one N, one p and one split of the design
+    (the blocks' sensitivities share each subject's ``L_i``), distinct
+    block names."""
     if not fits:
         msg = "need at least one block fit"
         raise IntegrationError(msg)
     n = fits[0].n_subjects
     p = fits[0].n_params
+    split = fits[0].split
     for f in fits:
         if f.n_subjects != n:
             msg = (
@@ -106,6 +113,15 @@ def _check_fits(fits: Sequence[BlockFit]) -> None:
             raise IntegrationError(msg)
         if f.n_params != p:
             msg = f"block {f.name!r} has p={f.n_params}, expected {p}"
+            raise IntegrationError(msg)
+        if not (
+            np.array_equal(f.split.s, split.s)
+            and (f.split.a is split.a or np.array_equal(f.split.a, split.a))
+        ):
+            msg = (
+                f"block {f.name!r} has other subject-level columns or values than "
+                f"block {fits[0].name!r}: all blocks must come from the same panel"
+            )
             raise IntegrationError(msg)
     names = [f.name for f in fits]
     if len(set(names)) != len(names):
@@ -118,8 +134,9 @@ class Moments:
     """Moment summary of J block fits on N subjects; built by :func:`weight_matrix`.
 
     Blocks keep fit order: block j occupies entries ``j*p .. (j+1)*p - 1``
-    along every stacked axis of length J*p. It takes ownership of the
-    arrays it is given, read-only (:func:`dimm._util.frozen`).
+    along every stacked axis of length J*p, and index j along an axis of
+    length J. It takes ownership of the arrays it is given, read-only
+    (:func:`dimm._util.frozen`).
 
     Attributes
     ----------
@@ -127,8 +144,11 @@ class Moments:
         Names of the blocks, in order.
     psi : ndarray, shape (N, J*p)
         Per-subject stacked scores, each block's at its own estimate.
-    h : ndarray, shape (N, J*p, p)
-        Per-subject stacked sensitivities ``H_i``.
+    cores : ndarray, shape (N, J, q, q)
+        Per-subject sensitivity cores ``Phi_ij``, ``q = [ps > 0] + pc``.
+    split : ColumnSplit
+        The blocks' common split of the design: subject i's block-j
+        sensitivity is ``H_ij = L_i' Phi_ij L_i``.
     s : ndarray, shape (J*p, p)
         Stacked block sensitivities ``S_j``.
     sb : ndarray, shape (J*p,)
@@ -148,7 +168,8 @@ class Moments:
 
     block_names: tuple[str, ...]
     psi: np.ndarray
-    h: np.ndarray
+    cores: np.ndarray
+    split: ColumnSplit
     s: np.ndarray
     sb: np.ndarray
     mean_scores: np.ndarray
@@ -185,8 +206,9 @@ def weight_matrix(fits: Sequence[BlockFit], *, subset: Sequence[str] | None = No
     ------
     IntegrationError
         If ``subset`` is empty, repeats a name or names no fit; if the
-        fits do not share N and p or repeat a block name; or if even the
-        largest ridge leaves the matrix non-invertible.
+        fits do not share N, p and the split of the design (its
+        subject-level columns and their values), or repeat a block name;
+        or if even the largest ridge leaves the matrix non-invertible.
     """
     fits = list(fits)
     if subset is not None:
@@ -225,7 +247,8 @@ def weight_matrix(fits: Sequence[BlockFit], *, subset: Sequence[str] | None = No
     return Moments(
         block_names=tuple(f.name for f in fits),
         psi=psi,
-        h=np.concatenate([f.subject_sensitivities for f in fits], axis=1),
+        cores=np.stack([f.subject_cores for f in fits], axis=1),
+        split=fits[0].split,
         s=np.vstack([f.sensitivity for f in fits]),
         sb=np.concatenate([f.sensitivity @ f.beta_hat for f in fits]),
         # Each block's own column mean: psi.mean(axis=0) sums a one-column
@@ -283,8 +306,14 @@ def jackknife_covariance(m: Moments, beta: np.ndarray) -> np.ndarray:
     The block estimates enter as ``beta_hat_j - beta``, so each solve
     gives ``d_i = b_(-i) - beta`` directly (the combination is
     affine-equivariant), and the result is ``(N - 1)/N sum_i (d_i -
-    d_bar)(d_i - d_bar)'``. All N recombinations run as one batch over
-    (N, J*p, p) arrays.
+    d_bar)(d_i - d_bar)'``.
+
+    Subject i's stacked sensitivity is ``H_i = F_i L_i``, with ``F_i``
+    (J*p, q) the stacked ``L_i' Phi_ij`` (:class:`Moments`). So ``N S -
+    H_i`` meets ``V_hat^(-1)`` only through ``V_hat^(-1) S``, shared by
+    all subjects, and ``V_hat^(-1) F_i``, one product for all N: every
+    recombination is p x p algebra on q columns per subject, and no
+    (N, J*p, p) array is formed.
 
     Raises
     ------
@@ -295,15 +324,22 @@ def jackknife_covariance(m: Moments, beta: np.ndarray) -> np.ndarray:
     """
     n = m.n_subjects
     n_blocks, p = m.beta_hats.shape
-    shift = m.beta_hats - beta
+    split, cores, s, v_inv = m.split, m.cores, m.s, m.v_inv
+    q = cores.shape[-1]
+    k = q - split.c.size  # 1 if L_i has a row of subject-level values
+    # f[i] = F_i' = (Phi_i1 L_i, ..., Phi_iJ L_i), (q, J p).
+    f = split.lift(cores.transpose(0, 2, 1, 3)).reshape(n, q, -1)
     # r_k = psi_k + H_k (beta_hat - beta), so that sum_{k != i} r_k is the
     # leave-one-out target S(-i) (beta_hat - beta) + sum_{k != i} psi_k.
     # Both sides are scaled by N - 1, which cancels in the combination.
-    r = m.psi + np.einsum("njab,jb->nja", m.h.reshape(n, n_blocks, p, p), shift).reshape(n, -1)
-    s_loo = n * m.s - m.h
+    shift = m.beta_hats - beta
+    reduced = np.empty((n, q, n_blocks, 1))  # L_i (beta_hat_j - beta)
+    reduced[:, :k] = (split.a @ shift[:, split.s].T)[:, None, :, None]
+    reduced[:, k:] = shift[:, split.c].T[:, :, None]
+    r = m.psi + (f.reshape(n, q, n_blocks, p) * reduced).sum(axis=1).reshape(n, -1)
     t_loo = r.sum(axis=0) - r
 
-    u = m.psi @ m.v_inv
+    u = m.psi @ v_inv
     slack = n - np.einsum("na,na->n", u, m.psi)
     if np.any(slack <= _LOO_SLACK_FLOOR * n):
         worst = int(np.argmin(slack))
@@ -312,12 +348,24 @@ def jackknife_covariance(m: Moments, beta: np.ndarray) -> np.ndarray:
             f"(N - h_i = {slack[worst]:.3g}); the jackknife is unavailable"
         )
         raise IntegrationError(msg)
-    ws = m.v_inv @ s_loo
-    su = np.einsum("nap,na->np", s_loo, u)
-    bread = np.swapaxes(s_loo, 1, 2) @ ws + su[:, :, None] * su[:, None, :] / slack[:, None, None]
-    target = np.einsum("nap,na->np", ws, t_loo) + su * (
-        np.einsum("na,na->n", u, t_loo) / slack
-    )[:, None]
+    # With s_loo_i = N S - F_i L_i, each of s_loo_i' V^-1 s_loo_i, s_loo_i' u_i
+    # and s_loo_i' V^-1 t_loo_i is a shared part plus one on F_i's q columns.
+    vs = v_inv @ s
+    vf = (f.reshape(n * q, -1) @ v_inv).reshape(n, q, -1)  # F_i' V^-1
+    # half + half' is the part of s_loo_i' V^-1 s_loo_i past N^2 S' V^-1 S.
+    fvf = split.lift(vf @ np.swapaxes(f, 1, 2))  # F_i' V^-1 F_i L_i, (q, p)
+    fvs = (f.reshape(n * q, -1) @ vs).reshape(n, q, p)  # F_i' V^-1 S
+    half = split.lift(np.swapaxes(fvf / 2.0 - n * fvs, 1, 2))
+    su = n * (u @ s) - split.lift(np.einsum("nqa,na->nq", f, u))
+    bread = su[:, :, None] * (su / slack[:, None])[:, None, :]
+    bread += half
+    bread += np.swapaxes(half, 1, 2)
+    bread += (n * n) * (s.T @ vs)
+    target = (
+        n * (t_loo @ vs)
+        - split.lift(np.einsum("nqa,na->nq", vf, t_loo))
+        + su * (np.einsum("na,na->n", u, t_loo) / slack)[:, None]
+    )
     try:
         d_loo = np.linalg.solve(bread, target[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
@@ -501,9 +549,7 @@ def integrate_fits(
     """
     m = weight_matrix(fits, subset=subset)
     # Done with the fits: when the caller keeps none, they go before the
-    # jackknife's (N, J p, p) arrays, 1.7 MB off a table1_full replicate's
-    # peak. Below it, glibc no longer trims and refaults a long study's
-    # heap at every replicate.
+    # jackknife's arrays.
     del fits
     beta, bread = one_step_estimator(m)
     cov_asymptotic = dimm_covariance(bread, m.n_subjects)

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from dimm._util import Report, _open_for_writing, encode, subgroup
+from dimm._util import Report, _open_for_writing, _refuse_unwritable, encode, subgroup
 from dimm.errors import ConfigError, DataError, PartitionError
 from dimm.model import Block, BlockPartition, PanelDataset
 
@@ -255,9 +255,13 @@ def save_panel(
     if len(covariate_names) != p:
         msg = f"got {len(covariate_names)} covariate names for p={p}"
         raise DataError(msg)
-    # The data lines are joined by hand, as csv.writer would write them: a
-    # float's repr needs no quoting. The headers go through csv.writer,
-    # since a covariate name may. One subject at a time bounds the memory.
+    # Both paths are checked before either file is written, so a refusal
+    # leaves no half-written panel. The data lines are joined by hand, as
+    # csv.writer would write them: a float's repr needs no quoting. The
+    # headers go through csv.writer, since a covariate name may. One
+    # subject at a time bounds the memory.
+    _refuse_unwritable(response_path, "response")
+    _refuse_unwritable(covariate_path, "covariate")
     with _open_for_writing(response_path, "response", newline="") as handle:
         csv.writer(handle).writerow([f"y{j + 1}" for j in range(m)])
         for row in data.responses:

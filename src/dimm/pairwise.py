@@ -9,8 +9,8 @@ where ``c`` is the working-family correlation at lag ``|r - t|``, as
 rho-slope: the family is defined there, and this module only reads it. The
 maximizer of this pairwise objective over ``(beta, sigma, rho)`` is the
 block's composite-likelihood estimate; the fit also returns per-subject
-score vectors and sensitivities, which are exactly the ingredients the
-integration step consumes.
+score vectors and sensitivity cores (:meth:`_BlockMoments.subject_terms`),
+which are exactly the ingredients the integration step consumes.
 
 The Gaussian identity link makes all of this closed form but for one
 scalar:
@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -249,15 +249,16 @@ class _BlockMoments:
         return k
 
     def subject_terms(self, beta: np.ndarray, gamma: Dependence) -> tuple[np.ndarray, np.ndarray]:
-        """Per-subject scores ``X_i' K e_i`` (N, p) and sensitivities
-        ``H_i = X_i' K X_i`` (N, p, p) under ``gamma``; the mean of ``H_i``
-        is the sensitivity of :meth:`checks`.
+        """Per-subject scores ``X_i' K e_i`` (N, p) and sensitivity cores
+        ``Phi_i = [1 | U_i]' K [1 | U_i]`` (N, q, q) under ``gamma``.
 
-        A subject-level column ``a_i 1`` enters in closed form: ``X_i' K X_i``
-        takes ``(1'K1) a_i a_i'`` and ``a_i (K1)'U_i`` against the
-        coordinate-level columns U, and ``X_i' K e_i`` takes ``a_i (K1)'e_i``.
-        The residuals are read through ``K1``, ``K U_i`` and ``U_i' K U_i``,
-        which ``H_i`` needs too, so no (N, m) array of them is formed.
+        Subject i's sensitivity is ``H_i = X_i' K X_i = L_i' Phi_i L_i``
+        (:class:`~dimm.model.ColumnSplit`), whose mean is the sensitivity of
+        :meth:`checks`: a subject-level column ``a_i 1`` takes ``(1'K1) a_i
+        a_i'`` and ``a_i (K1)'U_i`` against the coordinate-level columns U,
+        and ``X_i' K e_i`` takes ``a_i (K1)'e_i``. The residuals are read
+        through ``K1``, ``K U_i`` and ``U_i' K U_i``, which ``Phi_i`` holds
+        too, so no (N, m) array of them is formed.
         """
         split = self.split
         a, u, beta_s, beta_c = split.a, split.u, beta[split.s], beta[split.c]
@@ -269,12 +270,13 @@ class _BlockMoments:
             (self.y @ k1 - fitted * k1.sum() - k1u @ beta_c)[:, None] * a,
             (self.y[:, None, :] @ ku)[:, 0, :] - fitted[:, None] * k1u - h_cc @ beta_c,
         )
-        h = split.join_symmetric(
-            (k1.sum() * a)[:, :, None] * a[:, None, :],
-            a[:, :, None] * k1u[:, None, :],
-            (h_cc + np.swapaxes(h_cc, 1, 2)) / 2.0,
-        )
-        return scores, h
+        ones = min(a.shape[1], 1)  # [1 | U_i] has its column of ones if a column is subject-level
+        core = np.empty((a.shape[0], ones + u.shape[2], ones + u.shape[2]))
+        core[:, :ones, :ones] = k1.sum()
+        core[:, :ones, ones:] = k1u[:, None, :]
+        core[:, ones:, :ones] = k1u[:, :, None]
+        core[:, ones:, ones:] = (h_cc + np.swapaxes(h_cc, 1, 2)) / 2.0
+        return scores, core
 
     def checks(
         self, grams: np.ndarray, family_score: float, beta: np.ndarray, sigma: float
@@ -468,11 +470,13 @@ class BlockFit:
         Per-subject beta-scores at the optimum; column means are ~0.
     sensitivity : ndarray, shape (p, p)
         Sensitivity matrix at the optimum (symmetric positive definite).
-    subject_sensitivities : ndarray, shape (N, p, p)
-        Per-subject sensitivities ``H_i``; their mean is ``sensitivity``.
-        The score is affine in beta, ``psi_i(b) = psi_i(beta_hat) -
-        H_i (b - beta_hat)``, so these give every subject's score at any
-        beta without another data pass.
+    subject_cores : ndarray, shape (N, q, q)
+        Per-subject sensitivity cores ``Phi_i``, ``q = [ps > 0] + pc``
+        (:meth:`_BlockMoments.subject_terms`); with no subject-level column
+        they are the sensitivities themselves.
+    split : ColumnSplit
+        The block's split of the design, whose ``L_i`` turns a core into
+        subject i's sensitivity ``H_i = L_i' Phi_i L_i``.
     logcl : float
         Total log composite likelihood at the optimum.
     n_pairs : int
@@ -486,14 +490,24 @@ class BlockFit:
     gamma_hat: Dependence
     subject_scores: np.ndarray
     sensitivity: np.ndarray
-    subject_sensitivities: np.ndarray
+    subject_cores: np.ndarray
+    split: ColumnSplit = field(repr=False)
     logcl: float
     n_pairs: int
     trace: OptimizerTrace
 
     def __post_init__(self) -> None:
-        for name in ("beta_hat", "subject_scores", "sensitivity", "subject_sensitivities"):
+        for name in ("beta_hat", "subject_scores", "sensitivity", "subject_cores"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
+
+    @functools.cached_property
+    def subject_sensitivities(self) -> np.ndarray:
+        """Per-subject sensitivities ``H_i`` (N, p, p), read-only, built from
+        the cores on first read; their mean is ``sensitivity``. The score is
+        affine in beta, ``psi_i(b) = psi_i(beta_hat) - H_i (b - beta_hat)``,
+        so these give every subject's score at any beta without another
+        data pass."""
+        return frozen(self.split.sandwich(self.subject_cores))
 
     @property
     def structure(self) -> str:
@@ -681,14 +695,15 @@ def _fit_steps(
         raise FitError(msg, trace=trace)
 
     gamma_hat = Dependence(dependence.structure, sigma=sigma, rho=rho)
-    scores, subject_sens = b.subject_terms(beta_hat, gamma_hat)
+    scores, cores = b.subject_terms(beta_hat, gamma_hat)
     return BlockFit(
         name=name,
         beta_hat=beta_hat,
         gamma_hat=gamma_hat,
         subject_scores=scores,
         sensitivity=sens,
-        subject_sensitivities=subject_sens,
+        subject_cores=cores,
+        split=b.split,
         logcl=refined,
         n_pairs=n_pairs,
         trace=trace,

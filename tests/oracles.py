@@ -18,6 +18,11 @@ column at its natural shape and must give the same panel, bit for bit.
 ``save_panel_with_csv_writer`` is the panel writer that sends every cell
 through ``csv.writer``; the package joins the data lines itself and must
 write the same bytes.
+
+``dense_jackknife`` is the delete-one-subject jackknife batched over the
+stacked (N, J p, p) sensitivities themselves, and ``joined_sensitivities``
+builds those sensitivities in one pass from the block kernel; the package
+reaches both through each subject's q x q sensitivity cores.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from dimm.errors import CovarianceError
+from dimm.integrate import Moments
 from dimm.model import AR1, Dependence, PanelDataset
+from dimm.pairwise import _BlockMoments
 from dimm.simulate import SimScenario
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -237,3 +244,42 @@ def save_panel_with_csv_writer(
                 writer.writerow(
                     [i + 1, t + 1, *[repr(float(v)) for v in data.covariates[i, t]]]
                 )
+
+
+def dense_jackknife(m: Moments, beta: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """:func:`dimm.integrate.jackknife_covariance` over the stacked per-subject
+    sensitivities ``h`` (N, J p, p): all N recombinations as one batch, with
+    ``N S - H_i`` formed for every subject."""
+    n = m.n_subjects
+    n_blocks, p = m.beta_hats.shape
+    shift = m.beta_hats - beta
+    r = m.psi + np.einsum("njab,jb->nja", h.reshape(n, n_blocks, p, p), shift).reshape(n, -1)
+    s_loo = n * m.s - h
+    t_loo = r.sum(axis=0) - r
+    u = m.psi @ m.v_inv
+    slack = n - np.einsum("na,na->n", u, m.psi)
+    ws = m.v_inv @ s_loo
+    su = np.einsum("nap,na->np", s_loo, u)
+    bread = np.swapaxes(s_loo, 1, 2) @ ws + su[:, :, None] * su[:, None, :] / slack[:, None, None]
+    target = np.einsum("nap,na->np", ws, t_loo) + su * (
+        np.einsum("na,na->n", u, t_loo) / slack
+    )[:, None]
+    d_loo = np.linalg.solve(bread, target[:, :, None])[:, :, 0]
+    dev = d_loo - d_loo.mean(axis=0)
+    cov = (n - 1) / n * (dev.T @ dev)
+    return (cov + cov.T) / 2.0
+
+
+def joined_sensitivities(moments: _BlockMoments, gamma: Dependence) -> np.ndarray:
+    """Every subject's ``X_i' K X_i`` (N, p, p) for the block with ``moments``,
+    joined from its subject-level and coordinate-level parts without a core."""
+    split = moments.split
+    a, u = split.a, split.u
+    k = moments.kernel(gamma)
+    k1 = k.sum(axis=1)
+    k1u, h_cc = k1 @ u, np.swapaxes(u, 1, 2) @ (k @ u)
+    return split.join_symmetric(
+        (k1.sum() * a)[:, :, None] * a[:, None, :],
+        a[:, :, None] * k1u[:, None, :],
+        (h_cc + np.swapaxes(h_cc, 1, 2)) / 2.0,
+    )

@@ -135,9 +135,9 @@ def test_split_matches_the_full_array_forms(design: str, monkeypatch: pytest.Mon
         moments = pairwise._moments_for(data, sl.start, sl.stop)
         _close(moments.stacked, _pairwise_moments(y, x), f"F of {fit.name}")
         k = moments.kernel(fit.gamma_hat)
-        scores, sens = moments.subject_terms(fit.beta_hat, fit.gamma_hat)
+        scores, cores = moments.subject_terms(fit.beta_hat, fit.gamma_hat)
         _close(scores, np.einsum("nmp,mk,nk->np", x, k, y - x @ fit.beta_hat), "X_i' K e_i")
-        _close(sens, np.einsum("nmp,mk,nkq->npq", x, k, x), "X_i' K X_i")
+        _close(moments.split.sandwich(cores), np.einsum("nmp,mk,nkq->npq", x, k, x), "X_i' K X_i")
 
     full = _full_array(data, monkeypatch)
     got, want = integrate_fits(fits), integrate_fits(fit_blocks(full, part))

@@ -5,7 +5,9 @@ ridge ladder, explicit per-subject outer-product loops for the
 weight matrix, ``np.linalg.inv`` compositions for the estimator and its
 covariance, a brute-force leave-one-out loop for the jackknife,
 ``math.erfc`` for the Wald p-values, and a second pass over the block
-data for the quadratic form.
+data for the quadratic form. The jackknife is also checked against its
+dense form over the stacked (N, J p, p) sensitivities
+(``tests.oracles.dense_jackknife``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import seed as hypothesis_seed
 from hypothesis import strategies as st
 
+from dimm import pairwise
 from dimm._util import cholesky, spd_solve
 from dimm.errors import CovarianceError, FitError, IntegrationError
 from dimm.integrate import (
@@ -33,10 +36,12 @@ from dimm.integrate import (
     q_statistic,
     weight_matrix,
 )
-from dimm.model import BlockPartition, Dependence, PanelDataset, partition_dataset
+from dimm.io import bundled_scenario_names
+from dimm.model import BlockPartition, ColumnSplit, PanelDataset, partition_dataset
 from dimm.pairwise import BlockFit, block_score_beta, fit_blocks
 from dimm.simulate import bundled_scenario, generate_replicate
 from dimm.special import chi2_cdf
+from tests.oracles import dense_jackknife, joined_sensitivities
 
 
 def _three_block_panel(
@@ -70,7 +75,8 @@ def _subjects(fits, rows: slice) -> list[BlockFit]:
             f,
             subject_scores=f.subject_scores[rows],
             sensitivity=f.subject_sensitivities[rows].mean(axis=0),
-            subject_sensitivities=f.subject_sensitivities[rows],
+            subject_cores=f.subject_cores[rows],
+            split=ColumnSplit(f.split.a[rows], f.split.u[rows], f.split.s, f.split.c),
         )
         for f in fits
     ]
@@ -87,13 +93,15 @@ def test_stack_scores_layout(fitted) -> None:
     n = fits[0].n_subjects
     p = fits[0].n_params
     assert m.psi.shape == (n, 3 * p)
-    assert m.h.shape == (n, 3 * p, p)
+    assert m.cores.shape == (n, 3, p, p)  # no subject-level column: the cores are H_ij
+    assert m.split is fits[0].split
     assert m.block_names == ("a", "b", "c")
     assert m.n_subjects == n
     for j, fit in enumerate(fits):
         rows = slice(j * p, (j + 1) * p)
         np.testing.assert_array_equal(m.psi[:, rows], fit.subject_scores)
-        np.testing.assert_array_equal(m.h[:, rows], fit.subject_sensitivities)
+        np.testing.assert_array_equal(m.cores[:, j], fit.subject_cores)
+        np.testing.assert_array_equal(m.split.sandwich(m.cores[:, j]), fit.subject_sensitivities)
         np.testing.assert_array_equal(m.s[rows], fit.sensitivity)
         np.testing.assert_array_equal(m.sb[rows], fit.sensitivity @ fit.beta_hat)
         np.testing.assert_array_equal(m.beta_hats[j], fit.beta_hat)
@@ -280,6 +288,80 @@ def test_jackknife_covariance_matches_leave_one_out_loop(fitted) -> None:
         result.covariance_asymptotic, dimm_covariance(bread, m.n_subjects)
     )
     np.testing.assert_array_equal(result.std_errors, np.sqrt(np.diag(got)))
+
+
+def _eeg_shaped_panel(coordinate: str, seed: int = 26, n: int = 120) -> PanelDataset:
+    """An intercept and two subject-level columns around a coordinate-level
+    one, as in eeg_mimic: ``"alternating01"`` (0, 1, 0, 1, ... at every
+    subject) or ``"mv_normal_rows"`` (a normal draw at every coordinate)."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    m = 9
+    x = np.empty((n, m, 4))
+    x[:, :, 0] = 1.0
+    x[:, :, 1] = rng.uniform(size=(n, 1))
+    if coordinate == "alternating01":
+        x[:, :, 2] = np.arange(m) % 2
+    else:
+        x[:, :, 2] = rng.standard_normal((n, m))
+    x[:, :, 3] = rng.uniform(size=(n, 1)) < 0.32
+    noise = 0.6 * rng.standard_normal((n, 1)) + 0.8 * rng.standard_normal((n, m))
+    return PanelDataset(x @ np.array([0.2, 0.5, -0.3, 0.4]) + noise, x)
+
+
+def _eeg_shaped_fits(coordinate: str) -> list[BlockFit]:
+    data = _eeg_shaped_panel(coordinate)
+    np.testing.assert_array_equal(data.subject_level, [True, True, False, True])
+    return fit_blocks(data, BlockPartition.from_sizes([3, 4, 2], structure=["cs", "ar1", "cs"]))
+
+
+def test_jackknife_matches_leave_one_out_loop_with_subject_level_columns() -> None:
+    # Here each subject's L_i has its row of subject-level values, which the
+    # three-block panel, all of whose columns vary by coordinate, never reads.
+    fits = _eeg_shaped_fits("alternating01")
+    assert fits[0].subject_cores.shape == (fits[0].n_subjects, 2, 2)
+    m = weight_matrix(fits)
+    assert m.ridge_used == 0.0
+    got = jackknife_covariance(m, one_step_estimator(m)[0])
+    np.testing.assert_allclose(got, _leave_one_out_loop(fits), rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"{name}:{rep}" for name in bundled_scenario_names() for rep in (0, 1)]
+    + ["mv_normal_rows", "three_block"],
+)
+def test_factored_jackknife_matches_the_dense_one(case: str) -> None:
+    # The dense oracle forms N S - H_i for every subject from the stacked
+    # (N, J p, p) sensitivities; the package works on the q x q cores.
+    if case == "three_block":
+        data, part, _ = _three_block_panel()
+    elif case == "mv_normal_rows":
+        data = _eeg_shaped_panel("mv_normal_rows")
+        part = BlockPartition.from_sizes([3, 4, 2], structure=["cs", "ar1", "cs"])
+    else:
+        name, rep = case.split(":")
+        scn = bundled_scenario(name)
+        data, part = generate_replicate(scn, int(rep)), scn.partition_for("dimm")
+    fits = fit_blocks(data, part)
+    for fit, sl in zip(fits, part.slices):
+        moments = pairwise._moments_for(data, sl.start, sl.stop)
+        np.testing.assert_array_equal(
+            fit.subject_sensitivities, joined_sensitivities(moments, fit.gamma_hat)
+        )
+    m = weight_matrix(fits)
+    beta, _ = one_step_estimator(m)
+    want = dense_jackknife(m, beta, np.concatenate([f.subject_sensitivities for f in fits], axis=1))
+    got = jackknife_covariance(m, beta)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+def test_weight_matrix_refuses_blocks_of_another_panel() -> None:
+    # Blocks share each subject's L_i, so fits whose subject-level values
+    # differ cannot be integrated, even with one N and one p.
+    fits = _eeg_shaped_fits("alternating01")
+    other = fit_blocks(_eeg_shaped_panel("alternating01", seed=27), BlockPartition.from_sizes([9]))
+    with pytest.raises(IntegrationError, match="same panel"):
+        weight_matrix([fits[0], replace(other[0], name="elsewhere")])
 
 
 def test_jackknife_is_unmoved_by_a_common_shift_of_the_block_estimates(fitted) -> None:

@@ -104,6 +104,8 @@ def test_save_panel_refuses_an_unwritable_path_with_a_config_error(tmp_path: Pat
     with pytest.raises(ConfigError) as info:
         save_panel(_make_panel(), paths["response"], paths["covariate"])
     assert str(info.value) == f"cannot write {what} file {target}: No such file or directory"
+    # Neither file is written before both can be: no half-written panel is left.
+    assert not any(path.exists() for path in paths.values())
 
 
 def test_covariate_rows_may_arrive_shuffled(panel_files, tmp_path: Path) -> None:
