@@ -17,7 +17,8 @@ only to ``--output``; a config's ``output_path`` names the fit report. Only
 ``simulate`` runs a worker pool, over replicates: its worker count is the
 ``--workers`` flag, else the ``DIMM_WORKERS`` environment variable, else
 the machine's CPU count. A count that is not an integer >= 1 is a
-configuration problem, wherever it comes from.
+configuration problem, wherever it comes from. Each command refuses an
+unwritable output path up front, and leaves an existing file alone.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from dimm.errors import (
 from dimm.integrate import integrate_fits, q_statistic, weight_matrix
 from dimm.io import (
     SCHEMA_VERSION,
+    FitReport,
     GofReport,
     build_fit_report,
     bundled_scenario_names,
@@ -91,6 +93,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         msg = f"--workers must be >= 1, got {args.workers}"
         raise ConfigError(msg)
+    output = args.output or config.output_path
+    if output:
+        _refuse_unwritable(output, FitReport.PATH)
     data = load_panel(config.response_path, config.covariate_path, intercept=config.intercept)
 
     wall0, cpu0 = time.perf_counter(), time.process_time()
@@ -141,7 +146,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if report.ridge_used > 0.0:
         print(f"note: weight matrix required ridge loading {report.ridge_used:.3g}")
 
-    output = args.output or config.output_path
     if output:
         report.save(output)
         print(f"report written to {output}")
@@ -161,7 +165,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ConfigError(msg)
         scenario = replace(scenario, n_replicates=args.replicates)
     workers = _resolve_workers(args.workers)
-    # An unwritable path is refused before the study runs, and an existing file is left as it is.
     for path, what in ((args.output, SimReport.PATH), (args.estimates_csv, "estimates CSV")):
         if path:
             _refuse_unwritable(path, what)
@@ -213,6 +216,8 @@ def _parse_beta(raw: str) -> np.ndarray:
 def cmd_gof(args: argparse.Namespace) -> int:
     config = load_fit_config(args.config)
     beta = _parse_beta(args.beta)
+    if args.output:
+        _refuse_unwritable(args.output, GofReport.PATH)
     data = load_panel(config.response_path, config.covariate_path, intercept=config.intercept)
     if beta.shape[0] != data.n_covariates:
         msg = (

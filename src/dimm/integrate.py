@@ -6,11 +6,11 @@ per-subject scores ``psi_i = (psi_i1', ..., psi_iJ')'`` (each block's
 beta-score at its own estimate), the per-subject sensitivity cores
 ``Phi_ij`` (subject i's block-j sensitivity is ``H_ij = L_i' Phi_ij
 L_i``, :class:`~dimm.model.ColumnSplit`), the stacked block
-sensitivities ``S_j``, and the weight matrix
+sensitivities ``S_j``, and the inverse of the weight matrix
 
-    V_hat = (1/N) sum_i psi_i psi_i'          (uncentered outer products)
+    V_hat = (1/N) sum_i psi_i psi_i'          (uncentered outer products).
 
-with its inverse. Every later step reads the record and stacks nothing.
+Every later step reads the record and stacks nothing.
 :func:`one_step_estimator` forms the bread ``sum_jk S_j W_jk S_k``
 once, ``W_jk`` being the (j, k) p x p slice of ``V_hat^(-1)``, and
 combines the block estimates in closed form:
@@ -157,10 +157,8 @@ class Moments:
         Column means of ``psi``.
     beta_hats : ndarray, shape (J, p)
         Block estimates.
-    v_hat : ndarray, shape (J*p, J*p)
-        ``V_hat = (1/N) sum_i psi_i psi_i'``.
     v_inv : ndarray, shape (J*p, J*p)
-        Inverse of ``V_hat + ridge_used * I``.
+        Inverse of ``V_hat + ridge_used * I``; ``V_hat`` itself is not kept.
     ridge_used : float
         0.0 when the plain Cholesky inversion succeeded, otherwise the
         diagonal loading that was added to make it succeed.
@@ -174,7 +172,6 @@ class Moments:
     sb: np.ndarray
     mean_scores: np.ndarray
     beta_hats: np.ndarray
-    v_hat: np.ndarray
     v_inv: np.ndarray
     ridge_used: float
 
@@ -255,7 +252,6 @@ def weight_matrix(fits: Sequence[BlockFit], *, subset: Sequence[str] | None = No
         # block in another order, which moves Q_N in the last bit.
         mean_scores=np.concatenate([f.subject_scores.mean(axis=0) for f in fits]),
         beta_hats=np.array([f.beta_hat for f in fits]),
-        v_hat=v_hat,
         v_inv=(v_inv + v_inv.T) / 2.0,
         ridge_used=lam,
     )

@@ -374,8 +374,8 @@ class ColumnSplit:
     matrix ``L_i``, ``q = [ps > 0] + pc``, holds ``a_i`` in one row at
     positions ``s`` and the identity on the positions ``c``. So ``X_i' K
     X_i = L_i' Phi_i L_i`` with the q x q core ``Phi_i = [1 | U_i]' K [1 |
-    U_i]``; :meth:`lift` applies ``L_i'`` and :meth:`sandwich` the whole
-    form, through :meth:`join` and :meth:`join_symmetric`.
+    U_i]``; :meth:`lift` applies ``L_i'`` through :meth:`join`, and no (N, p,
+    p) array of the ``H_i`` is built.
     """
 
     def __init__(self, a: np.ndarray, u: np.ndarray, s: np.ndarray, c: np.ndarray) -> None:
@@ -422,16 +422,6 @@ class ColumnSplit:
         k, a = min(self.s.size, 1), self.a
         a = a.reshape(a.shape[:1] + (1,) * (x.ndim - 2) + a.shape[1:])
         return self.join(x[..., :k] * a, x[..., k:])
-
-    def sandwich(self, core: np.ndarray) -> np.ndarray:
-        """``L_i' core_i L_i`` of every subject i, (N, p, p), from symmetric
-        cores (N, q, q); only their upper triangle of blocks is read."""
-        k, a = min(self.s.size, 1), self.a
-        return self.join_symmetric(
-            core[:, :k, :k] * a[:, :, None] * a[:, None, :],
-            a[:, :, None] * core[:, :k, k:],
-            core[:, k:, k:],
-        )
 
 
 def check_identified(gram: np.ndarray, n_rows: int, label: str) -> None:

@@ -54,6 +54,8 @@ Each block's fit is independent of the others, which is what lets the
 paper spread them over machines. Here a fit takes well under a millisecond,
 mostly call overhead, so :func:`fit_blocks` fits a working family's blocks
 in lock-step, one profile evaluation a round, each as :func:`fit_block` would.
+Those two are the public surface; away from a block's fit, its log-CL,
+scores and sensitivity are read from :func:`_grams` and :class:`_BlockMoments`.
 
 A block is read through its :class:`_BlockMoments`: views of its
 coordinates in the panel's responses and split, never copies, and its
@@ -88,10 +90,6 @@ if TYPE_CHECKING:
 __all__ = [
     "BlockFit",
     "OptimizerTrace",
-    "block_logcl",
-    "block_score_beta",
-    "block_score_gamma",
-    "block_sensitivity",
     "fit_block",
     "fit_blocks",
 ]
@@ -377,53 +375,6 @@ def _moments_for(panel: PanelDataset, start: int, stop: int, name: str = "block"
     return panel.derived((_BlockMoments, start, stop), build)
 
 
-def _block_moments(block: PanelDataset | _BlockMoments, name: str = "block") -> _BlockMoments:
-    """The moments of a whole panel as one block, or ``block`` if it is moments already."""
-    if isinstance(block, PanelDataset):
-        return _moments_for(block, 0, block.n_coordinates, name)
-    return block
-
-
-def _checks_at(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> tuple[np.ndarray, ...]:
-    """:meth:`_BlockMoments.checks` of one block at ``(beta, gamma)``."""
-    b = _block_moments(block)
-    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    grams, _, family_score = _grams([b], gamma, np.array([[gamma.rho]]))
-    return b.checks(grams[:, 0, 0], family_score[0, 0], beta, gamma.sigma)
-
-
-def block_logcl(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> float:
-    """Total log composite likelihood of a block at ``(beta, gamma)``.
-
-    Sums the bivariate log densities of every within-block coordinate
-    pair over all subjects.
-    """
-    b = _block_moments(block)
-    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    grams, log_det, _ = _grams([b], gamma, np.array([[gamma.rho]]))
-    s2 = gamma.sigma * gamma.sigma
-    quad = _quadratic_forms(grams[0, 0, 0], beta)
-    return float(-b.n_total * (_LOG_2PI + math.log(s2)) - 0.5 * log_det[0, 0] - quad / (2.0 * s2))
-
-
-def block_score_beta(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> np.ndarray:
-    """Per-subject beta-scores, shape (N, p); row i is subject i's
-    gradient of its own pairwise log likelihood in beta."""
-    return _block_moments(block).subject_terms(np.asarray(beta, dtype=np.float64).reshape(-1), gamma)[0]
-
-
-def block_score_gamma(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> np.ndarray:
-    """Gradient of the mean log-CL in (sigma, rho), in closed form."""
-    return _checks_at(beta, gamma, block)[2]
-
-
-def block_sensitivity(beta: np.ndarray, gamma: Dependence, block: PanelDataset) -> np.ndarray:
-    """Sensitivity matrix (1/N) sum over subjects and pairs of
-    ``Xpair' Omega^-1 Xpair``; beta enters the signature for interface
-    uniformity only (the Gaussian identity link makes it beta-free)."""
-    return _checks_at(beta, gamma, block)[0]
-
-
 @dataclass(frozen=True)
 class OptimizerTrace:
     """Diagnostics from one block fit.
@@ -475,8 +426,8 @@ class BlockFit:
         (:meth:`_BlockMoments.subject_terms`); with no subject-level column
         they are the sensitivities themselves.
     split : ColumnSplit
-        The block's split of the design, whose ``L_i`` turns a core into
-        subject i's sensitivity ``H_i = L_i' Phi_i L_i``.
+        The block's split of the design: subject i's sensitivity is ``H_i =
+        L_i' Phi_i L_i``, applied through it and never stored.
     logcl : float
         Total log composite likelihood at the optimum.
     n_pairs : int
@@ -499,15 +450,6 @@ class BlockFit:
     def __post_init__(self) -> None:
         for name in ("beta_hat", "subject_scores", "sensitivity", "subject_cores"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
-
-    @functools.cached_property
-    def subject_sensitivities(self) -> np.ndarray:
-        """Per-subject sensitivities ``H_i`` (N, p, p), read-only, built from
-        the cores on first read; their mean is ``sensitivity``. The score is
-        affine in beta, ``psi_i(b) = psi_i(beta_hat) - H_i (b - beta_hat)``,
-        so these give every subject's score at any beta without another
-        data pass."""
-        return frozen(self.split.sandwich(self.subject_cores))
 
     @property
     def structure(self) -> str:
@@ -775,7 +717,9 @@ def fit_block(
         scores above the acceptance tolerance.
     """
     dependence = Dependence(structure)
-    [fit] = _fit_family([_block_moments(block, name)], dependence, [name])
+    if isinstance(block, PanelDataset):
+        block = _moments_for(block, 0, block.n_coordinates, name)
+    [fit] = _fit_family([block], dependence, [name])
     if isinstance(fit, FitError):
         raise fit
     return fit

@@ -23,6 +23,10 @@ write the same bytes.
 stacked (N, J p, p) sensitivities themselves, and ``joined_sensitivities``
 builds those sensitivities in one pass from the block kernel; the package
 reaches both through each subject's q x q sensitivity cores.
+
+``grams_logcl`` is a block's log-CL at any ``(beta, sigma, rho)`` from the
+package's own Grams, the objective whose derivatives the package's scores
+are checked against where a pair-by-pair sum would be too slow.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from dimm.errors import CovarianceError
 from dimm.integrate import Moments
 from dimm.model import AR1, Dependence, PanelDataset
-from dimm.pairwise import _BlockMoments
+from dimm.pairwise import _BlockMoments, _grams
 from dimm.simulate import SimScenario
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -283,3 +287,15 @@ def joined_sensitivities(moments: _BlockMoments, gamma: Dependence) -> np.ndarra
         a[:, :, None] * k1u[:, None, :],
         (h_cc + np.swapaxes(h_cc, 1, 2)) / 2.0,
     )
+
+
+def grams_logcl(moments: _BlockMoments, beta: np.ndarray, gamma: Dependence) -> float:
+    """Total log-CL of the block with ``moments`` at ``(beta, gamma)``, from
+    its ``G0`` and data-free term (:func:`dimm.pairwise._grams`): with ``v =
+    (-beta, 1)``, ``-n_total log(2 pi sigma^2) - sum_d n_d log(1 - c_d^2) / 2
+    - v'G0 v / (2 sigma^2)``."""
+    grams, log_det, _ = _grams([moments], gamma, np.array([[gamma.rho]]))
+    v = np.append(-np.asarray(beta, dtype=np.float64), 1.0)
+    s2 = gamma.sigma * gamma.sigma
+    quad = v @ grams[0, 0, 0] @ v
+    return float(-moments.n_total * (_LOG_2PI + math.log(s2)) - 0.5 * log_det[0, 0] - quad / (2.0 * s2))

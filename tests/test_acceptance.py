@@ -20,11 +20,13 @@ import scipy.optimize
 from dimm.baselines import gee_fit, gls_oracle
 from dimm.integrate import integrate_fits, weight_matrix
 from dimm.model import BlockPartition, Dependence, PanelDataset, partition_dataset
-from dimm.pairwise import block_logcl, block_score_beta, fit_blocks
+from dimm import pairwise
+from dimm.pairwise import fit_blocks
 from dimm.simulate import bundled_scenario, report_fingerprint, run_scenario
 from dimm.special import chi2_cdf, normal_cdf
 
 from tests.conftest import record_acceptance
+from tests.oracles import grams_logcl
 from tests.test_special import CHI2_ORACLE, NORMAL_ORACLE
 
 # ---------------------------------------------------------------------------
@@ -71,13 +73,14 @@ def test_acceptance_01_beta_score_vs_finite_differences() -> None:
             structure, float(rng.uniform(0.4, 2.5)), float(rng.uniform(lo, 0.8))
         )
         beta = rng.standard_normal(p)
-        mean_score = block_score_beta(beta, gamma, block).mean(axis=0)
+        moments = pairwise._moments_for(block, 0, m)
+        mean_score = moments.subject_terms(beta, gamma)[0].mean(axis=0)
         h = 1e-6
         for q in range(p):
             bp, bm = beta.copy(), beta.copy()
             bp[q] += h
             bm[q] -= h
-            fd = (block_logcl(bp, gamma, block) - block_logcl(bm, gamma, block)) / (
+            fd = (grams_logcl(moments, bp, gamma) - grams_logcl(moments, bm, gamma)) / (
                 2.0 * h * n
             )
             rel = abs(mean_score[q] - fd) / max(1.0, abs(fd))
@@ -112,29 +115,26 @@ def _one_gap(rng: np.random.Generator, n: int) -> float:
     ) @ np.linalg.cholesky(cov).T
     data = PanelDataset(responses=y, covariates=x)
     part = BlockPartition.from_sizes([m_half, m_half], structure="ar1")
-    blocks = partition_dataset(data, part)
+    blocks = [pairwise._moments_for(block, 0, m_half) for block in partition_dataset(data, part)]
     fits = fit_blocks(data, part)
     combined = integrate_fits(fits)
-    v_inv = weight_matrix(fits).v_inv
+    # v_inv = L L', so Q_N(b) = N g' v_inv g is the squared norm of sqrt(N) L' g.
+    whiten = math.sqrt(n) * np.linalg.cholesky(weight_matrix(fits).v_inv).T
 
-    def data_pass_q(b: np.ndarray) -> float:
-        # Q_N(b) from a second pass over the block data, independent of
-        # the stored-fit shortcut that integrate_fits uses.
+    def data_pass_moments(b: np.ndarray) -> np.ndarray:
+        # The whitened moments of Q_N(b) from a second pass over the block
+        # data, independent of the stored-fit shortcut that integrate_fits uses.
         parts = [
-            block_score_beta(b, f.gamma_hat, block).mean(axis=0)
+            block.subject_terms(b, f.gamma_hat)[0].mean(axis=0)
             for f, block in zip(fits, blocks)
         ]
-        g = np.concatenate(parts)
-        return float(n * g @ v_inv @ g)
+        return whiten @ np.concatenate(parts)
 
     rows = x.reshape(-1, p)
     ols, *_ = np.linalg.lstsq(rows, y.reshape(-1), rcond=None)
-    res = scipy.optimize.minimize(
-        data_pass_q,
-        ols,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-    )
+    # Levenberg-Marquardt on finite-difference Jacobians: it assumes nothing
+    # of the moments' form, and needs few evaluations when they are affine.
+    res = scipy.optimize.least_squares(data_pass_moments, ols, method="lm", jac="3-point")
     return float(np.max(np.abs(combined.beta_dimm - res.x)))
 
 
@@ -142,7 +142,7 @@ def _one_gap(rng: np.random.Generator, n: int) -> float:
 # mean coefficients, so the one-step combination solves the very linear
 # system whose solution minimizes the quadratic form: the gap to the
 # numerically located argmin is optimizer-termination noise at every
-# sample size (observed ~1e-10 at both N=400 and N=1600).  The shrinkage
+# sample size (observed ~1e-14 at both N=400 and N=1600).  The shrinkage
 # comparison of two medians is therefore only informative when a genuine
 # linearization gap exists; agreement below this floor — six orders of
 # magnitude inside the 0.02 tolerance — is the strongest possible form of

@@ -7,7 +7,8 @@ split a design:
 
 * ``tests.oracles`` subject loops for the oracle and the GEE fits;
 * the stacked block moments F summed pair by pair over the full design;
-* ``X_i' K e_i`` and ``X_i' K X_i`` with the full (N, m, p) design;
+* ``X_i' K e_i`` and ``X_i' K X_i`` with the full (N, m, p) design, and
+  each subject's ``L_i`` of :class:`~dimm.model.ColumnSplit` read off it;
 * the package's own fits on a copy of the panel whose columns all count
   as coordinate-level, which is the full-array arithmetic, for the
   integrated fit.
@@ -129,6 +130,18 @@ def test_split_matches_the_full_array_forms(design: str, monkeypatch: pytest.Mon
         _close(fit.beta_hat, beta, fit.method)
         _close(fit.covariance, cov, fit.method)
 
+    # Each subject's L_i (q x p) read off the design: a_i in its first row at
+    # the subject-level positions, the identity on the others.
+    mask, n = data.subject_level, data.n_subjects
+    ones = int(mask.any())
+    lmat = np.zeros((n, ones + int(np.sum(~mask)), data.n_covariates))
+    lmat[:, :ones, mask] = data.covariates[:, :1, mask]
+    lmat[:, ones:, ~mask] = np.eye(lmat.shape[1] - ones)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(37)))
+    for shape in [(n, lmat.shape[1]), (n, 2, 3, lmat.shape[1])]:
+        v = rng.standard_normal(shape)
+        _close(data.split.lift(v), np.einsum("nqp,n...q->n...p", lmat, v), "L_i' x_i")
+
     fits = fit_blocks(data, part)
     for fit, sl in zip(fits, part.slices):
         y, x = data.responses[:, sl], data.covariates[:, sl]
@@ -137,7 +150,8 @@ def test_split_matches_the_full_array_forms(design: str, monkeypatch: pytest.Mon
         k = moments.kernel(fit.gamma_hat)
         scores, cores = moments.subject_terms(fit.beta_hat, fit.gamma_hat)
         _close(scores, np.einsum("nmp,mk,nk->np", x, k, y - x @ fit.beta_hat), "X_i' K e_i")
-        _close(moments.split.sandwich(cores), np.einsum("nmp,mk,nkq->npq", x, k, x), "X_i' K X_i")
+        lkl = np.einsum("nqp,nqr,nrs->nps", lmat, cores, lmat)
+        _close(lkl, np.einsum("nmp,mk,nkq->npq", x, k, x), "L_i' Phi_i L_i = X_i' K X_i")
 
     full = _full_array(data, monkeypatch)
     got, want = integrate_fits(fits), integrate_fits(fit_blocks(full, part))

@@ -1,22 +1,29 @@
-"""Every name a ``dimm`` module imports is used by that module, and every
-name the package exports resolves.
+"""Every name a ``dimm`` module imports is used by that module, every name
+a module exports has a caller outside the tests, and every name the
+package exports resolves.
 
 The scan parses each module's source: a name bound by an ``import``
 counts as used when the module reads it anywhere (annotations included),
 or lists it in ``__all__``. The one exemption is an import whose own line
 carries ``# noqa: F401``, kept on purpose for a caller outside the module.
+
+A name in a module's ``__all__`` counts as called when a line of the
+package, the README, a demo or a perfbench script names it, other than
+its own ``def`` or ``class`` line and the ``__all__`` lists themselves.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "dimm"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "dimm"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -44,6 +51,48 @@ def _unused_imports(source: str) -> list[str]:
 def test_module_imports_are_used(module: str) -> None:
     unused = _unused_imports((_SRC / module).read_text(encoding="utf-8"))
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def _exports_named_nowhere(modules: dict[str, str], others: list[str]) -> list[str]:
+    """The names in the ``__all__`` of ``modules`` (name -> source) that no
+    line of ``modules`` or ``others`` names, outside the ``__all__`` lists
+    and the name's own ``def``/``class`` line."""
+    exported, lines = {}, list(others)
+    for module, source in modules.items():
+        listed: set[int] = set()
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(dict.fromkeys(ast.literal_eval(node.value), module))
+                listed.update(range(node.lineno, node.end_lineno + 1))
+        lines += [line for i, line in enumerate(source.splitlines(), 1) if i not in listed]
+    return [
+        f"{module}: {name}"
+        for name, module in exported.items()
+        if not any(
+            re.search(rf"\b{name}\b", line) and not re.match(rf"\s*(def|class) {name}\b", line)
+            for line in lines
+        )
+    ]
+
+
+def test_every_export_has_a_caller_outside_the_tests() -> None:
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))}
+    others = [_ROOT / "README.md", *sorted(_ROOT.glob("demos/*.py")), *sorted(_ROOT.glob("perfbench/*.py"))]
+    lines = [line for path in others for line in path.read_text(encoding="utf-8").splitlines()]
+    unnamed = _exports_named_nowhere(modules, lines)
+    assert not unnamed, f"exported, but only the tests name them: {unnamed}"
+
+
+def test_export_scan_skips_definitions_and_export_lists() -> None:
+    source = (
+        "__all__ = [\n    'kept',\n    'orphan',\n]\n"
+        "def orphan():\n    return kept()\n"
+        "def kept():\n    pass\n"
+    )
+    assert _exports_named_nowhere({"m.py": source}, []) == ["m.py: orphan"]
+    assert _exports_named_nowhere({"m.py": source}, ["orphan()"]) == []
 
 
 def test_scan_flags_an_unused_import() -> None:

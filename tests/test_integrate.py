@@ -38,7 +38,7 @@ from dimm.integrate import (
 )
 from dimm.io import bundled_scenario_names
 from dimm.model import BlockPartition, ColumnSplit, PanelDataset, partition_dataset
-from dimm.pairwise import BlockFit, block_score_beta, fit_blocks
+from dimm.pairwise import BlockFit, fit_blocks
 from dimm.simulate import bundled_scenario, generate_replicate
 from dimm.special import chi2_cdf
 from tests.oracles import dense_jackknife, joined_sensitivities
@@ -69,12 +69,14 @@ def fitted():
 
 
 def _subjects(fits, rows: slice) -> list[BlockFit]:
-    """The fits cut to a slice of subjects, with the sensitivity re-averaged."""
+    """The fits of the three-block panel cut to a slice of subjects, with the
+    sensitivity re-averaged: no column of that panel is subject-level, so
+    each subject's core is its sensitivity."""
     return [
         replace(
             f,
             subject_scores=f.subject_scores[rows],
-            sensitivity=f.subject_sensitivities[rows].mean(axis=0),
+            sensitivity=f.subject_cores[rows].mean(axis=0),
             subject_cores=f.subject_cores[rows],
             split=ColumnSplit(f.split.a[rows], f.split.u[rows], f.split.s, f.split.c),
         )
@@ -101,7 +103,6 @@ def test_stack_scores_layout(fitted) -> None:
         rows = slice(j * p, (j + 1) * p)
         np.testing.assert_array_equal(m.psi[:, rows], fit.subject_scores)
         np.testing.assert_array_equal(m.cores[:, j], fit.subject_cores)
-        np.testing.assert_array_equal(m.split.sandwich(m.cores[:, j]), fit.subject_sensitivities)
         np.testing.assert_array_equal(m.s[rows], fit.sensitivity)
         np.testing.assert_array_equal(m.sb[rows], fit.sensitivity @ fit.beta_hat)
         np.testing.assert_array_equal(m.beta_hats[j], fit.beta_hat)
@@ -120,10 +121,10 @@ def test_weight_matrix_matches_outer_product_loop(fitted) -> None:
         psi = m.psi[i]
         acc += np.outer(psi, psi)  # uncentered second moment
     want = acc / n
-    np.testing.assert_allclose(m.v_hat, want, rtol=1e-12, atol=1e-14)
     assert m.ridge_used == 0.0
-    np.testing.assert_allclose(m.v_inv @ m.v_hat, np.eye(d), rtol=0.0, atol=1e-8)
-    np.testing.assert_allclose(m.v_hat, m.v_hat.T, rtol=0.0, atol=0.0)
+    np.testing.assert_allclose(m.v_inv @ want, np.eye(d), rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(m.v_inv, np.linalg.inv(want), rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(m.v_inv, m.v_inv.T, rtol=0.0, atol=0.0)
 
 
 def test_weight_matrix_ridge_on_degenerate_scores(fitted) -> None:
@@ -132,7 +133,8 @@ def test_weight_matrix_ridge_on_degenerate_scores(fitted) -> None:
     # second moment.
     m = weight_matrix([fits[0], replace(fits[0], name="a2")])
     assert m.ridge_used > 0.0
-    np.linalg.cholesky(m.v_hat + m.ridge_used * np.eye(m.v_hat.shape[0]))
+    v_hat = m.psi.T @ m.psi / m.n_subjects
+    np.linalg.cholesky(v_hat + m.ridge_used * np.eye(v_hat.shape[0]))
 
 
 def test_spd_solve_matches_scipy_cho_solve() -> None:
@@ -173,12 +175,13 @@ def test_weight_matrix_ridge_matches_a_scipy_cholesky_ladder(fitted) -> None:
 
     _, _, _, fits = fitted
     m = weight_matrix([fits[1], replace(fits[1], name="b2")])
-    dim = m.v_hat.shape[0]
-    scale = float(np.trace(m.v_hat)) / dim
+    v_hat = m.psi.T @ m.psi / m.n_subjects
+    dim = v_hat.shape[0]
+    scale = float(np.trace(v_hat)) / dim
     lam = 0.0
     while True:
         try:
-            sla.cho_factor(m.v_hat + lam * np.eye(dim), lower=True)
+            sla.cho_factor(v_hat + lam * np.eye(dim), lower=True)
         except sla.LinAlgError:
             lam = 1e-8 * scale if lam == 0.0 else lam * 10.0
             continue
@@ -229,7 +232,7 @@ def test_one_step_matches_explicit_inverse_composition(fitted) -> None:
     # Independent composition with plain inverses.
     s_stack = np.vstack([f.sensitivity for f in fits])
     target = np.concatenate([f.sensitivity @ f.beta_hat for f in fits])
-    v_inv = np.linalg.inv(m.v_hat)
+    v_inv = np.linalg.inv(m.psi.T @ m.psi / m.n_subjects)
     bread = s_stack.T @ v_inv @ s_stack
     want = np.linalg.solve(bread, s_stack.T @ v_inv @ target)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
@@ -242,24 +245,28 @@ def test_dimm_covariance_matches_explicit_inverse(fitted) -> None:
     n = fits[0].n_subjects
     got = dimm_covariance(one_step_estimator(m)[1], n)
     s_stack = np.vstack([f.sensitivity for f in fits])
-    bread = s_stack.T @ np.linalg.inv(m.v_hat) @ s_stack
+    bread = s_stack.T @ np.linalg.inv(m.psi.T @ m.psi / n) @ s_stack
     want = np.linalg.inv(bread) / n
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
     np.linalg.cholesky(got)
 
 
-def _leave_one_out_loop(fits) -> np.ndarray:
+def _leave_one_out_loop(fits, data: PanelDataset, part: BlockPartition) -> np.ndarray:
     """Jackknife by brute force: rebuild V, S and every block estimate
     from the other N - 1 subjects, then combine by explicit inverses."""
     n = fits[0].n_subjects
     psi = np.hstack([f.subject_scores for f in fits])
+    h = [
+        joined_sensitivities(pairwise._moments_for(data, sl.start, sl.stop), f.gamma_hat)
+        for f, sl in zip(fits, part.slices)
+    ]
     loo = []
     for i in range(n):
         keep = np.arange(n) != i
         w = np.linalg.inv(psi[keep].T @ psi[keep] / (n - 1))
         s_rows, targets = [], []
-        for f in fits:
-            s = f.subject_sensitivities[keep].mean(axis=0)
+        for f, h_f in zip(fits, h):
+            s = h_f[keep].mean(axis=0)
             # Leave-one-out root of the affine score at the fitted gamma.
             b = f.beta_hat + np.linalg.solve(s, f.subject_scores[keep].mean(axis=0))
             s_rows.append(s)
@@ -271,17 +278,16 @@ def _leave_one_out_loop(fits) -> np.ndarray:
 
 
 def test_jackknife_covariance_matches_leave_one_out_loop(fitted) -> None:
-    _, _, blocks, fits = fitted
-    for f, block in zip(fits, blocks):
-        assert f.subject_sensitivities.shape == (f.n_subjects, 2, 2)
-        np.testing.assert_allclose(
-            f.subject_sensitivities.mean(axis=0), f.sensitivity, rtol=1e-12, atol=1e-14
-        )
+    data, part, _, fits = fitted
+    for f, sl in zip(fits, part.slices):
+        h = joined_sensitivities(pairwise._moments_for(data, sl.start, sl.stop), f.gamma_hat)
+        assert h.shape == (f.n_subjects, 2, 2)
+        np.testing.assert_allclose(h.mean(axis=0), f.sensitivity, rtol=1e-12, atol=1e-14)
     m = weight_matrix(fits)
     assert m.ridge_used == 0.0
     beta, bread = one_step_estimator(m)
     got = jackknife_covariance(m, beta)
-    np.testing.assert_allclose(got, _leave_one_out_loop(fits), rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(got, _leave_one_out_loop(fits, data, part), rtol=1e-10, atol=0.0)
     result = integrate_fits(fits)
     np.testing.assert_array_equal(result.covariance, got)
     np.testing.assert_array_equal(
@@ -308,21 +314,22 @@ def _eeg_shaped_panel(coordinate: str, seed: int = 26, n: int = 120) -> PanelDat
     return PanelDataset(x @ np.array([0.2, 0.5, -0.3, 0.4]) + noise, x)
 
 
-def _eeg_shaped_fits(coordinate: str) -> list[BlockFit]:
+def _eeg_shaped_fits(coordinate: str) -> tuple[PanelDataset, BlockPartition, list[BlockFit]]:
     data = _eeg_shaped_panel(coordinate)
     np.testing.assert_array_equal(data.subject_level, [True, True, False, True])
-    return fit_blocks(data, BlockPartition.from_sizes([3, 4, 2], structure=["cs", "ar1", "cs"]))
+    part = BlockPartition.from_sizes([3, 4, 2], structure=["cs", "ar1", "cs"])
+    return data, part, fit_blocks(data, part)
 
 
 def test_jackknife_matches_leave_one_out_loop_with_subject_level_columns() -> None:
     # Here each subject's L_i has its row of subject-level values, which the
     # three-block panel, all of whose columns vary by coordinate, never reads.
-    fits = _eeg_shaped_fits("alternating01")
+    data, part, fits = _eeg_shaped_fits("alternating01")
     assert fits[0].subject_cores.shape == (fits[0].n_subjects, 2, 2)
     m = weight_matrix(fits)
     assert m.ridge_used == 0.0
     got = jackknife_covariance(m, one_step_estimator(m)[0])
-    np.testing.assert_allclose(got, _leave_one_out_loop(fits), rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(got, _leave_one_out_loop(fits, data, part), rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -343,14 +350,13 @@ def test_factored_jackknife_matches_the_dense_one(case: str) -> None:
         scn = bundled_scenario(name)
         data, part = generate_replicate(scn, int(rep)), scn.partition_for("dimm")
     fits = fit_blocks(data, part)
-    for fit, sl in zip(fits, part.slices):
-        moments = pairwise._moments_for(data, sl.start, sl.stop)
-        np.testing.assert_array_equal(
-            fit.subject_sensitivities, joined_sensitivities(moments, fit.gamma_hat)
-        )
+    h = [
+        joined_sensitivities(pairwise._moments_for(data, sl.start, sl.stop), fit.gamma_hat)
+        for fit, sl in zip(fits, part.slices)
+    ]
     m = weight_matrix(fits)
     beta, _ = one_step_estimator(m)
-    want = dense_jackknife(m, beta, np.concatenate([f.subject_sensitivities for f in fits], axis=1))
+    want = dense_jackknife(m, beta, np.concatenate(h, axis=1))
     got = jackknife_covariance(m, beta)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
@@ -358,7 +364,7 @@ def test_factored_jackknife_matches_the_dense_one(case: str) -> None:
 def test_weight_matrix_refuses_blocks_of_another_panel() -> None:
     # Blocks share each subject's L_i, so fits whose subject-level values
     # differ cannot be integrated, even with one N and one p.
-    fits = _eeg_shaped_fits("alternating01")
+    *_, fits = _eeg_shaped_fits("alternating01")
     other = fit_blocks(_eeg_shaped_panel("alternating01", seed=27), BlockPartition.from_sizes([9]))
     with pytest.raises(IntegrationError, match="same panel"):
         weight_matrix([fits[0], replace(other[0], name="elsewhere")])
@@ -406,10 +412,11 @@ def test_q_statistic_second_pass_consistency(fitted) -> None:
     # Q from the stored fits equals a second pass over the block data:
     # every block's beta-score re-evaluated at a common beta.
     n = fits[0].n_subjects
-    v_inv = np.linalg.inv(m.v_hat)
+    v_inv = np.linalg.inv(m.psi.T @ m.psi / n)
+    moments = [pairwise._moments_for(block, 0, block.n_coordinates) for block in blocks]
     for b in (beta, beta + 5.0, np.array([-2.0, 3.0])):
         g = np.concatenate(
-            [block_score_beta(b, f.gamma_hat, block).mean(axis=0) for f, block in zip(fits, blocks)]
+            [mb.subject_terms(b, f.gamma_hat)[0].mean(axis=0) for f, mb in zip(fits, moments)]
         )
         data_pass = n * g @ v_inv @ g
         assert q_statistic(b, m) == pytest.approx(data_pass, rel=1e-10, abs=1e-12)
@@ -551,7 +558,7 @@ def test_block_order_only_moves_the_integration_by_roundoff(name: str, draw) -> 
     for got in fits:
         w = want[got.name]
         assert got.gamma_hat == w.gamma_hat, got.name
-        for field in ("beta_hat", "subject_scores", "sensitivity", "subject_sensitivities"):
+        for field in ("beta_hat", "subject_scores", "sensitivity", "subject_cores"):
             assert np.array_equal(getattr(got, field), getattr(w, field)), (got.name, field)
     got = integrate_fits(fits)
     for attr in ("beta_dimm", "std_errors", "asymptotic_std_errors"):

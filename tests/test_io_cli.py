@@ -710,7 +710,9 @@ def test_cli_unwritable_output_is_a_config_error(
     panel_files, tmp_path: Path, command: str, flag: str, what: str
 ) -> None:
     # Each writer used to end the run with a FileNotFoundError traceback
-    # (exit 1), simulate only after the whole study had run.
+    # (exit 1), simulate only after the whole study had run. Later, fit and
+    # gof still read and fit the panel and printed the results first: every
+    # command now refuses the path before it reads any data.
     _, _, _, _, cfg, raw = panel_files
     target = tmp_path / "absent" / "out"
     if command == "simulate":
@@ -728,6 +730,7 @@ def test_cli_unwritable_output_is_a_config_error(
     assert proc.returncode == 2, proc.stderr
     assert f"error: cannot write {what} file {target}: No such file or directory" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(

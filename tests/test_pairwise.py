@@ -33,16 +33,9 @@ from dimm.model import (
     PanelDataset,
     partition_dataset,
 )
-from dimm.pairwise import (
-    block_logcl,
-    block_score_beta,
-    block_score_gamma,
-    block_sensitivity,
-    fit_block,
-    fit_blocks,
-)
+from dimm.pairwise import fit_block, fit_blocks
 from dimm.simulate import SimScenario, bundled_scenario, bundled_scenario_names, generate_replicate
-from tests.oracles import bivariate_normal_logpdf, pair_covariance
+from tests.oracles import bivariate_normal_logpdf, grams_logcl, pair_covariance
 
 
 def _random_block(
@@ -113,7 +106,7 @@ def test_block_logcl_matches_enumeration(structure: str, rho: float) -> None:
     block = _random_block(seed=42, n=8, m=5, p=2)
     beta = np.array([0.7, -0.3])
     gamma = Dependence(structure, 1.3, rho)
-    got = block_logcl(beta, gamma, block)
+    got = grams_logcl(pairwise._moments_for(block, 0, 5), beta, gamma)
     want = _oracle_block_logcl(beta, gamma, block)
     assert got == pytest.approx(want, rel=1e-11)
 
@@ -131,7 +124,7 @@ def test_beta_score_matches_central_differences() -> None:
         structure = "ar1" if case % 2 == 0 else "cs"
         gamma = Dependence(structure, float(rng.uniform(0.5, 2.0)), float(rng.uniform(-0.2, 0.6)))
         beta = rng.standard_normal(p)
-        score = block_score_beta(beta, gamma, block)
+        score = pairwise._moments_for(block, 0, m).subject_terms(beta, gamma)[0]
         assert score.shape == (n, p)
         mean_score = score.mean(axis=0)
         h = 1e-6
@@ -155,6 +148,7 @@ def test_gamma_score_sigma_component_closed_form_at_zero_corr() -> None:
     sigma = 1.7
     gamma = Dependence("ar1", sigma, 0.0)
     n, m = block.responses.shape
+    moments = pairwise._moments_for(block, 0, m)
     total = 0.0
     for i in range(n):
         e = block.responses[i] - block.covariates[i] @ beta
@@ -162,7 +156,8 @@ def test_gamma_score_sigma_component_closed_form_at_zero_corr() -> None:
             for t in range(r + 1, m):
                 total += -2.0 / sigma + (e[r] ** 2 + e[t] ** 2) / sigma**3
     want = total / n
-    got = block_score_gamma(beta, gamma, block)
+    grams, _, family_score = pairwise._grams([moments], gamma, np.array([[gamma.rho]]))
+    got = moments.checks(grams[:, 0, 0], family_score[0, 0], beta, sigma)[2]
     assert got.shape == (2,)
     assert got[0] == pytest.approx(want, rel=1e-6, abs=1e-8)
 
@@ -170,9 +165,11 @@ def test_gamma_score_sigma_component_closed_form_at_zero_corr() -> None:
 def test_gamma_score_rho_component_matches_objective_differences() -> None:
     block = _random_block(seed=8, n=10, m=4, p=2)
     beta = np.array([0.2, 0.9])
+    moments = pairwise._moments_for(block, 0, 4)
     for structure, rho in [("ar1", 0.35), ("cs", -0.15)]:
         gamma = Dependence(structure, 1.2, rho)
-        got = block_score_gamma(beta, gamma, block)
+        grams, _, family_score = pairwise._grams([moments], gamma, np.array([[rho]]))
+        got = moments.checks(grams[:, 0, 0], family_score[0, 0], beta, gamma.sigma)[2]
         h = 1e-5
         up = _oracle_block_logcl(beta, Dependence(structure, 1.2, rho + h), block)
         dn = _oracle_block_logcl(beta, Dependence(structure, 1.2, rho - h), block)
@@ -193,15 +190,20 @@ def test_sensitivity_matches_explicit_pair_loops() -> None:
                 omega_inv = np.linalg.inv(pair_covariance(gamma, t - r).matrix)
                 acc += xp.T @ omega_inv @ xp
     want = acc / n
-    got = block_sensitivity(np.zeros(p), gamma, block)
+    moments = pairwise._moments_for(block, 0, m)
+    grams, _, family_score = pairwise._grams([moments], gamma, np.array([[gamma.rho]]))
+    got = moments.checks(grams[:, 0, 0], family_score[0, 0], np.zeros(p), gamma.sigma)[0]
     np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
 
 def test_sensitivity_scales_inversely_with_variance() -> None:
-    block = _random_block(seed=10, n=5, m=4, p=2)
-    base = block_sensitivity(np.zeros(2), Dependence("cs", 1.0, 0.3), block)
-    doubled = block_sensitivity(np.zeros(2), Dependence("cs", 2.0, 0.3), block)
-    np.testing.assert_allclose(base / doubled, np.full((2, 2), 4.0), rtol=1e-12)
+    moments = pairwise._moments_for(_random_block(seed=10, n=5, m=4, p=2), 0, 4)
+    sens = []
+    for sigma in (1.0, 2.0):
+        gamma = Dependence("cs", sigma, 0.3)
+        grams, _, family_score = pairwise._grams([moments], gamma, np.array([[gamma.rho]]))
+        sens.append(moments.checks(grams[:, 0, 0], family_score[0, 0], np.zeros(2), sigma)[0])
+    np.testing.assert_allclose(sens[0] / sens[1], np.full((2, 2), 4.0), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +230,7 @@ def _pair_logcl(beta: np.ndarray, sigma: float, rho: float, structure: str, bloc
 def test_profile_from_two_grams_matches_the_pair_oracle(structure: str) -> None:
     block = _random_block(seed=31, n=7, m=4, p=2)
     # A batch of one block: its rho interval and profile lead with the block axis.
-    moments, dependence = pairwise._block_moments(block), Dependence(structure)
+    moments, dependence = pairwise._moments_for(block, 0, 4), Dependence(structure)
     lo = np.array([[dependence.rho_lower(moments.block_size)]])
     rhos = lo + (1.0 - lo) * np.array([0.08, 0.2, 0.35, 0.5, 0.65, 0.8, 0.92])
     prof = pairwise._profile([moments], dependence, rhos)
@@ -266,15 +268,17 @@ def test_beta_score_is_linear_in_beta() -> None:
     # -sensitivity, so a wide finite difference recovers it exactly.
     block = _random_block(seed=11, n=7, m=4, p=2)
     gamma = Dependence("ar1", 1.1, 0.5)
-    sens = block_sensitivity(np.zeros(2), gamma, block)
+    moments = pairwise._moments_for(block, 0, 4)
+    grams, _, family_score = pairwise._grams([moments], gamma, np.array([[gamma.rho]]))
+    sens = moments.checks(grams[:, 0, 0], family_score[0, 0], np.zeros(2), gamma.sigma)[0]
     beta = np.array([0.5, -0.25])
     h = 0.5  # linearity makes the step size irrelevant
     for q in range(2):
         bp, bm = beta.copy(), beta.copy()
         bp[q] += h
         bm[q] -= h
-        sp = block_score_beta(bp, gamma, block).mean(axis=0)
-        sm = block_score_beta(bm, gamma, block).mean(axis=0)
+        sp = moments.subject_terms(bp, gamma)[0].mean(axis=0)
+        sm = moments.subject_terms(bm, gamma)[0].mean(axis=0)
         np.testing.assert_allclose((sp - sm) / (2 * h), -sens[:, q], rtol=1e-9, atol=1e-12)
 
 
@@ -290,12 +294,13 @@ def test_score_unbiased_at_truth() -> None:
     cov = gamma0.sigma**2 * gamma0.rho**lagmat
     x = rng.standard_normal((n, m, p))
     y = np.einsum("nmp,p->nm", x, beta0) + rng.standard_normal((n, m)) @ np.linalg.cholesky(cov).T
-    block = PanelDataset(responses=y, covariates=x)
-    scores = block_score_beta(beta0, gamma0, block)
+    moments = pairwise._moments_for(PanelDataset(responses=y, covariates=x), 0, m)
+    scores = moments.subject_terms(beta0, gamma0)[0]
     mean = scores.mean(axis=0)
     se = scores.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(mean) <= 4.0 * se)
-    gs = block_score_gamma(beta0, gamma0, block)
+    grams, _, family_score = pairwise._grams([moments], gamma0, np.array([[gamma0.rho]]))
+    gs = moments.checks(grams[:, 0, 0], family_score[0, 0], beta0, gamma0.sigma)[2]
     # gamma components lack a per-subject breakdown here; use a loose
     # O(1/sqrt(N)) envelope.
     assert np.all(np.abs(gs) <= 1.0)
@@ -350,18 +355,22 @@ def test_fit_block_recovers_truth_at_large_n() -> None:
 def test_fit_block_gates_and_reported_objective() -> None:
     block = _random_block(seed=14, n=40, m=4, p=2)
     fit = fit_block(block, "cs", name="gates")
+    beta, gamma = fit.beta_hat, fit.gamma_hat
+    moments = pairwise._moments_for(block, 0, 4)
     # The reported optimum must satisfy the acceptance gates...
-    mean_score = block_score_beta(fit.beta_hat, fit.gamma_hat, block).mean(axis=0)
+    mean_score = moments.subject_terms(beta, gamma)[0].mean(axis=0)
     assert np.max(np.abs(mean_score)) <= 1e-6
-    gscore = block_score_gamma(fit.beta_hat, fit.gamma_hat, block)
+    grams, _, family_score = pairwise._grams([moments], gamma, np.array([[gamma.rho]]))
+    gscore = moments.checks(grams[:, 0, 0], family_score[0, 0], beta, gamma.sigma)[2]
     assert np.max(np.abs(gscore)) <= 1e-3
     # ...and the stored log composite likelihood must be the real one.
-    assert fit.logcl == pytest.approx(block_logcl(fit.beta_hat, fit.gamma_hat, block), rel=1e-12)
+    assert fit.logcl == pytest.approx(grams_logcl(moments, beta, gamma), rel=1e-12)
+    assert fit.logcl == pytest.approx(_oracle_block_logcl(beta, gamma, block), rel=1e-11)
     assert fit.n_pairs == 6
     # Perturbing beta can only lower the objective.
     for bump in (1e-3, -1e-3):
-        worse = fit.beta_hat + np.array([bump, 0.0])
-        assert block_logcl(worse, fit.gamma_hat, block) <= fit.logcl + 1e-9
+        worse = beta + np.array([bump, 0.0])
+        assert grams_logcl(moments, worse, gamma) <= fit.logcl + 1e-9
 
 
 @pytest.mark.parametrize("structure", ["toeplitz", Dependence("ar1", 1.0, 0.5), "AR1"])
@@ -374,9 +383,12 @@ def test_fit_block_takes_a_family_name(structure) -> None:
 def test_fit_block_subject_scores_consistent() -> None:
     block = _random_block(seed=16, n=25, m=4, p=2)
     fit = fit_block(block, "ar1")
-    recomputed = block_score_beta(fit.beta_hat, fit.gamma_hat, block)
+    beta, gamma = fit.beta_hat, fit.gamma_hat
+    moments = pairwise._moments_for(block, 0, 4)
+    recomputed = moments.subject_terms(beta, gamma)[0]
     np.testing.assert_allclose(fit.subject_scores, recomputed, rtol=1e-12, atol=1e-14)
-    sens = block_sensitivity(fit.beta_hat, fit.gamma_hat, block)
+    grams, _, family_score = pairwise._grams([moments], gamma, np.array([[gamma.rho]]))
+    sens = moments.checks(grams[:, 0, 0], family_score[0, 0], beta, gamma.sigma)[0]
     np.testing.assert_allclose(fit.sensitivity, sens, rtol=1e-12, atol=1e-14)
     np.linalg.cholesky(fit.sensitivity)  # positive definite
 
@@ -449,7 +461,7 @@ def _assert_same_fits(got, want) -> None:
         assert (g.structure, g.gamma_hat, g.logcl, g.n_pairs) == (
             w.structure, w.gamma_hat, w.logcl, w.n_pairs
         )
-        for field in ("beta_hat", "subject_scores", "sensitivity", "subject_sensitivities"):
+        for field in ("beta_hat", "subject_scores", "sensitivity", "subject_cores"):
             assert np.array_equal(getattr(g, field), getattr(w, field)), (g.name, field)
         assert g.trace == w.trace, g.name
 
@@ -492,7 +504,7 @@ def test_subject_order_only_permutes_the_subject_terms(order: list[int]) -> None
         assert got.gamma_hat.sigma == pytest.approx(want.gamma_hat.sigma, rel=1e-10)
         assert got.gamma_hat.rho == pytest.approx(want.gamma_hat.rho, rel=1e-10)
         assert got.logcl == pytest.approx(want.logcl, rel=1e-10)
-        for field in ("subject_scores", "subject_sensitivities"):
+        for field in ("subject_scores", "subject_cores"):
             want_rows = getattr(want, field)[order]
             np.testing.assert_allclose(
                 getattr(got, field), want_rows, rtol=1e-10, atol=1e-10 * np.abs(want_rows).max()
@@ -522,7 +534,7 @@ def test_fit_blocks_matches_a_loop_of_fit_block_on_bundled_scenarios(structure: 
             for got, want in zip(together, alone):
                 assert got.name == want.name
                 assert (got.gamma_hat, got.logcl) == (want.gamma_hat, want.logcl), (name, rep, got.name)
-                for field in ("beta_hat", "subject_scores", "subject_sensitivities"):
+                for field in ("beta_hat", "subject_scores", "subject_cores"):
                     np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
                 counts = [(f.trace.profile_evaluations, f.trace.root_evaluations) for f in (got, want)]
                 assert counts[0] == counts[1], (name, rep, got.name)
@@ -548,7 +560,7 @@ def _mixed_panel() -> tuple[PanelDataset, BlockPartition]:
 def test_fit_blocks_returns_a_mixed_partition_in_block_order() -> None:
     data, part = _mixed_panel()
     fits = fit_blocks(data, part)
-    assert [(f.name, f.structure, f.subject_sensitivities.shape[0]) for f in fits] == [
+    assert [(f.name, f.structure, f.subject_cores.shape[0]) for f in fits] == [
         (b.name, b.structure, 60) for b in part.blocks
     ]
     for got, want in zip(fits, _fit_each(data, part)):

@@ -72,12 +72,12 @@ def handed_out() -> dict[str, np.ndarray]:
 
 def test_no_array_handed_out_or_cached_can_be_made_writeable(handed_out) -> None:
     # Panel 3 (responses, subject-level mask, design Gram), scenario 4,
-    # block fit 4, moments 8, integrated fit 3, the three comparator fits 2
+    # block fit 4, moments 7, integrated fit 3, the three comparator fits 2
     # each, pooled start 4, block moments 1, the four arrays of the panel's
     # column split and the four of a block's, and the oracle's two
     # per-covariance arrays; and the 42 arrays the codec decodes into a
     # micro simulation report.
-    assert len(handed_out) == 85
+    assert len(handed_out) == 84
     unlocked = []
     for name, arr in handed_out.items():
         try:
