@@ -14,12 +14,12 @@ from dimm import (
     Dependence,
     PanelDataset,
     assemble_kronecker,
-    chi2_sf,
     fit_blocks,
     integrate_fits,
     q_statistic,
     weight_matrix,
 )
+from dimm.integrate import gof_test
 
 rng = np.random.Generator(np.random.Philox(42))
 
@@ -66,10 +66,9 @@ print(
 # The same quadratic form evaluated at a fixed beta gives a direct test:
 # under the hypothesis the statistic is chi-squared with J*p degrees of
 # freedom (no parameters estimated at the evaluation point here, so all
-# J*p moment coordinates count).
+# J*p moment coordinates count); gof_test(..., supplied=True) says so.
 moments = weight_matrix(fits)
 for label, beta0 in (("truth", beta_true), ("off by 0.2", beta_true + 0.2)):
     q = q_statistic(beta0, moments)
-    df = len(fits) * p
-    p_val = chi2_sf(q, df)
+    df, p_val = gof_test(q, len(fits), p, supplied=True)
     print(f"hypothesis {label:12s}: Q = {q:9.3f} on {df} df, p = {p_val:.4f}")

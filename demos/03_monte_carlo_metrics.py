@@ -37,7 +37,7 @@ gof = report.method("dimm").gof
 if gof is not None:
     print(
         f"\nfit statistic under the true model: mean Q = {gof.mean_q:.3f} "
-        f"(df = {gof.df}), rejection at the 0.95 quantile = {gof.rejection_rate:.3f}"
+        f"(df = {gof.df}), share of replicates with reported p < 0.05 = {gof.rejection_rate:.3f}"
     )
 
 # --- determinism across worker counts --------------------------------------

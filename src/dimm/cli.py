@@ -41,7 +41,7 @@ from dimm.errors import (
     PartitionError,
     ScenarioError,
 )
-from dimm.integrate import integrate_fits, q_statistic, weight_matrix
+from dimm.integrate import gof_test, integrate_fits, q_statistic, weight_matrix
 from dimm.io import (
     SCHEMA_VERSION,
     FitReport,
@@ -54,7 +54,6 @@ from dimm.io import (
 )
 from dimm.model import partition_dataset  # noqa: F401  (unused; perfbench/tracing.py probes this name)
 from dimm.pairwise import fit_blocks
-from dimm.special import chi2_sf
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
@@ -90,9 +89,8 @@ def _resolve_workers(flag: int | None) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     config = load_fit_config(args.config)
-    if args.workers is not None and args.workers < 1:
-        msg = f"--workers must be >= 1, got {args.workers}"
-        raise ConfigError(msg)
+    if args.workers is not None:
+        _resolve_workers(args.workers)
     output = args.output or config.output_path
     if output:
         _refuse_unwritable(output, FitReport.PATH)
@@ -183,15 +181,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"    gof: mean Q = {method.gof.mean_q:.4g} (df {method.gof.df}), "
                 f"rejection at 0.05 = {method.gof.rejection_rate:.4g}"
             )
-            pairs = ", ".join(
-                f"{p:.2f}: {e:.3g}/{t:.3g}"
-                for p, e, t in zip(
-                    method.gof.probes,
-                    method.gof.empirical_quantiles,
-                    method.gof.theoretical_quantiles,
-                )
-            )
-            print(f"    gof quantiles (empirical/theoretical): {pairs}")
     if args.output:
         report.save(args.output)
         print(f"report written to {args.output}")
@@ -228,9 +217,7 @@ def cmd_gof(args: argparse.Namespace) -> int:
 
     moments = weight_matrix(fit_blocks(data, config.partition()), subset=config.blocks_to_integrate)
     q_val = q_statistic(beta, moments)
-    # beta is supplied, not estimated, so all J*p moment conditions count.
-    df = len(moments.block_names) * beta.shape[0]
-    p_value = chi2_sf(q_val, df)
+    df, p_value = gof_test(q_val, len(moments.block_names), beta.shape[0], supplied=True)
     report = GofReport(
         schema_version=SCHEMA_VERSION,
         beta=beta,

@@ -40,7 +40,7 @@ no second pass over the data: block j's mean score is ``g_j(beta) =
 mean_i psi_ij(beta_hat_j) - S_j (beta - beta_hat_j)`` exactly. ``Q_N``
 doubles as an over-identification statistic: with J blocks it is
 asymptotically chi-square with (J - 1) p degrees of freedom at the
-combined estimate, and with J p at a supplied beta.
+combined estimate, and with J p at a supplied beta (:func:`gof_test`).
 
 Every symmetric positive definite system here (``V_hat``, the bread) is
 solved by :func:`dimm._util.spd_solve`, a Cholesky factor and its
@@ -399,32 +399,36 @@ def q_statistic(beta: np.ndarray, m: Moments) -> float:
     return q_val
 
 
-def gof_test(q_stat: float, n_blocks: int, n_params: int) -> tuple[int, float]:
-    """Over-identification test for the integrated fit.
+def gof_test(
+    q_stat: float, n_blocks: int, n_params: int, *, supplied: bool = False
+) -> tuple[int, float]:
+    """Over-identification test of Q_N at the combined estimate or at a supplied beta.
 
     Parameters
     ----------
     q_stat : float
-        Q_N evaluated at the combined estimate.
+        Q_N at the combined estimate, or at a supplied beta.
     n_blocks, n_params : int
         Number of integrated blocks J and mean-parameter dimension p.
+    supplied : bool, default False
+        True when beta was supplied, not estimated (``dimm gof``).
 
     Returns
     -------
     (df, p_value)
-        Degrees of freedom ``(J - 1) * p`` and the upper-tail
-        chi-square probability.
+        Degrees of freedom ``(J - 1) * p``, or ``J * p`` at a supplied
+        beta, and the upper-tail chi-square probability.
 
     Raises
     ------
     IntegrationError
-        With J = 1 there are no over-identifying restrictions (df = 0);
-        the test is refused rather than reporting a vacuous p-value.
+        With J = 1 and an estimated beta, df = 0: the test is refused
+        rather than reporting a vacuous p-value.
     """
     if n_blocks < 1 or n_params < 1:
         msg = f"need J >= 1 and p >= 1, got J={n_blocks}, p={n_params}"
         raise IntegrationError(msg)
-    df = (n_blocks - 1) * n_params
+    df = (n_blocks if supplied else n_blocks - 1) * n_params
     if df == 0:
         msg = (
             "goodness-of-fit test is unavailable with a single block: "

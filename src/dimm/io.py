@@ -466,14 +466,8 @@ def write_estimates_csv(report: SimReport, path: str | Path) -> None:
             ["method", "rep_index", "coefficient", "estimate", "std_error", "q_stat"]
         )
         for method in report.methods:
-            q_by_row: dict[int, float] = {}
-            if method.gof is not None:
-                q_by_row = {
-                    rep: float(q)
-                    for rep, q in zip(method.rep_indices, method.gof.q_values)
-                }
             for row, rep in enumerate(method.rep_indices):
-                q_cell = repr(q_by_row[rep]) if rep in q_by_row else ""
+                q_cell = "" if method.gof is None else repr(float(method.gof.q_values[row]))
                 for coef in range(method.estimates.shape[1]):
                     writer.writerow(
                         [

@@ -437,6 +437,16 @@ def test_gof_test_properties() -> None:
         gof_test(math.nan, 2, 1)
 
 
+def test_gof_test_at_a_supplied_beta_counts_all_j_times_p_conditions() -> None:
+    # The same Q read at a supplied beta: df J*p, not (J - 1)*p.
+    assert gof_test(9.487729036781154, 2, 2, supplied=True) == (4, pytest.approx(0.05, abs=1e-12))
+    assert gof_test(9.487729036781154, 2, 2, supplied=True) == gof_test(9.487729036781154, 3, 2)
+    # One block still has p conditions at a supplied beta.
+    assert gof_test(1.0, 1, 3, supplied=True)[0] == 3
+    with pytest.raises(IntegrationError):
+        gof_test(-0.5, 2, 1, supplied=True)
+
+
 # ---------------------------------------------------------------------------
 # Full integration and inference
 # ---------------------------------------------------------------------------

@@ -523,6 +523,22 @@ def test_cli_gof_report_carries_the_io_schema_version(panel_files, tmp_path: Pat
     assert report["df"] == 4
 
 
+def test_cli_gof_writes_the_p_value_of_the_supplied_beta_rule(panel_files, tmp_path: Path) -> None:
+    from dimm.integrate import gof_test, q_statistic, weight_matrix
+    from dimm.pairwise import fit_blocks
+
+    _, _, rp, cp, cfg, _ = panel_files
+    out = tmp_path / "gof.json"
+    result = _run_cli("gof", "--config", str(cfg), "--beta", "1.0,-0.5", "--output", str(out))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(out.read_text())
+    moments = weight_matrix(fit_blocks(load_panel(rp, cp), load_fit_config(cfg).partition()))
+    q_val = q_statistic(np.array([1.0, -0.5]), moments)
+    df, p_value = gof_test(q_val, 2, 2, supplied=True)
+    assert df == 2 * 2  # J*p: beta is supplied, not estimated
+    assert (report["q_stat"], report["df"], report["p_value"]) == (q_val, df, p_value)
+
+
 def test_cli_gof_leaves_the_fit_report_at_output_path(panel_files, tmp_path: Path) -> None:
     # output_path names the fit report; gof without --output writes no file.
     _, _, _, _, _, raw = panel_files
@@ -613,7 +629,9 @@ def test_estimates_csv_blank_q_for_comparators(tmp_path: Path) -> None:
     dimm_rows = [r for r in rows if r[0] == "dimm"]
     base_rows = [r for r in rows if r[0] == "gee_independence"]
     assert len(dimm_rows) == len(base_rows) == 3
-    assert all(float(r[5]) >= 0.0 for r in dimm_rows)
+    dimm = report.method("dimm")
+    q_by_rep = dict(zip(dimm.rep_indices, dimm.gof.q_values))
+    assert all(float(r[5]) == q_by_rep[int(r[1])] for r in dimm_rows)
     assert all(r[5] == "" for r in base_rows)
 
 

@@ -75,9 +75,9 @@ def test_no_array_handed_out_or_cached_can_be_made_writeable(handed_out) -> None
     # block fit 4, moments 7, integrated fit 3, the three comparator fits 2
     # each, pooled start 4, block moments 1, the four arrays of the panel's
     # column split and the four of a block's, and the oracle's two
-    # per-covariance arrays; and the 42 arrays the codec decodes into a
+    # per-covariance arrays; and the 39 arrays the codec decodes into a
     # micro simulation report.
-    assert len(handed_out) == 84
+    assert len(handed_out) == 81
     unlocked = []
     for name, arr in handed_out.items():
         try:

@@ -114,12 +114,9 @@ def _sim_report() -> SimReport:
         q_values=np.array([1.5, 2.5]),
         mean_q=2.0,
         rejection_rate=0.0,
-        probes=np.array([0.05, 0.95]),
-        empirical_quantiles=np.array([1.55, 2.45]),
-        theoretical_quantiles=np.array([0.1, 6.0]),
     )
     return SimReport(
-        schema_version=2,
+        schema_version=3,
         scenario_name="golden",
         n_subjects=40,
         n_replicates=3,
@@ -237,15 +234,14 @@ SIM_FINGERPRINT = (
     '{"beta0":[1.25,2.0],"between":[[1.0,0.25],[0.25,1.0]],"methods":[{"ase":[0.2,0.3],'
     '"asymptotic_std_errors":[[0.125,0.25],[0.375,0.5]],"bias":[0.25,-0.125],'
     '"coverage":[1.0,0.5],"ese":[0.35,0.35],"estimates":[[1.0,2.0],[1.5,2.5]],'
-    '"gof":{"df":2,"empirical_quantiles":[1.55,2.45],"mean_q":2.0,"probes":[0.05,0.95],'
-    '"q_values":[1.5,2.5],"rejection_rate":0.0,"theoretical_quantiles":[0.1,6.0]},'
+    '"gof":{"df":2,"mean_q":2.0,"q_values":[1.5,2.5],"rejection_rate":0.0},'
     '"method":"dimm","n_failures":1,"n_used":2,"rep_indices":[0,2],"rmse":[0.5,0.25],'
     '"std_errors":[[0.1,0.2],[0.3,0.4]],"wald_rejection":[0.0,1.0]},{"ase":[0.2,0.3],'
     '"asymptotic_std_errors":[[0.125,0.25],[0.375,0.5]],"bias":[0.25,-0.125],'
     '"coverage":[1.0,0.5],"ese":[0.35,0.35],"estimates":[[1.0,2.0],[1.5,2.5]],"gof":null,'
     '"method":"gee_independence","n_failures":1,"n_used":2,"rep_indices":[0,2],'
     '"rmse":[0.5,0.25],"std_errors":[[0.1,0.2],[0.3,0.4]],"wald_rejection":[0.0,1.0]}],'
-    '"n_replicates":3,"n_subjects":40,"scenario_name":"golden","schema_version":2,'
+    '"n_replicates":3,"n_subjects":40,"scenario_name":"golden","schema_version":3,'
     '"seed":11}'
 )
 
@@ -309,7 +305,7 @@ def test_records_built_in_memory_are_frozen_copies() -> None:
     ("cls", "entry", "error", "match"),
     [
         (FitReport, {"schema_version": 1}, ConfigError, "block_results"),
-        (SimReport, {"schema_version": 2}, ScenarioError, "scenario_name"),
+        (SimReport, {"schema_version": 3}, ScenarioError, "scenario_name"),
         (FitReport, [], ConfigError, "JSON object"),
         (GofReport, "report", ConfigError, "JSON object"),
         (SimReport, None, ScenarioError, "JSON object"),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -437,6 +438,22 @@ def test_gof_summary_only_for_multi_block_integration(tiny_report: SimReport) ->
     assert tiny_report.method("gee_independence").gof is None
 
 
+def test_rejection_rate_is_the_share_of_reported_p_values_below_005() -> None:
+    from dimm.integrate import integrate_fits
+    from dimm.pairwise import fit_blocks
+
+    scn = replace(bundled_scenario("micro"), n_replicates=40, methods=("dimm", "dimm:cs"))
+    report = run_scenario(scn, workers=1)
+    for method in scn.methods:
+        p_values = [
+            integrate_fits(fit_blocks(generate_replicate(scn, r), scn.partition_for(method))).gof_pvalue
+            for r in range(scn.n_replicates)
+        ]
+        want = sum(p < 0.05 for p in p_values) / len(p_values)
+        assert 0.0 < want < 1.0  # both outcomes occur, so the rule is exercised
+        assert report.method(method).gof.rejection_rate == want
+
+
 def test_report_round_trip_and_fingerprint(tiny_report: SimReport) -> None:
     entry = tiny_report.to_dict()
     back = SimReport.from_dict(entry)
@@ -445,10 +462,12 @@ def test_report_round_trip_and_fingerprint(tiny_report: SimReport) -> None:
     bad["schema_version"] = 999
     with pytest.raises(ScenarioError, match="schema_version"):
         SimReport.from_dict(bad)
-    # Reports written before the jackknife SEs carry version 1.
-    bad["schema_version"] = 1
-    with pytest.raises(ScenarioError, match="schema_version"):
-        SimReport.from_dict(bad)
+    # Reports written before the jackknife SEs carry version 1, and those
+    # with the gof quantile table version 2.
+    for old in (1, 2):
+        bad["schema_version"] = old
+        with pytest.raises(ScenarioError, match="schema_version"):
+            SimReport.from_dict(bad)
     with pytest.raises(ScenarioError, match="no method"):
         tiny_report.method("gls_oracle")
 
